@@ -8,7 +8,8 @@ The package is organised bottom-up:
 * :mod:`cavityswap.fluxmap` -- flux modulation curves and the pump-power
   to coupling-rate conversion,
 * :mod:`cavityswap.dynamics` -- RK4 integration of the coupled-mode
-  equations and the steady-state reflection spectrum,
+  equations, their exact solution under a constant pump, and the
+  steady-state reflection spectrum,
 * :mod:`cavityswap.sequences` -- pulse-sequence files, execution, and
   swap calibration,
 * :mod:`cavityswap.analysis` -- oscillation/decay/phase fits and
@@ -27,7 +28,8 @@ from .core import (ComplexAmplitudePair, CouplerState, ModeParams, PumpDrive,
 from .dynamics import (ConvergenceError, DriveTone, IntegrationDivergedError,
                        ResolutionError, SimConfig, SingularSteadyStateError,
                        TraceRecord, derivative, integrate, integrate_checked,
-                       max_step, rabi_frequency, reflection_spectrum)
+                       max_step, propagate_swap, rabi_frequency,
+                       reflection_spectrum)
 from .fluxmap import (DEFAULT_FLUX_CALIB, CouplerPullCurve,
                       DegenerateBiasWarning, TabulatedCurve, calibrated_curves,
                       coupling_rate, flux_for_pump_power, load_tabulated,

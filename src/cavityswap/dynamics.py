@@ -17,7 +17,16 @@ a_out = a_in - sqrt(g_ext) a (fixed by the critical-coupling null of the
 reflection coefficient).
 
 Integration is classic fixed-step RK4, chosen over adaptive stepping so
-that sweep trajectories are bit-reproducible.
+that sweep trajectories are bit-reproducible. A constant pump with no
+drive has an exact solution instead (``propagate_swap``): substituting
+c = b~ e^{i(D t + phi_P)} makes the rotating-frame system time-invariant,
+
+    d/dt (a~, c) = M (a~, c),   M = [[-g_A/2, -i g_P], [-i g_P, i D - g_B/2]],
+
+and exp(M t) = e^{m t} (cosh(s t) I + sinh(s t)/s N) with m = tr M / 2,
+N = M - m I and s^2 = N_11^2 - g_P^2 (Moler & Van Loan, SIAM Rev. 45,
+2003). RK4 stays the integrator for everything else and the oracle for
+the exact solution.
 """
 
 from __future__ import annotations
@@ -45,11 +54,10 @@ class IntegrationDivergedError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Half-step self-convergence check failed."""
+    """Half-step self-convergence (or exact-vs-RK4 agreement) check failed."""
 
-    def __init__(self, rel_diff, tolerance):
-        super().__init__(
-            f"half-step self-convergence {rel_diff:.3e} exceeds tolerance {tolerance:.3e}")
+    def __init__(self, rel_diff, tolerance, check="half-step self-convergence"):
+        super().__init__(f"{check} {rel_diff:.3e} exceeds tolerance {tolerance:.3e}")
         self.rel_diff = rel_diff
         self.tolerance = tolerance
 
@@ -255,6 +263,32 @@ def derivative(state: ComplexAmplitudePair, t: float, modes, pump: PumpDrive,
     return ComplexAmplitudePair(da, db, t)
 
 
+def _steps(config: SimConfig):
+    """(step count, step) of ``integrate``: dt is shrunk, never grown, so an
+    integer number of steps lands exactly on t_end."""
+    span = config.t_end - config.t_start
+    n = max(1, int(math.ceil(span / config.dt - 1e-12)))
+    return n, span / n
+
+
+def half_step_config(config: SimConfig) -> SimConfig:
+    """The dt/2 run ``integrate_checked`` compares against (and returns),
+    recording at twice the stride so it keeps the same record times."""
+    _, dt = _steps(config)
+    return SimConfig(config.frame, 0.5 * dt, config.t_end, config.t_start,
+                     2 * config.record_stride, config.tolerance)
+
+
+def record_times(config: SimConfig) -> np.ndarray:
+    """The times ``integrate`` records under `config`, bit for bit: every
+    `record_stride` steps plus the final point."""
+    n, dt = _steps(config)
+    k = np.arange(config.record_stride, n + 1, config.record_stride)
+    if k.size == 0 or k[-1] != n:
+        k = np.append(k, n)
+    return np.concatenate(([config.t_start], config.t_start + k * dt))
+
+
 def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
               drive: DriveTone | None = None,
               config: SimConfig = SimConfig()) -> TraceRecord:
@@ -271,9 +305,7 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
             f"dt={config.dt:.3e} s does not resolve the fastest timescale in the "
             f"{config.frame} frame (need dt <= {dt_max:.3e} s)")
 
-    span = config.t_end - config.t_start
-    n = max(1, int(math.ceil(span / config.dt - 1e-12)))
-    dt = span / n
+    n, dt = _steps(config)
     stride = config.record_stride
 
     rhs = _make_rhs(mode_a, mode_b, pump, drive, config.frame)
@@ -337,10 +369,7 @@ def integrate_checked(initial, modes, pump, drive=None,
     trace and the measured relative difference.
     """
     coarse = integrate(initial, modes, pump, drive, config)
-    cfg_fine = SimConfig(config.frame, 0.5 * coarse.meta["dt"], config.t_end,
-                         config.t_start, 2 * config.record_stride,
-                         config.tolerance)
-    fine = integrate(initial, modes, pump, drive, cfg_fine)
+    fine = integrate(initial, modes, pump, drive, half_step_config(config))
     vc = np.array([coarse.a[-1], coarse.b[-1]])
     vf = np.array([fine.a[-1], fine.b[-1]])
     scale = max(np.linalg.norm(vf), 1e-300)
@@ -349,6 +378,36 @@ def integrate_checked(initial, modes, pump, drive=None,
         raise ConvergenceError(rel, config.tolerance)
     fine.meta["convergence_rel_diff"] = rel
     return fine, rel
+
+
+def propagate_swap(initial: ComplexAmplitudePair, modes, g_p: float,
+                   delta: float, phi_p: float, t):
+    """Exact rotating-frame amplitudes under a constant pump and no drive.
+
+    `g_p` is the pump amplitude, `delta` = omega_p - (omega_B - omega_A)
+    the detuning and `phi_p` the pump phase; the state `initial` is taken
+    at time initial.t. Returns the arrays (a~(t), b~(t)) at the times `t`
+    from the closed-form matrix exponential in the module docstring.
+    """
+    mode_a, mode_b = modes
+    t = np.asarray(t, dtype=float)
+    tau = t - initial.t
+    a0 = complex(initial.a)
+    c0 = complex(initial.b) * cmath.exp(1j * (delta * initial.t + phi_p))
+    ga2 = 0.5 * mode_a.gamma_total
+    gb2 = 0.5 * mode_b.gamma_total
+    m = 0.5 * (1j * delta - ga2 - gb2)
+    n11 = -ga2 - m  # N = [[n11, -i g], [-i g, -n11]]
+    s = cmath.sqrt(n11 * n11 - g_p * g_p)
+    em = np.exp(m * tau)
+    ch = em * np.cosh(s * tau)
+    sh = em * (tau if s == 0.0 else np.sinh(s * tau) / s)  # sinh(s t)/s -> t
+    a = ch * a0 + sh * (n11 * a0 - 1j * g_p * c0)
+    c = ch * c0 - sh * (1j * g_p * a0 + n11 * c0)
+    b = c * np.exp(-1j * (delta * t + phi_p))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise IntegrationDivergedError("non-finite exact swap amplitudes")
+    return a, b
 
 
 def reflection_spectrum(mode_a: ModeParams, mode_b: ModeParams,

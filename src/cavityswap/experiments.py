@@ -23,7 +23,9 @@ from .analysis import (NoOscillationError, dwell_times,
                        oscillation_frequency)
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse,
                    ValidationError, cw_envelope, mode_params_from_q)
-from .dynamics import SimConfig, integrate_checked, reflection_spectrum
+from .dynamics import (ConvergenceError, SimConfig, TraceRecord,
+                       half_step_config, integrate_checked, propagate_swap,
+                       rabi_frequency, record_times, reflection_spectrum)
 from .sequences import (PulseSequence, Segment, calibrate_swap_time,
                         demodulate, parse_sequence, run_sequence_checked,
                         without_swaps)
@@ -218,13 +220,20 @@ def _pmap(fn, items, jobs):
 
 
 def _write_csv(path, meta_lines, colnames, rows):
+    """Write tuple `rows` under a ``#`` header block: numeric cells as
+    ``%.17g``, str cells as they are."""
+    numeric = ",".join(["%.17g"] * len(colnames)) + "\n"
     with open(path, "w") as fh:
         for line in meta_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(colnames) + "\n")
         for row in rows:
-            fh.write(",".join(
-                v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+            try:
+                line = numeric % row
+            except TypeError:  # a str cell: format this row cell by cell
+                line = ",".join("%s" if isinstance(v, str) else "%.17g"
+                                for v in row) % row + "\n"
+            fh.write(line)
 
 
 def _write_report(outdir, runner, cfg, results):
@@ -262,7 +271,7 @@ def _uniform_energy_series(trace):
     return ea, float(dt)
 
 
-def _swap_oscillation_frequency(trace, mode_a, mode_b) -> float:
+def _swap_oscillation_frequency(trace) -> float:
     """Oscillation frequency of the readout-mode occupancy fraction.
 
     Using |a|^2/(|a|^2+|b|^2) instead of |a|^2 divides out the overall
@@ -278,43 +287,72 @@ def _swap_oscillation_frequency(trace, mode_a, mode_b) -> float:
 # ---------------------------------------------------------------------------
 # sweep workers (module level so they pickle for the process pool)
 
-def _chevron_worker(cfg, t_end, g, delta):
-    mode_a, mode_b = _modes(cfg)
+def _swap_point(cfg, g, delta, t_end, amp0, check):
+    """Constant-pump swap from a(0) = amp0, b(0) = 0 at pump detuning `delta`.
+
+    The exact solution is sampled on the grid ``integrate_checked`` would
+    record for this point (its dt/2 trace). With `check` the point also
+    runs through ``integrate_checked`` in the configured frame, and the
+    worst exact-minus-RK4 difference over the grid, relative to the peak
+    amplitude, must stay within the tolerance. Returns (trace, half-step
+    difference, exact-vs-RK4 difference); both differences are 0 without
+    `check`.
+    """
+    mode_a, mode_b = modes = _modes(cfg)
     omega_p = abs(mode_a.omega - mode_b.omega) + delta
-    pump = PumpDrive(omega_p, 0.0, RectPulse(g, -1.0, 2.0 * t_end))
-    omega_fast = math.sqrt(delta * delta + 4.0 * g * g)
-    dt = TWO_PI / (cfg["points_per_cycle"] * max(omega_fast, mode_a.gamma_total))
-    steps = int(math.ceil(t_end / dt))
-    stride = max(1, steps // 4096)
+    dt = TWO_PI / (cfg["points_per_cycle"]
+                   * max(rabi_frequency(delta, g), mode_a.gamma_total))
+    stride = max(1, int(math.ceil(t_end / dt)) // 4096)
     config = SimConfig(cfg["frame"], dt, t_end, 0.0, stride, cfg["tolerance"])
-    init = ComplexAmplitudePair(complex(math.sqrt(cfg.get("nbar", 1.0))), 0.0j, 0.0)
-    trace, rel = integrate_checked(init, (mode_a, mode_b), pump, None, config)
+    init = ComplexAmplitudePair(complex(amp0), 0.0j, 0.0)
+    t = record_times(half_step_config(config))
+    # the rotating-frame detuning as the RK4 right-hand side sees it
+    d_rot = omega_p - (mode_b.omega - mode_a.omega)
+    a, b = propagate_swap(init, modes, g, d_rot, 0.0, t)
+    trace = TraceRecord(t, a, b, -math.sqrt(mode_a.gamma_ext) * a)
+    if not check:
+        return trace, 0.0, 0.0
+    pump = PumpDrive(omega_p, 0.0, RectPulse(g, -1.0, 2.0 * t_end))
+    rk4, rel = integrate_checked(init, modes, pump, None, config)
+    if cfg["frame"] == "lab":
+        a = a * np.exp(-1j * mode_a.omega * t)
+        b = b * np.exp(-1j * mode_b.omega * t)
+    peak = float(np.max(np.hypot(np.abs(a), np.abs(b))))
+    diff = float(np.max(np.hypot(np.abs(a - rk4.a), np.abs(b - rk4.b)))) / peak
+    if diff > cfg["tolerance"]:
+        raise ConvergenceError(diff, cfg["tolerance"], "exact-vs-RK4 difference")
+    return trace, rel, diff
+
+
+def _chevron_worker(cfg, t_end, g, point):
+    delta, check = point
+    trace, rel, diff = _swap_point(cfg, g, delta, t_end,
+                                   math.sqrt(cfg.get("nbar", 1.0)), check)
     ea, dt_rec = _uniform_energy_series(trace)
-    omega_e = _swap_oscillation_frequency(trace, mode_a, mode_b)
-    return ea, dt_rec, omega_e, rel
+    return ea, dt_rec, _swap_oscillation_frequency(trace), rel, diff
 
 
-def _power_worker(cfg, curves, coupler, p_dbm):
-    mode_a, mode_b = _modes(cfg)
+def _power_worker(cfg, curves, coupler, point):
+    p_dbm, check = point
     delta_phi = fluxmap.pump_power_to_flux(p_dbm, cfg["flux_calib"])
     g = fluxmap.coupling_rate(curves[0], curves[1],
                               replace(coupler, delta_phi=delta_phi))
     if g == 0.0:
-        return g, None, 0.0
-    omega_p = abs(mode_a.omega - mode_b.omega)
+        return g, None, 0.0, 0.0
     t_end = cfg["n_cycles"] * TWO_PI / (2.0 * g)
-    pump = PumpDrive(omega_p, 0.0, RectPulse(g, -1.0, 2.0 * t_end))
-    dt = TWO_PI / (cfg["points_per_cycle"] * max(2.0 * g, mode_a.gamma_total))
-    steps = int(math.ceil(t_end / dt))
-    stride = max(1, steps // 4096)
-    config = SimConfig(cfg["frame"], dt, t_end, 0.0, stride, cfg["tolerance"])
-    init = ComplexAmplitudePair(1.0 + 0.0j, 0.0j, 0.0)
-    trace, rel = integrate_checked(init, (mode_a, mode_b), pump, None, config)
+    trace, rel, diff = _swap_point(cfg, g, 0.0, t_end, 1.0, check)
     try:
-        omega_e = _swap_oscillation_frequency(trace, mode_a, mode_b)
+        omega_e = _swap_oscillation_frequency(trace)
     except NoOscillationError:
-        return g, None, rel
-    return g, omega_e, rel
+        return g, None, rel, diff
+    return g, omega_e, rel, diff
+
+
+def _with_oracle(values):
+    """Sweep points paired with their check flag: only the middle point
+    (the resonant one of a symmetric detuning sweep) runs RK4."""
+    oracle = len(values) // 2
+    return [(v, k == oracle) for k, v in enumerate(values)]
 
 
 def _sr_sequence(cfg, g, t_swap, delay, phase2) -> PulseSequence:
@@ -464,14 +502,15 @@ def run_chevron(cfg, outdir):
     _check_lab_frame_cost(cfg, t_end * cfg["delta_count"], cfg["points_per_cycle"])
     deltas = np.linspace(-0.5, 0.5, cfg["delta_count"]) * cfg["delta_span"]
 
-    out = _pmap(partial(_chevron_worker, cfg, t_end, g), deltas, cfg["jobs"])
+    out = _pmap(partial(_chevron_worker, cfg, t_end, g), _with_oracle(deltas),
+                cfg["jobs"])
 
     map_rows = []
     ridge_rows = []
     omega_es = []
-    max_rel = 0.0
-    for delta, (ea, dt_rec, omega_e, rel) in zip(deltas, out):
-        max_rel = max(max_rel, rel)
+    rel = diff = 0.0
+    for delta, (ea, dt_rec, omega_e, rel_k, diff_k) in zip(deltas, out):
+        rel, diff = max(rel, rel_k), max(diff, diff_k)
         omega_es.append(omega_e)
         ridge_rows.append((delta / TWO_PI, omega_e / TWO_PI))
         for k, e in enumerate(ea):
@@ -496,7 +535,8 @@ def run_chevron(cfg, outdir):
         "ridge_min_hz": float(np.min(omega_es)) / TWO_PI,
         "ridge_center_hz": float(omega_es[k0]) / TWO_PI,
         "model_rms_rel": rms_rel,
-        "convergence_rel_diff": max_rel,
+        "convergence_rel_diff": rel,
+        "exact_rk4_max_diff": diff,
     }
     _write_report(outdir, "chevron", cfg, results)
     return results
@@ -511,15 +551,15 @@ def run_power_sweep(cfg, outdir):
     _check_lab_frame_cost(cfg, 1e-4, cfg["points_per_cycle"])
 
     out = _pmap(partial(_power_worker, cfg, (curve_a, curve_b), coupler),
-                powers, cfg["jobs"])
+                _with_oracle(powers), cfg["jobs"])
 
     rows = []
     amps = []
     g_ext = []
-    max_rel = 0.0
+    rel = diff = 0.0
     n_silent = 0
-    for p, (g_true, omega_e, rel) in zip(powers, out):
-        max_rel = max(max_rel, rel)
+    for p, (g_true, omega_e, rel_k, diff_k) in zip(powers, out):
+        rel, diff = max(rel, rel_k), max(diff, diff_k)
         amp = math.sqrt(10.0 ** (p / 10.0))
         if omega_e is None:
             n_silent += 1
@@ -535,7 +575,8 @@ def run_power_sweep(cfg, outdir):
 
     amps = np.asarray(amps)
     g_ext = np.asarray(g_ext)
-    results = {"convergence_rel_diff": max_rel, "points_no_oscillation": n_silent}
+    results = {"convergence_rel_diff": rel, "exact_rk4_max_diff": diff,
+               "points_no_oscillation": n_silent}
     if amps.size >= 2:
         slope, intercept = np.polyfit(amps, g_ext, 1)
         pred = slope * amps + intercept

@@ -28,7 +28,7 @@ from . import fluxmap
 from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, RectPulse,
                    RaisedCosinePulse, CouplerState, ValidationError)
 from .dynamics import (DriveTone, SimConfig, TraceRecord, integrate,
-                       ConvergenceError)
+                       ConvergenceError, propagate_swap)
 from .units import Quantity, parse_quantity
 
 TWO_PI = 2.0 * math.pi
@@ -283,7 +283,9 @@ def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> Drive
             amp = math.sqrt(nbar) / (sq * dur)
         else:
             amp = math.sqrt(nbar) * ga / (2.0 * sq * (1.0 - math.exp(-0.5 * ga * dur)))
-    return DriveTone(omega_d, amp, 0.0, t0, t1)
+    # pad the support like _segment_pump: boundary RK4 stages must see the drive
+    pad = 1e-12 * (t1 - t0)
+    return DriveTone(omega_d, amp, 0.0, t0 - pad, t1 + pad)
 
 
 def _segment_dt(seg, pump, drive, mode_a, mode_b, frame, points_per_cycle):
@@ -422,31 +424,25 @@ def demodulate(trace: TraceRecord, omega_ref: float, window) -> tuple:
 
 
 def calibrate_swap_time(modes, g_p: float, window, *, delta: float = 0.0,
-                        points_per_cycle: int = 800,
                         time_tol: float = 1e-13) -> float:
     """Pulse length minimizing the residual readout-mode energy after one swap.
 
-    Golden-section search of the simulated residual |a(T)|^2 over the
-    given (t_lo, t_hi) window; for the lossless resonant case this is
-    pi/(2 g_P). Raises CalibrationError when the window excludes the
-    minimum.
+    Golden-section search of the exact residual |a(T)|^2 (closed-form
+    propagator, no time stepping) over the given (t_lo, t_hi) window; for
+    the lossless resonant case this is pi/(2 g_P). Raises CalibrationError
+    when the window excludes the minimum.
     """
     if not g_p > 0.0:
         raise ValidationError("g_p must be positive for swap calibration")
     mode_a, mode_b = modes
     omega_p = abs(mode_a.omega - mode_b.omega) + delta
-    omega_fast = math.sqrt(delta * delta + 4.0 * g_p * g_p)
-    dt = TWO_PI / (points_per_cycle * omega_fast)
-
-    # a CW envelope with the integration window as the pulse: guarantees the
-    # boundary RK4 stages see the coupling despite float rounding of t_end
-    pump = PumpDrive(omega_p, 0.0, RectPulse(g_p))
+    # the rotating-frame detuning as the RK4 right-hand side sees it
+    d_rot = omega_p - (mode_b.omega - mode_a.omega)
+    init = ComplexAmplitudePair(1.0 + 0.0j, 0.0j, 0.0)
 
     def residual(t_swap):
-        cfg = SimConfig("rotating", dt, t_swap, 0.0, max(1, int(t_swap / dt)))
-        trace = integrate(ComplexAmplitudePair(1.0 + 0.0j, 0.0j, 0.0),
-                          (mode_a, mode_b), pump, None, cfg)
-        return float(np.abs(trace.a[-1]) ** 2)
+        a, _ = propagate_swap(init, modes, g_p, d_rot, 0.0, t_swap)
+        return float(abs(a) ** 2)
 
     lo, hi = window
     if not (hi > lo > 0.0):

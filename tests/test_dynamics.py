@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive,
@@ -9,8 +11,9 @@ from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive,
                              mode_params_from_q)
 from cavityswap.dynamics import (ConvergenceError, DriveTone, ResolutionError,
                                  SimConfig, SingularSteadyStateError,
-                                 TraceRecord, derivative, integrate,
-                                 integrate_checked, max_step, rabi_frequency,
+                                 TraceRecord, derivative, half_step_config,
+                                 integrate, integrate_checked, max_step,
+                                 propagate_swap, rabi_frequency, record_times,
                                  reflection_spectrum)
 
 TWO_PI = 2.0 * math.pi
@@ -220,6 +223,89 @@ class TestIntegratorMechanics:
                       - 1j * GP * np.exp(-0.5j) * state.a)
         assert d.a == pytest.approx(expected_a, rel=1e-14)
         assert d.b == pytest.approx(expected_b, rel=1e-14)
+
+
+class TestRecordGrid:
+    @pytest.mark.parametrize("stride", [1, 7, 64, 10**9])
+    def test_record_times_are_the_integrate_grid(self, stride):
+        cfg = SimConfig("rotating", 3.3e-9, 1.7e-6, 0.2e-6, stride)
+        trace = integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.2e-6),
+                          _default_modes(), _pump(), None, cfg)
+        assert np.array_equal(record_times(cfg), trace.t)
+
+    def test_half_step_config_is_the_checked_grid(self):
+        cfg = _rotating_cfg(GP, 1.3e-6, ppc=400, stride=5)
+        trace, _ = integrate_checked(ComplexAmplitudePair(1 + 0j, 0j, 0.0),
+                                     _default_modes(), _pump(), None, cfg)
+        assert np.array_equal(record_times(half_step_config(cfg)), trace.t)
+
+
+_MHZ = TWO_PI * 1e6
+
+
+class TestExactPropagator:
+    @settings(max_examples=25, deadline=None)
+    @given(g=st.floats(0.2, 2.0), delta=st.floats(-4.0, 4.0),
+           gamma_a=st.floats(0.0, 2.0), gamma_b=st.floats(0.0, 2.0),
+           phi=st.floats(0.0, TWO_PI), t0=st.floats(0.05, 3.0),
+           a0=st.complex_numbers(max_magnitude=2.0),
+           b0=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+    def test_matches_fine_step_rk4(self, g, delta, gamma_a, gamma_b, phi, t0,
+                                   a0, b0):
+        # rates in MHz (angular), times in us; D of either sign, B initially
+        # occupied, and a start time away from 0 so the pump phase matters
+        g, delta = g * _MHZ, delta * _MHZ
+        modes = (ModeParams(OMEGA_A, gamma_a * 1e6), ModeParams(OMEGA_B, gamma_b * 1e6))
+        t0 *= 1e-6
+        init = ComplexAmplitudePair(a0, b0, t0)
+        fastest = max(rabi_frequency(delta, g), gamma_a * 1e6, gamma_b * 1e6)
+        cfg = SimConfig("rotating", TWO_PI / (2000 * fastest), t0 + 0.6e-6, t0, 50)
+        rk4 = integrate(init, modes, _pump(g, delta, phi), None, cfg)
+        a, b = propagate_swap(init, modes, g, delta, phi, rk4.t)
+        peak = max(abs(a0), abs(b0))
+        assert np.max(np.hypot(np.abs(a - rk4.a), np.abs(b - rk4.b))) < 1e-8 * peak
+
+    @pytest.mark.parametrize("g_mhz", [0.3, 1.2, 5.0])
+    def test_lossless_full_swap(self, g_mhz):
+        g = g_mhz * _MHZ
+        a, b = propagate_swap(ComplexAmplitudePair(1 + 0j, 0j, 0.0),
+                              _lossless_modes(), g, 0.0, 0.4, math.pi / (2.0 * g))
+        assert abs(abs(b) ** 2 - 1.0) < 1e-12
+        assert abs(a) ** 2 < 1e-12
+
+    @pytest.mark.parametrize("delta", [TWO_PI * -3e6, 0.0, TWO_PI * 1.7e6])
+    def test_detuned_lossless_closed_form(self, delta):
+        w = math.sqrt(delta**2 + 4.0 * GP**2)
+        t = np.linspace(0.0, 5.0 * TWO_PI / w, 2001)
+        a, b = propagate_swap(ComplexAmplitudePair(1 + 0j, 0j, 0.0),
+                              _lossless_modes(), GP, delta, 1.1, t)
+        expected = 1.0 - (4.0 * GP**2 / w**2) * np.sin(0.5 * w * t) ** 2
+        assert np.max(np.abs(np.abs(a) ** 2 - expected)) < 1e-12
+        assert np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)) < 1e-12
+
+    def test_critically_damped(self):
+        # D = 0 and g = |g_A - g_B|/4 make s = 0 exactly, where
+        # exp(M t) = e^{m t}(I + t N): a = e^{m t}(1 + (g_B - g_A) t/4)
+        gamma_a, gamma_b = 4e6, 0.0
+        g = abs(gamma_a - gamma_b) / 4.0
+        modes = (ModeParams(OMEGA_A, gamma_a), ModeParams(OMEGA_B, gamma_b))
+        t = np.linspace(0.0, 3e-6, 301)
+        a, b = propagate_swap(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes,
+                              g, 0.0, 0.0, t)
+        decay = np.exp(-0.25 * (gamma_a + gamma_b) * t)
+        assert np.max(np.abs(a - decay * (1.0 + 0.25 * (gamma_b - gamma_a) * t))) < 1e-12
+        assert np.max(np.abs(np.abs(b) - decay * g * t)) < 1e-12
+        # continuous across s = 0, and agrees with RK4 there
+        a_near, b_near = propagate_swap(ComplexAmplitudePair(1 + 0j, 0j, 0.0),
+                                        modes, g * (1.0 + 1e-9), 0.0, 0.0, t)
+        assert np.max(np.abs(a_near - a)) < 1e-8
+        cfg = SimConfig("rotating", TWO_PI / (2000 * gamma_a), 3e-6, 0.0, 100)
+        rk4 = integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes,
+                        _pump(g), None, cfg)
+        a, b = propagate_swap(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes,
+                              g, 0.0, 0.0, rk4.t)
+        assert np.max(np.abs(a - rk4.a)) < 1e-10
+        assert np.max(np.abs(b - rk4.b)) < 1e-10
 
 
 class TestTraceRecord:

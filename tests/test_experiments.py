@@ -1,13 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cavityswap import experiments, fluxmap
 from cavityswap.cli import main
-from cavityswap.core import ValidationError
+from cavityswap.core import (ComplexAmplitudePair, PumpDrive, RectPulse,
+                             ValidationError)
+from cavityswap.dynamics import SimConfig, integrate_checked
 from cavityswap.experiments import (RUNNERS, parse_config_file, resolve_config,
                                     run_chevron, run_phase_sweep,
-                                    run_splitting, run_store_retrieve)
+                                    run_power_sweep, run_splitting,
+                                    run_store_retrieve)
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,6 +74,7 @@ class TestConfigResolution:
 
 SMALL_SPLITTING = {"probe_count": "201", "pump_count": "3"}
 SMALL_CHEVRON = {"delta_count": "5", "t_end": "4us"}
+SMALL_POWER = {"power_count": "5", "n_cycles": "3"}
 SMALL_SR = {"delay_count": "4", "delay_stop": "16us"}
 SMALL_PHASE = {"phase_count": "8", "delay": "2us"}
 
@@ -126,6 +132,95 @@ class TestChevronRunner:
         cfg = resolve_config("chevron", dict(SMALL_CHEVRON, frame="lab"))
         with pytest.raises(ValidationError, match="lab-frame"):
             run_chevron(cfg, tmp_path)
+
+
+def _csv_rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+def _rk4_swap_trace(cfg, g, delta, t_end, amp0):
+    """The integrate_checked path chevron and power_sweep ran on every sweep
+    point before their closed form: the oracle for the exact traces."""
+    mode_a, mode_b = experiments._modes(cfg)
+    pump = PumpDrive(abs(mode_a.omega - mode_b.omega) + delta, 0.0,
+                     RectPulse(g, -1.0, 2.0 * t_end))
+    omega_fast = math.sqrt(delta * delta + 4.0 * g * g)
+    dt = TWO_PI / (cfg["points_per_cycle"] * max(omega_fast, mode_a.gamma_total))
+    stride = max(1, int(math.ceil(t_end / dt)) // 4096)
+    config = SimConfig(cfg["frame"], dt, t_end, 0.0, stride, cfg["tolerance"])
+    init = ComplexAmplitudePair(complex(amp0), 0.0j, 0.0)
+    trace, _ = integrate_checked(init, (mode_a, mode_b), pump, None, config)
+    return trace
+
+
+class TestExactSweepsMatchRk4:
+    def test_chevron(self, tmp_path):
+        cfg = resolve_config("chevron", SMALL_CHEVRON)
+        results = run_chevron(cfg, tmp_path)
+        g = experiments._resolve_gp(cfg)
+        deltas = np.linspace(-0.5, 0.5, cfg["delta_count"]) * cfg["delta_span"]
+        old_rows = []
+        for delta in deltas:
+            trace = _rk4_swap_trace(cfg, g, delta, cfg["t_end"], math.sqrt(cfg["nbar"]))
+            ea, dt_rec = experiments._uniform_energy_series(trace)
+            old_rows += [(delta / TWO_PI, k * dt_rec, e) for k, e in enumerate(ea)]
+        new_rows = _csv_rows(tmp_path / "chevron_map.csv")
+        assert [r[:2] for r in new_rows] == \
+            [[f"{d:.17g}", f"{t:.17g}"] for d, t, _ in old_rows]
+        old_e = np.array([e for _, _, e in old_rows])
+        new_e = np.array([float(r[2]) for r in new_rows])
+        assert np.max(np.abs(new_e - old_e)) <= 1e-10 * np.max(old_e)
+        assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
+        assert 0.0 < results["convergence_rel_diff"] < 1e-8
+
+    def test_power_sweep(self, tmp_path):
+        cfg = resolve_config("power_sweep", SMALL_POWER)
+        results = run_power_sweep(cfg, tmp_path)
+        curve_a, curve_b, coupler = fluxmap.calibrated_curves(
+            omega_a=cfg["freq_a"], omega_b=cfg["freq_b"])
+        powers = np.linspace(cfg["power_start"], cfg["power_stop"], cfg["power_count"])
+        new_rows = _csv_rows(tmp_path / "power_sweep.csv")
+        for p, row in zip(powers, new_rows):
+            g = fluxmap.coupling_rate(curve_a, curve_b, replace(
+                coupler, delta_phi=fluxmap.pump_power_to_flux(p, cfg["flux_calib"])))
+            t_end = cfg["n_cycles"] * TWO_PI / (2.0 * g)
+            old = _rk4_swap_trace(cfg, g, 0.0, t_end, 1.0)
+            new = experiments._swap_point(cfg, g, 0.0, t_end, 1.0, False)[0]
+            assert np.array_equal(new.t, old.t)
+            assert np.max(np.abs(new.energy_a - old.energy_a)) <= 1e-10
+            omega_old = experiments._swap_oscillation_frequency(old)
+            assert row[:3] == [f"{p:.17g}", f"{math.sqrt(10.0 ** (p / 10.0)):.17g}",
+                               f"{g / TWO_PI:.17g}"]
+            assert float(row[3]) == pytest.approx(omega_old / (2.0 * TWO_PI), rel=1e-12)
+        assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
+        assert 0.0 < results["convergence_rel_diff"] < 1e-8
+
+
+    def test_lab_frame_oracle_point(self, tmp_path):
+        # scaled-down carriers let the lab frame run; the exact rotating-frame
+        # amplitudes must be carried into the lab frame before comparing
+        cfg = resolve_config("chevron", {
+            "freq_a": "20MHz", "freq_b": "35MHz", "q_int_a": "1e3", "q_ext_a": "1e3",
+            "gp": "1.2MHz", "delta_count": "3", "delta_span": "1MHz",
+            "t_end": "0.5us", "points_per_cycle": "8000", "frame": "lab"})
+        results = run_chevron(cfg, tmp_path)
+        assert 0.0 < results["exact_rk4_max_diff"] < 1e-8
+
+
+class TestCsvWriter:
+    def test_matches_per_cell_formatting(self, tmp_path):
+        rows = [
+            (1, -0.0, float("inf"), "no_oscillation"),
+            (np.float64(0.1), np.int64(-7), float("nan"), 1e300),
+            (np.float32(0.1), 2**60, -float("inf"), "1.25"),
+            (True, 5e-324, np.float64(-2.5e-17), np.int32(3)),
+        ]
+        experiments._write_csv(tmp_path / "out.csv", ["a = 1"], ["w", "x", "y", "z"], rows)
+        expected = "# a = 1\nw,x,y,z\n" + "".join(
+            ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n"
+            for row in rows)
+        assert (tmp_path / "out.csv").read_text() == expected
 
 
 class TestStoreRetrieveRunner:

@@ -169,6 +169,19 @@ class TestExecution:
         assert rel < 1e-8
         assert trace.meta["convergence_rel_diff"] == rel
 
+    def test_driven_load_whose_last_stage_rounds_past_its_window(self):
+        # the last RK4 stage of the final load lands a rounding error past
+        # t_stop; an unpadded drive window dropped it (diff 1.5e-3)
+        seq = parse_sequence(
+            "mode A freq=8.7GHz q_ext=4.07e+04\n"
+            "mode B freq=9.33GHz\n"
+            "seg load dur=1.055us nbar=9.833\n"
+            "seg swap dur=0.3955us gp=1.513MHz phase=189.3deg ramp=0.088us\n"
+            "seg delay dur=1.621us\n"
+            "seg load dur=0.5358us amp=854.2\n")
+        _, rel = run_sequence_checked(seq)
+        assert rel < 1e-6
+
     def test_checked_run_raises_on_impossible_tolerance(self):
         seq = parse_sequence(BASIC)
         with pytest.raises(ConvergenceError):
@@ -221,9 +234,48 @@ class TestSwapCalibration:
         # losses shorten the optimal pulse below pi/(2g)
         assert t_cal < t_pi
 
+    @pytest.mark.parametrize("delta", [0.0, TWO_PI * 0.3e6, TWO_PI * -0.5e6])
+    def test_matches_rk4_residual_search(self, delta):
+        modes = (ModeParams(TWO_PI * 8.7e9, 1e5, 1e6),
+                 ModeParams(TWO_PI * 9.33e9, 1.0 / 14.9e-6, 0.0))
+        g = TWO_PI * 1.2e6
+        t_pi = math.pi / (2.0 * g)
+        window = (0.25 * t_pi, 2.0 * t_pi)
+        t_cal = calibrate_swap_time(modes, g, window, delta=delta)
+        assert t_cal == pytest.approx(_rk4_swap_time(modes, g, window, delta), rel=1e-12)
+
     def test_window_excluding_minimum_raises(self):
         modes = (ModeParams(TWO_PI * 8.7e9), ModeParams(TWO_PI * 9.33e9))
         g = TWO_PI * 1.2e6
         t_pi = math.pi / (2.0 * g)
         with pytest.raises(CalibrationError):
             calibrate_swap_time(modes, g, (0.1 * t_pi, 0.5 * t_pi))
+
+
+def _rk4_swap_time(modes, g_p, window, delta, points_per_cycle=800, time_tol=1e-13):
+    """Golden-section search of the RK4-simulated residual |a(T)|^2: the
+    oracle for the closed-form residual of calibrate_swap_time."""
+    mode_a, mode_b = modes
+    pump = PumpDrive(abs(mode_a.omega - mode_b.omega) + delta, 0.0, RectPulse(g_p))
+    dt = TWO_PI / (points_per_cycle * math.sqrt(delta * delta + 4.0 * g_p * g_p))
+
+    def residual(t_swap):
+        cfg = SimConfig("rotating", dt, t_swap, 0.0, max(1, int(t_swap / dt)))
+        trace = integrate(ComplexAmplitudePair(1.0 + 0.0j, 0.0j, 0.0), modes,
+                          pump, None, cfg)
+        return float(np.abs(trace.a[-1]) ** 2)
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = window
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = residual(x1), residual(x2)
+    while b - a > time_tol:
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = residual(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = residual(x2)
+    return 0.5 * (a + b)
