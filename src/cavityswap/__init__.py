@@ -27,7 +27,7 @@ from .core import (ComplexAmplitudePair, CouplerState, ModeParams, PumpDrive,
                    detuning, mode_params_from_q)
 from .dynamics import (ConvergenceError, DriveTone, IntegrationDivergedError,
                        ResolutionError, SimConfig, SingularSteadyStateError,
-                       TraceRecord, derivative, integrate, integrate_checked,
+                       TraceRecord, integrate, integrate_checked,
                        max_step, propagate_swap, rabi_frequency,
                        reflection_spectrum)
 from .fluxmap import (DEFAULT_FLUX_CALIB, CouplerPullCurve,

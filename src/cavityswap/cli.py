@@ -42,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=None,
                        help="worker processes for sweep points")
         p.add_argument("--lab-frame", action="store_true",
-                       help="integrate in the lab frame instead of the "
-                            "rotating frame")
+                       help="report traces in the lab frame (an exact "
+                            "rotation of the rotating-frame result)")
     return parser
 
 

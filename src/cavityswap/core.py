@@ -182,6 +182,19 @@ def detuning(pump: PumpDrive, mode_a: ModeParams, mode_b: ModeParams) -> float:
     return pump.omega_p - abs(mode_a.omega - mode_b.omega)
 
 
+def check_mode_order(mode_a: ModeParams, mode_b: ModeParams) -> None:
+    """Require the storage mode B to lie above the readout mode A.
+
+    The coupled-mode equations couple a to b through e^{+i w_P t}, which is
+    resonant only for w_B > w_A; under that order ``detuning`` equals the
+    signed offset the dynamics see. Raises ValidationError otherwise.
+    """
+    if not mode_b.omega > mode_a.omega:
+        raise ValidationError(
+            f"mode B ({mode_b.omega / (2.0 * math.pi):.12g} Hz) must lie above "
+            f"mode A ({mode_a.omega / (2.0 * math.pi):.12g} Hz)")
+
+
 @dataclass(frozen=True)
 class ComplexAmplitudePair:
     """Complex field amplitudes of the two modes at time t; |a|^2, |b|^2 are

@@ -12,9 +12,14 @@ leaves only the slow envelopes:
     da~/dt = -(g_A/2) a~ - i g_P(t) e^{+i(D t + phi_P)} b~ + drive
     db~/dt = -(g_B/2) b~ - i g_P(t) e^{-i(D t + phi_P)} a~
 
-with D = w_P - (w_B - w_A). The output field at the readout port is
-a_out = a_in - sqrt(g_ext) a (fixed by the critical-coupling null of the
-reflection coefficient).
+with D = w_P - (w_B - w_A) (``core.detuning``; mode B must lie above mode
+A). The output field at the readout port is a_out = a_in - sqrt(g_ext) a
+(fixed by the critical-coupling null of the reflection coefficient).
+
+Both frames hold the same rotating-wave equations, so a lab-frame trace is
+exactly the rotating-frame one times e^{-i w_A t} (a, a_out) and
+e^{-i w_B t} (b): ``lab_frame`` applies that rotation after the fact, and
+lab-frame RK4 stays only as an independent check of it.
 
 Integration is classic fixed-step RK4, chosen over adaptive stepping so
 that sweep trajectories are bit-reproducible. A constant pump with no
@@ -37,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModeParams, PumpDrive, ComplexAmplitudePair, ValidationError
+from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, ValidationError,
+                   check_mode_order, detuning)
 
 TWO_PI = 2.0 * math.pi
 
@@ -163,6 +169,16 @@ class TraceRecord:
                    meta)
 
 
+def lab_frame(trace: TraceRecord, mode_a: ModeParams, mode_b: ModeParams) -> TraceRecord:
+    """The lab-frame trace of a rotating-frame one: a and a_out times
+    e^{-i w_A t}, b times e^{-i w_B t}. Exact, since both frames hold the
+    same rotating-wave equations."""
+    rot_a = np.exp(-1j * mode_a.omega * trace.t)
+    return TraceRecord(trace.t, trace.a * rot_a,
+                       trace.b * np.exp(-1j * mode_b.omega * trace.t),
+                       trace.a_out * rot_a, dict(trace.meta, frame="lab"))
+
+
 def rabi_frequency(delta: float, g_p: float) -> float:
     """Energy-oscillation frequency of the detuned two-mode swap.
 
@@ -172,31 +188,26 @@ def rabi_frequency(delta: float, g_p: float) -> float:
     return math.sqrt(delta * delta + 4.0 * g_p * g_p)
 
 
-def _delta_rot(mode_a: ModeParams, mode_b: ModeParams, pump: PumpDrive) -> float:
-    # rotating-frame coupling phase rate; equals the signed detuning
-    # omega_p - |w_a - w_b| when mode B is the higher-frequency mode
-    return pump.omega_p - (mode_b.omega - mode_a.omega)
+def max_step(mode_a, mode_b, pump, drive=None, frame="rotating",
+             points_per_cycle=MIN_POINTS_PER_CYCLE) -> float:
+    """Largest RK4 step that spends `points_per_cycle` steps on one cycle of
+    the fastest rate of this system in the given frame (inf if none).
 
-
-def _fastest_rate(mode_a, mode_b, pump, drive, frame) -> float:
+    The rotating-frame fastest rate is max(sqrt(D^2 + 4 g_P^2), gamma_A,
+    gamma_B, |w_d - w_A|): the swap frequency at the peak pump amplitude,
+    the losses and the drive offset. The lab frame adds the carriers.
+    """
+    rates = [mode_a.gamma_total, mode_b.gamma_total]
     if frame == "lab":
-        rates = [mode_a.omega, mode_b.omega, pump.omega_p,
-                 mode_a.gamma_total, mode_b.gamma_total]
+        rates += [mode_a.omega, mode_b.omega, pump.omega_p]
         if drive is not None:
             rates.append(drive.omega_d)
     else:
-        rates = [abs(_delta_rot(mode_a, mode_b, pump)),
-                 pump.envelope.max_amplitude,
-                 mode_a.gamma_total, mode_b.gamma_total]
+        rates.append(rabi_frequency(detuning(pump, mode_a, mode_b),
+                                    pump.envelope.max_amplitude))
         if drive is not None:
             rates.append(abs(drive.omega_d - mode_a.omega))
-    return max(rates)
-
-
-def max_step(mode_a, mode_b, pump, drive=None, frame="rotating",
-             points_per_cycle=MIN_POINTS_PER_CYCLE) -> float:
-    """Largest admissible RK4 step for this system in the given frame."""
-    fastest = _fastest_rate(mode_a, mode_b, pump, drive, frame)
+    fastest = max(rates)
     return math.inf if fastest == 0.0 else TWO_PI / (points_per_cycle * fastest)
 
 
@@ -214,7 +225,7 @@ def _make_rhs(mode_a, mode_b, pump, drive, frame):
     else:
         na = complex(-ga2)
         nb = complex(-gb2)
-        wp = _delta_rot(mode_a, mode_b, pump)
+        wp = detuning(pump, mode_a, mode_b)
 
     if drive is not None:
         damp = sq_gext * drive.amp_in
@@ -249,18 +260,6 @@ def _input_field(drive, mode_a, frame, t):
     field_vals = drive.amp_in * np.exp(-1j * (dw * t + drive.phase))
     mask = (t >= drive.t_start) & (t <= drive.t_stop)
     return np.where(mask, field_vals, 0.0 + 0.0j)
-
-
-def derivative(state: ComplexAmplitudePair, t: float, modes, pump: PumpDrive,
-               drive: DriveTone | None = None, frame: str = "rotating"):
-    """Time derivative of the coupled-mode state (pure function).
-
-    Returns a ComplexAmplitudePair whose components are da/dt and db/dt.
-    """
-    mode_a, mode_b = modes
-    rhs = _make_rhs(mode_a, mode_b, pump, drive, frame)
-    da, db = rhs(t, state.a, state.b)
-    return ComplexAmplitudePair(da, db, t)
 
 
 def _steps(config: SimConfig):
@@ -299,6 +298,7 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     plus the final point.
     """
     mode_a, mode_b = modes
+    check_mode_order(mode_a, mode_b)
     dt_max = max_step(mode_a, mode_b, pump, drive, config.frame)
     if config.dt > dt_max * (1.0 + 1e-12):
         raise ResolutionError(
@@ -370,14 +370,24 @@ def integrate_checked(initial, modes, pump, drive=None,
     """
     coarse = integrate(initial, modes, pump, drive, config)
     fine = integrate(initial, modes, pump, drive, half_step_config(config))
+    return fine, check_half_step(coarse, fine, config.tolerance)
+
+
+def check_half_step(coarse: TraceRecord, fine: TraceRecord, tolerance: float) -> float:
+    """Relative difference |(a, b)_coarse - (a, b)_fine| / |(a, b)_fine| of
+    the final states of a run and its half-step rerun.
+
+    Raises ConvergenceError above `tolerance`; otherwise stores the
+    difference as fine.meta["convergence_rel_diff"] and returns it.
+    """
     vc = np.array([coarse.a[-1], coarse.b[-1]])
     vf = np.array([fine.a[-1], fine.b[-1]])
-    scale = max(np.linalg.norm(vf), 1e-300)
+    scale = max(float(np.linalg.norm(vf)), 1e-300)
     rel = float(np.linalg.norm(vc - vf) / scale)
-    if rel > config.tolerance:
-        raise ConvergenceError(rel, config.tolerance)
+    if rel > tolerance:
+        raise ConvergenceError(rel, tolerance)
     fine.meta["convergence_rel_diff"] = rel
-    return fine, rel
+    return rel
 
 
 def propagate_swap(initial: ComplexAmplitudePair, modes, g_p: float,
@@ -390,6 +400,7 @@ def propagate_swap(initial: ComplexAmplitudePair, modes, g_p: float,
     from the closed-form matrix exponential in the module docstring.
     """
     mode_a, mode_b = modes
+    check_mode_order(mode_a, mode_b)
     t = np.asarray(t, dtype=float)
     tau = t - initial.t
     a0 = complex(initial.a)
@@ -418,6 +429,7 @@ def reflection_spectrum(mode_a: ModeParams, mode_b: ModeParams,
     each frequency and returns Gamma(w) = a_out/a_in. For g_P = 0 this is
     the standard single-port Lorentzian 1 - gamma_ext / (i(w_A - w) + gamma_A/2).
     """
+    check_mode_order(mode_a, mode_b)
     if not getattr(pump.envelope, "is_cw", False):
         raise ValidationError("reflection_spectrum requires a CW pump envelope")
     g = pump.envelope.max_amplitude

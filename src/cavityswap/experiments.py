@@ -12,28 +12,27 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from . import fluxmap
-from .analysis import (NoOscillationError, dwell_times,
+from .analysis import (DegenerateFitError, FitConvergenceError,
+                       NoOscillationError, dwell_times,
                        fit_exponential_decay, fit_phase_slope,
                        oscillation_frequency)
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse,
-                   ValidationError, cw_envelope, mode_params_from_q)
+                   ValidationError, check_mode_order, cw_envelope, detuning,
+                   mode_params_from_q)
 from .dynamics import (ConvergenceError, SimConfig, TraceRecord,
-                       half_step_config, integrate_checked, propagate_swap,
-                       rabi_frequency, record_times, reflection_spectrum)
+                       half_step_config, integrate_checked, max_step,
+                       propagate_swap, record_times, reflection_spectrum)
 from .sequences import (PulseSequence, Segment, calibrate_swap_time,
                         demodulate, parse_sequence, run_sequence_checked,
                         without_swaps)
 from .units import Quantity, UnitError, parse_quantity
 
 TWO_PI = 2.0 * math.pi
-
-_LAB_FRAME_STEP_CAP = 2e7  # refuse lab-frame runs that would need more steps
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +51,6 @@ _COMMON_KEYS = {
     "frame": ("str", "rotating"),
     "jobs": ("int", 1),
     "tolerance": ("dimensionless", 1e-6),
-    "deterministic": ("str", "true"),
 }
 
 _RUNNER_KEYS = {
@@ -111,7 +109,8 @@ def runner_schema(runner: str) -> dict:
 
 
 def parse_config_file(path) -> dict:
-    """Read a flat key=value config file (# comments, unit suffixes)."""
+    """Read a flat key=value config file (# comments, unit suffixes); a key
+    given twice is an error."""
     overrides = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -121,7 +120,10 @@ def parse_config_file(path) -> dict:
             key, eq, val = line.partition("=")
             if eq != "=":
                 raise ValidationError(f"{path}:{lineno}: expected key = value")
-            overrides[key.strip()] = val.strip()
+            key = key.strip()
+            if key in overrides:
+                raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
+            overrides[key] = val.strip()
     return overrides
 
 
@@ -156,8 +158,6 @@ def resolve_config(runner: str, overrides: dict | None = None) -> dict:
 def _validate_config(runner, cfg):
     if cfg["frame"] not in ("lab", "rotating"):
         raise ValidationError(f"frame must be lab or rotating, got {cfg['frame']!r}")
-    if cfg["deterministic"].lower() != "true":
-        raise ValidationError("deterministic execution cannot be disabled")
     if cfg["jobs"] < 1:
         raise ValidationError("jobs must be >= 1")
     for key in ("probe_count", "pump_count", "delta_count", "power_count",
@@ -186,6 +186,7 @@ def _render_cfg_value(kind, value):
 def _modes(cfg):
     mode_a = mode_params_from_q(cfg["freq_a"], cfg["q_int_a"], cfg["q_ext_a"])
     mode_b = ModeParams(cfg["freq_b"], 1.0 / cfg["t1_b"], 0.0)
+    check_mode_order(mode_a, mode_b)
     return mode_a, mode_b
 
 
@@ -193,23 +194,8 @@ def _resolve_gp(cfg) -> float:
     """Coupling rate from the config: explicit gp, or flux-pump conversion."""
     if cfg["gp"] > 0.0:
         return cfg["gp"]
-    curve_a, curve_b, coupler = fluxmap.calibrated_curves(
-        omega_a=cfg["freq_a"], omega_b=cfg["freq_b"])
-    delta_phi = cfg["delta_phi"]
-    if delta_phi == 0.0:
-        delta_phi = fluxmap.pump_power_to_flux(cfg["pump_power"], cfg["flux_calib"])
-    return fluxmap.coupling_rate(curve_a, curve_b,
-                                 replace(coupler, delta_phi=delta_phi))
-
-
-def _check_lab_frame_cost(cfg, duration, points_per_cycle):
-    if cfg["frame"] != "lab":
-        return
-    steps = duration * points_per_cycle * max(cfg["freq_a"], cfg["freq_b"]) / TWO_PI
-    if steps > _LAB_FRAME_STEP_CAP:
-        raise ValidationError(
-            f"lab-frame run would need ~{steps:.1e} steps; use scaled-down "
-            "frequencies for lab-frame validation")
+    return fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], cfg["pump_power"],
+                                      cfg["flux_calib"], cfg["delta_phi"])
 
 
 def _pmap(fn, items, jobs):
@@ -290,33 +276,28 @@ def _swap_oscillation_frequency(trace) -> float:
 def _swap_point(cfg, g, delta, t_end, amp0, check):
     """Constant-pump swap from a(0) = amp0, b(0) = 0 at pump detuning `delta`.
 
-    The exact solution is sampled on the grid ``integrate_checked`` would
-    record for this point (its dt/2 trace). With `check` the point also
-    runs through ``integrate_checked`` in the configured frame, and the
+    The exact rotating-frame solution is sampled on the grid
+    ``integrate_checked`` would record for this point (its dt/2 trace).
+    With `check` the point also runs through ``integrate_checked``, and the
     worst exact-minus-RK4 difference over the grid, relative to the peak
     amplitude, must stay within the tolerance. Returns (trace, half-step
     difference, exact-vs-RK4 difference); both differences are 0 without
-    `check`.
+    `check`. Callers use only frame-independent energies, so the frame
+    setting does not enter.
     """
     mode_a, mode_b = modes = _modes(cfg)
-    omega_p = abs(mode_a.omega - mode_b.omega) + delta
-    dt = TWO_PI / (cfg["points_per_cycle"]
-                   * max(rabi_frequency(delta, g), mode_a.gamma_total))
+    pump = PumpDrive(abs(mode_a.omega - mode_b.omega) + delta, 0.0,
+                     RectPulse(g, -1.0, 2.0 * t_end))
+    dt = max_step(mode_a, mode_b, pump, points_per_cycle=cfg["points_per_cycle"])
     stride = max(1, int(math.ceil(t_end / dt)) // 4096)
-    config = SimConfig(cfg["frame"], dt, t_end, 0.0, stride, cfg["tolerance"])
+    config = SimConfig("rotating", dt, t_end, 0.0, stride, cfg["tolerance"])
     init = ComplexAmplitudePair(complex(amp0), 0.0j, 0.0)
     t = record_times(half_step_config(config))
-    # the rotating-frame detuning as the RK4 right-hand side sees it
-    d_rot = omega_p - (mode_b.omega - mode_a.omega)
-    a, b = propagate_swap(init, modes, g, d_rot, 0.0, t)
+    a, b = propagate_swap(init, modes, g, detuning(pump, mode_a, mode_b), 0.0, t)
     trace = TraceRecord(t, a, b, -math.sqrt(mode_a.gamma_ext) * a)
     if not check:
         return trace, 0.0, 0.0
-    pump = PumpDrive(omega_p, 0.0, RectPulse(g, -1.0, 2.0 * t_end))
     rk4, rel = integrate_checked(init, modes, pump, None, config)
-    if cfg["frame"] == "lab":
-        a = a * np.exp(-1j * mode_a.omega * t)
-        b = b * np.exp(-1j * mode_b.omega * t)
     peak = float(np.max(np.hypot(np.abs(a), np.abs(b))))
     diff = float(np.max(np.hypot(np.abs(a - rk4.a), np.abs(b - rk4.b)))) / peak
     if diff > cfg["tolerance"]:
@@ -332,11 +313,9 @@ def _chevron_worker(cfg, t_end, g, point):
     return ea, dt_rec, _swap_oscillation_frequency(trace), rel, diff
 
 
-def _power_worker(cfg, curves, coupler, point):
+def _power_worker(cfg, point):
     p_dbm, check = point
-    delta_phi = fluxmap.pump_power_to_flux(p_dbm, cfg["flux_calib"])
-    g = fluxmap.coupling_rate(curves[0], curves[1],
-                              replace(coupler, delta_phi=delta_phi))
+    g = fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], p_dbm, cfg["flux_calib"])
     if g == 0.0:
         return g, None, 0.0, 0.0
     t_end = cfg["n_cycles"] * TWO_PI / (2.0 * g)
@@ -496,10 +475,8 @@ def _dip_separation(omegas, mag):
 def run_chevron(cfg, outdir):
     """Swap oscillations of the readout energy vs pump detuning and time."""
     os.makedirs(outdir, exist_ok=True)
-    mode_a, mode_b = _modes(cfg)
     g = _resolve_gp(cfg)
     t_end = cfg["t_end"]
-    _check_lab_frame_cost(cfg, t_end * cfg["delta_count"], cfg["points_per_cycle"])
     deltas = np.linspace(-0.5, 0.5, cfg["delta_count"]) * cfg["delta_span"]
 
     out = _pmap(partial(_chevron_worker, cfg, t_end, g), _with_oracle(deltas),
@@ -545,13 +522,9 @@ def run_chevron(cfg, outdir):
 def run_power_sweep(cfg, outdir):
     """Extracted swap rate vs pump power at zero detuning."""
     os.makedirs(outdir, exist_ok=True)
-    curve_a, curve_b, coupler = fluxmap.calibrated_curves(
-        omega_a=cfg["freq_a"], omega_b=cfg["freq_b"])
     powers = np.linspace(cfg["power_start"], cfg["power_stop"], cfg["power_count"])
-    _check_lab_frame_cost(cfg, 1e-4, cfg["points_per_cycle"])
 
-    out = _pmap(partial(_power_worker, cfg, (curve_a, curve_b), coupler),
-                _with_oracle(powers), cfg["jobs"])
+    out = _pmap(partial(_power_worker, cfg), _with_oracle(powers), cfg["jobs"])
 
     rows = []
     amps = []
@@ -598,8 +571,6 @@ def run_store_retrieve(cfg, outdir):
     g = _resolve_gp(cfg)
     t_swap = _resolve_t_swap(cfg, g, mode_a, mode_b)
     delays = np.linspace(cfg["delay_start"], cfg["delay_stop"], cfg["delay_count"])
-    total = cfg["load_dur"] + cfg["delay_stop"] + 10.0 / mode_a.gamma_total
-    _check_lab_frame_cost(cfg, total, cfg["points_per_cycle"])
 
     reference, ref_rel = _retrieval_reference(cfg, g, t_swap, float(delays[-1]))
     out = _pmap(partial(_delay_worker, cfg, g, t_swap), delays, cfg["jobs"])
@@ -632,7 +603,7 @@ def run_store_retrieve(cfg, outdir):
         results["tau_s"] = fit.params["tau"]
         results["fit_residual_rms"] = fit.residual_rms
         results["tau_degenerate"] = "false"
-    except Exception as exc:  # constant curve for a lossless storage mode
+    except (DegenerateFitError, FitConvergenceError) as exc:  # lossless storage mode
         results["tau_degenerate"] = "true"
         results["tau_note"] = type(exc).__name__
 
@@ -652,8 +623,6 @@ def run_phase_sweep(cfg, outdir):
     t_swap = _resolve_t_swap(cfg, g, mode_a, mode_b)
     phases = np.arange(cfg["phase_count"]) * TWO_PI / cfg["phase_count"]
     delay = cfg["delay"]
-    total = cfg["load_dur"] + delay + 10.0 / mode_a.gamma_total
-    _check_lab_frame_cost(cfg, total * cfg["phase_count"], cfg["points_per_cycle"])
 
     reference, ref_rel = _retrieval_reference(cfg, g, t_swap, delay)
     out = _pmap(partial(_phase_worker, cfg, g, t_swap, delay), phases, cfg["jobs"])
@@ -712,10 +681,9 @@ def run_custom_sequence(cfg, outdir):
         raise ValidationError("custom_sequence needs sequence=<file>")
     with open(cfg["sequence"]) as fh:
         seq = parse_sequence(fh.read())
-    _check_lab_frame_cost(cfg, seq.total_duration, cfg["points_per_cycle"])
     trace, rel = run_sequence_checked(
         seq, tolerance=cfg["tolerance"], frame=cfg["frame"],
-        points_per_cycle=cfg["points_per_cycle"])
+        points_per_cycle=cfg["points_per_cycle"], flux_calib=cfg["flux_calib"])
     trace.to_csv(os.path.join(outdir, "trace.csv"))
     results = {
         "total_duration_s": seq.total_duration,

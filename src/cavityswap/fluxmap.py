@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -267,3 +267,18 @@ def calibrated_curves(
     kappa_b = _bisect_increasing(gp_of, gp_target, 0.0, omega_b**3 * 1e-6)
     curve_b = CouplerPullCurve(omega_b, kappa_b, omega_c_max, phi_offset)
     return curve_a, curve_b, state
+
+
+def pump_coupling_rate(omega_a: float, omega_b: float, p_dbm: float,
+                       calib: float, delta_phi: float = 0.0) -> float:
+    """Coupling rate g_P (rad/s) of a flux pump at power `p_dbm` between
+    modes at `omega_a` and `omega_b`: ``calibrated_curves`` at those modes,
+    ``pump_power_to_flux`` with scalar `calib`, then ``coupling_rate``.
+
+    A nonzero `delta_phi` is the pump flux amplitude itself and skips the
+    power conversion.
+    """
+    curve_a, curve_b, coupler = calibrated_curves(omega_a=omega_a, omega_b=omega_b)
+    if delta_phi == 0.0:
+        delta_phi = pump_power_to_flux(p_dbm, calib)
+    return coupling_rate(curve_a, curve_b, replace(coupler, delta_phi=delta_phi))

@@ -20,18 +20,18 @@ phase between two swap pulses is well defined across a delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fluxmap
 from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, RectPulse,
-                   RaisedCosinePulse, CouplerState, ValidationError)
-from .dynamics import (DriveTone, SimConfig, TraceRecord, integrate,
-                       ConvergenceError, propagate_swap)
-from .units import Quantity, parse_quantity
-
-TWO_PI = 2.0 * math.pi
+                   RaisedCosinePulse, ValidationError, check_mode_order,
+                   detuning)
+from .dynamics import (DriveTone, SimConfig, TraceRecord, check_half_step,
+                       integrate, lab_frame, max_step, propagate_swap)
+from .units import parse_quantity
 
 
 class SequenceSyntaxError(ValueError):
@@ -128,10 +128,10 @@ def _mode_from_spec(spec) -> ModeParams:
     return ModeParams(omega, gamma_int, gamma_ext)
 
 
-def _parse_kv(tokens, allowed, lineno, line):
+def _parse_kv(tokens, allowed, lineno):
+    """Parse (column, token) pairs of key=value tokens into quantities."""
     params = {}
-    for tok in tokens:
-        col = line.find(tok) + 1
+    for col, tok in tokens:
         key, eq, val = tok.partition("=")
         if eq != "=" or not val:
             raise SequenceSyntaxError(f"expected key=value, got {tok!r}", lineno, col)
@@ -158,7 +158,9 @@ def parse_sequence(text: str) -> PulseSequence:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        tokens = line.split()
+        found = list(re.finditer(r"\S+", line))
+        tokens = [m.group() for m in found]
+        kv_tokens = [(m.start() + 1, m.group()) for m in found[2:]]
         head = tokens[0]
         if head == "mode":
             if len(tokens) < 2 or tokens[1] not in ("A", "B"):
@@ -166,7 +168,7 @@ def parse_sequence(text: str) -> PulseSequence:
             name = tokens[1]
             if name in mode_specs:
                 raise SequenceSyntaxError(f"mode {name} defined twice", lineno, 1)
-            spec = _parse_kv(tokens[2:], _MODE_KEYS, lineno, line)
+            spec = _parse_kv(kv_tokens, _MODE_KEYS, lineno)
             if "freq" not in spec:
                 raise SequenceSyntaxError(f"mode {name} needs freq=", lineno, 1)
             mode_specs[name] = spec
@@ -176,7 +178,7 @@ def parse_sequence(text: str) -> PulseSequence:
                     f"unknown segment kind {tokens[1] if len(tokens) > 1 else ''!r}",
                     lineno, 1)
             kind = tokens[1]
-            params = _parse_kv(tokens[2:], _SEG_KEYS[kind], lineno, line)
+            params = _parse_kv(kv_tokens, _SEG_KEYS[kind], lineno)
             if "dur" not in params:
                 raise SequenceSyntaxError(f"{kind} segment needs dur=", lineno, 1)
             segments.append(Segment(kind, params))
@@ -202,6 +204,7 @@ def _validate_semantics(seq: PulseSequence):
             raise SequenceSemanticError(
                 f"mode {name}: external loss given more than once")
         _mode_from_spec(spec)  # validates ranges
+    check_mode_order(seq.mode_a, seq.mode_b)
     for i, seg in enumerate(seq.segments):
         if not seg.duration > 0.0:
             raise SequenceSemanticError("segment duration must be positive", i)
@@ -244,16 +247,12 @@ def emit_sequence(seq: PulseSequence) -> str:
 # execution
 
 def _segment_pump(seg: Segment, seq: PulseSequence, t0: float, t1: float,
-                  curves, coupler, flux_calib) -> PumpDrive:
+                  flux_calib) -> PumpDrive:
     if "gp" in seg.params:
         g = seg.params["gp"].value
     else:
-        if curves is None or coupler is None:
-            curves_a, curves_b, coupler = fluxmap.calibrated_curves()
-            curves = (curves_a, curves_b)
-        delta_phi = fluxmap.pump_power_to_flux(seg.params["power"].value, flux_calib)
-        g = fluxmap.coupling_rate(curves[0], curves[1],
-                                  replace(coupler, delta_phi=delta_phi))
+        g = fluxmap.pump_coupling_rate(seq.mode_a.omega, seq.mode_b.omega,
+                                       seg.params["power"].value, flux_calib)
     delta = seg.get("delta")
     phase = seg.get("phase")
     omega_p = abs(seq.mode_a.omega - seq.mode_b.omega) + delta
@@ -288,38 +287,17 @@ def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> Drive
     return DriveTone(omega_d, amp, 0.0, t0 - pad, t1 + pad)
 
 
-def _segment_dt(seg, pump, drive, mode_a, mode_b, frame, points_per_cycle):
-    rates = [mode_a.gamma_total, mode_b.gamma_total]
-    if frame == "lab":
-        rates += [mode_a.omega, mode_b.omega]
-        if pump is not None:
-            rates.append(pump.omega_p)
-        if drive is not None:
-            rates.append(drive.omega_d)
-    else:
-        if pump is not None:
-            # the energy oscillates at up to sqrt(delta^2 + 4 g^2)
-            g = pump.envelope.max_amplitude
-            delta = pump.omega_p - (mode_b.omega - mode_a.omega)
-            rates.append(math.sqrt(delta * delta + 4.0 * g * g))
-        if drive is not None:
-            rates.append(abs(drive.omega_d - mode_a.omega))
-    fastest = max(rates)
-    dur = seg.duration
-    dt = dur if fastest == 0.0 else TWO_PI / (points_per_cycle * fastest)
-    return min(dt, dur / 8.0)
-
-
 def run_sequence(seq: PulseSequence, *, frame: str = "rotating",
                  points_per_cycle: int = 400, direct_load: bool = True,
-                 curves=None, coupler: CouplerState | None = None,
-                 flux_calib: float = fluxmap.DEFAULT_FLUX_CALIB,
-                 tolerance: float = 1e-6) -> TraceRecord:
+                 flux_calib: float = fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
     """Execute a pulse sequence with continuous state handoff.
 
+    Each segment integrates in the rotating frame with `points_per_cycle`
+    steps per cycle of its fastest rate (``max_step``), at least 8 steps.
     With `direct_load` (the default for analysis runs) a leading load
     segment sets a = sqrt(nbar) at its end instead of simulating the fill
-    pulse; pass direct_load=False to drive the port explicitly.
+    pulse; pass direct_load=False to drive the port explicitly. `frame` =
+    "lab" rotates the finished trace with ``lab_frame``.
     """
     mode_a = seq.mode_a
     mode_b = seq.mode_b
@@ -334,20 +312,20 @@ def run_sequence(seq: PulseSequence, *, frame: str = "rotating",
                 np.array([t0, t1]),
                 np.array([state.a, a_end]),
                 np.array([state.b, state.b]),
-                np.array([0.0 + 0.0j, 0.0 + 0.0j]),
-                {"frame": frame})
+                np.array([0.0 + 0.0j, 0.0 + 0.0j]))
             state = ComplexAmplitudePair(a_end, state.b, t1)
         else:
             pump = None
             drive = None
             if seg.kind == "swap":
-                pump = _segment_pump(seg, seq, t0, t1, curves, coupler, flux_calib)
+                pump = _segment_pump(seg, seq, t0, t1, flux_calib)
             elif seg.kind == "load":
                 drive = _load_drive(seg, mode_a, t0, t1)
             if pump is None:
                 pump = PumpDrive(abs(mode_a.omega - mode_b.omega), 0.0, RectPulse(0.0, t0, t1))
-            dt = _segment_dt(seg, pump, drive, mode_a, mode_b, frame, points_per_cycle)
-            cfg = SimConfig(frame, dt, t1, t0, 1, tolerance)
+            dt = min(max_step(mode_a, mode_b, pump, drive,
+                              points_per_cycle=points_per_cycle), seg.duration / 8.0)
+            cfg = SimConfig("rotating", dt, t1, t0)
             piece = integrate(state, (mode_a, mode_b), pump, drive, cfg)
             state = ComplexAmplitudePair(piece.a[-1], piece.b[-1], t1)
         pieces.append(piece)
@@ -359,7 +337,7 @@ def run_sequence(seq: PulseSequence, *, frame: str = "rotating",
     b_arr = np.concatenate([p.b[s:] for p, s in zip(pieces, skip)])
     o_arr = np.concatenate([p.a_out[s:] for p, s in zip(pieces, skip)])
     meta = {
-        "frame": frame,
+        "frame": "rotating",
         "points_per_cycle": points_per_cycle,
         "omega_a": mode_a.omega, "gamma_int_a": mode_a.gamma_int,
         "gamma_ext_a": mode_a.gamma_ext,
@@ -370,26 +348,23 @@ def run_sequence(seq: PulseSequence, *, frame: str = "rotating",
         meta[f"seg{i}_kind"] = kind
         meta[f"seg{i}_t_start"] = w0
         meta[f"seg{i}_t_end"] = w1
-    return TraceRecord(t_arr, a_arr, b_arr, o_arr, meta)
+    trace = TraceRecord(t_arr, a_arr, b_arr, o_arr, meta)
+    return lab_frame(trace, mode_a, mode_b) if frame == "lab" else trace
 
 
-def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, **kwargs):
+def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
+                         frame: str = "rotating", points_per_cycle: int = 400,
+                         **kwargs):
     """run_sequence plus a half-step self-convergence check.
 
-    Re-runs with twice the time resolution and compares final states;
-    raises ConvergenceError above `tolerance`. Returns (fine trace, diff).
+    Re-runs with twice the time resolution and compares the final
+    rotating-frame states (``check_half_step``); raises ConvergenceError
+    above `tolerance`. Returns (fine trace in `frame`, diff).
     """
-    ppc = kwargs.pop("points_per_cycle", 400)
-    coarse = run_sequence(seq, points_per_cycle=ppc, **kwargs)
-    fine = run_sequence(seq, points_per_cycle=2 * ppc, **kwargs)
-    vc = np.array([coarse.a[-1], coarse.b[-1]])
-    vf = np.array([fine.a[-1], fine.b[-1]])
-    scale = max(float(np.linalg.norm(vf)), 1e-300)
-    rel = float(np.linalg.norm(vc - vf) / scale)
-    if rel > tolerance:
-        raise ConvergenceError(rel, tolerance)
-    fine.meta["convergence_rel_diff"] = rel
-    return fine, rel
+    coarse = run_sequence(seq, points_per_cycle=points_per_cycle, **kwargs)
+    fine = run_sequence(seq, points_per_cycle=2 * points_per_cycle, **kwargs)
+    rel = check_half_step(coarse, fine, tolerance)
+    return (lab_frame(fine, seq.mode_a, seq.mode_b) if frame == "lab" else fine), rel
 
 
 def without_swaps(seq: PulseSequence) -> PulseSequence:
@@ -435,9 +410,8 @@ def calibrate_swap_time(modes, g_p: float, window, *, delta: float = 0.0,
     if not g_p > 0.0:
         raise ValidationError("g_p must be positive for swap calibration")
     mode_a, mode_b = modes
-    omega_p = abs(mode_a.omega - mode_b.omega) + delta
-    # the rotating-frame detuning as the RK4 right-hand side sees it
-    d_rot = omega_p - (mode_b.omega - mode_a.omega)
+    # the detuning as the RK4 right-hand side sees it (not `delta` itself)
+    d_rot = detuning(PumpDrive(abs(mode_a.omega - mode_b.omega) + delta), mode_a, mode_b)
     init = ComplexAmplitudePair(1.0 + 0.0j, 0.0j, 0.0)
 
     def residual(t_swap):

@@ -11,7 +11,7 @@ from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive,
                              mode_params_from_q)
 from cavityswap.dynamics import (ConvergenceError, DriveTone, ResolutionError,
                                  SimConfig, SingularSteadyStateError,
-                                 TraceRecord, derivative, half_step_config,
+                                 TraceRecord, _make_rhs, half_step_config,
                                  integrate, integrate_checked, max_step,
                                  propagate_swap, rabi_frequency, record_times,
                                  reflection_spectrum)
@@ -178,6 +178,23 @@ class TestIntegratorMechanics:
         assert max_step(mode_a, mode_b, _pump(), frame="lab") < \
             max_step(mode_a, mode_b, _pump(), frame="rotating")
 
+    @pytest.mark.parametrize("call", ["integrate", "propagate_swap", "reflection_spectrum"])
+    def test_mode_b_must_lie_above_mode_a(self, call):
+        # the pump term e^{+i w_P t} is resonant only for w_B > w_A
+        mode_a, mode_b = _default_modes()
+        swapped = (ModeParams(OMEGA_B, mode_a.gamma_int, mode_a.gamma_ext),
+                   ModeParams(OMEGA_A, mode_b.gamma_int))
+        init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
+        calls = {
+            "integrate": lambda: integrate(init, swapped, _pump(), None,
+                                           _rotating_cfg(GP, 1e-7)),
+            "propagate_swap": lambda: propagate_swap(init, swapped, GP, 0.0, 0.0, [1e-7]),
+            "reflection_spectrum": lambda: reflection_spectrum(
+                *swapped, _pump(), np.array([OMEGA_A])),
+        }
+        with pytest.raises(ValidationError, match="must lie above"):
+            calls[call]()
+
     def test_bit_reproducible(self):
         modes = _default_modes()
         cfg = _rotating_cfg(GP, 1e-6, ppc=400)
@@ -216,13 +233,14 @@ class TestIntegratorMechanics:
     def test_derivative_matches_hand_computed_rhs(self):
         mode_a, mode_b = _default_modes()
         state = ComplexAmplitudePair(0.3 + 0.1j, 0.2 - 0.4j, 0.0)
-        d = derivative(state, 0.0, (mode_a, mode_b), _pump(phi=0.5))
+        rhs = _make_rhs(mode_a, mode_b, _pump(phi=0.5), None, "rotating")
+        da, db = rhs(0.0, state.a, state.b)
         expected_a = (-0.5 * mode_a.gamma_total * state.a
                       - 1j * GP * np.exp(0.5j) * state.b)
         expected_b = (-0.5 * mode_b.gamma_total * state.b
                       - 1j * GP * np.exp(-0.5j) * state.a)
-        assert d.a == pytest.approx(expected_a, rel=1e-14)
-        assert d.b == pytest.approx(expected_b, rel=1e-14)
+        assert da == pytest.approx(expected_a, rel=1e-14)
+        assert db == pytest.approx(expected_b, rel=1e-14)
 
 
 class TestRecordGrid:

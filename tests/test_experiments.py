@@ -71,6 +71,16 @@ class TestConfigResolution:
         with pytest.raises(ValidationError, match="key = value"):
             parse_config_file(path)
 
+    def test_config_file_rejects_duplicate_keys(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("gp = 1MHz\n# comment\ngp = 2MHz\n")
+        with pytest.raises(ValidationError, match="dup.txt:3: duplicate key 'gp'"):
+            parse_config_file(path)
+
+    def test_mode_b_must_lie_above_mode_a(self):
+        with pytest.raises(ValidationError, match="must lie above"):
+            resolve_config("chevron", {"freq_a": "9.33GHz", "freq_b": "8.7GHz"})
+
 
 SMALL_SPLITTING = {"probe_count": "201", "pump_count": "3"}
 SMALL_CHEVRON = {"delta_count": "5", "t_end": "4us"}
@@ -128,10 +138,14 @@ class TestChevronRunner:
         assert (tmp_path / "a" / "report.txt").read_bytes() == \
             (tmp_path / "b" / "report.txt").read_bytes()
 
-    def test_lab_frame_guard(self, tmp_path):
-        cfg = resolve_config("chevron", dict(SMALL_CHEVRON, frame="lab"))
-        with pytest.raises(ValidationError, match="lab-frame"):
-            run_chevron(cfg, tmp_path)
+    def test_lab_frame_matches_rotating(self, tmp_path):
+        # energies are frame-independent, so the lab frame changes no byte
+        run_chevron(resolve_config("chevron", SMALL_CHEVRON), tmp_path / "rot")
+        run_chevron(resolve_config("chevron", dict(SMALL_CHEVRON, frame="lab")),
+                    tmp_path / "lab")
+        for name in ("chevron_map.csv", "chevron_ridge.csv"):
+            assert (tmp_path / "lab" / name).read_bytes() == \
+                (tmp_path / "rot" / name).read_bytes()
 
 
 def _csv_rows(path):
@@ -198,8 +212,7 @@ class TestExactSweepsMatchRk4:
 
 
     def test_lab_frame_oracle_point(self, tmp_path):
-        # scaled-down carriers let the lab frame run; the exact rotating-frame
-        # amplitudes must be carried into the lab frame before comparing
+        # a lab-frame chevron at scaled-down carriers keeps its RK4 oracle
         cfg = resolve_config("chevron", {
             "freq_a": "20MHz", "freq_b": "35MHz", "q_int_a": "1e3", "q_ext_a": "1e3",
             "gp": "1.2MHz", "delta_count": "3", "delta_span": "1MHz",
@@ -243,6 +256,22 @@ class TestStoreRetrieveRunner:
         # a mistimed swap leaves energy behind: efficiency drops
         assert results["eta_shortest"] < 0.72
 
+    def test_lossless_storage_mode_has_no_decay_time(self, tmp_path):
+        cfg = resolve_config("store_retrieve", SMALL_SR)
+        cfg["t1_b"] = math.inf
+        results = run_store_retrieve(cfg, tmp_path)
+        assert results["tau_degenerate"] == "true"
+        assert results["tau_note"] == "DegenerateFitError"
+        assert "tau_s" not in results
+
+    def test_unexpected_fit_failure_propagates(self, tmp_path, monkeypatch):
+        def broken_fit(t, energy):
+            raise ZeroDivisionError("not a fit outcome")
+
+        monkeypatch.setattr(experiments, "fit_exponential_decay", broken_fit)
+        with pytest.raises(ZeroDivisionError):
+            run_store_retrieve(resolve_config("store_retrieve", SMALL_SR), tmp_path)
+
 
 class TestPhaseSweepRunner:
     def test_slope_magnitude_and_locus(self, tmp_path):
@@ -252,6 +281,20 @@ class TestPhaseSweepRunner:
         assert results["iq_mag_rel_spread"] < 1e-9
         assert results["iq_locus_area"] == pytest.approx(
             results["iq_locus_area_expected"], rel=1e-6)
+
+    def test_lab_frame_matches_rotating(self, tmp_path):
+        # the lab trace is the rotating one turned by e^{-i w_A t}, which
+        # demodulation at w_A undoes to rounding
+        rot = run_phase_sweep(resolve_config("phase_sweep", SMALL_PHASE), tmp_path / "rot")
+        lab = run_phase_sweep(resolve_config("phase_sweep", dict(SMALL_PHASE, frame="lab")),
+                              tmp_path / "lab")
+        assert lab["convergence_rel_diff"] == rot["convergence_rel_diff"]
+        rows_rot = np.array(_csv_rows(tmp_path / "rot" / "phase_sweep.csv"), dtype=float)
+        rows_lab = np.array(_csv_rows(tmp_path / "lab" / "phase_sweep.csv"), dtype=float)
+        iq_rot = rows_rot[:, 1] + 1j * rows_rot[:, 2]
+        iq_lab = rows_lab[:, 1] + 1j * rows_lab[:, 2]
+        assert np.max(np.abs(iq_lab - iq_rot) / np.abs(iq_rot)) < 1e-12
+        assert np.allclose(rows_lab[:, 3], rows_rot[:, 3], rtol=1e-12, atol=0.0)
 
 
 class TestCli:
@@ -305,9 +348,49 @@ class TestCli:
     def test_jobs_and_lab_frame_flags_are_wired(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("delta_count = 3\nt_end = 2us\n")
-        rc = main(["chevron", "--config", str(cfg), "--lab-frame",
-                   "--out", str(tmp_path / "out")])
-        assert rc == 2  # lab frame at GHz carriers is refused with a clear error
+        rc = main(["chevron", "--config", str(cfg), "--lab-frame", "--jobs", "2",
+                   "--out", str(tmp_path / "lab")])
+        assert rc == 0  # a post-hoc rotation: GHz carriers cost nothing
+        report = (tmp_path / "lab" / "report.txt").read_text()
+        assert "config.frame = lab" in report and "config.jobs = 2" in report
+        assert main(["chevron", "--config", str(cfg), "--out", str(tmp_path / "rot")]) == 0
+        assert (tmp_path / "lab" / "chevron_map.csv").read_bytes() == \
+            (tmp_path / "rot" / "chevron_map.csv").read_bytes()
+
+    def test_swapped_mode_order_exits_2(self, tmp_path, capsys):
+        # the equations hold only for w_B > w_A; run anyway, both give wrong physics
+        seq = tmp_path / "seq.txt"
+        seq.write_text("mode A freq=9.33GHz q_ext=50e3\n"
+                       "mode B freq=8.7GHz\n"
+                       "seg load dur=1us nbar=1\n"
+                       "seg swap dur=0.2083us gp=1.2MHz\n")
+        cfg = tmp_path / "seq_cfg.txt"
+        cfg.write_text(f"sequence = {seq}\n")
+        assert main(["custom_sequence", "--config", str(cfg),
+                     "--out", str(tmp_path / "seq_out")]) == 2
+        assert not (tmp_path / "seq_out" / "trace.csv").exists()
+        cfg = tmp_path / "split_cfg.txt"
+        cfg.write_text("freq_a = 9.33GHz\nfreq_b = 8.7GHz\n")
+        assert main(["splitting", "--config", str(cfg),
+                     "--out", str(tmp_path / "split_out")]) == 2
+        assert "must lie above" in capsys.readouterr().err
+
+    def test_custom_sequence_honours_flux_calib(self, tmp_path):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
+                       "mode B freq=9.33GHz t1=14.9us\n"
+                       "seg load dur=5us nbar=4\n"
+                       "seg swap dur=0.2us power=-52dBm\n")
+        energies = []
+        for calib in (fluxmap.DEFAULT_FLUX_CALIB, 0.5 * fluxmap.DEFAULT_FLUX_CALIB):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"sequence = {seq}\nflux_calib = {calib!r}\n")
+            assert main(["custom_sequence", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+            report = (tmp_path / "out" / "report.txt").read_text()
+            energies.append(float(report.split("result.final_energy_b = ")[1].split()[0]))
+        # the default calibration gives a full swap at -52 dBm, half of it does not
+        assert energies[0] > 3.5 and energies[1] < 0.6 * energies[0]
 
     def test_all_runners_have_subcommands(self, capsys):
         with pytest.raises(SystemExit):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cavityswap.core import ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse
-from cavityswap.dynamics import ConvergenceError, SimConfig, integrate
+from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse,
+                             ValidationError, cw_envelope)
+from cavityswap.dynamics import ConvergenceError, DriveTone, SimConfig, integrate
 from cavityswap.sequences import (CalibrationError, SequenceSemanticError,
                                   SequenceSyntaxError, calibrate_swap_time,
                                   demodulate, emit_sequence, parse_sequence,
@@ -62,6 +63,21 @@ class TestParsing:
         with pytest.raises(SequenceSyntaxError, match=err) as exc:
             parse_sequence(text)
         assert exc.value.line == 8
+
+    def test_syntax_error_points_at_the_repeated_token(self):
+        text = BASIC + "seg swap dur=0.2us gp=1.2MHz delta=0Hz gp=1.2MHz\n"
+        with pytest.raises(SequenceSyntaxError, match="duplicate key") as exc:
+            parse_sequence(text)
+        assert (exc.value.line, exc.value.col) == (8, 40)
+
+    def test_mode_b_must_lie_above_mode_a(self):
+        # the equations hold only for w_B > w_A: run anyway, this pi pulse
+        # moves |b|^2 = 3.2e-6 instead of about 0.9
+        with pytest.raises(ValidationError, match="must lie above"):
+            parse_sequence("mode A freq=9.33GHz q_ext=50e3\n"
+                           "mode B freq=8.7GHz\n"
+                           "seg load dur=1us nbar=1\n"
+                           "seg swap dur=0.2083us gp=1.2MHz\n")
 
     def test_missing_mode_rejected(self):
         text = "\n".join(BASIC.splitlines()[1:])
@@ -192,6 +208,51 @@ class TestExecution:
         t1 = run_sequence(seq)
         t2 = run_sequence(seq)
         assert np.array_equal(t1.a, t2.a) and np.array_equal(t1.b, t2.b)
+
+
+class TestLabFrame:
+    def test_post_hoc_rotation_matches_lab_frame_rk4(self):
+        # scaled-down carriers keep lab-frame RK4 affordable; it integrates
+        # the lab-frame equations segment by segment, independently of the
+        # rotating-frame run that the lab trace is rotated from. The carriers
+        # do not complete whole cycles in any segment.
+        seq = parse_sequence(
+            "mode A freq=21.3MHz q_int=2e3 q_ext=1e3\n"
+            "mode B freq=34.9MHz t1=5us\n"
+            "seg load dur=0.5us amp=2e3\n"
+            "seg swap dur=0.2us gp=1.2MHz delta=0.1MHz phase=30deg\n"
+            "seg delay dur=0.3us\n"
+            "seg swap dur=0.2us gp=1.2MHz phase=120deg\n")
+        trace, _ = run_sequence_checked(seq, frame="lab", direct_load=False)
+        assert trace.meta["frame"] == "lab"
+        mode_a, mode_b = seq.mode_a, seq.mode_b
+        diff = mode_b.omega - mode_a.omega
+        state = ComplexAmplitudePair(0j, 0j, 0.0)
+        ends = []
+        for seg, (kind, t0, t1) in zip(seq.segments, seq.windows()):
+            drive = DriveTone(mode_a.omega, 2e3) if kind == "load" else None
+            pump = PumpDrive(diff + seg.get("delta"), seg.get("phase"),
+                             cw_envelope(seg.get("gp")))
+            cfg = SimConfig("lab", TWO_PI / (400 * mode_b.omega), t1, t0, 10**9)
+            lab = integrate(state, (mode_a, mode_b), pump, drive, cfg)
+            state = ComplexAmplitudePair(lab.a[-1], lab.b[-1], t1)
+            k = int(np.argmin(np.abs(trace.t - t1)))
+            assert trace.t[k] == pytest.approx(t1, rel=1e-12)
+            ends.append((trace.a[k], trace.b[k], trace.a_out[k],
+                         lab.a[-1], lab.b[-1], lab.a_out[-1]))
+        a, b, a_out, lab_a, lab_b, lab_a_out = np.array(ends).T
+        # lab-frame RK4 at 400 steps per carrier cycle is good to ~6e-8 here
+        peak = float(np.max(np.hypot(np.abs(trace.a), np.abs(trace.b))))
+        assert max(np.max(np.abs(a - lab_a)), np.max(np.abs(b - lab_b))) < 1e-6 * peak
+        assert np.max(np.abs(a_out - lab_a_out)) < 1e-6 * np.max(np.abs(trace.a_out))
+
+    def test_lab_frame_keeps_the_half_step_difference(self):
+        seq = parse_sequence(BASIC)
+        rot, rel_rot = run_sequence_checked(seq)
+        lab, rel_lab = run_sequence_checked(seq, frame="lab")
+        assert rel_lab == rel_rot
+        assert np.array_equal(lab.t, rot.t)
+        assert np.allclose(np.abs(lab.a), np.abs(rot.a), rtol=1e-12, atol=0.0)
 
 
 class TestDemodulate:
