@@ -8,8 +8,8 @@ The package is organised bottom-up:
 * :mod:`cavityswap.fluxmap` -- flux modulation curves and the pump-power
   to coupling-rate conversion,
 * :mod:`cavityswap.dynamics` -- RK4 integration of the coupled-mode
-  equations, their exact solution under a constant pump, and the
-  steady-state reflection spectrum,
+  equations, their exact solutions under a constant pump or a drive
+  tone, and the steady-state reflection spectrum,
 * :mod:`cavityswap.sequences` -- pulse-sequence files, execution, and
   swap calibration,
 * :mod:`cavityswap.analysis` -- oscillation/decay/phase fits and
@@ -28,8 +28,8 @@ from .core import (ComplexAmplitudePair, CouplerState, ModeParams, PumpDrive,
 from .dynamics import (ConvergenceError, DriveTone, IntegrationDivergedError,
                        ResolutionError, SimConfig, SingularSteadyStateError,
                        TraceRecord, integrate, integrate_checked,
-                       max_step, propagate_swap, rabi_frequency,
-                       reflection_spectrum)
+                       max_step, propagate_load, propagate_swap,
+                       rabi_frequency, reflection_spectrum)
 from .fluxmap import (DEFAULT_FLUX_CALIB, CouplerPullCurve,
                       DegenerateBiasWarning, TabulatedCurve, calibrated_curves,
                       coupling_rate, flux_for_pump_power, load_tabulated,

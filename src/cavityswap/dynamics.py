@@ -30,8 +30,10 @@ c = b~ e^{i(D t + phi_P)} makes the rotating-frame system time-invariant,
 
 and exp(M t) = e^{m t} (cosh(s t) I + sinh(s t)/s N) with m = tr M / 2,
 N = M - m I and s^2 = N_11^2 - g_P^2 (Moler & Van Loan, SIAM Rev. 45,
-2003). RK4 stays the integrator for everything else and the oracle for
-the exact solution.
+2003). A drive tone with no pump is a scalar affine equation for a~ and
+a free decay for b~ (``propagate_load``). RK4 stays the integrator for
+everything else (raised-cosine pump envelopes) and the oracle for the
+exact solutions (``check_exact``).
 """
 
 from __future__ import annotations
@@ -140,33 +142,45 @@ class TraceRecord:
                            self.a_out[sel], dict(self.meta))
 
     def to_csv(self, path):
-        """Write data columns to `path` and metadata to `<path>.meta`."""
+        """Write data columns to `path` (cells as ``%.17g``) and metadata to
+        `<path>.meta`."""
         cols = np.column_stack([
             self.t, self.a.real, self.a.imag, self.b.real, self.b.imag,
             self.a_out.real, self.a_out.imag,
         ])
+        row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write("t_s,re_a,im_a,re_b,im_b,re_aout,im_aout\n")
-            for row in cols:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write("".join([row % tuple(r) for r in cols.tolist()]))
         with open(f"{path}.meta", "w") as fh:
             for key in sorted(self.meta):
                 fh.write(f"{key} = {self.meta[key]}\n")
 
     @classmethod
     def from_csv(cls, path):
+        """Read a trace written by ``to_csv``; metadata values that parse as
+        int or float come back as numbers, the rest as str."""
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         meta = {}
         try:
             with open(f"{path}.meta") as fh:
                 for line in fh:
                     key, _, val = line.partition("=")
-                    meta[key.strip()] = val.strip()
+                    meta[key.strip()] = _meta_value(val.strip())
         except FileNotFoundError:
             pass
         return cls(data[:, 0], data[:, 1] + 1j * data[:, 2],
                    data[:, 3] + 1j * data[:, 4], data[:, 5] + 1j * data[:, 6],
                    meta)
+
+
+def _meta_value(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def lab_frame(trace: TraceRecord, mode_a: ModeParams, mode_b: ModeParams) -> TraceRecord:
@@ -252,7 +266,7 @@ def _make_rhs(mode_a, mode_b, pump, drive, frame):
     return rhs
 
 
-def _input_field(drive, mode_a, frame, t):
+def input_field(drive, mode_a, frame, t):
     """Incident field a_in at times t (array), in the integration frame."""
     if drive is None or drive.amp_in == 0.0:
         return np.zeros_like(t, dtype=complex)
@@ -340,7 +354,7 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     t_arr = np.asarray(rec_t)
     a_arr = np.asarray(rec_a)
     b_arr = np.asarray(rec_b)
-    a_in = _input_field(drive, mode_a, config.frame, t_arr)
+    a_in = input_field(drive, mode_a, config.frame, t_arr)
     a_out = a_in - math.sqrt(mode_a.gamma_ext) * a_arr
     meta = {
         "frame": config.frame,
@@ -390,6 +404,20 @@ def check_half_step(coarse: TraceRecord, fine: TraceRecord, tolerance: float) ->
     return rel
 
 
+def check_exact(a, b, rk4: TraceRecord, tolerance: float) -> float:
+    """Largest |(a, b) - (a, b)_RK4| over the grid of `rk4`, relative to
+    the peak exact amplitude |(a, b)|, for exact amplitudes `a`, `b`
+    sampled on that grid.
+
+    Raises ConvergenceError above `tolerance`; otherwise returns it.
+    """
+    peak = max(float(np.max(np.hypot(np.abs(a), np.abs(b)))), 1e-300)
+    diff = float(np.max(np.hypot(np.abs(a - rk4.a), np.abs(b - rk4.b)))) / peak
+    if diff > tolerance:
+        raise ConvergenceError(diff, tolerance, "exact-vs-RK4 difference")
+    return diff
+
+
 def propagate_swap(initial: ComplexAmplitudePair, modes, g_p: float,
                    delta: float, phi_p: float, t):
     """Exact rotating-frame amplitudes under a constant pump and no drive.
@@ -410,14 +438,54 @@ def propagate_swap(initial: ComplexAmplitudePair, modes, g_p: float,
     m = 0.5 * (1j * delta - ga2 - gb2)
     n11 = -ga2 - m  # N = [[n11, -i g], [-i g, -n11]]
     s = cmath.sqrt(n11 * n11 - g_p * g_p)
-    em = np.exp(m * tau)
-    ch = em * np.cosh(s * tau)
-    sh = em * (tau if s == 0.0 else np.sinh(s * tau) / s)  # sinh(s t)/s -> t
+    if abs(s.real) * float(np.max(np.abs(tau))) < 700.0:
+        em = np.exp(m * tau)
+        ch = em * np.cosh(s * tau)
+        sh = em * (tau if s == 0.0 else np.sinh(s * tau) / s)  # sinh(s t)/s -> t
+    else:  # cosh(s t) would overflow: expand in the eigenvalues m +- s instead
+        e_plus, e_minus = np.exp((m + s) * tau), np.exp((m - s) * tau)
+        ch = 0.5 * (e_plus + e_minus)
+        sh = (e_plus - e_minus) / (2.0 * s)
     a = ch * a0 + sh * (n11 * a0 - 1j * g_p * c0)
     c = ch * c0 - sh * (1j * g_p * a0 + n11 * c0)
     b = c * np.exp(-1j * (delta * t + phi_p))
+    return _finite(a, b, "swap")
+
+
+def propagate_load(initial: ComplexAmplitudePair, modes, drive: DriveTone, t):
+    """Exact rotating-frame amplitudes under the drive tone `drive` and no
+    pump; the drive must be on over all of `t`.
+
+    With gamma = gamma_A/2, f = sqrt(gamma_ext) amp_in, D = w_d - w_A,
+    z = gamma - iD and tau = t - initial.t,
+
+        a~(t) = a0 e^{-gamma tau} + f e^{-i phi} e^{-iD t} tau h(z tau),
+
+    where h(w) = (1 - e^{-w})/w and h(0) = 1, and b~ decays freely.
+    Returns the arrays (a~(t), b~(t)).
+    """
+    mode_a, mode_b = modes
+    check_mode_order(mode_a, mode_b)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < drive.t_start) or np.any(t > drive.t_stop):
+        raise ValidationError("propagate_load needs the drive on over all sample times")
+    tau = t - initial.t
+    ga2 = 0.5 * mode_a.gamma_total
+    dw = drive.omega_d - mode_a.omega
+    w = (ga2 - 1j * dw) * tau
+    nonzero = w != 0.0
+    w_safe = np.where(nonzero, w, 1.0)
+    h = np.where(nonzero, -np.expm1(-w_safe) / w_safe, 1.0)
+    f = math.sqrt(mode_a.gamma_ext) * drive.amp_in
+    a = (complex(initial.a) * np.exp(-ga2 * tau)
+         + f * np.exp(-1j * (dw * t + drive.phase)) * tau * h)
+    b = complex(initial.b) * np.exp(-0.5 * mode_b.gamma_total * tau)
+    return _finite(a, b, "load")
+
+
+def _finite(a, b, what):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise IntegrationDivergedError("non-finite exact swap amplitudes")
+        raise IntegrationDivergedError(f"non-finite exact {what} amplitudes")
     return a, b
 
 

@@ -24,12 +24,12 @@ from .analysis import (DegenerateFitError, FitConvergenceError,
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse,
                    ValidationError, check_mode_order, cw_envelope, detuning,
                    mode_params_from_q)
-from .dynamics import (ConvergenceError, SimConfig, TraceRecord,
-                       half_step_config, integrate_checked, max_step,
-                       propagate_swap, record_times, reflection_spectrum)
+from .dynamics import (SimConfig, TraceRecord, check_exact, half_step_config,
+                       integrate_checked, max_step, propagate_swap,
+                       record_times, reflection_spectrum)
 from .sequences import (PulseSequence, Segment, calibrate_swap_time,
-                        demodulate, parse_sequence, run_sequence_checked,
-                        without_swaps)
+                        demodulate, parse_sequence, run_sequence,
+                        run_sequence_checked, without_swaps)
 from .units import Quantity, UnitError, parse_quantity
 
 TWO_PI = 2.0 * math.pi
@@ -298,11 +298,7 @@ def _swap_point(cfg, g, delta, t_end, amp0, check):
     if not check:
         return trace, 0.0, 0.0
     rk4, rel = integrate_checked(init, modes, pump, None, config)
-    peak = float(np.max(np.hypot(np.abs(a), np.abs(b))))
-    diff = float(np.max(np.hypot(np.abs(a - rk4.a), np.abs(b - rk4.b)))) / peak
-    if diff > cfg["tolerance"]:
-        raise ConvergenceError(diff, cfg["tolerance"], "exact-vs-RK4 difference")
-    return trace, rel, diff
+    return trace, rel, check_exact(a, b, rk4, cfg["tolerance"])
 
 
 def _chevron_worker(cfg, t_end, g, point):
@@ -367,42 +363,55 @@ def _sr_sequence(cfg, g, t_swap, delay, phase2) -> PulseSequence:
     return PulseSequence(mode_specs, segs)
 
 
-def _run_retrieval(cfg, g, t_swap, delay, phase2):
-    """One storage/retrieval trajectory; returns demodulated readout IQ,
-    retrieved energy, dwell times over the correction window, and the
-    convergence diff."""
-    seq = _sr_sequence(cfg, g, t_swap, delay, phase2)
+def _sequence_point(cfg, seq, check):
+    """(trace, half-step difference, exact-vs-RK4 difference) of one
+    sequence run: the closed-form ``run_sequence`` at the resolution
+    ``run_sequence_checked`` returns, and with `check` that checked run
+    itself. Both differences are 0 without `check`."""
+    if not check:
+        trace = run_sequence(seq, frame=cfg["frame"],
+                             points_per_cycle=2 * cfg["points_per_cycle"])
+        return trace, 0.0, 0.0
     trace, rel = run_sequence_checked(
         seq, tolerance=cfg["tolerance"], frame=cfg["frame"],
         points_per_cycle=cfg["points_per_cycle"])
+    return trace, rel, trace.meta["exact_rk4_max_diff"]
+
+
+def _run_retrieval(cfg, g, t_swap, delay, phase2, check):
+    """One storage/retrieval trajectory; returns demodulated readout IQ,
+    retrieved energy, dwell times over the correction window, and the
+    half-step and exact-vs-RK4 differences."""
+    seq = _sr_sequence(cfg, g, t_swap, delay, phase2)
+    trace, rel, diff = _sequence_point(cfg, seq, check)
     windows = seq.windows()
     readout_win = (windows[-1][1], windows[-1][2])
     i, q, energy = demodulate(trace, trace.meta["omega_a"], readout_win)
     correction_win = (windows[0][2], windows[-1][1])  # load end -> readout start
     t_a, t_b = dwell_times(trace, correction_win)
-    return i, q, energy, t_a, t_b, rel
+    return i, q, energy, t_a, t_b, rel, diff
 
 
 def _retrieval_reference(cfg, g, t_swap, delay, phase2=0.0):
     """Leaked energy of the same load with the swap pulses disabled."""
     seq = without_swaps(_sr_sequence(cfg, g, t_swap, delay, phase2))
-    trace, rel = run_sequence_checked(
-        seq, tolerance=cfg["tolerance"], frame=cfg["frame"],
-        points_per_cycle=cfg["points_per_cycle"])
+    trace, _, _ = _sequence_point(cfg, seq, False)
     windows = seq.windows()
     ref_win = (windows[0][2], windows[-1][2])  # everything after the load
     _, _, energy = demodulate(trace, trace.meta["omega_a"], ref_win)
-    return energy, rel
+    return energy
 
 
-def _delay_worker(cfg, g, t_swap, delay):
-    i, q, energy, t_a, t_b, rel = _run_retrieval(cfg, g, t_swap, delay, 0.0)
-    return energy, t_a, t_b, rel
+def _delay_worker(cfg, g, t_swap, point):
+    delay, check = point
+    i, q, energy, t_a, t_b, rel, diff = _run_retrieval(cfg, g, t_swap, delay, 0.0, check)
+    return energy, t_a, t_b, rel, diff
 
 
-def _phase_worker(cfg, g, t_swap, delay, phase):
-    i, q, energy, t_a, t_b, rel = _run_retrieval(cfg, g, t_swap, delay, phase)
-    return i, q, energy, rel
+def _phase_worker(cfg, g, t_swap, delay, point):
+    phase, check = point
+    i, q, energy, t_a, t_b, rel, diff = _run_retrieval(cfg, g, t_swap, delay, phase, check)
+    return i, q, energy, rel, diff
 
 
 def _resolve_t_swap(cfg, g, mode_a, mode_b) -> float:
@@ -572,15 +581,16 @@ def run_store_retrieve(cfg, outdir):
     t_swap = _resolve_t_swap(cfg, g, mode_a, mode_b)
     delays = np.linspace(cfg["delay_start"], cfg["delay_stop"], cfg["delay_count"])
 
-    reference, ref_rel = _retrieval_reference(cfg, g, t_swap, float(delays[-1]))
-    out = _pmap(partial(_delay_worker, cfg, g, t_swap), delays, cfg["jobs"])
+    reference = _retrieval_reference(cfg, g, t_swap, float(delays[-1]))
+    out = _pmap(partial(_delay_worker, cfg, g, t_swap), _with_oracle(delays),
+                cfg["jobs"])
 
     rows = []
     retrieved = []
     dwell = []
-    max_rel = ref_rel
-    for delay, (energy, t_a, t_b, rel) in zip(delays, out):
-        max_rel = max(max_rel, rel)
+    max_rel = max_diff = 0.0
+    for delay, (energy, t_a, t_b, rel, diff) in zip(delays, out):
+        max_rel, max_diff = max(max_rel, rel), max(max_diff, diff)
         retrieved.append(energy)
         dwell.append((t_a, t_b))
         rows.append((delay, energy, energy / reference))
@@ -596,6 +606,7 @@ def run_store_retrieve(cfg, outdir):
         "reference_energy": reference,
         "eta_shortest": float(retrieved[0]) / reference,
         "convergence_rel_diff": max_rel,
+        "exact_rk4_max_diff": max_diff,
         "configured_tau_s": 1.0 / mode_b.gamma_total if mode_b.gamma_total else math.inf,
     }
     try:
@@ -624,15 +635,16 @@ def run_phase_sweep(cfg, outdir):
     phases = np.arange(cfg["phase_count"]) * TWO_PI / cfg["phase_count"]
     delay = cfg["delay"]
 
-    reference, ref_rel = _retrieval_reference(cfg, g, t_swap, delay)
-    out = _pmap(partial(_phase_worker, cfg, g, t_swap, delay), phases, cfg["jobs"])
+    reference = _retrieval_reference(cfg, g, t_swap, delay)
+    out = _pmap(partial(_phase_worker, cfg, g, t_swap, delay), _with_oracle(phases),
+                cfg["jobs"])
 
     rows = []
     iqs = []
     energies = []
-    max_rel = ref_rel
-    for phase, (i, q, energy, rel) in zip(phases, out):
-        max_rel = max(max_rel, rel)
+    max_rel = max_diff = 0.0
+    for phase, (i, q, energy, rel, diff) in zip(phases, out):
+        max_rel, max_diff = max(max_rel, rel), max(max_diff, diff)
         iqs.append(complex(i, q))
         energies.append(energy)
         rows.append((phase, i, q, energy))
@@ -669,6 +681,7 @@ def run_phase_sweep(cfg, outdir):
         "iq_locus_area": area,
         "iq_locus_area_expected": area_expected,
         "convergence_rel_diff": max_rel,
+        "exact_rk4_max_diff": max_diff,
     }
     _write_report(outdir, "phase_sweep", cfg, results)
     return results
@@ -690,6 +703,7 @@ def run_custom_sequence(cfg, outdir):
         "final_energy_a": float(trace.energy_a[-1]),
         "final_energy_b": float(trace.energy_b[-1]),
         "convergence_rel_diff": rel,
+        "exact_rk4_max_diff": trace.meta["exact_rk4_max_diff"],
     }
     _write_report(outdir, "custom_sequence", cfg, results)
     return results

@@ -15,6 +15,11 @@ Execution hands the complex state from segment to segment. The pump
 oscillator runs continuously in simulation time, so a swap segment's
 phase is defined relative to that continuous reference and the relative
 phase between two swap pulses is well defined across a delay.
+
+Every segment with constant coefficients (rectangular swaps, delays,
+readouts and driven loads) is evaluated in closed form on the grid RK4
+would record; raised-cosine swaps are integrated with RK4.
+``run_sequence_checked`` runs the whole sequence with RK4 as the oracle.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from . import fluxmap
 from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, RectPulse,
                    RaisedCosinePulse, ValidationError, check_mode_order,
                    detuning)
-from .dynamics import (DriveTone, SimConfig, TraceRecord, check_half_step,
-                       integrate, lab_frame, max_step, propagate_swap)
+from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact,
+                       check_half_step, input_field, integrate, lab_frame,
+                       max_step, propagate_load, propagate_swap, record_times)
 from .units import parse_quantity
 
 
@@ -292,15 +298,27 @@ def run_sequence(seq: PulseSequence, *, frame: str = "rotating",
                  flux_calib: float = fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
     """Execute a pulse sequence with continuous state handoff.
 
-    Each segment integrates in the rotating frame with `points_per_cycle`
-    steps per cycle of its fastest rate (``max_step``), at least 8 steps.
-    With `direct_load` (the default for analysis runs) a leading load
-    segment sets a = sqrt(nbar) at its end instead of simulating the fill
-    pulse; pass direct_load=False to drive the port explicitly. `frame` =
-    "lab" rotates the finished trace with ``lab_frame``.
+    Each segment is sampled in the rotating frame with `points_per_cycle`
+    points per cycle of its fastest rate (``max_step``), at least 8 per
+    segment. Constant-coefficient segments are exact (``propagate_swap``,
+    ``propagate_load``); raised-cosine swaps are integrated with RK4 at
+    that step. With `direct_load` (the default for analysis runs) a
+    leading load segment sets a = sqrt(nbar) at its end instead of
+    simulating the fill pulse; pass direct_load=False to drive the port
+    explicitly. `frame` = "lab" rotates the finished trace with
+    ``lab_frame``.
     """
+    trace = _run_segments(seq, points_per_cycle, True, direct_load, flux_calib)
+    return lab_frame(trace, seq.mode_a, seq.mode_b) if frame == "lab" else trace
+
+
+def _run_segments(seq, points_per_cycle, exact, direct_load=True,
+                  flux_calib=fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
+    """``run_sequence`` in the rotating frame; `exact` = False integrates
+    every segment with RK4 (the oracle of ``run_sequence_checked``)."""
     mode_a = seq.mode_a
     mode_b = seq.mode_b
+    modes = (mode_a, mode_b)
     t = 0.0
     state = ComplexAmplitudePair(0.0 + 0.0j, 0.0 + 0.0j, 0.0)
     pieces = []
@@ -326,7 +344,10 @@ def run_sequence(seq: PulseSequence, *, frame: str = "rotating",
             dt = min(max_step(mode_a, mode_b, pump, drive,
                               points_per_cycle=points_per_cycle), seg.duration / 8.0)
             cfg = SimConfig("rotating", dt, t1, t0)
-            piece = integrate(state, (mode_a, mode_b), pump, drive, cfg)
+            if exact and "ramp" not in seg.params:
+                piece = _exact_piece(state, modes, pump, drive, cfg)
+            else:
+                piece = integrate(state, modes, pump, drive, cfg)
             state = ComplexAmplitudePair(piece.a[-1], piece.b[-1], t1)
         pieces.append(piece)
         t = t1
@@ -348,23 +369,43 @@ def run_sequence(seq: PulseSequence, *, frame: str = "rotating",
         meta[f"seg{i}_kind"] = kind
         meta[f"seg{i}_t_start"] = w0
         meta[f"seg{i}_t_end"] = w1
-    trace = TraceRecord(t_arr, a_arr, b_arr, o_arr, meta)
-    return lab_frame(trace, mode_a, mode_b) if frame == "lab" else trace
+    return TraceRecord(t_arr, a_arr, b_arr, o_arr, meta)
+
+
+def _exact_piece(state, modes, pump, drive, cfg) -> TraceRecord:
+    """The closed-form solution of one constant-coefficient segment on the
+    grid ``integrate`` records under `cfg`."""
+    mode_a, mode_b = modes
+    t = record_times(cfg)
+    if drive is None:
+        a, b = propagate_swap(state, modes, pump.envelope.max_amplitude,
+                              detuning(pump, mode_a, mode_b), pump.phi_p, t)
+    else:
+        a, b = propagate_load(state, modes, drive, t)
+    a_out = input_field(drive, mode_a, "rotating", t) - math.sqrt(mode_a.gamma_ext) * a
+    return TraceRecord(t, a, b, a_out)
 
 
 def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
                          frame: str = "rotating", points_per_cycle: int = 400,
                          **kwargs):
-    """run_sequence plus a half-step self-convergence check.
+    """run_sequence at 2 * `points_per_cycle`, checked against RK4.
 
-    Re-runs with twice the time resolution and compares the final
-    rotating-frame states (``check_half_step``); raises ConvergenceError
-    above `tolerance`. Returns (fine trace in `frame`, diff).
+    Two checks, each raising ConvergenceError above `tolerance`:
+    - half-step: the all-RK4 runs at `points_per_cycle` and twice that are
+      compared at their final rotating-frame states (``check_half_step``);
+    - exact-vs-RK4: the closed-form run is compared with the finer RK4 run
+      over the whole grid (``check_exact``).
+    Returns (closed-form trace in `frame`, half-step difference); its meta
+    holds both as "convergence_rel_diff" and "exact_rk4_max_diff".
     """
-    coarse = run_sequence(seq, points_per_cycle=points_per_cycle, **kwargs)
-    fine = run_sequence(seq, points_per_cycle=2 * points_per_cycle, **kwargs)
+    coarse = _run_segments(seq, points_per_cycle, False, **kwargs)
+    fine = _run_segments(seq, 2 * points_per_cycle, False, **kwargs)
     rel = check_half_step(coarse, fine, tolerance)
-    return (lab_frame(fine, seq.mode_a, seq.mode_b) if frame == "lab" else fine), rel
+    trace = run_sequence(seq, points_per_cycle=2 * points_per_cycle, **kwargs)
+    diff = check_exact(trace.a, trace.b, fine, tolerance)
+    trace.meta.update(convergence_rel_diff=rel, exact_rk4_max_diff=diff)
+    return (lab_frame(trace, seq.mode_a, seq.mode_b) if frame == "lab" else trace), rel
 
 
 def without_swaps(seq: PulseSequence) -> PulseSequence:

@@ -1,0 +1,18 @@
+"""Smoke tests: the demos that exercise the checked sequence runs execute
+in process and print their headline numbers."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name,expect", [
+    ("demo_store_retrieve.py", "loss-corrected eta'"),
+    ("demo_phase_control.py", "fitted phase slope: 1.000000000"),
+])
+def test_demo_runs(name, expect, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert expect in capsys.readouterr().out

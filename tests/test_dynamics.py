@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -13,8 +13,10 @@ from cavityswap.dynamics import (ConvergenceError, DriveTone, ResolutionError,
                                  SimConfig, SingularSteadyStateError,
                                  TraceRecord, _make_rhs, half_step_config,
                                  integrate, integrate_checked, max_step,
-                                 propagate_swap, rabi_frequency, record_times,
+                                 propagate_load, propagate_swap,
+                                 rabi_frequency, record_times,
                                  reflection_spectrum)
+from cavityswap.sequences import parse_sequence, run_sequence_checked
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,6 +327,68 @@ class TestExactPropagator:
         assert np.max(np.abs(a - rk4.a)) < 1e-10
         assert np.max(np.abs(b - rk4.b)) < 1e-10
 
+    def test_long_overdamped_swap_does_not_overflow(self):
+        # a weak pump on a lossy readout mode: |Re(s)| t reaches ~1250 by
+        # 0.5 ms, where cosh(s t) overflows; the slow mode is still ~e^{-1}
+        modes = (ModeParams(OMEGA_A, 1e7), ModeParams(OMEGA_B))
+        g, delta = 1e5, TWO_PI * 1e4
+        t = np.linspace(0.0, 5e-4, 11)
+        a, b = propagate_swap(ComplexAmplitudePair(0.3 + 0j, 1 + 0j, 0.0), modes,
+                              g, delta, 0.0, t)
+        for k, tk in enumerate(t):
+            a_ref, b_ref = _oracle_final_state(modes, g, delta, 0.0, 0.3, 1.0, tk)
+            assert abs(a[k] - a_ref) < 1e-10 and abs(b[k] - b_ref) < 1e-10
+        assert abs(b[-1]) > 0.1
+
+
+class TestExactLoad:
+    @settings(max_examples=25, deadline=None)
+    @given(gamma_int=st.floats(0.0, 2.0), gamma_ext=st.floats(0.2, 3.0),
+           gamma_b=st.floats(0.0, 2.0), dw=st.floats(-3.0, 3.0),
+           amp=st.floats(100.0, 3000.0), phase=st.floats(0.0, TWO_PI),
+           t0=st.floats(0.0, 3.0),
+           a0=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+           b0=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+    @example(gamma_int=0.0, gamma_ext=1.0, gamma_b=0.0, dw=0.0, amp=1000.0,
+             phase=0.0, t0=0.0, a0=0j, b0=0j)                # resonant fill
+    @example(gamma_int=0.0, gamma_ext=0.5, gamma_b=0.3, dw=-2.5, amp=800.0,
+             phase=1.0, t0=1.3, a0=1 - 0.5j, b0=0.7j)        # detuned drive
+    def test_matches_fine_step_rk4(self, gamma_int, gamma_ext, gamma_b, dw, amp,
+                                   phase, t0, a0, b0):
+        # rates in MHz (angular), times in us; the drive tone is offset by dw
+        # from mode A, and both modes start occupied
+        modes = (ModeParams(OMEGA_A, gamma_int * 1e6, gamma_ext * 1e6),
+                 ModeParams(OMEGA_B, gamma_b * 1e6))
+        drive = DriveTone(OMEGA_A + dw * _MHZ, amp, phase)
+        t0 *= 1e-6
+        init = ComplexAmplitudePair(a0, b0, t0)
+        fastest = max(abs(dw) * _MHZ, (gamma_int + gamma_ext) * 1e6, gamma_b * 1e6)
+        cfg = SimConfig("rotating", TWO_PI / (2000 * fastest), t0 + 1e-6, t0, 50)
+        rk4 = integrate(init, modes, _pump(0.0), drive, cfg)
+        a, b = propagate_load(init, modes, drive, rk4.t)
+        peak = float(np.max(np.hypot(np.abs(a), np.abs(b))))
+        assert np.max(np.hypot(np.abs(a - rk4.a), np.abs(b - rk4.b))) < 1e-8 * peak
+
+    @pytest.mark.parametrize("gamma_int", [0.0, 2e4])
+    def test_resonant_fill_from_vacuum(self, gamma_int):
+        # a(T) = (2 sqrt(g_ext) amp / g_A)(1 - e^{-g_A T/2}), the fill rule
+        # that sizes load segments
+        mode_a = ModeParams(OMEGA_A, gamma_int, TWO_PI * 8.7e9 / 50e3)
+        drive = DriveTone(OMEGA_A, 1500.0)
+        t = np.linspace(0.0, 20e-6, 11)
+        a, b = propagate_load(ComplexAmplitudePair(0j, 0j, 0.0),
+                              (mode_a, ModeParams(OMEGA_B)), drive, t)
+        ga = mode_a.gamma_total
+        fill = 2.0 * math.sqrt(mode_a.gamma_ext) * 1500.0 / ga * (1.0 - np.exp(-0.5 * ga * t))
+        assert np.max(np.abs(a - fill)) < 1e-12 * np.max(fill)
+        assert np.all(b == 0.0)
+
+    def test_drive_must_cover_the_sample_times(self):
+        drive = DriveTone(OMEGA_A, 1e3, 0.0, 0.0, 1e-6)
+        with pytest.raises(ValidationError):
+            propagate_load(ComplexAmplitudePair(0j, 0j, 0.0), _default_modes(),
+                           drive, [0.0, 2e-6])
+
 
 class TestTraceRecord:
     def _trace(self):
@@ -342,6 +406,34 @@ class TestTraceRecord:
         assert np.allclose(loaded.a, trace.a, rtol=1e-15)
         assert np.allclose(loaded.a_out, trace.a_out, rtol=1e-15)
         assert loaded.meta["frame"] == "rotating"
+        assert loaded.meta == trace.meta
+        # a checked sequence trace carries str, int and float metadata
+        checked, _ = run_sequence_checked(parse_sequence(
+            "mode A freq=8.7GHz q_ext=50e3\nmode B freq=9.33GHz\n"
+            "seg load dur=1us nbar=2\nseg swap dur=0.2us gp=1.2MHz\n"))
+        checked.to_csv(path)
+        loaded = TraceRecord.from_csv(path)
+        assert isinstance(loaded.meta["points_per_cycle"], int)
+        assert loaded.meta == checked.meta
+
+    def test_csv_cells_match_per_cell_formatting(self, tmp_path):
+        special = np.array([0.1, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                            2.2e-308, 1e300, -1.0 / 3.0, 0.0])
+
+        def cplx(re, im):
+            z = np.empty(re.size, dtype=complex)
+            z.real, z.imag = re, im
+            return z
+
+        trace = TraceRecord(special, cplx(special, special[::-1]),
+                            cplx(-special, np.roll(special, 3)),
+                            cplx(special[::-1], np.roll(special, -2)))
+        trace.to_csv(tmp_path / "trace.csv")
+        cols = [trace.t, trace.a.real, trace.a.imag, trace.b.real, trace.b.imag,
+                trace.a_out.real, trace.a_out.imag]
+        expected = "t_s,re_a,im_a,re_b,im_b,re_aout,im_aout\n" + "".join(
+            ",".join(f"{c[k]:.17g}" for c in cols) + "\n" for k in range(special.size))
+        assert (tmp_path / "trace.csv").read_text() == expected
 
     def test_window_selects_inclusive_range(self):
         trace = self._trace()

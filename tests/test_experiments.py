@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavityswap import experiments, fluxmap
+from cavityswap import experiments, fluxmap, sequences
 from cavityswap.cli import main
 from cavityswap.core import (ComplexAmplitudePair, PumpDrive, RectPulse,
                              ValidationError)
@@ -273,6 +273,26 @@ class TestStoreRetrieveRunner:
             run_store_retrieve(resolve_config("store_retrieve", SMALL_SR), tmp_path)
 
 
+class TestSequenceOracle:
+    @pytest.mark.parametrize("runner,small", [("store_retrieve", SMALL_SR),
+                                              ("phase_sweep", SMALL_PHASE)])
+    def test_only_the_oracle_point_integrates(self, tmp_path, monkeypatch, runner, small):
+        calls = []
+        integrate = sequences.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(sequences, "integrate", counting)
+        results = RUNNERS[runner](resolve_config(runner, small), tmp_path)
+        # 4 integrated segments (swap, delay, swap, readout; the load is
+        # direct) x (coarse + fine) at the middle point only
+        assert len(calls) == 8
+        assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
+        assert 0.0 < results["convergence_rel_diff"] < 1e-8
+
+
 class TestPhaseSweepRunner:
     def test_slope_magnitude_and_locus(self, tmp_path):
         cfg = resolve_config("phase_sweep", SMALL_PHASE)
@@ -323,6 +343,9 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "trace.csv").exists()
         assert (tmp_path / "out" / "trace.csv.meta").exists()
+        report = (tmp_path / "out" / "report.txt").read_text()
+        diff = float(report.split("result.exact_rk4_max_diff = ")[1].split()[0])
+        assert 0.0 < diff < 1e-9
 
     def test_validation_error_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

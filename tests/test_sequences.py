@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse,
                              ValidationError, cw_envelope)
+from cavityswap import sequences
 from cavityswap.dynamics import ConvergenceError, DriveTone, SimConfig, integrate
 from cavityswap.sequences import (CalibrationError, SequenceSemanticError,
                                   SequenceSyntaxError, calibrate_swap_time,
@@ -208,6 +211,83 @@ class TestExecution:
         t1 = run_sequence(seq)
         t2 = run_sequence(seq)
         assert np.array_equal(t1.a, t2.a) and np.array_equal(t1.b, t2.b)
+
+
+    def test_checked_run_compares_the_closed_form_with_rk4(self, monkeypatch):
+        seq = parse_sequence(BASIC)
+        trace, rel = run_sequence_checked(seq)
+        assert 0.0 < trace.meta["exact_rk4_max_diff"] < 1e-9
+        exact = sequences.propagate_swap
+
+        def off_by_1e_6(*args):
+            a, b = exact(*args)
+            return a * (1.0 + 1e-6), b
+
+        monkeypatch.setattr(sequences, "propagate_swap", off_by_1e_6)
+        with pytest.raises(ConvergenceError, match="exact-vs-RK4"):
+            run_sequence_checked(seq, tolerance=1e-7)
+
+
+@st.composite
+def lossless_sequences(draw):
+    """Sequence text with a lossless interior (A has external coupling
+    only, B no loss): a leading direct load, then 1-4 rect or ramped swaps,
+    delays and driven loads (resonant or detuned), then a readout."""
+    lines = ["mode A freq=8.7GHz q_ext=50e3", "mode B freq=9.33GHz",
+             f"seg load dur=1us nbar={draw(st.floats(0.5, 10.0)):.4g}"]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["rect", "ramp", "delay", "load"]))
+        dur = draw(st.floats(0.1, 0.5))
+        if kind == "delay":
+            lines.append(f"seg delay dur={dur:.4g}us")
+        elif kind == "load":
+            lines.append(f"seg load dur={dur:.4g}us amp={draw(st.floats(100.0, 2000.0)):.4g}"
+                         f" freq={8.7e9 + draw(st.floats(-300e3, 300e3)):.10g}Hz")
+        else:
+            swap = (f"seg swap dur={dur:.4g}us gp={draw(st.floats(0.5, 2.0)):.4g}MHz"
+                    f" delta={draw(st.floats(-300.0, 300.0)):.4g}kHz"
+                    f" phase={draw(st.floats(0.0, 360.0)):.4g}deg")
+            if kind == "ramp":
+                swap += f" ramp={draw(st.floats(0.05, 0.45)) * dur:.4g}us"
+            lines.append(swap)
+    lines.append(f"seg readout dur={draw(st.floats(0.1, 0.5)):.4g}us")
+    return "\n".join(lines) + "\n"
+
+
+class TestClosedFormSequences:
+    @settings(max_examples=30, deadline=None)
+    @given(text=lossless_sequences())
+    def test_port_energy_balance(self, text):
+        # d(|a|^2 + |b|^2)/dt = |a_in|^2 - |a_out|^2 after the leading load,
+        # integrated segment by segment (a_in jumps at load edges)
+        seq = parse_sequence(text)
+        trace = run_sequence(seq)
+        mode_a = seq.mode_a
+        sq = math.sqrt(mode_a.gamma_ext)
+        eps = 1e-9 * seq.total_duration
+        flux = 0.0
+        for seg, (kind, t0, t1) in zip(seq.segments[1:], seq.windows()[1:]):
+            sel = (trace.t >= t0 - eps) & (trace.t <= t1 + eps)
+            t, a = trace.t[sel], trace.a[sel]
+            a_in = 0.0
+            if kind == "load":
+                a_in = seg.get("amp") * np.exp(-1j * (seg.get("freq") - mode_a.omega) * t)
+            a_out = a_in - sq * a
+            flux += float(np.trapezoid(np.abs(a_in) ** 2 - np.abs(a_out) ** 2, t))
+        energy = trace.energy_a + trace.energy_b
+        k_lead = int(np.argmin(np.abs(trace.t - seq.windows()[0][2])))
+        assert abs(energy[-1] - energy[k_lead] - flux) < 1e-4 * float(np.max(energy))
+
+    @settings(max_examples=15, deadline=None)
+    @given(text=lossless_sequences())
+    def test_matches_the_all_rk4_path(self, text):
+        seq = parse_sequence(text)
+        exact = run_sequence(seq)
+        rk4 = sequences._run_segments(seq, 400, exact=False)
+        assert np.array_equal(exact.t, rk4.t)
+        peak = float(np.max(np.hypot(np.abs(exact.a), np.abs(exact.b))))
+        assert np.max(np.hypot(np.abs(exact.a - rk4.a), np.abs(exact.b - rk4.b))) < 1e-8 * peak
+        assert np.max(np.abs(exact.a_out - rk4.a_out)) < 1e-8 * np.max(np.abs(rk4.a_out))
 
 
 class TestLabFrame:
