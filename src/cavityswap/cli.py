@@ -2,7 +2,10 @@
 
 Usage::
 
-    cavityswap <runner> --config <file> [--out <dir>] [--jobs N] [--lab-frame]
+    cavityswap <runner> --config <file> [--out <dir>] [--jobs N]
+
+``custom_sequence``, the one runner that writes a trace, also takes
+``--lab-frame`` (config ``frame = lab``).
 
 Exit codes: 0 on success, 2 for validation/config errors, 3 when a
 numerical self-check (convergence, fit, calibration) fails.
@@ -41,9 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: %(default)s)")
         p.add_argument("--jobs", type=int, default=None,
                        help="worker processes for sweep points")
-        p.add_argument("--lab-frame", action="store_true",
-                       help="report traces in the lab frame (an exact "
-                            "rotation of the rotating-frame result)")
+        if name == "custom_sequence":
+            p.add_argument("--lab-frame", action="store_true",
+                           help="write the trace in the lab frame (an exact "
+                                "rotation of the rotating-frame result)")
     return parser
 
 
@@ -53,7 +57,7 @@ def main(argv=None) -> int:
         overrides = parse_config_file(args.config) if args.config else {}
         if args.jobs is not None:
             overrides["jobs"] = args.jobs
-        if args.lab_frame:
+        if getattr(args, "lab_frame", False):
             overrides["frame"] = "lab"
         cfg = resolve_config(args.runner, overrides)
         results = RUNNERS[args.runner](cfg, args.out)

@@ -302,6 +302,22 @@ def record_times(config: SimConfig) -> np.ndarray:
     return np.concatenate(([config.t_start], config.t_start + k * dt))
 
 
+def exact_segment(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
+                  drive: DriveTone | None, config: SimConfig) -> TraceRecord:
+    """The closed-form rotating-frame solution of one constant-coefficient
+    segment (constant pump and no drive, or a drive tone and no pump) on
+    the grid ``integrate`` records under `config`."""
+    mode_a, mode_b = modes
+    t = record_times(config)
+    if drive is None:
+        a, b = propagate_swap(initial, modes, pump.envelope.max_amplitude,
+                              detuning(pump, mode_a, mode_b), pump.phi_p, t)
+    else:
+        a, b = propagate_load(initial, modes, drive, t)
+    a_out = input_field(drive, mode_a, "rotating", t) - math.sqrt(mode_a.gamma_ext) * a
+    return TraceRecord(t, a, b, a_out)
+
+
 def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
               drive: DriveTone | None = None,
               config: SimConfig = SimConfig()) -> TraceRecord:

@@ -22,15 +22,15 @@ from .analysis import (DegenerateFitError, FitConvergenceError,
                        fit_exponential_decay, fit_phase_slope,
                        oscillation_frequency)
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse,
-                   ValidationError, check_mode_order, cw_envelope, detuning,
+                   ValidationError, check_mode_order, cw_envelope,
                    mode_params_from_q)
-from .dynamics import (SimConfig, TraceRecord, check_exact, half_step_config,
-                       integrate_checked, max_step, propagate_swap,
-                       record_times, reflection_spectrum)
+from .dynamics import (SimConfig, TraceRecord, check_exact, exact_segment,
+                       half_step_config, integrate_checked, lab_frame,
+                       max_step, reflection_spectrum)
 from .sequences import (PulseSequence, Segment, calibrate_swap_time,
                         demodulate, parse_sequence, run_sequence,
-                        run_sequence_checked, without_swaps)
-from .units import Quantity, UnitError, parse_quantity
+                        run_sequence_checked, validate_sequence, without_swaps)
+from .units import Quantity, parse_quantity
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,7 +48,6 @@ _COMMON_KEYS = {
     "flux_calib": ("dimensionless", fluxmap.DEFAULT_FLUX_CALIB),
     "delta_phi": ("dimensionless", 0.0),  # 0 = derive from pump_power
     "gp": ("freq", 0.0),                  # 0 = derive from the flux curves
-    "frame": ("str", "rotating"),
     "jobs": ("int", 1),
     "tolerance": ("dimensionless", 1e-6),
 }
@@ -96,6 +95,7 @@ _RUNNER_KEYS = {
     "custom_sequence": {
         "sequence": ("str", ""),
         "points_per_cycle": ("int", 400),
+        "frame": ("str", "rotating"),  # of the written trace
     },
 }
 
@@ -156,7 +156,7 @@ def resolve_config(runner: str, overrides: dict | None = None) -> dict:
 
 
 def _validate_config(runner, cfg):
-    if cfg["frame"] not in ("lab", "rotating"):
+    if cfg.get("frame", "rotating") not in ("lab", "rotating"):
         raise ValidationError(f"frame must be lab or rotating, got {cfg['frame']!r}")
     if cfg["jobs"] < 1:
         raise ValidationError("jobs must be >= 1")
@@ -164,6 +164,15 @@ def _validate_config(runner, cfg):
                 "delay_count", "phase_count"):
         if key in cfg and cfg[key] < 2:
             raise ValidationError(f"sweep count {key} must be >= 2")
+    if cfg.get("points_per_cycle", 1) < 1:
+        raise ValidationError("points_per_cycle must be >= 1")
+    for key in ("tolerance", "nbar"):
+        if key in cfg and not cfg[key] > 0.0:
+            raise ValidationError(f"{key} must be positive, got {cfg[key]}")
+    for key in ("gp", "t_swap"):  # 0 = derive from the flux curves / calibrate
+        if not cfg.get(key, 0.0) >= 0.0:
+            kind = runner_schema(runner)[key][0]
+            raise ValidationError(f"{key} must be >= 0, got {_render_cfg_value(kind, cfg[key])}")
     # constructing the modes validates all physical overrides
     _modes(cfg)
 
@@ -228,13 +237,7 @@ def _write_report(outdir, runner, cfg, results):
     with open(path, "w") as fh:
         fh.write(f"runner = {runner}\n")
         for key in sorted(cfg):
-            kind = schema[key][0]
-            if kind in ("str",):
-                fh.write(f"config.{key} = {cfg[key]}\n")
-            elif kind == "int":
-                fh.write(f"config.{key} = {cfg[key]}\n")
-            else:
-                fh.write(f"config.{key} = {_render_cfg_value(kind, cfg[key])}\n")
+            fh.write(f"config.{key} = {_render_cfg_value(schema[key][0], cfg[key])}\n")
         for key in sorted(results):
             val = results[key]
             if isinstance(val, float):
@@ -273,61 +276,58 @@ def _swap_oscillation_frequency(trace) -> float:
 # ---------------------------------------------------------------------------
 # sweep workers (module level so they pickle for the process pool)
 
-def _swap_point(cfg, g, delta, t_end, amp0, check):
-    """Constant-pump swap from a(0) = amp0, b(0) = 0 at pump detuning `delta`.
-
-    The exact rotating-frame solution is sampled on the grid
-    ``integrate_checked`` would record for this point (its dt/2 trace).
-    With `check` the point also runs through ``integrate_checked``, and the
-    worst exact-minus-RK4 difference over the grid, relative to the peak
-    amplitude, must stay within the tolerance. Returns (trace, half-step
-    difference, exact-vs-RK4 difference); both differences are 0 without
-    `check`. Callers use only frame-independent energies, so the frame
-    setting does not enter.
-    """
+def _swap_problem(cfg, g, delta, t_end, amp0):
+    """(initial state, modes, pump, RK4 config) of a constant-pump swap
+    from a(0) = amp0, b(0) = 0 at pump detuning `delta`, in the rotating
+    frame: callers use only frame-independent energies."""
     mode_a, mode_b = modes = _modes(cfg)
     pump = PumpDrive(abs(mode_a.omega - mode_b.omega) + delta, 0.0,
                      RectPulse(g, -1.0, 2.0 * t_end))
     dt = max_step(mode_a, mode_b, pump, points_per_cycle=cfg["points_per_cycle"])
     stride = max(1, int(math.ceil(t_end / dt)) // 4096)
     config = SimConfig("rotating", dt, t_end, 0.0, stride, cfg["tolerance"])
-    init = ComplexAmplitudePair(complex(amp0), 0.0j, 0.0)
-    t = record_times(half_step_config(config))
-    a, b = propagate_swap(init, modes, g, detuning(pump, mode_a, mode_b), 0.0, t)
-    trace = TraceRecord(t, a, b, -math.sqrt(mode_a.gamma_ext) * a)
-    if not check:
-        return trace, 0.0, 0.0
+    return ComplexAmplitudePair(complex(amp0), 0.0j, 0.0), modes, pump, config
+
+
+def _swap_point(cfg, g, delta, t_end, amp0) -> TraceRecord:
+    """The exact swap trace, sampled on the grid ``integrate_checked``
+    records for this point (its dt/2 trace)."""
+    init, modes, pump, config = _swap_problem(cfg, g, delta, t_end, amp0)
+    return exact_segment(init, modes, pump, None, half_step_config(config))
+
+
+def _swap_oracle(cfg, g, delta, t_end, amp0):
+    """(half-step difference, exact-vs-RK4 difference) of one swap point:
+    ``integrate_checked`` at the point, and the worst exact-minus-RK4
+    amplitude over its grid relative to the peak, which must stay within
+    the tolerance."""
+    init, modes, pump, config = _swap_problem(cfg, g, delta, t_end, amp0)
     rk4, rel = integrate_checked(init, modes, pump, None, config)
-    return trace, rel, check_exact(a, b, rk4, cfg["tolerance"])
+    exact = _swap_point(cfg, g, delta, t_end, amp0)
+    return rel, check_exact(exact.a, exact.b, rk4, cfg["tolerance"])
 
 
-def _chevron_worker(cfg, t_end, g, point):
-    delta, check = point
-    trace, rel, diff = _swap_point(cfg, g, delta, t_end,
-                                   math.sqrt(cfg.get("nbar", 1.0)), check)
+def _chevron_worker(cfg, t_end, g, delta):
+    trace = _swap_point(cfg, g, delta, t_end, math.sqrt(cfg["nbar"]))
     ea, dt_rec = _uniform_energy_series(trace)
-    return ea, dt_rec, _swap_oscillation_frequency(trace), rel, diff
+    return ea, dt_rec, _swap_oscillation_frequency(trace)
 
 
-def _power_worker(cfg, point):
-    p_dbm, check = point
+def _power_point(cfg, p_dbm):
+    """(g_P, swap duration) at pump power `p_dbm`; the duration is None at
+    g_P = 0."""
     g = fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], p_dbm, cfg["flux_calib"])
-    if g == 0.0:
-        return g, None, 0.0, 0.0
-    t_end = cfg["n_cycles"] * TWO_PI / (2.0 * g)
-    trace, rel, diff = _swap_point(cfg, g, 0.0, t_end, 1.0, check)
+    return g, (cfg["n_cycles"] * TWO_PI / (2.0 * g) if g else None)
+
+
+def _power_worker(cfg, p_dbm):
+    g, t_end = _power_point(cfg, p_dbm)
+    if t_end is None:
+        return g, None
     try:
-        omega_e = _swap_oscillation_frequency(trace)
+        return g, _swap_oscillation_frequency(_swap_point(cfg, g, 0.0, t_end, 1.0))
     except NoOscillationError:
-        return g, None, rel, diff
-    return g, omega_e, rel, diff
-
-
-def _with_oracle(values):
-    """Sweep points paired with their check flag: only the middle point
-    (the resonant one of a symmetric detuning sweep) runs RK4."""
-    oracle = len(values) // 2
-    return [(v, k == oracle) for k, v in enumerate(values)]
+        return g, None
 
 
 def _sr_sequence(cfg, g, t_swap, delay, phase2) -> PulseSequence:
@@ -360,58 +360,44 @@ def _sr_sequence(cfg, g, t_swap, delay, phase2) -> PulseSequence:
                          "phase": Quantity(phase2, "rad", "angle")}),
         Segment("readout", {"dur": q_time(readout)}),
     )
-    return PulseSequence(mode_specs, segs)
+    seq = PulseSequence(mode_specs, segs)
+    validate_sequence(seq)
+    return seq
 
 
-def _sequence_point(cfg, seq, check):
-    """(trace, half-step difference, exact-vs-RK4 difference) of one
-    sequence run: the closed-form ``run_sequence`` at the resolution
-    ``run_sequence_checked`` returns, and with `check` that checked run
-    itself. Both differences are 0 without `check`."""
-    if not check:
-        trace = run_sequence(seq, frame=cfg["frame"],
-                             points_per_cycle=2 * cfg["points_per_cycle"])
-        return trace, 0.0, 0.0
-    trace, rel = run_sequence_checked(
-        seq, tolerance=cfg["tolerance"], frame=cfg["frame"],
-        points_per_cycle=cfg["points_per_cycle"])
-    return trace, rel, trace.meta["exact_rk4_max_diff"]
-
-
-def _run_retrieval(cfg, g, t_swap, delay, phase2, check):
-    """One storage/retrieval trajectory; returns demodulated readout IQ,
-    retrieved energy, dwell times over the correction window, and the
-    half-step and exact-vs-RK4 differences."""
+def _retrieval_worker(cfg, g, t_swap, point):
+    """One storage/retrieval trajectory at `point` = (delay, phase of the
+    retrieval pulse); returns demodulated readout I, Q, retrieved energy
+    and the dwell times over the correction window."""
+    delay, phase2 = point
     seq = _sr_sequence(cfg, g, t_swap, delay, phase2)
-    trace, rel, diff = _sequence_point(cfg, seq, check)
+    trace = run_sequence(seq, points_per_cycle=2 * cfg["points_per_cycle"])
     windows = seq.windows()
     readout_win = (windows[-1][1], windows[-1][2])
     i, q, energy = demodulate(trace, trace.meta["omega_a"], readout_win)
     correction_win = (windows[0][2], windows[-1][1])  # load end -> readout start
     t_a, t_b = dwell_times(trace, correction_win)
-    return i, q, energy, t_a, t_b, rel, diff
+    return i, q, energy, t_a, t_b
 
 
-def _retrieval_reference(cfg, g, t_swap, delay, phase2=0.0):
+def _retrieval_oracle(cfg, g, t_swap, point):
+    """(half-step difference, exact-vs-RK4 difference) of
+    ``run_sequence_checked`` at one storage/retrieval point; its trace is
+    the one ``_retrieval_worker`` computes."""
+    seq = _sr_sequence(cfg, g, t_swap, *point)
+    trace, rel = run_sequence_checked(seq, tolerance=cfg["tolerance"],
+                                      points_per_cycle=cfg["points_per_cycle"])
+    return rel, trace.meta["exact_rk4_max_diff"]
+
+
+def _retrieval_reference(cfg, g, t_swap, delay):
     """Leaked energy of the same load with the swap pulses disabled."""
-    seq = without_swaps(_sr_sequence(cfg, g, t_swap, delay, phase2))
-    trace, _, _ = _sequence_point(cfg, seq, False)
+    seq = without_swaps(_sr_sequence(cfg, g, t_swap, delay, 0.0))
+    trace = run_sequence(seq, points_per_cycle=2 * cfg["points_per_cycle"])
     windows = seq.windows()
     ref_win = (windows[0][2], windows[-1][2])  # everything after the load
     _, _, energy = demodulate(trace, trace.meta["omega_a"], ref_win)
     return energy
-
-
-def _delay_worker(cfg, g, t_swap, point):
-    delay, check = point
-    i, q, energy, t_a, t_b, rel, diff = _run_retrieval(cfg, g, t_swap, delay, 0.0, check)
-    return energy, t_a, t_b, rel, diff
-
-
-def _phase_worker(cfg, g, t_swap, delay, point):
-    phase, check = point
-    i, q, energy, t_a, t_b, rel, diff = _run_retrieval(cfg, g, t_swap, delay, phase, check)
-    return i, q, energy, rel, diff
 
 
 def _resolve_t_swap(cfg, g, mode_a, mode_b) -> float:
@@ -488,15 +474,15 @@ def run_chevron(cfg, outdir):
     t_end = cfg["t_end"]
     deltas = np.linspace(-0.5, 0.5, cfg["delta_count"]) * cfg["delta_span"]
 
-    out = _pmap(partial(_chevron_worker, cfg, t_end, g), _with_oracle(deltas),
-                cfg["jobs"])
+    out = _pmap(partial(_chevron_worker, cfg, t_end, g), deltas, cfg["jobs"])
+    # the middle point is the resonant one of the symmetric detuning sweep
+    rel, diff = _swap_oracle(cfg, g, deltas[len(deltas) // 2], t_end,
+                             math.sqrt(cfg["nbar"]))
 
     map_rows = []
     ridge_rows = []
     omega_es = []
-    rel = diff = 0.0
-    for delta, (ea, dt_rec, omega_e, rel_k, diff_k) in zip(deltas, out):
-        rel, diff = max(rel, rel_k), max(diff, diff_k)
+    for delta, (ea, dt_rec, omega_e) in zip(deltas, out):
         omega_es.append(omega_e)
         ridge_rows.append((delta / TWO_PI, omega_e / TWO_PI))
         for k, e in enumerate(ea):
@@ -533,15 +519,15 @@ def run_power_sweep(cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
     powers = np.linspace(cfg["power_start"], cfg["power_stop"], cfg["power_count"])
 
-    out = _pmap(partial(_power_worker, cfg), _with_oracle(powers), cfg["jobs"])
+    out = _pmap(partial(_power_worker, cfg), powers, cfg["jobs"])
+    g_mid, t_mid = _power_point(cfg, powers[len(powers) // 2])
+    rel, diff = _swap_oracle(cfg, g_mid, 0.0, t_mid, 1.0) if t_mid else (0.0, 0.0)
 
     rows = []
     amps = []
     g_ext = []
-    rel = diff = 0.0
     n_silent = 0
-    for p, (g_true, omega_e, rel_k, diff_k) in zip(powers, out):
-        rel, diff = max(rel, rel_k), max(diff, diff_k)
+    for p, (g_true, omega_e) in zip(powers, out):
         amp = math.sqrt(10.0 ** (p / 10.0))
         if omega_e is None:
             n_silent += 1
@@ -581,16 +567,15 @@ def run_store_retrieve(cfg, outdir):
     t_swap = _resolve_t_swap(cfg, g, mode_a, mode_b)
     delays = np.linspace(cfg["delay_start"], cfg["delay_stop"], cfg["delay_count"])
 
+    points = [(delay, 0.0) for delay in delays]
+    rel, diff = _retrieval_oracle(cfg, g, t_swap, points[len(points) // 2])
     reference = _retrieval_reference(cfg, g, t_swap, float(delays[-1]))
-    out = _pmap(partial(_delay_worker, cfg, g, t_swap), _with_oracle(delays),
-                cfg["jobs"])
+    out = _pmap(partial(_retrieval_worker, cfg, g, t_swap), points, cfg["jobs"])
 
     rows = []
     retrieved = []
     dwell = []
-    max_rel = max_diff = 0.0
-    for delay, (energy, t_a, t_b, rel, diff) in zip(delays, out):
-        max_rel, max_diff = max(max_rel, rel), max(max_diff, diff)
+    for delay, (_, _, energy, t_a, t_b) in zip(delays, out):
         retrieved.append(energy)
         dwell.append((t_a, t_b))
         rows.append((delay, energy, energy / reference))
@@ -605,8 +590,8 @@ def run_store_retrieve(cfg, outdir):
         "t_swap_s": t_swap,
         "reference_energy": reference,
         "eta_shortest": float(retrieved[0]) / reference,
-        "convergence_rel_diff": max_rel,
-        "exact_rk4_max_diff": max_diff,
+        "convergence_rel_diff": rel,
+        "exact_rk4_max_diff": diff,
         "configured_tau_s": 1.0 / mode_b.gamma_total if mode_b.gamma_total else math.inf,
     }
     try:
@@ -635,16 +620,15 @@ def run_phase_sweep(cfg, outdir):
     phases = np.arange(cfg["phase_count"]) * TWO_PI / cfg["phase_count"]
     delay = cfg["delay"]
 
+    points = [(delay, phase) for phase in phases]
+    rel, diff = _retrieval_oracle(cfg, g, t_swap, points[len(points) // 2])
     reference = _retrieval_reference(cfg, g, t_swap, delay)
-    out = _pmap(partial(_phase_worker, cfg, g, t_swap, delay), _with_oracle(phases),
-                cfg["jobs"])
+    out = _pmap(partial(_retrieval_worker, cfg, g, t_swap), points, cfg["jobs"])
 
     rows = []
     iqs = []
     energies = []
-    max_rel = max_diff = 0.0
-    for phase, (i, q, energy, rel, diff) in zip(phases, out):
-        max_rel, max_diff = max(max_rel, rel), max(max_diff, diff)
+    for phase, (i, q, energy, _, _) in zip(phases, out):
         iqs.append(complex(i, q))
         energies.append(energy)
         rows.append((phase, i, q, energy))
@@ -680,8 +664,8 @@ def run_phase_sweep(cfg, outdir):
                                    / np.mean(energies)),
         "iq_locus_area": area,
         "iq_locus_area_expected": area_expected,
-        "convergence_rel_diff": max_rel,
-        "exact_rk4_max_diff": max_diff,
+        "convergence_rel_diff": rel,
+        "exact_rk4_max_diff": diff,
     }
     _write_report(outdir, "phase_sweep", cfg, results)
     return results
@@ -695,8 +679,10 @@ def run_custom_sequence(cfg, outdir):
     with open(cfg["sequence"]) as fh:
         seq = parse_sequence(fh.read())
     trace, rel = run_sequence_checked(
-        seq, tolerance=cfg["tolerance"], frame=cfg["frame"],
-        points_per_cycle=cfg["points_per_cycle"], flux_calib=cfg["flux_calib"])
+        seq, tolerance=cfg["tolerance"], points_per_cycle=cfg["points_per_cycle"],
+        flux_calib=cfg["flux_calib"])
+    if cfg["frame"] == "lab":
+        trace = lab_frame(trace, seq.mode_a, seq.mode_b)
     trace.to_csv(os.path.join(outdir, "trace.csv"))
     results = {
         "total_duration_s": seq.total_duration,

@@ -35,8 +35,8 @@ from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, RectPulse,
                    RaisedCosinePulse, ValidationError, check_mode_order,
                    detuning)
 from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact,
-                       check_half_step, input_field, integrate, lab_frame,
-                       max_step, propagate_load, propagate_swap, record_times)
+                       check_half_step, exact_segment, integrate, max_step,
+                       propagate_swap)
 from .units import parse_quantity
 
 
@@ -197,11 +197,13 @@ def parse_sequence(text: str) -> PulseSequence:
         if name not in mode_specs:
             raise SequenceSemanticError(f"mode {name} is not defined")
     seq = PulseSequence(mode_specs, tuple(segments))
-    _validate_semantics(seq)
+    validate_sequence(seq)
     return seq
 
 
-def _validate_semantics(seq: PulseSequence):
+def validate_sequence(seq: PulseSequence):
+    """Raise SequenceSemanticError unless `seq` can run: consistent mode
+    losses, w_A < w_B, positive durations and complete segment params."""
     for name, spec in seq.mode_specs.items():
         if sum(k in spec for k in ("q_int", "t1", "gamma_int")) > 1:
             raise SequenceSemanticError(
@@ -213,7 +215,8 @@ def _validate_semantics(seq: PulseSequence):
     check_mode_order(seq.mode_a, seq.mode_b)
     for i, seg in enumerate(seq.segments):
         if not seg.duration > 0.0:
-            raise SequenceSemanticError("segment duration must be positive", i)
+            raise SequenceSemanticError(
+                f"{seg.kind} segment duration must be positive", i)
         if seg.kind == "swap":
             if ("gp" in seg.params) == ("power" in seg.params):
                 raise SequenceSemanticError(
@@ -293,29 +296,27 @@ def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> Drive
     return DriveTone(omega_d, amp, 0.0, t0 - pad, t1 + pad)
 
 
-def run_sequence(seq: PulseSequence, *, frame: str = "rotating",
-                 points_per_cycle: int = 400, direct_load: bool = True,
+def run_sequence(seq: PulseSequence, *, points_per_cycle: int = 400,
+                 direct_load: bool = True,
                  flux_calib: float = fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
-    """Execute a pulse sequence with continuous state handoff.
+    """Execute a pulse sequence with continuous state handoff; the trace is
+    in the rotating frame (``dynamics.lab_frame`` turns it to the lab).
 
-    Each segment is sampled in the rotating frame with `points_per_cycle`
-    points per cycle of its fastest rate (``max_step``), at least 8 per
-    segment. Constant-coefficient segments are exact (``propagate_swap``,
-    ``propagate_load``); raised-cosine swaps are integrated with RK4 at
-    that step. With `direct_load` (the default for analysis runs) a
-    leading load segment sets a = sqrt(nbar) at its end instead of
-    simulating the fill pulse; pass direct_load=False to drive the port
-    explicitly. `frame` = "lab" rotates the finished trace with
-    ``lab_frame``.
+    Each segment is sampled with `points_per_cycle` points per cycle of
+    its fastest rate (``max_step``), at least 8 per segment.
+    Constant-coefficient segments are exact (``exact_segment``);
+    raised-cosine swaps are integrated with RK4 at that step. With
+    `direct_load` (the default for analysis runs) a leading load segment
+    sets a = sqrt(nbar) at its end instead of simulating the fill pulse;
+    pass direct_load=False to drive the port explicitly.
     """
-    trace = _run_segments(seq, points_per_cycle, True, direct_load, flux_calib)
-    return lab_frame(trace, seq.mode_a, seq.mode_b) if frame == "lab" else trace
+    return _run_segments(seq, points_per_cycle, True, direct_load, flux_calib)
 
 
 def _run_segments(seq, points_per_cycle, exact, direct_load=True,
                   flux_calib=fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
-    """``run_sequence`` in the rotating frame; `exact` = False integrates
-    every segment with RK4 (the oracle of ``run_sequence_checked``)."""
+    """``run_sequence``; `exact` = False integrates every segment with RK4
+    (the oracle of ``run_sequence_checked``)."""
     mode_a = seq.mode_a
     mode_b = seq.mode_b
     modes = (mode_a, mode_b)
@@ -345,7 +346,7 @@ def _run_segments(seq, points_per_cycle, exact, direct_load=True,
                               points_per_cycle=points_per_cycle), seg.duration / 8.0)
             cfg = SimConfig("rotating", dt, t1, t0)
             if exact and "ramp" not in seg.params:
-                piece = _exact_piece(state, modes, pump, drive, cfg)
+                piece = exact_segment(state, modes, pump, drive, cfg)
             else:
                 piece = integrate(state, modes, pump, drive, cfg)
             state = ComplexAmplitudePair(piece.a[-1], piece.b[-1], t1)
@@ -372,23 +373,8 @@ def _run_segments(seq, points_per_cycle, exact, direct_load=True,
     return TraceRecord(t_arr, a_arr, b_arr, o_arr, meta)
 
 
-def _exact_piece(state, modes, pump, drive, cfg) -> TraceRecord:
-    """The closed-form solution of one constant-coefficient segment on the
-    grid ``integrate`` records under `cfg`."""
-    mode_a, mode_b = modes
-    t = record_times(cfg)
-    if drive is None:
-        a, b = propagate_swap(state, modes, pump.envelope.max_amplitude,
-                              detuning(pump, mode_a, mode_b), pump.phi_p, t)
-    else:
-        a, b = propagate_load(state, modes, drive, t)
-    a_out = input_field(drive, mode_a, "rotating", t) - math.sqrt(mode_a.gamma_ext) * a
-    return TraceRecord(t, a, b, a_out)
-
-
 def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
-                         frame: str = "rotating", points_per_cycle: int = 400,
-                         **kwargs):
+                         points_per_cycle: int = 400, **kwargs):
     """run_sequence at 2 * `points_per_cycle`, checked against RK4.
 
     Two checks, each raising ConvergenceError above `tolerance`:
@@ -396,8 +382,8 @@ def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
       compared at their final rotating-frame states (``check_half_step``);
     - exact-vs-RK4: the closed-form run is compared with the finer RK4 run
       over the whole grid (``check_exact``).
-    Returns (closed-form trace in `frame`, half-step difference); its meta
-    holds both as "convergence_rel_diff" and "exact_rk4_max_diff".
+    Returns (closed-form rotating-frame trace, half-step difference); its
+    meta holds both as "convergence_rel_diff" and "exact_rk4_max_diff".
     """
     coarse = _run_segments(seq, points_per_cycle, False, **kwargs)
     fine = _run_segments(seq, 2 * points_per_cycle, False, **kwargs)
@@ -405,7 +391,7 @@ def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
     trace = run_sequence(seq, points_per_cycle=2 * points_per_cycle, **kwargs)
     diff = check_exact(trace.a, trace.b, fine, tolerance)
     trace.meta.update(convergence_rel_diff=rel, exact_rk4_max_diff=diff)
-    return (lab_frame(trace, seq.mode_a, seq.mode_b) if frame == "lab" else trace), rel
+    return trace, rel
 
 
 def without_swaps(seq: PulseSequence) -> PulseSequence:

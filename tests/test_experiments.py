@@ -8,11 +8,12 @@ from cavityswap import experiments, fluxmap, sequences
 from cavityswap.cli import main
 from cavityswap.core import (ComplexAmplitudePair, PumpDrive, RectPulse,
                              ValidationError)
-from cavityswap.dynamics import SimConfig, integrate_checked
+from cavityswap.dynamics import SimConfig, TraceRecord, integrate_checked
 from cavityswap.experiments import (RUNNERS, parse_config_file, resolve_config,
                                     run_chevron, run_phase_sweep,
                                     run_power_sweep, run_splitting,
                                     run_store_retrieve)
+from cavityswap.sequences import parse_sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,7 +25,6 @@ class TestConfigResolution:
         assert cfg["q_int_a"] == 900e3
         assert cfg["t1_b"] == 14.9e-6
         assert cfg["pump_power"] == -52.0
-        assert cfg["frame"] == "rotating"
         assert cfg["jobs"] == 1
 
     def test_string_overrides_carry_units(self):
@@ -87,6 +87,11 @@ SMALL_CHEVRON = {"delta_count": "5", "t_end": "4us"}
 SMALL_POWER = {"power_count": "5", "n_cycles": "3"}
 SMALL_SR = {"delay_count": "4", "delay_stop": "16us"}
 SMALL_PHASE = {"phase_count": "8", "delay": "2us"}
+SEQ = ("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
+       "mode B freq=9.33GHz t1=14.9us\n"
+       "seg load dur=5us nbar=4\n"
+       "seg swap dur=0.2us gp=1.2MHz delta=0Hz phase=0deg\n"
+       "seg readout dur=2us\n")
 
 
 class TestSplittingRunner:
@@ -138,14 +143,10 @@ class TestChevronRunner:
         assert (tmp_path / "a" / "report.txt").read_bytes() == \
             (tmp_path / "b" / "report.txt").read_bytes()
 
-    def test_lab_frame_matches_rotating(self, tmp_path):
-        # energies are frame-independent, so the lab frame changes no byte
-        run_chevron(resolve_config("chevron", SMALL_CHEVRON), tmp_path / "rot")
-        run_chevron(resolve_config("chevron", dict(SMALL_CHEVRON, frame="lab")),
-                    tmp_path / "lab")
-        for name in ("chevron_map.csv", "chevron_ridge.csv"):
-            assert (tmp_path / "lab" / name).read_bytes() == \
-                (tmp_path / "rot" / name).read_bytes()
+    def test_lab_frame_is_rejected(self):
+        # energies are frame-independent: chevron has no frame setting
+        with pytest.raises(ValidationError, match="unknown config key 'frame'"):
+            resolve_config("chevron", dict(SMALL_CHEVRON, frame="lab"))
 
 
 def _csv_rows(path):
@@ -162,7 +163,7 @@ def _rk4_swap_trace(cfg, g, delta, t_end, amp0):
     omega_fast = math.sqrt(delta * delta + 4.0 * g * g)
     dt = TWO_PI / (cfg["points_per_cycle"] * max(omega_fast, mode_a.gamma_total))
     stride = max(1, int(math.ceil(t_end / dt)) // 4096)
-    config = SimConfig(cfg["frame"], dt, t_end, 0.0, stride, cfg["tolerance"])
+    config = SimConfig("rotating", dt, t_end, 0.0, stride, cfg["tolerance"])
     init = ComplexAmplitudePair(complex(amp0), 0.0j, 0.0)
     trace, _ = integrate_checked(init, (mode_a, mode_b), pump, None, config)
     return trace
@@ -200,7 +201,7 @@ class TestExactSweepsMatchRk4:
                 coupler, delta_phi=fluxmap.pump_power_to_flux(p, cfg["flux_calib"])))
             t_end = cfg["n_cycles"] * TWO_PI / (2.0 * g)
             old = _rk4_swap_trace(cfg, g, 0.0, t_end, 1.0)
-            new = experiments._swap_point(cfg, g, 0.0, t_end, 1.0, False)[0]
+            new = experiments._swap_point(cfg, g, 0.0, t_end, 1.0)
             assert np.array_equal(new.t, old.t)
             assert np.max(np.abs(new.energy_a - old.energy_a)) <= 1e-10
             omega_old = experiments._swap_oscillation_frequency(old)
@@ -211,12 +212,12 @@ class TestExactSweepsMatchRk4:
         assert 0.0 < results["convergence_rel_diff"] < 1e-8
 
 
-    def test_lab_frame_oracle_point(self, tmp_path):
-        # a lab-frame chevron at scaled-down carriers keeps its RK4 oracle
+    def test_scaled_carrier_oracle_point(self, tmp_path):
+        # a chevron at scaled-down carriers and strong loss keeps its RK4 oracle
         cfg = resolve_config("chevron", {
             "freq_a": "20MHz", "freq_b": "35MHz", "q_int_a": "1e3", "q_ext_a": "1e3",
             "gp": "1.2MHz", "delta_count": "3", "delta_span": "1MHz",
-            "t_end": "0.5us", "points_per_cycle": "8000", "frame": "lab"})
+            "t_end": "0.5us", "points_per_cycle": "8000"})
         results = run_chevron(cfg, tmp_path)
         assert 0.0 < results["exact_rk4_max_diff"] < 1e-8
 
@@ -293,6 +294,40 @@ class TestSequenceOracle:
         assert 0.0 < results["convergence_rel_diff"] < 1e-8
 
 
+class TestSwapOracle:
+    @pytest.mark.parametrize("runner,small", [("chevron", SMALL_CHEVRON),
+                                              ("power_sweep", SMALL_POWER)])
+    def test_one_oracle_call_per_runner(self, tmp_path, monkeypatch, runner, small):
+        pump_omegas = []
+
+        def recording(*args, **kwargs):
+            pump_omegas.append(args[2].omega_p)
+            return integrate_checked(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "integrate_checked", recording)
+        cfg = resolve_config(runner, small)
+        results = RUNNERS[runner](cfg, tmp_path)
+        # one call, at zero pump detuning (the middle of the chevron sweep)
+        assert pump_omegas == [cfg["freq_b"] - cfg["freq_a"]]
+        assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
+        assert 0.0 < results["convergence_rel_diff"] < 1e-8
+
+    def test_power_sweep_skips_a_silent_oracle_point(self, tmp_path, monkeypatch):
+        # g_P = 0 at the middle power: nothing to integrate
+        g_of = fluxmap.pump_coupling_rate
+        mid = -54.0
+
+        def silent_middle(omega_a, omega_b, p_dbm, *args):
+            return 0.0 if p_dbm == mid else g_of(omega_a, omega_b, p_dbm, *args)
+
+        monkeypatch.setattr(fluxmap, "pump_coupling_rate", silent_middle)
+        results = run_power_sweep(resolve_config("power_sweep", dict(
+            SMALL_POWER, power_start="-64dBm", power_stop="-44dBm")), tmp_path)
+        assert results["points_no_oscillation"] == 1
+        assert results["convergence_rel_diff"] == 0.0
+        assert results["exact_rk4_max_diff"] == 0.0
+
+
 class TestPhaseSweepRunner:
     def test_slope_magnitude_and_locus(self, tmp_path):
         cfg = resolve_config("phase_sweep", SMALL_PHASE)
@@ -302,19 +337,11 @@ class TestPhaseSweepRunner:
         assert results["iq_locus_area"] == pytest.approx(
             results["iq_locus_area_expected"], rel=1e-6)
 
-    def test_lab_frame_matches_rotating(self, tmp_path):
-        # the lab trace is the rotating one turned by e^{-i w_A t}, which
-        # demodulation at w_A undoes to rounding
-        rot = run_phase_sweep(resolve_config("phase_sweep", SMALL_PHASE), tmp_path / "rot")
-        lab = run_phase_sweep(resolve_config("phase_sweep", dict(SMALL_PHASE, frame="lab")),
-                              tmp_path / "lab")
-        assert lab["convergence_rel_diff"] == rot["convergence_rel_diff"]
-        rows_rot = np.array(_csv_rows(tmp_path / "rot" / "phase_sweep.csv"), dtype=float)
-        rows_lab = np.array(_csv_rows(tmp_path / "lab" / "phase_sweep.csv"), dtype=float)
-        iq_rot = rows_rot[:, 1] + 1j * rows_rot[:, 2]
-        iq_lab = rows_lab[:, 1] + 1j * rows_lab[:, 2]
-        assert np.max(np.abs(iq_lab - iq_rot) / np.abs(iq_rot)) < 1e-12
-        assert np.allclose(rows_lab[:, 3], rows_rot[:, 3], rtol=1e-12, atol=0.0)
+    def test_lab_frame_is_rejected(self):
+        # demodulation at w_A undoes the lab rotation: phase_sweep has no
+        # frame setting
+        with pytest.raises(ValidationError, match="unknown config key 'frame'"):
+            resolve_config("phase_sweep", dict(SMALL_PHASE, frame="lab"))
 
 
 class TestCli:
@@ -367,18 +394,89 @@ class TestCli:
                    "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "numerical check failed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "chevron_map.csv").exists()
+
+    @pytest.mark.parametrize("runner,line", [
+        ("chevron", "points_per_cycle = 0"),
+        ("power_sweep", "points_per_cycle = 0"),
+        ("store_retrieve", "points_per_cycle = 0"),
+        ("custom_sequence", "points_per_cycle = 0"),
+        ("chevron", "nbar = -1"),
+        ("store_retrieve", "nbar = -1"),
+        ("chevron", "nbar = 0"),
+        ("chevron", "tolerance = 0"),
+        ("chevron", "tolerance = -1"),
+        ("chevron", "gp = -1MHz"),
+        ("splitting", "gp = -1MHz"),
+        ("store_retrieve", "t_swap = -1us"),
+        ("phase_sweep", "t_swap = -1us"),
+        ("store_retrieve", "load_dur = -1us"),
+        ("phase_sweep", "load_dur = -1us"),
+        ("phase_sweep", "delay = 0s"),
+        ("splitting", "frame = lab"),
+        ("chevron", "frame = lab"),
+        ("power_sweep", "frame = lab"),
+        ("store_retrieve", "frame = lab"),
+        ("phase_sweep", "frame = lab"),
+    ])
+    def test_refused_config_values_exit_2(self, tmp_path, capsys, runner, line):
+        seq = tmp_path / "seq.txt"
+        seq.write_text(SEQ)
+        cfg = tmp_path / "cfg.txt"
+        extra = f"sequence = {seq}\n" if runner == "custom_sequence" else ""
+        cfg.write_text(f"{line}\n{extra}")
+        out = tmp_path / "out"
+        assert main([runner, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("runner", ["splitting", "chevron", "power_sweep",
+                                        "store_retrieve", "phase_sweep"])
+    def test_lab_frame_flag_only_on_custom_sequence(self, tmp_path, capsys, runner):
+        with pytest.raises(SystemExit) as exc:
+            main([runner, "--lab-frame", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--lab-frame" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("runner,small", [("power_sweep", SMALL_POWER),
+                                              ("store_retrieve", SMALL_SR),
+                                              ("phase_sweep", SMALL_PHASE)])
+    def test_oracle_failure_writes_no_csv(self, tmp_path, capsys, runner, small):
+        # as for chevron above: the RK4 differences lie above 1e-13, and
+        # the oracle runs before any data file is written
+        cfg = tmp_path / "cfg.txt"
+        lines = [f"{k} = {v}" for k, v in dict(small, tolerance="1e-13").items()]
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main([runner, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "numerical check failed" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_jobs_and_lab_frame_flags_are_wired(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("delta_count = 3\nt_end = 2us\n")
-        rc = main(["chevron", "--config", str(cfg), "--lab-frame", "--jobs", "2",
-                   "--out", str(tmp_path / "lab")])
-        assert rc == 0  # a post-hoc rotation: GHz carriers cost nothing
-        report = (tmp_path / "lab" / "report.txt").read_text()
-        assert "config.frame = lab" in report and "config.jobs = 2" in report
-        assert main(["chevron", "--config", str(cfg), "--out", str(tmp_path / "rot")]) == 0
-        assert (tmp_path / "lab" / "chevron_map.csv").read_bytes() == \
-            (tmp_path / "rot" / "chevron_map.csv").read_bytes()
+        assert main(["chevron", "--config", str(cfg), "--jobs", "2",
+                     "--out", str(tmp_path / "jobs")]) == 0
+        assert "config.jobs = 2" in (tmp_path / "jobs" / "report.txt").read_text()
+        assert main(["chevron", "--config", str(cfg), "--out", str(tmp_path / "serial")]) == 0
+        assert (tmp_path / "jobs" / "chevron_map.csv").read_bytes() == \
+            (tmp_path / "serial" / "chevron_map.csv").read_bytes()
+
+        seq = tmp_path / "seq.txt"
+        seq.write_text(SEQ)
+        cfg.write_text(f"sequence = {seq}\n")
+        for flags, out in (([], "rot"), (["--lab-frame"], "lab")):
+            assert main(["custom_sequence", "--config", str(cfg), *flags,
+                         "--out", str(tmp_path / out)]) == 0
+        assert "config.frame = lab" in (tmp_path / "lab" / "report.txt").read_text()
+        rot = TraceRecord.from_csv(tmp_path / "rot" / "trace.csv")
+        lab = TraceRecord.from_csv(tmp_path / "lab" / "trace.csv")
+        assert lab.meta["frame"] == "lab"
+        parsed = parse_sequence(SEQ)
+        assert np.allclose(lab.a, rot.a * np.exp(-1j * parsed.mode_a.omega * rot.t),
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(lab.b, rot.b * np.exp(-1j * parsed.mode_b.omega * rot.t),
+                           rtol=1e-12, atol=0.0)
 
     def test_swapped_mode_order_exits_2(self, tmp_path, capsys):
         # the equations hold only for w_B > w_A; run anyway, both give wrong physics

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse,
                              ValidationError, cw_envelope)
-from cavityswap import sequences
-from cavityswap.dynamics import ConvergenceError, DriveTone, SimConfig, integrate
+from cavityswap import dynamics, sequences
+from cavityswap.dynamics import (ConvergenceError, DriveTone, SimConfig, integrate,
+                                 lab_frame)
 from cavityswap.sequences import (CalibrationError, SequenceSemanticError,
                                   SequenceSyntaxError, calibrate_swap_time,
                                   demodulate, emit_sequence, parse_sequence,
@@ -217,13 +218,13 @@ class TestExecution:
         seq = parse_sequence(BASIC)
         trace, rel = run_sequence_checked(seq)
         assert 0.0 < trace.meta["exact_rk4_max_diff"] < 1e-9
-        exact = sequences.propagate_swap
+        exact = dynamics.propagate_swap
 
         def off_by_1e_6(*args):
             a, b = exact(*args)
             return a * (1.0 + 1e-6), b
 
-        monkeypatch.setattr(sequences, "propagate_swap", off_by_1e_6)
+        monkeypatch.setattr(dynamics, "propagate_swap", off_by_1e_6)
         with pytest.raises(ConvergenceError, match="exact-vs-RK4"):
             run_sequence_checked(seq, tolerance=1e-7)
 
@@ -255,6 +256,23 @@ def lossless_sequences(draw):
 
 
 class TestClosedFormSequences:
+    @settings(max_examples=60, deadline=None)
+    @given(text=lossless_sequences())
+    def test_parse_emit_parse_is_a_fixed_point(self, text):
+        seq = parse_sequence(text)
+        emitted = emit_sequence(seq)
+        again = parse_sequence(emitted)
+        assert emit_sequence(again) == emitted
+        # emit keeps 12 significant digits, so every value comes back to them
+        pairs = [(seq.mode_specs[m], again.mode_specs[m]) for m in ("A", "B")]
+        pairs += [(s1.params, s2.params) for s1, s2 in zip(seq.segments, again.segments)]
+        assert [s.kind for s in again.segments] == [s.kind for s in seq.segments]
+        for p1, p2 in pairs:
+            assert list(p1) == list(p2)
+            for key in p1:
+                assert p2[key].kind == p1[key].kind
+                assert p2[key].value == pytest.approx(p1[key].value, rel=1e-11, abs=0.0)
+
     @settings(max_examples=30, deadline=None)
     @given(text=lossless_sequences())
     def test_port_energy_balance(self, text):
@@ -303,9 +321,9 @@ class TestLabFrame:
             "seg swap dur=0.2us gp=1.2MHz delta=0.1MHz phase=30deg\n"
             "seg delay dur=0.3us\n"
             "seg swap dur=0.2us gp=1.2MHz phase=120deg\n")
-        trace, _ = run_sequence_checked(seq, frame="lab", direct_load=False)
-        assert trace.meta["frame"] == "lab"
         mode_a, mode_b = seq.mode_a, seq.mode_b
+        trace = lab_frame(run_sequence_checked(seq, direct_load=False)[0], mode_a, mode_b)
+        assert trace.meta["frame"] == "lab"
         diff = mode_b.omega - mode_a.omega
         state = ComplexAmplitudePair(0j, 0j, 0.0)
         ends = []
@@ -325,14 +343,6 @@ class TestLabFrame:
         peak = float(np.max(np.hypot(np.abs(trace.a), np.abs(trace.b))))
         assert max(np.max(np.abs(a - lab_a)), np.max(np.abs(b - lab_b))) < 1e-6 * peak
         assert np.max(np.abs(a_out - lab_a_out)) < 1e-6 * np.max(np.abs(trace.a_out))
-
-    def test_lab_frame_keeps_the_half_step_difference(self):
-        seq = parse_sequence(BASIC)
-        rot, rel_rot = run_sequence_checked(seq)
-        lab, rel_lab = run_sequence_checked(seq, frame="lab")
-        assert rel_lab == rel_rot
-        assert np.array_equal(lab.t, rot.t)
-        assert np.allclose(np.abs(lab.a), np.abs(rot.a), rtol=1e-12, atol=0.0)
 
 
 class TestDemodulate:
