@@ -7,12 +7,12 @@ mean of the two slopes.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from cavityswap import (DEFAULT_FLUX_CALIB, calibrated_curves, coupling_rate,
                         pump_power_to_flux)
-from cavityswap.core import CouplerState
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,7 +31,5 @@ for p in phi:
 print("\npump power (dBm)   delta_phi (phi0)   g_P/2pi (MHz)")
 for p_dbm in (-64.0, -58.0, -52.0, -46.0):
     delta_phi = pump_power_to_flux(p_dbm, DEFAULT_FLUX_CALIB)
-    state = CouplerState(bias.phi_dc, delta_phi, bias.phi_offset,
-                         bias.omega_c_max)
-    g = coupling_rate(curve_a, curve_b, state)
+    g = coupling_rate(curve_a, curve_b, replace(bias, delta_phi=delta_phi))
     print(f"{p_dbm:16.1f}   {delta_phi:16.4f}   {g / TWO_PI / 1e6:13.4f}")

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from cavityswap import (calibrate_swap_time, demodulate, dwell_times,
-                        parse_sequence, run_sequence_checked, without_swaps)
+                        loss_corrected_efficiency, parse_sequence,
+                        run_sequence_checked, without_swaps)
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,11 +63,10 @@ for delay in delays:
 # loss-corrected efficiency of the shortest delay
 energy, trace, windows = retrieved_energy(delays[0])
 t_a, t_b = dwell_times(trace, (windows[0][2], windows[-1][1]))
-gamma_a = probe.mode_a.gamma_total
-gamma_b = probe.mode_b.gamma_total
-eta_prime = (energy / reference) * math.exp(gamma_a * t_a + gamma_b * t_b)
+eta_prime = loss_corrected_efficiency(energy / reference, t_a, t_b,
+                                      probe.mode_a, probe.mode_b)
 print(f"\neta at {delays[0]:.0f} us delay: {etas[0]:.4f}")
 print(f"loss-corrected eta': {eta_prime:.4f} "
       "(the swap itself adds almost no loss)")
-print(f"storage-mode T1: {1.0 / gamma_b * 1e6:.1f} us; "
+print(f"storage-mode T1: {probe.mode_b.t1 * 1e6:.1f} us; "
       f"eta ratio over the sweep matches exp(-delay/T1)")

@@ -5,23 +5,23 @@ The package is organised bottom-up:
 
 * :mod:`cavityswap.units` -- unit-suffixed text values <-> internal SI,
 * :mod:`cavityswap.core` -- modes, pump drives, envelopes, field state,
-* :mod:`cavityswap.fluxmap` -- flux modulation curves and the pump-power
-  to coupling-rate conversion,
+* :mod:`cavityswap.fluxmap` -- the coupler-pull flux modulation curves
+  and the pump-power to coupling-rate conversion,
 * :mod:`cavityswap.dynamics` -- RK4 integration of the coupled-mode
   equations, their exact solutions under a constant pump or a drive
   tone, and the steady-state reflection spectrum,
 * :mod:`cavityswap.sequences` -- pulse-sequence files, execution, and
   swap calibration,
-* :mod:`cavityswap.analysis` -- oscillation/decay/phase fits and
-  efficiency figures,
+* :mod:`cavityswap.analysis` -- oscillation/decay/phase fits, dwell
+  times and the loss-corrected efficiency,
 * :mod:`cavityswap.experiments` -- config-driven measurement runners
   (also exposed through the ``cavityswap`` command-line tool).
 """
 
 from .analysis import (DegenerateFitError, FitConvergenceError, FitResult,
-                       NoOscillationError, dwell_times, efficiency,
-                       fit_exponential_decay, fit_phase_slope,
-                       loss_corrected_efficiency, oscillation_frequency)
+                       NoOscillationError, dwell_times, fit_exponential_decay,
+                       fit_phase_slope, loss_corrected_efficiency,
+                       oscillation_frequency)
 from .core import (ComplexAmplitudePair, CouplerState, ModeParams, PumpDrive,
                    RaisedCosinePulse, RectPulse, ValidationError, cw_envelope,
                    detuning, mode_params_from_q)
@@ -31,9 +31,8 @@ from .dynamics import (ConvergenceError, DriveTone, IntegrationDivergedError,
                        max_step, propagate_load, propagate_swap,
                        rabi_frequency, reflection_spectrum)
 from .fluxmap import (DEFAULT_FLUX_CALIB, CouplerPullCurve,
-                      DegenerateBiasWarning, TabulatedCurve, calibrated_curves,
-                      coupling_rate, flux_for_pump_power, load_tabulated,
-                      max_slope_bias, pump_power_to_flux)
+                      DegenerateBiasWarning, calibrated_curves, coupling_rate,
+                      flux_for_pump_power, max_slope_bias, pump_power_to_flux)
 from .sequences import (CalibrationError, PulseSequence, Segment,
                         SequenceSemanticError, SequenceSyntaxError,
                         calibrate_swap_time, demodulate, emit_sequence,

@@ -1,14 +1,15 @@
 """Extraction of derived quantities from simulated traces.
 
 Covers the swap-oscillation frequency (FFT peak with quadratic
-refinement), exponential energy-decay fits, storage/retrieval
-efficiencies, and the pump-phase response slope.
+refinement), exponential energy-decay fits, the dwell times and
+loss-corrected storage/retrieval efficiency, and the pump-phase response
+slope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +38,6 @@ class FitConvergenceError(RuntimeError):
 class FitResult:
     params: dict
     residual_rms: float
-    covariance: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.residual_rms < 0.0:
@@ -145,29 +145,9 @@ def fit_exponential_decay(t, energy, max_iter: int = 100,
     if p[1] <= 0.0:
         raise DegenerateFitError(f"fitted tau is non-positive ({p[1]:.3e})")
 
-    rms = math.sqrt(cost / t.size)
     amp, tau, off = p
-    e = np.exp(-t / tau)
-    jac = np.column_stack([e, amp * t / tau**2 * e, np.ones_like(t)])
-    cov = None
-    if t.size > 3:
-        try:
-            sigma2 = cost / (t.size - 3)
-            cov = sigma2 * np.linalg.inv(jac.T @ jac)
-        except np.linalg.LinAlgError:
-            cov = None
-    return FitResult({"amplitude": amp, "tau": tau, "offset": off}, rms, cov)
-
-
-def efficiency(retrieved: float, reference: float) -> float:
-    """Retrieved-to-reference energy ratio.
-
-    `reference` is the integrated leaked energy of the same load with the
-    swap sequence disabled.
-    """
-    if not reference > 0.0:
-        raise ValidationError("reference energy must be positive")
-    return retrieved / reference
+    return FitResult({"amplitude": amp, "tau": tau, "offset": off},
+                     math.sqrt(cost / t.size))
 
 
 def dwell_times(trace, window) -> tuple[float, float]:
@@ -190,16 +170,16 @@ def dwell_times(trace, window) -> tuple[float, float]:
     return t_a, t_b
 
 
-def loss_corrected_efficiency(eta: float, trace, mode_a, mode_b, window) -> float:
+def loss_corrected_efficiency(eta: float, t_a: float, t_b: float,
+                              mode_a, mode_b) -> float:
     """Efficiency corrected for dissipation while the state dwelt in each mode.
 
-    eta' = eta / exp(-gamma_A * t_a_eff - gamma_B * t_b_eff) with dwell
-    times computed from the simulated occupancies over `window` (between
-    the end of the load and the start of the readout).
+    eta' = eta / exp(-gamma_A * t_a - gamma_B * t_b), with `t_a`, `t_b` the
+    occupancy-weighted dwell times of ``dwell_times`` over the window
+    between the end of the load and the start of the readout.
     """
     if not 0.0 < eta <= 1.0:
         raise ValidationError("eta must be in (0, 1]")
-    t_a, t_b = dwell_times(trace, window)
     return eta * math.exp(mode_a.gamma_total * t_a + mode_b.gamma_total * t_b)
 
 

@@ -75,8 +75,6 @@ class CouplerState:
 
     phi_dc: float
     delta_phi: float = 0.0
-    phi_offset: float = 0.0
-    omega_c_max: float | None = None
 
     def __post_init__(self):
         if self.delta_phi < 0.0:

@@ -20,7 +20,7 @@ from . import fluxmap
 from .analysis import (DegenerateFitError, FitConvergenceError,
                        NoOscillationError, dwell_times,
                        fit_exponential_decay, fit_phase_slope,
-                       oscillation_frequency)
+                       loss_corrected_efficiency, oscillation_frequency)
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse,
                    ValidationError, check_mode_order, cw_envelope,
                    mode_params_from_q)
@@ -415,6 +415,15 @@ def run_splitting(cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
     mode_a, mode_b = _modes(cfg)
     g = _resolve_gp(cfg)
+    # the dips at w_A +- g_P are interior minima only if the grid reaches
+    # past both by at least one probe spacing
+    half_span = 0.5 * abs(cfg["probe_span"])
+    spacing = 2.0 * half_span / (cfg["probe_count"] - 1)
+    if not half_span > g + spacing:
+        raise ValidationError(
+            f"probe_span = {_render_cfg_value('freq', cfg['probe_span'])} cannot "
+            f"hold both dips at +-g_P = +-{g / TWO_PI:.12g}Hz: half the span "
+            "must exceed g_P plus one probe spacing")
     probes = mode_a.omega + np.linspace(-0.5, 0.5, cfg["probe_count"]) * cfg["probe_span"]
     pump_deltas = np.linspace(-0.5, 0.5, cfg["pump_count"]) * cfg["pump_span"]
     diff = abs(mode_a.omega - mode_b.omega)
@@ -572,24 +581,25 @@ def run_store_retrieve(cfg, outdir):
     reference = _retrieval_reference(cfg, g, t_swap, float(delays[-1]))
     out = _pmap(partial(_retrieval_worker, cfg, g, t_swap), points, cfg["jobs"])
 
-    rows = []
-    retrieved = []
-    dwell = []
-    for delay, (_, _, energy, t_a, t_b) in zip(delays, out):
-        retrieved.append(energy)
-        dwell.append((t_a, t_b))
-        rows.append((delay, energy, energy / reference))
+    retrieved = np.asarray([energy for _, _, energy, _, _ in out])
+    eta_shortest = float(retrieved[0]) / reference
+    # loss-corrected efficiency of the shortest-delay run
+    _, _, _, t_a, t_b = out[0]
+    eta_prime = loss_corrected_efficiency(eta_shortest, t_a, t_b, mode_a, mode_b)
+
+    rows = [(delay, energy, energy / reference)
+            for delay, energy in zip(delays, retrieved)]
     _write_csv(os.path.join(outdir, "store_retrieve.csv"),
                ["runner = store_retrieve", f"gp_hz = {g / TWO_PI:.12g}",
                 f"t_swap_s = {t_swap:.12g}", f"reference = {reference:.12g}"],
                ["delay_s", "retrieved_energy", "eta"], rows)
 
-    retrieved = np.asarray(retrieved)
     results = {
         "gp_hz": g / TWO_PI,
         "t_swap_s": t_swap,
         "reference_energy": reference,
-        "eta_shortest": float(retrieved[0]) / reference,
+        "eta_shortest": eta_shortest,
+        "eta_prime": eta_prime,
         "convergence_rel_diff": rel,
         "exact_rk4_max_diff": diff,
         "configured_tau_s": 1.0 / mode_b.gamma_total if mode_b.gamma_total else math.inf,
@@ -602,11 +612,6 @@ def run_store_retrieve(cfg, outdir):
     except (DegenerateFitError, FitConvergenceError) as exc:  # lossless storage mode
         results["tau_degenerate"] = "true"
         results["tau_note"] = type(exc).__name__
-
-    # loss-corrected efficiency of the shortest-delay run
-    t_a, t_b = dwell[0]
-    results["eta_prime"] = results["eta_shortest"] * math.exp(
-        mode_a.gamma_total * t_a + mode_b.gamma_total * t_b)
     _write_report(outdir, "store_retrieve", cfg, results)
     return results
 

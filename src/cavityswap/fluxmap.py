@@ -1,12 +1,8 @@
 """Flux dependence of the cavity frequencies and the pump coupling rate.
 
-Two curve kinds are provided:
-
-* ``CouplerPullCurve`` -- a physically motivated model in which a
-  flux-tuned coupler self-resonance (below both cavities) dispersively
-  pulls the bare cavity frequency,
-* ``TabulatedCurve`` -- periodic cubic interpolation through measured
-  (flux, frequency) samples.
+Each cavity frequency follows a ``CouplerPullCurve``: a flux-tuned
+coupler self-resonance (below both cavities) dispersively pulls the bare
+cavity frequency.
 
 The parametric coupling rate for a flux modulation of amplitude
 ``delta_phi`` about a DC bias is
@@ -24,7 +20,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import CouplerState, ValidationError
 
@@ -74,78 +69,11 @@ class CouplerPullCurve:
         return self.kappa_pull * self.omega_c_max**2 * dabs / denom**2
 
 
-@dataclass(frozen=True)
-class TabulatedCurve:
-    """Periodic cubic interpolation through measured (flux, frequency) samples.
-
-    Samples must cover one period with strictly increasing flux in [0, 1);
-    the curve repeats with period one flux quantum.
-    """
-
-    phi: tuple
-    omega: tuple
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        om = np.asarray(self.omega, dtype=float)
-        if phi.ndim != 1 or phi.size < 4 or om.shape != phi.shape:
-            raise ValidationError("need >= 4 matching (phi, omega) samples")
-        if np.any(np.diff(phi) <= 0.0):
-            raise ValidationError("flux samples must be strictly increasing")
-        if phi[-1] - phi[0] >= 1.0:
-            raise ValidationError("flux samples must span less than one period")
-        object.__setattr__(self, "phi", tuple(phi))
-        object.__setattr__(self, "omega", tuple(om))
-        # close the period: repeat the first sample at phi[0] + 1
-        xs = np.append(phi, phi[0] + 1.0)
-        ys = np.append(om, om[0])
-        object.__setattr__(self, "_spline", CubicSpline(xs, ys, bc_type="periodic"))
-
-    def _wrap(self, phi):
-        phi = _check_flux(phi)
-        x0 = self.phi[0]
-        return x0 + np.mod(phi - x0, 1.0)
-
-    def omega_at(self, phi):
-        return self._spline(self._wrap(phi))
-
-    def slope_at(self, phi):
-        return self._spline(self._wrap(phi), 1)
-
-
 def _check_flux(phi):
     arr = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"flux must be finite, got {phi!r}")
     return arr if arr.ndim else float(arr)
-
-
-def load_tabulated(path) -> TabulatedCurve:
-    """Load a tabulated curve from a two-column text file.
-
-    Columns are flux (flux-quantum units) and ordinary frequency in Hz;
-    ``#`` comments and an optional non-numeric header line are skipped.
-    """
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                if not rows:  # tolerate a single header line
-                    continue
-                raise ValidationError(f"bad row in flux table: {line!r}")
-            if len(vals) != 2:
-                raise ValidationError(f"expected two columns, got {line!r}")
-            rows.append(vals)
-    if len(rows) < 4:
-        raise ValidationError("flux table needs at least 4 rows")
-    data = np.asarray(rows)
-    return TabulatedCurve(tuple(data[:, 0]), tuple(data[:, 1] * 2.0 * np.pi))
 
 
 def coupling_rate(curve_a, curve_b, state: CouplerState) -> float:
@@ -182,8 +110,18 @@ def flux_for_pump_power(target_delta_phi: float, p_dbm: float) -> float:
     return target_delta_phi / math.sqrt(10.0 ** (p_dbm / 10.0))
 
 
-# Lumped pump-line calibration fixed so that -52 dBm gives 0.2 flux quanta.
-DEFAULT_FLUX_CALIB = flux_for_pump_power(0.2, -52.0)
+# Targets of ``calibrated_curves``: the coupler's maximum self-resonance
+# and flux offset, the readout curve's peak-to-peak flux modulation, and
+# the coupling rate that a pump amplitude of DELTA_PHI must give.
+OMEGA_C_MAX = 2.0 * math.pi * 7.7e9
+PHI_OFFSET = 0.0
+PEAK_TO_PEAK_A = 2.0 * math.pi * 4.0e6
+GP_TARGET = 2.0 * math.pi * 1.2e6
+DELTA_PHI = 0.2
+
+# Lumped pump-line calibration fixed so that -52 dBm gives DELTA_PHI, and
+# so g_P = GP_TARGET on the calibrated curves.
+DEFAULT_FLUX_CALIB = flux_for_pump_power(DELTA_PHI, -52.0)
 
 
 def _peak_to_peak(curve, n: int = 4001) -> float:
@@ -232,40 +170,33 @@ def max_slope_bias(curve, lo: float = 0.0, hi: float = 0.5, n: int = 2001) -> fl
 
 
 @lru_cache(maxsize=32)
-def calibrated_curves(
-    omega_a: float = 2.0 * math.pi * 8.70e9,
-    omega_b: float = 2.0 * math.pi * 9.33e9,
-    omega_c_max: float = 2.0 * math.pi * 7.7e9,
-    phi_offset: float = 0.0,
-    peak_to_peak_a: float = 2.0 * math.pi * 4.0e6,
-    gp_target: float = 2.0 * math.pi * 1.2e6,
-    delta_phi: float = 0.2,
-):
-    """Default coupler-pull curves for both cavities plus their bias point.
+def calibrated_curves(omega_a: float = 2.0 * math.pi * 8.70e9,
+                      omega_b: float = 2.0 * math.pi * 9.33e9):
+    """Coupler-pull curves for cavities at `omega_a` and `omega_b` plus
+    their bias point.
 
     The A-curve pull strength is set (by bisection) so its peak-to-peak
-    flux modulation is `peak_to_peak_a`; the DC bias defaults to the
-    maximum-slope point of that curve; the B-curve pull strength is then
-    set so a pump amplitude of `delta_phi` yields exactly `gp_target`.
+    flux modulation is PEAK_TO_PEAK_A; the DC bias is the maximum-slope
+    point of that curve; the B-curve pull strength is then set so a pump
+    amplitude of DELTA_PHI yields exactly GP_TARGET.
     Returns (curve_a, curve_b, CouplerState).
     """
     def pp_a(kappa):
-        return _peak_to_peak(CouplerPullCurve(omega_a, kappa, omega_c_max, phi_offset))
+        return _peak_to_peak(CouplerPullCurve(omega_a, kappa, OMEGA_C_MAX, PHI_OFFSET))
 
-    kappa_a = _bisect_increasing(pp_a, peak_to_peak_a, 0.0, omega_a**3 * 1e-6)
-    curve_a = CouplerPullCurve(omega_a, kappa_a, omega_c_max, phi_offset)
-    phi_dc = max_slope_bias(curve_a, phi_offset, phi_offset + 0.5)
-    state = CouplerState(phi_dc=phi_dc, delta_phi=delta_phi, phi_offset=phi_offset,
-                         omega_c_max=omega_c_max)
+    kappa_a = _bisect_increasing(pp_a, PEAK_TO_PEAK_A, 0.0, omega_a**3 * 1e-6)
+    curve_a = CouplerPullCurve(omega_a, kappa_a, OMEGA_C_MAX, PHI_OFFSET)
+    phi_dc = max_slope_bias(curve_a, PHI_OFFSET, PHI_OFFSET + 0.5)
+    state = CouplerState(phi_dc=phi_dc, delta_phi=DELTA_PHI)
 
     slope_a = abs(float(curve_a.slope_at(phi_dc)))
     # g = (delta_phi/4) sqrt(slope_a * slope_b), slope_b linear in kappa_b
     def gp_of(kappa):
-        cb = CouplerPullCurve(omega_b, kappa, omega_c_max, phi_offset)
-        return 0.25 * delta_phi * math.sqrt(slope_a * abs(float(cb.slope_at(phi_dc))))
+        cb = CouplerPullCurve(omega_b, kappa, OMEGA_C_MAX, PHI_OFFSET)
+        return 0.25 * DELTA_PHI * math.sqrt(slope_a * abs(float(cb.slope_at(phi_dc))))
 
-    kappa_b = _bisect_increasing(gp_of, gp_target, 0.0, omega_b**3 * 1e-6)
-    curve_b = CouplerPullCurve(omega_b, kappa_b, omega_c_max, phi_offset)
+    kappa_b = _bisect_increasing(gp_of, GP_TARGET, 0.0, omega_b**3 * 1e-6)
+    curve_b = CouplerPullCurve(omega_b, kappa_b, OMEGA_C_MAX, PHI_OFFSET)
     return curve_a, curve_b, state
 
 

@@ -70,14 +70,6 @@ def parse_quantity(token: str) -> Quantity:
     return Quantity(number * scale, suffix, kind)
 
 
-def parse_dimensioned(token: str, kind: str) -> Quantity:
-    """Parse a token and require it to carry a unit of the given kind."""
-    q = parse_quantity(token)
-    if q.kind != kind:
-        raise UnitError(f"expected a {kind} value (got {token!r})")
-    return q
-
-
 def si_to_unit(value: float, unit: str) -> float:
     """Convert an internal-unit value back to the magnitude in `unit`."""
     if unit == "":

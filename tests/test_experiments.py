@@ -408,6 +408,9 @@ class TestCli:
         ("chevron", "tolerance = -1"),
         ("chevron", "gp = -1MHz"),
         ("splitting", "gp = -1MHz"),
+        # a probe grid that cannot hold both dips at w_A +- g_P
+        ("splitting", "probe_span = 0Hz\nprobe_count = 101\npump_count = 3"),
+        ("splitting", "probe_span = 2MHz\nprobe_count = 101\npump_count = 3"),
         ("store_retrieve", "t_swap = -1us"),
         ("phase_sweep", "t_swap = -1us"),
         ("store_retrieve", "load_dur = -1us"),

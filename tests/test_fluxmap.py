@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from cavityswap.core import CouplerState, ValidationError
 from cavityswap.fluxmap import (DEFAULT_FLUX_CALIB, CouplerPullCurve,
-                                DegenerateBiasWarning, TabulatedCurve,
-                                calibrated_curves, coupling_rate,
-                                flux_for_pump_power, load_tabulated,
+                                DegenerateBiasWarning, calibrated_curves,
+                                coupling_rate, flux_for_pump_power,
                                 max_slope_bias, pump_power_to_flux)
 
 TWO_PI = 2.0 * math.pi
@@ -63,56 +62,6 @@ class TestCouplerPullCurve:
         phi = np.array([0.1, 0.2, 0.3])
         assert curve.omega_at(phi).shape == (3,)
         assert curve.slope_at(phi).shape == (3,)
-
-
-class TestTabulatedCurve:
-    def _samples(self):
-        phi = np.linspace(0.0, 0.95, 20)
-        omega = TWO_PI * (8.7e9 + 2e6 * np.cos(TWO_PI * phi))
-        return phi, omega
-
-    def test_interpolates_samples_exactly(self):
-        phi, omega = self._samples()
-        curve = TabulatedCurve(tuple(phi), tuple(omega))
-        assert curve.omega_at(phi) == pytest.approx(omega, rel=1e-14)
-
-    def test_periodic_wrap(self):
-        phi, omega = self._samples()
-        curve = TabulatedCurve(tuple(phi), tuple(omega))
-        assert curve.omega_at(0.3) == pytest.approx(curve.omega_at(1.3), rel=1e-14)
-        assert curve.omega_at(-0.7) == pytest.approx(curve.omega_at(0.3), rel=1e-14)
-
-    def test_slope_matches_finite_difference(self):
-        phi, omega = self._samples()
-        curve = TabulatedCurve(tuple(phi), tuple(omega))
-        h = 1e-7
-        for p in (0.11, 0.42, 0.73):
-            fd = (curve.omega_at(p + h) - curve.omega_at(p - h)) / (2 * h)
-            assert curve.slope_at(p) == pytest.approx(fd, rel=1e-5)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            TabulatedCurve((0.0, 0.1, 0.2), (1.0, 2.0, 3.0))  # too few
-        with pytest.raises(ValidationError):
-            TabulatedCurve((0.0, 0.2, 0.1, 0.3), (1.0, 2.0, 3.0, 4.0))
-        with pytest.raises(ValidationError):
-            TabulatedCurve((0.0, 0.5, 1.0, 1.5), (1.0, 2.0, 3.0, 4.0))  # > 1 period
-
-    def test_load_from_file(self, tmp_path):
-        phi, omega = self._samples()
-        path = tmp_path / "curve.txt"
-        lines = ["flux_phi0  freq_hz  # header", "# a comment"]
-        lines += [f"{p:.9f} {w / TWO_PI:.6f}" for p, w in zip(phi, omega)]
-        path.write_text("\n".join(lines) + "\n")
-        curve = load_tabulated(path)
-        assert curve.omega_at(0.25) == pytest.approx(
-            TabulatedCurve(tuple(phi), tuple(omega)).omega_at(0.25), rel=1e-9)
-
-    def test_load_rejects_short_table(self, tmp_path):
-        path = tmp_path / "short.txt"
-        path.write_text("0.0 1e9\n0.1 2e9\n")
-        with pytest.raises(ValidationError):
-            load_tabulated(path)
 
 
 class TestCouplingRate:

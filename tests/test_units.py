@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityswap.units import (Quantity, UnitError, format_quantity,
-                              parse_quantity, parse_dimensioned, si_to_unit)
+                              parse_quantity, si_to_unit)
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,17 +49,6 @@ class TestParseQuantity:
         # 'mhz' is not a unit; suffix matching must be exact
         with pytest.raises(UnitError):
             parse_quantity("1.2mhz")
-
-
-class TestParseDimensioned:
-    def test_kind_enforced(self):
-        assert parse_dimensioned("5us", "time").value == pytest.approx(5e-6, rel=1e-15)
-        with pytest.raises(UnitError, match="expected a freq"):
-            parse_dimensioned("5us", "freq")
-
-    def test_dimensionless_rejected_for_dimensioned(self):
-        with pytest.raises(UnitError):
-            parse_dimensioned("5", "time")
 
 
 class TestFormatting:
