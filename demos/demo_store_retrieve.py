@@ -56,12 +56,14 @@ print("\ndelay (us)   retrieved   efficiency")
 etas = []
 for delay in delays:
     energy, trace, windows = retrieved_energy(delay)
+    if delay == delays[0]:
+        shortest = energy, trace, windows
     eta = energy / reference
     etas.append(eta)
     print(f"{delay:10.1f}   {energy:9.4f}   {eta:10.4f}")
 
-# loss-corrected efficiency of the shortest delay
-energy, trace, windows = retrieved_energy(delays[0])
+# loss-corrected efficiency of the shortest delay, from its run in the loop
+energy, trace, windows = shortest
 t_a, t_b = dwell_times(trace, (windows[0][2], windows[-1][1]))
 eta_prime = loss_corrected_efficiency(energy / reference, t_a, t_b,
                                       probe.mode_a, probe.mode_b)

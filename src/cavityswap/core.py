@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Raised when a physical parameter fails its domain constraints."""
@@ -112,8 +114,9 @@ class RectPulse:
     def is_cw(self) -> bool:
         return math.isinf(self.t_start) and math.isinf(self.t_stop)
 
-    def __call__(self, t: float) -> float:
-        return self.amplitude if self.t_start <= t <= self.t_stop else 0.0
+    def __call__(self, t):
+        """g_P at time `t`, a float or an array of times."""
+        return self.amplitude * ((self.t_start <= t) & (t <= self.t_stop))
 
 
 @dataclass(frozen=True)
@@ -141,16 +144,15 @@ class RaisedCosinePulse:
     def is_cw(self) -> bool:
         return False
 
-    def __call__(self, t: float) -> float:
-        if not self.t_start <= t <= self.t_stop:
-            return 0.0
+    def __call__(self, t):
+        """g_P at time `t`, a float or an array of times."""
+        t = np.asarray(t, dtype=float)
         rise = t - self.t_start
-        fall = self.t_stop - t
-        if rise < self.ramp:
-            return self.amplitude * 0.5 * (1.0 - math.cos(math.pi * rise / self.ramp))
-        if fall < self.ramp:
-            return self.amplitude * 0.5 * (1.0 - math.cos(math.pi * fall / self.ramp))
-        return self.amplitude
+        edge = np.where(rise < self.ramp, rise, self.t_stop - t)
+        g = np.where(edge < self.ramp,
+                     self.amplitude * 0.5 * (1.0 - np.cos(np.pi * edge / self.ramp)),
+                     self.amplitude)
+        return np.where((self.t_start <= t) & (t <= self.t_stop), g, 0.0)[()]
 
 
 def cw_envelope(amplitude: float) -> RectPulse:

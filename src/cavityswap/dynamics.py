@@ -22,7 +22,13 @@ e^{-i w_B t} (b): ``lab_frame`` applies that rotation after the fact, and
 lab-frame RK4 stays only as an independent check of it.
 
 Integration is classic fixed-step RK4, chosen over adaptive stepping so
-that sweep trajectories are bit-reproducible. A constant pump with no
+that sweep trajectories are bit-reproducible. The equations are linear,
+x' = A(t) x + f(t), so one RK4 step is an affine map x_{k+1} = P_k x_k +
+q_k. ``integrate`` builds the maps of a block of steps as arrays from A
+and f at the stage times and composes them with an odd-even prefix scan
+(Blelloch, CMU-CS-90-190, 1990): the RK4 solution of a step-by-step loop,
+rounded differently, so the dt/2 rerun of ``integrate_checked`` still
+measures a genuine RK4 step-size difference. A constant pump with no
 drive has an exact solution instead (``propagate_swap``): substituting
 c = b~ e^{i(D t + phi_P)} makes the rotating-frame system time-invariant,
 
@@ -51,6 +57,10 @@ TWO_PI = 2.0 * math.pi
 
 # minimum sample points per cycle of the fastest timescale
 MIN_POINTS_PER_CYCLE = 50
+
+# RK4 steps whose maps ``integrate`` builds and composes at once: bounds
+# its working memory, not its result
+_BLOCK = 4096
 
 
 class ResolutionError(ValidationError):
@@ -225,47 +235,6 @@ def max_step(mode_a, mode_b, pump, drive=None, frame="rotating",
     return math.inf if fastest == 0.0 else TWO_PI / (points_per_cycle * fastest)
 
 
-def _make_rhs(mode_a, mode_b, pump, drive, frame):
-    ga2 = 0.5 * mode_a.gamma_total
-    gb2 = 0.5 * mode_b.gamma_total
-    phi_p = pump.phi_p
-    env = pump.envelope
-    sq_gext = math.sqrt(mode_a.gamma_ext)
-
-    if frame == "lab":
-        na = -1j * mode_a.omega - ga2
-        nb = -1j * mode_b.omega - gb2
-        wp = pump.omega_p
-    else:
-        na = complex(-ga2)
-        nb = complex(-gb2)
-        wp = detuning(pump, mode_a, mode_b)
-
-    if drive is not None:
-        damp = sq_gext * drive.amp_in
-        dw = drive.omega_d if frame == "lab" else drive.omega_d - mode_a.omega
-        dphase = drive.phase
-        d0, d1 = drive.t_start, drive.t_stop
-    else:
-        damp = 0.0
-
-    cexp = cmath.exp
-
-    def rhs(t, a, b):
-        da = na * a
-        db = nb * b
-        g = env(t)
-        if g != 0.0:
-            ph = cexp(1j * (wp * t + phi_p))
-            da += -1j * g * ph * b
-            db += -1j * g * ph.conjugate() * a
-        if damp != 0.0 and d0 <= t <= d1:
-            da += damp * cexp(-1j * (dw * t + dphase))
-        return da, db
-
-    return rhs
-
-
 def input_field(drive, mode_a, frame, t):
     """Incident field a_in at times t (array), in the integration frame."""
     if drive is None or drive.amp_in == 0.0:
@@ -292,13 +261,19 @@ def half_step_config(config: SimConfig) -> SimConfig:
                      2 * config.record_stride, config.tolerance)
 
 
-def record_times(config: SimConfig) -> np.ndarray:
-    """The times ``integrate`` records under `config`, bit for bit: every
-    `record_stride` steps plus the final point."""
-    n, dt = _steps(config)
-    k = np.arange(config.record_stride, n + 1, config.record_stride)
+def _record_steps(n: int, stride: int) -> np.ndarray:
+    """Step counts after which ``integrate`` records: every `stride` steps
+    plus the final one."""
+    k = np.arange(stride, n + 1, stride)
     if k.size == 0 or k[-1] != n:
         k = np.append(k, n)
+    return k
+
+
+def record_times(config: SimConfig) -> np.ndarray:
+    """The times ``integrate`` records under `config`, bit for bit."""
+    n, dt = _steps(config)
+    k = _record_steps(n, config.record_stride)
     return np.concatenate(([config.t_start], config.t_start + k * dt))
 
 
@@ -325,7 +300,8 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
 
     The step is shrunk (never grown) so an integer number of steps lands
     exactly on t_end. Records (t, a, b, a_out) every `record_stride` steps
-    plus the final point.
+    plus the final point. ``_rk4_maps`` builds the affine maps of `_BLOCK`
+    steps at a time and ``_scan`` composes them (see the module docstring).
     """
     mode_a, mode_b = modes
     check_mode_order(mode_a, mode_b)
@@ -336,48 +312,33 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
             f"{config.frame} frame (need dt <= {dt_max:.3e} s)")
 
     n, dt = _steps(config)
-    stride = config.record_stride
+    steps = _record_steps(n, config.record_stride)
+    t_arr = record_times(config)
+    x = np.empty((2, steps.size + 1), dtype=complex)
+    x[:, 0] = state = np.array([initial.a, initial.b], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
+        for j0 in range(0, n, _BLOCK):
+            j1 = min(j0 + _BLOCK, n)
+            maps = _rk4_maps(config.t_start + np.arange(j0, j1) * dt, dt,
+                             mode_a, mode_b, pump, drive, config.frame)
+            states = _scan(maps, state)
+            state = states[:, -1]
+            lo, hi = np.searchsorted(steps, (j0, j1), side="right")
+            x[:, 1 + lo:1 + hi] = states[:, steps[lo:hi] - j0 - 1]
+    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=0))
+    if bad.size:
+        a, b = complex(x[0, bad[0]]), complex(x[1, bad[0]])
+        raise IntegrationDivergedError(
+            f"non-finite state at t={t_arr[bad[0]]:.6e} s (a={a!r}, b={b!r})")
 
-    rhs = _make_rhs(mode_a, mode_b, pump, drive, config.frame)
-    a = complex(initial.a)
-    b = complex(initial.b)
-    t0 = config.t_start
-
-    rec_t = [t0]
-    rec_a = [a]
-    rec_b = [b]
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(n):
-        t = t0 + k * dt
-        tm = t + half
-        k1a, k1b = rhs(t, a, b)
-        k2a, k2b = rhs(tm, a + half * k1a, b + half * k1b)
-        k3a, k3b = rhs(tm, a + half * k2a, b + half * k2b)
-        k4a, k4b = rhs(t + dt, a + dt * k3a, b + dt * k3b)
-        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        if (k + 1) % stride == 0 or k + 1 == n:
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)
-                    and math.isfinite(b.real) and math.isfinite(b.imag)):
-                raise IntegrationDivergedError(
-                    f"non-finite state at t={t0 + (k + 1) * dt:.6e} s "
-                    f"(a={a!r}, b={b!r})")
-            rec_t.append(t0 + (k + 1) * dt)
-            rec_a.append(a)
-            rec_b.append(b)
-
-    t_arr = np.asarray(rec_t)
-    a_arr = np.asarray(rec_a)
-    b_arr = np.asarray(rec_b)
     a_in = input_field(drive, mode_a, config.frame, t_arr)
-    a_out = a_in - math.sqrt(mode_a.gamma_ext) * a_arr
+    a_out = a_in - math.sqrt(mode_a.gamma_ext) * x[0]
     meta = {
         "frame": config.frame,
         "dt": dt,
         "t_start": config.t_start,
         "t_end": config.t_end,
-        "record_stride": stride,
+        "record_stride": config.record_stride,
         "omega_a": mode_a.omega,
         "gamma_int_a": mode_a.gamma_int,
         "gamma_ext_a": mode_a.gamma_ext,
@@ -387,7 +348,69 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
         "omega_p": pump.omega_p,
         "phi_p": pump.phi_p,
     }
-    return TraceRecord(t_arr, a_arr, b_arr, a_out, meta)
+    return TraceRecord(t_arr, x[0], x[1], a_out, meta)
+
+
+def _rk4_maps(t, dt, mode_a, mode_b, pump, drive, frame) -> np.ndarray:
+    """The affine RK4 maps of the steps starting at the times `t`, as an
+    array M of shape (2, 3, len(t)): row r of step k gives component r of
+    x_{k+1} = M[:, :2, k] x_k + M[:, 2, k].
+
+    The classic RK4 stages run on the three columns at once: the unit
+    states (1, 0) and (0, 1) without the drive, and (0, 0) with it.
+    """
+    ga2 = 0.5 * mode_a.gamma_total
+    gb2 = 0.5 * mode_b.gamma_total
+    if frame == "lab":
+        na, nb, wp = -1j * mode_a.omega - ga2, -1j * mode_b.omega - gb2, pump.omega_p
+    else:
+        na, nb, wp = complex(-ga2), complex(-gb2), detuning(pump, mode_a, mode_b)
+    half = 0.5 * dt
+    stages = t + np.array([0.0, half, dt])[:, None]  # t, t + dt/2, t + dt
+    ph = np.exp(1j * (wp * stages + pump.phi_p))
+    g = -1j * pump.envelope(stages)
+    up, down = g * ph, g * ph.conj()  # a <- b and b <- a couplings
+    f = math.sqrt(mode_a.gamma_ext) * input_field(drive, mode_a, frame, stages)
+
+    def rhs(s, a, b):
+        da = na * a + up[s] * b
+        da[2] += f[s]
+        return da, nb * b + down[s] * a
+
+    a = np.array([[1.0], [0.0], [0.0]], dtype=complex)
+    b = np.array([[0.0], [1.0], [0.0]], dtype=complex)
+    k1a, k1b = rhs(0, a, b)
+    k2a, k2b = rhs(1, a + half * k1a, b + half * k1b)
+    k3a, k3b = rhs(1, a + half * k2a, b + half * k2b)
+    k4a, k4b = rhs(2, a + dt * k3a, b + dt * k3b)
+    sixth = dt / 6.0
+    return np.stack((a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+                     b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)))
+
+
+def _scan(maps: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """States (2, m) after each of the m affine steps `maps` from x0.
+
+    Odd-even prefix scan (Blelloch, CMU-CS-90-190): compose neighbouring
+    pairs of steps, solve the half-length problem for every second state,
+    then take one step from each of those to fill in the rest. log2(m)
+    levels of array operations and O(m) work, with no loop over steps.
+    """
+    m = maps.shape[-1]
+    even, odd = maps[..., 0::2], maps[..., 1::2]  # steps 0, 2, ... and 1, 3, ...
+    pairs = odd.shape[-1]
+    before = x0[:, None]  # the states the even steps start from
+    if pairs:
+        first = even[..., :pairs]
+        composed = odd[:, :1] * first[:1] + odd[:, 1:2] * first[1:2]
+        composed[:, 2] += odd[:, 2]
+        every_second = _scan(composed, x0)
+        before = np.concatenate((before, every_second[:, :(m - 1) // 2]), axis=1)
+    out = np.empty((2, m), dtype=complex)
+    out[:, 0::2] = even[:, 0] * before[0] + even[:, 1] * before[1] + even[:, 2]
+    if pairs:
+        out[:, 1::2] = every_second
+    return out
 
 
 def integrate_checked(initial, modes, pump, drive=None,

@@ -331,53 +331,48 @@ def _power_worker(cfg, p_dbm):
 
 
 def _sr_sequence(cfg, g, t_swap, delay, phase2) -> PulseSequence:
+    q = Quantity.of
     mode_specs = {
-        "A": {"freq": Quantity(cfg["freq_a"], "GHz", "freq"),
-              "q_int": Quantity(cfg["q_int_a"], "", "dimensionless"),
-              "q_ext": Quantity(cfg["q_ext_a"], "", "dimensionless")},
-        "B": {"freq": Quantity(cfg["freq_b"], "GHz", "freq"),
-              "t1": Quantity(cfg["t1_b"], "us", "time")},
+        "A": {"freq": q(cfg["freq_a"], "GHz"), "q_int": q(cfg["q_int_a"], ""),
+              "q_ext": q(cfg["q_ext_a"], "")},
+        "B": {"freq": q(cfg["freq_b"], "GHz"), "t1": q(cfg["t1_b"], "us")},
     }
     readout = cfg["readout_dur"]
     if readout == 0.0:
         mode_a, _ = _modes(cfg)
         readout = 5.0 / mode_a.gamma_total
 
-    def q_time(v):
-        return Quantity(v, "us", "time")
+    def swap(phase):
+        return Segment("swap", {"dur": q(t_swap, "us"), "gp": q(g, "MHz"),
+                                "delta": q(0.0, "Hz"), "phase": q(phase, "rad")})
 
     segs = (
-        Segment("load", {"dur": q_time(cfg["load_dur"]),
-                         "nbar": Quantity(cfg["nbar"], "", "dimensionless")}),
-        Segment("swap", {"dur": q_time(t_swap),
-                         "gp": Quantity(g, "MHz", "freq"),
-                         "delta": Quantity(0.0, "Hz", "freq"),
-                         "phase": Quantity(0.0, "rad", "angle")}),
-        Segment("delay", {"dur": q_time(delay)}),
-        Segment("swap", {"dur": q_time(t_swap),
-                         "gp": Quantity(g, "MHz", "freq"),
-                         "delta": Quantity(0.0, "Hz", "freq"),
-                         "phase": Quantity(phase2, "rad", "angle")}),
-        Segment("readout", {"dur": q_time(readout)}),
+        Segment("load", {"dur": q(cfg["load_dur"], "us"), "nbar": q(cfg["nbar"], "")}),
+        swap(0.0),
+        Segment("delay", {"dur": q(delay, "us")}),
+        swap(phase2),
+        Segment("readout", {"dur": q(readout, "us")}),
     )
     seq = PulseSequence(mode_specs, segs)
     validate_sequence(seq)
     return seq
 
 
-def _retrieval_worker(cfg, g, t_swap, point):
+def _retrieval_worker(cfg, g, t_swap, point, dwell=False):
     """One storage/retrieval trajectory at `point` = (delay, phase of the
-    retrieval pulse); returns demodulated readout I, Q, retrieved energy
-    and the dwell times over the correction window."""
+    retrieval pulse); returns demodulated readout I, Q and retrieved
+    energy, followed with `dwell` by the dwell times over the correction
+    window."""
     delay, phase2 = point
     seq = _sr_sequence(cfg, g, t_swap, delay, phase2)
     trace = run_sequence(seq, points_per_cycle=2 * cfg["points_per_cycle"])
     windows = seq.windows()
     readout_win = (windows[-1][1], windows[-1][2])
-    i, q, energy = demodulate(trace, trace.meta["omega_a"], readout_win)
+    readout = demodulate(trace, trace.meta["omega_a"], readout_win)
+    if not dwell:
+        return readout
     correction_win = (windows[0][2], windows[-1][1])  # load end -> readout start
-    t_a, t_b = dwell_times(trace, correction_win)
-    return i, q, energy, t_a, t_b
+    return readout + dwell_times(trace, correction_win)
 
 
 def _retrieval_oracle(cfg, g, t_swap, point):
@@ -579,12 +574,13 @@ def run_store_retrieve(cfg, outdir):
     points = [(delay, 0.0) for delay in delays]
     rel, diff = _retrieval_oracle(cfg, g, t_swap, points[len(points) // 2])
     reference = _retrieval_reference(cfg, g, t_swap, float(delays[-1]))
-    out = _pmap(partial(_retrieval_worker, cfg, g, t_swap), points, cfg["jobs"])
+    worker = partial(_retrieval_worker, cfg, g, t_swap)
+    # the shortest-delay run also gives the dwell times of eta'
+    *shortest, t_a, t_b = worker(points[0], dwell=True)
+    out = [tuple(shortest)] + _pmap(worker, points[1:], cfg["jobs"])
 
-    retrieved = np.asarray([energy for _, _, energy, _, _ in out])
+    retrieved = np.asarray([energy for _, _, energy in out])
     eta_shortest = float(retrieved[0]) / reference
-    # loss-corrected efficiency of the shortest-delay run
-    _, _, _, t_a, t_b = out[0]
     eta_prime = loss_corrected_efficiency(eta_shortest, t_a, t_b, mode_a, mode_b)
 
     rows = [(delay, energy, energy / reference)
@@ -633,7 +629,7 @@ def run_phase_sweep(cfg, outdir):
     rows = []
     iqs = []
     energies = []
-    for phase, (i, q, energy, _, _) in zip(phases, out):
+    for phase, (i, q, energy) in zip(phases, out):
         iqs.append(complex(i, q))
         energies.append(energy)
         rows.append((phase, i, q, energy))

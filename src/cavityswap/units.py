@@ -46,6 +46,14 @@ class Quantity:
     unit: str  # original unit suffix; "" for dimensionless
     kind: str  # freq | time | angle | power_dbm | dimensionless
 
+    @classmethod
+    def of(cls, value: float, unit: str) -> "Quantity":
+        """The quantity of internal-unit `value` written in `unit` ("" for
+        dimensionless); the kind follows from the unit."""
+        if unit and unit not in _UNITS:
+            raise UnitError(f"unknown unit {unit!r}")
+        return cls(value, unit, _UNITS[unit][0] if unit else "dimensionless")
+
     def render(self) -> str:
         """Format back into the token form, in the original unit."""
         return format_quantity(self.value, self.unit)

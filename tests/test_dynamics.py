@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,16 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from cavityswap import dynamics
 from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive,
-                             RectPulse, ValidationError, cw_envelope,
-                             mode_params_from_q)
-from cavityswap.dynamics import (ConvergenceError, DriveTone, ResolutionError,
+                             RaisedCosinePulse, RectPulse, ValidationError,
+                             cw_envelope, detuning, mode_params_from_q)
+from cavityswap.dynamics import (ConvergenceError, DriveTone,
+                                 IntegrationDivergedError, ResolutionError,
                                  SimConfig, SingularSteadyStateError,
-                                 TraceRecord, _make_rhs, half_step_config,
-                                 integrate, integrate_checked, max_step,
-                                 propagate_load, propagate_swap,
-                                 rabi_frequency, record_times,
-                                 reflection_spectrum)
+                                 TraceRecord, half_step_config, integrate,
+                                 integrate_checked, max_step, propagate_load,
+                                 propagate_swap, rabi_frequency,
+                                 record_times, reflection_spectrum)
 from cavityswap.sequences import parse_sequence, run_sequence_checked
 
 TWO_PI = 2.0 * math.pi
@@ -56,6 +58,46 @@ def _oracle_final_state(modes, g, delta, phi, a0, b0, t):
     ])
     u, v = expm(m * t) @ np.array([a0, b0])
     return u * np.exp(0.5j * delta * t), v * np.exp(-0.5j * delta * t)
+
+
+def _oracle_rhs(mode_a, mode_b, pump, drive, frame):
+    """The coupled-mode right-hand side of the ``cavityswap.dynamics``
+    docstring, one time and one state at a time."""
+    na = -0.5 * mode_a.gamma_total - (1j * mode_a.omega if frame == "lab" else 0.0)
+    nb = -0.5 * mode_b.gamma_total - (1j * mode_b.omega if frame == "lab" else 0.0)
+    wp = pump.omega_p if frame == "lab" else detuning(pump, mode_a, mode_b)
+    shift = 0.0 if frame == "lab" else mode_a.omega
+
+    def rhs(t, a, b):
+        coupling = -1j * float(pump.envelope(t)) * cmath.exp(1j * (wp * t + pump.phi_p))
+        da = na * a + coupling * b
+        if drive is not None and drive.t_start <= t <= drive.t_stop:
+            da += math.sqrt(mode_a.gamma_ext) * drive.amp_in * cmath.exp(
+                -1j * ((drive.omega_d - shift) * t + drive.phase))
+        return da, nb * b - coupling.conjugate() * a
+
+    return rhs
+
+
+def _scalar_rk4(initial, modes, pump, drive, config):
+    """Classic RK4, one step at a time: the oracle of the batched
+    ``integrate``. Returns the recorded a and b."""
+    rhs = _oracle_rhs(*modes, pump, drive, config.frame)
+    n, dt = dynamics._steps(config)
+    a, b = complex(initial.a), complex(initial.b)
+    rec_a, rec_b = [a], [b]
+    for k in range(n):
+        t = config.t_start + k * dt
+        k1a, k1b = rhs(t, a, b)
+        k2a, k2b = rhs(t + 0.5 * dt, a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
+        k3a, k3b = rhs(t + 0.5 * dt, a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
+        k4a, k4b = rhs(t + dt, a + dt * k3a, b + dt * k3b)
+        a = a + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        b = b + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        if (k + 1) % config.record_stride == 0 or k + 1 == n:
+            rec_a.append(a)
+            rec_b.append(b)
+    return np.array(rec_a), np.array(rec_b)
 
 
 class TestResonantSwap:
@@ -198,12 +240,18 @@ class TestIntegratorMechanics:
             calls[call]()
 
     def test_bit_reproducible(self):
+        # a ramped pump and a drive over several blocks of steps
         modes = _default_modes()
-        cfg = _rotating_cfg(GP, 1e-6, ppc=400)
+        pump = PumpDrive(OMEGA_B - OMEGA_A, 0.4, RaisedCosinePulse(GP, 0.1e-6, 2e-6, 0.3e-6))
+        drive = DriveTone(OMEGA_A + TWO_PI * 0.2e6, 1e3, 0.0, 0.5e-6, 1.5e-6)
+        cfg = SimConfig("rotating", max_step(*modes, pump, drive, points_per_cycle=2000),
+                        2.5e-6, 0.0, 3)
         init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
-        t1 = integrate(init, modes, _pump(), None, cfg)
-        t2 = integrate(init, modes, _pump(), None, cfg)
-        assert np.array_equal(t1.a, t2.a) and np.array_equal(t1.b, t2.b)
+        t1 = integrate(init, modes, pump, drive, cfg)
+        t2 = integrate(init, modes, pump, drive, cfg)
+        assert dynamics._steps(cfg)[0] > 2 * dynamics._BLOCK
+        for field in ("t", "a", "b", "a_out"):
+            assert np.array_equal(getattr(t1, field), getattr(t2, field))
 
     def test_record_grid_and_final_point(self):
         modes = _default_modes()
@@ -235,7 +283,7 @@ class TestIntegratorMechanics:
     def test_derivative_matches_hand_computed_rhs(self):
         mode_a, mode_b = _default_modes()
         state = ComplexAmplitudePair(0.3 + 0.1j, 0.2 - 0.4j, 0.0)
-        rhs = _make_rhs(mode_a, mode_b, _pump(phi=0.5), None, "rotating")
+        rhs = _oracle_rhs(mode_a, mode_b, _pump(phi=0.5), None, "rotating")
         da, db = rhs(0.0, state.a, state.b)
         expected_a = (-0.5 * mode_a.gamma_total * state.a
                       - 1j * GP * np.exp(0.5j) * state.b)
@@ -243,6 +291,93 @@ class TestIntegratorMechanics:
                       - 1j * GP * np.exp(-0.5j) * state.a)
         assert da == pytest.approx(expected_a, rel=1e-14)
         assert db == pytest.approx(expected_b, rel=1e-14)
+
+
+class TestBatchedRK4:
+    """``integrate`` composes affine step maps in blocks; it must give the
+    scalar RK4 solution up to rounding."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(frame=st.sampled_from(["rotating", "lab"]),
+           ramp=st.sampled_from([0.0, 0.2, 0.5]),
+           driven=st.booleans(),
+           steps=st.integers(1, 40),
+           stride=st.integers(1, 9),
+           t_start=st.floats(0.0, 2e-6),
+           pulse=st.tuples(st.floats(-0.3, 1.3), st.floats(-0.3, 1.3)),
+           window=st.tuples(st.floats(-0.3, 1.3), st.floats(-0.3, 1.3)),
+           g=st.floats(0.5, 8.0), delta=st.floats(-3.0, 3.0), dw=st.floats(-3.0, 3.0),
+           phases=st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI)),
+           a0=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+    @example(frame="rotating", ramp=0.0, driven=True, steps=15, stride=4, t_start=0.0,
+             pulse=(-0.1, 1.1), window=(0.25, 0.75), g=2.0, delta=0.0, dw=0.5,
+             phases=(0.0, 0.0), a0=1 + 0j)
+    @example(frame="lab", ramp=0.5, driven=True, steps=17, stride=3, t_start=1e-6,
+             pulse=(0.1, 0.9), window=(0.0, 0.5), g=5.0, delta=1.0, dw=-1.0,
+             phases=(1.0, 2.0), a0=0.3j)
+    def test_matches_scalar_rk4(self, frame, ramp, driven, steps, stride, t_start,
+                                pulse, window, g, delta, dw, phases, a0):
+        # scaled-down carriers keep the lab frame affordable; rates in MHz
+        # (angular); pulse and drive windows are fractions of the run, so
+        # their edges fall inside it or beyond either end; a block of 16
+        # steps puts 15 and 17 on both sides of a block boundary
+        modes = (ModeParams(TWO_PI * 80e6, 0.7e6, 1.3e6), ModeParams(TWO_PI * 143e6, 0.4e6))
+        omega_p = modes[1].omega - modes[0].omega + delta * _MHZ
+        tone = DriveTone(modes[0].omega + dw * _MHZ, 2e3, phases[1])
+        dt = max_step(*modes, PumpDrive(omega_p, 0.0, RectPulse(g * _MHZ)), tone, frame)
+        span = steps * dt
+        lo, hi = sorted(pulse)
+        lo, hi = t_start + lo * span, t_start + max(hi, lo + 0.05) * span
+        env = (RaisedCosinePulse(g * _MHZ, lo, hi, ramp * 0.5 * (hi - lo)) if ramp
+               else RectPulse(g * _MHZ, lo, hi))
+        pump = PumpDrive(omega_p, phases[0], env)
+        on, off = sorted(window)
+        drive = DriveTone(tone.omega_d, tone.amp_in, tone.phase, t_start + on * span,
+                          t_start + max(off, on + 0.01) * span) if driven else None
+        cfg = SimConfig(frame, dt, t_start + span, t_start, stride)
+        init = ComplexAmplitudePair(a0, 0.5j * a0, t_start)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_BLOCK", 16)
+            trace = integrate(init, modes, pump, drive, cfg)
+        a, b = _scalar_rk4(init, modes, pump, drive, cfg)
+        assert np.array_equal(trace.t, record_times(cfg))
+        peak = float(np.max(np.hypot(np.abs(a), np.abs(b))))
+        assert np.max(np.hypot(np.abs(a - trace.a), np.abs(b - trace.b))) < 1e-12 * peak
+
+    def test_matches_scalar_rk4_over_default_blocks(self):
+        # a detuned lossy swap long enough for several full blocks
+        modes = _default_modes()
+        cfg = _rotating_cfg(GP, 2e-6, TWO_PI * 0.5e6, ppc=2000, stride=7)
+        init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
+        trace = integrate(init, modes, _pump(delta=TWO_PI * 0.5e6, phi=0.3), None, cfg)
+        a, b = _scalar_rk4(init, modes, _pump(delta=TWO_PI * 0.5e6, phi=0.3), None, cfg)
+        assert dynamics._steps(cfg)[0] > 2 * dynamics._BLOCK
+        assert np.max(np.hypot(np.abs(a - trace.a), np.abs(b - trace.b))) < 1e-12
+
+
+class TestDivergence:
+    def test_integrate_names_the_first_non_finite_record(self):
+        # an overflowing drive switches on between steps 9 and 10: state 10,
+        # recorded at t_start + 10 dt, is the first non-finite one
+        mode_a, mode_b = _default_modes()
+        dt = 1e-9
+        drive = DriveTone(OMEGA_A, 1e308, 0.0, 0.5e-6 + 9.7 * dt)
+        cfg = SimConfig("rotating", dt, 0.5e-6 + 30 * dt, 0.5e-6, 2)
+        with pytest.raises(IntegrationDivergedError,
+                           match=f"non-finite state at t={record_times(cfg)[5]:.6e} s"):
+            integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.5e-6), (mode_a, mode_b),
+                      _pump(0.0), drive, cfg)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_closed_forms_refuse_non_finite_amplitudes(self):
+        modes = _default_modes()
+        with pytest.raises(IntegrationDivergedError, match="exact load"):
+            propagate_load(ComplexAmplitudePair(0j, 0j, 0.0), modes,
+                           DriveTone(OMEGA_A, 1e308), [0.0, 1e-6])
+        # |a| + |b| overflows a component a quarter of the way into the swap
+        with pytest.raises(IntegrationDivergedError, match="exact swap"):
+            propagate_swap(ComplexAmplitudePair(1.5e308 + 0j, 1.5e308j, 0.0),
+                           _lossless_modes(), GP, 0.0, 0.0, [math.pi / (4.0 * GP)])
 
 
 class TestRecordGrid:

@@ -13,7 +13,7 @@ from cavityswap.experiments import (RUNNERS, parse_config_file, resolve_config,
                                     run_chevron, run_phase_sweep,
                                     run_power_sweep, run_splitting,
                                     run_store_retrieve)
-from cavityswap.sequences import parse_sequence
+from cavityswap.sequences import emit_sequence, parse_sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -272,6 +272,38 @@ class TestStoreRetrieveRunner:
         monkeypatch.setattr(experiments, "fit_exponential_decay", broken_fit)
         with pytest.raises(ZeroDivisionError):
             run_store_retrieve(resolve_config("store_retrieve", SMALL_SR), tmp_path)
+
+
+class TestRetrievalSequence:
+    def test_unit_labels_render_the_values(self):
+        # every quantity of the built sequence reads back from its own
+        # rendering: the unit labels match the internal-unit values
+        cfg = resolve_config("store_retrieve")
+        seq = experiments._sr_sequence(cfg, TWO_PI * 1.234567e6, 0.2083e-6, 3.1e-6, 0.7)
+        back = parse_sequence(emit_sequence(seq))
+        pairs = [(seq.mode_specs[m], back.mode_specs[m]) for m in "AB"]
+        pairs += [(s.params, r.params) for s, r in zip(seq.segments, back.segments)]
+        for built, read in pairs:
+            assert built.keys() == read.keys()
+            for key in built:
+                assert read[key].kind == built[key].kind
+                assert read[key].value == pytest.approx(built[key].value, rel=1e-11)
+
+    @pytest.mark.parametrize("runner,small,calls", [("store_retrieve", SMALL_SR, 1),
+                                                    ("phase_sweep", SMALL_PHASE, 0)])
+    def test_dwell_times_only_where_read(self, tmp_path, monkeypatch, runner, small, calls):
+        # eta' of store_retrieve reads the shortest delay's dwell times;
+        # phase_sweep reads none
+        counted = []
+        dwell_times = experiments.dwell_times
+
+        def counting(*args):
+            counted.append(1)
+            return dwell_times(*args)
+
+        monkeypatch.setattr(experiments, "dwell_times", counting)
+        RUNNERS[runner](resolve_config(runner, small), tmp_path)
+        assert len(counted) == calls
 
 
 class TestSequenceOracle:

@@ -57,6 +57,15 @@ class TestFormatting:
         assert q.render() == "8.7GHz"
         assert parse_quantity(q.render()) == q
 
+    def test_of_takes_the_kind_from_the_unit(self):
+        for value, unit, kind, token in [(TWO_PI * 8.7e9, "GHz", "freq", "8.7GHz"),
+                                         (20e-6, "us", "time", "20us"),
+                                         (900e3, "", "dimensionless", "900000")]:
+            q = Quantity.of(value, unit)
+            assert (q.value, q.kind, q.render()) == (value, kind, token)
+        with pytest.raises(UnitError, match="unknown unit"):
+            Quantity.of(1.0, "parsec")
+
     def test_si_to_unit_inverts_scale(self):
         assert si_to_unit(TWO_PI * 1.2e6, "MHz") == pytest.approx(1.2, rel=1e-15)
         assert si_to_unit(2e-6, "us") == pytest.approx(2.0, rel=1e-15)
