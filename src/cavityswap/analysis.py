@@ -1,7 +1,8 @@
 """Extraction of derived quantities from simulated traces.
 
 Covers the swap-oscillation frequency (FFT peak with quadratic
-refinement), exponential energy-decay fits, the dwell times and
+refinement, zero-padded to the smallest 2^i 3^j 5^k length of at least
+8x the series), exponential energy-decay fits, the dwell times and
 loss-corrected storage/retrieval efficiency, and the pump-phase response
 slope.
 """
@@ -44,12 +45,32 @@ class FitResult:
             raise ValidationError("residual_rms must be >= 0")
 
 
+def fft_length(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= `n`: a length the FFT factors into small
+    radices (Frigo & Johnson, Proc. IEEE 93, 216, 2005)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < n:
+            # p35 times the least power of two that reaches n
+            m = p35 << ((n - 1) // p35).bit_length()
+            if m < best:
+                best = m
+            p35 *= 3
+        if p35 < best:
+            best = p35
+        p5 *= 5
+    return best
+
+
 def oscillation_frequency(series, dt: float) -> float:
     """Dominant oscillation frequency (rad/s) of a uniformly sampled series.
 
     Removes the mean and linear ramp, normalizes, applies a Hann window,
-    zero-pads 8x, and refines the spectral peak by quadratic interpolation
-    of the log magnitudes of the three bins around it.
+    zero-pads to ``fft_length(8 n)`` samples, and refines the spectral peak
+    by quadratic interpolation of the log magnitudes of the three bins
+    around it (Gasior & Gonzalez, AIP Conf. Proc. 732, 276, 2004).
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 16:
@@ -66,7 +87,7 @@ def oscillation_frequency(series, dt: float) -> float:
         raise NoOscillationError("series is constant after detrending")
     x = x / peak_amp  # scale invariance: result is independent of amplitude
 
-    nfft = 8 * n
+    nfft = fft_length(8 * n)
     mag = np.abs(np.fft.rfft(x * np.hanning(n), nfft))
     k = int(np.argmax(mag[1:-1])) + 1
     if mag[k] == 0.0:

@@ -62,6 +62,10 @@ MIN_POINTS_PER_CYCLE = 50
 # its working memory, not its result
 _BLOCK = 4096
 
+# CSV rows formatted by one ``%`` in ``write_columns``: bounds the template
+# and each write, not the text
+_CSV_BLOCK = 4096
+
 
 class ResolutionError(ValidationError):
     """Integrator step too large for the fastest timescale in this frame."""
@@ -154,14 +158,10 @@ class TraceRecord:
     def to_csv(self, path):
         """Write data columns to `path` (cells as ``%.17g``) and metadata to
         `<path>.meta`."""
-        cols = np.column_stack([
-            self.t, self.a.real, self.a.imag, self.b.real, self.b.imag,
-            self.a_out.real, self.a_out.imag,
-        ])
-        row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write("t_s,re_a,im_a,re_b,im_b,re_aout,im_aout\n")
-            fh.write("".join([row % tuple(r) for r in cols.tolist()]))
+            write_columns(fh, [self.t, self.a.real, self.a.imag, self.b.real,
+                               self.b.imag, self.a_out.real, self.a_out.imag])
         with open(f"{path}.meta", "w") as fh:
             for key in sorted(self.meta):
                 fh.write(f"{key} = {self.meta[key]}\n")
@@ -182,6 +182,39 @@ class TraceRecord:
         return cls(data[:, 0], data[:, 1] + 1j * data[:, 2],
                    data[:, 3] + 1j * data[:, 4], data[:, 5] + 1j * data[:, 6],
                    meta)
+
+
+def _csv_blocks(columns):
+    """The CSV rows of equal-length `columns`, ``_CSV_BLOCK`` rows to a
+    string: a column of str cells (a str or object array, or a list) as it
+    is, any other as float ``%.17g``."""
+    cols = []
+    for col in columns:
+        arr = np.asarray(col)
+        cols.append(arr if arr.dtype.kind in "OU" else arr.astype(float, copy=False))
+    n = len(cols[0])
+    if any(len(col) != n for col in cols):
+        raise ValidationError("CSV columns must have equal lengths")
+    width = len(cols)
+    row = ",".join("%s" if col.dtype.kind in "OU" else "%.17g" for col in cols) + "\n"
+    for lo in range(0, n, _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, n)
+        cells = [None] * ((hi - lo) * width)
+        for k, col in enumerate(cols):
+            cells[k::width] = col[lo:hi].tolist()
+        yield row * (hi - lo) % tuple(cells)
+
+
+def write_columns(fh, columns):
+    """Write equal-length `columns` to the text file `fh` as CSV rows."""
+    fh.writelines(_csv_blocks(columns))
+
+
+def format_cells(values) -> np.ndarray:
+    """The ``%.17g`` cells of `values` as an object array of str: a sweep
+    axis is formatted once, and ``np.repeat``/``np.tile`` of the result make
+    a str column that holds references to these strings, not copies."""
+    return np.array("".join(_csv_blocks([values])).splitlines(), dtype=object)
 
 
 def _meta_value(text: str):

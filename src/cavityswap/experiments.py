@@ -25,8 +25,8 @@ from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse,
                    ValidationError, check_mode_order, cw_envelope,
                    mode_params_from_q)
 from .dynamics import (SimConfig, TraceRecord, check_exact, exact_segment,
-                       half_step_config, integrate_checked, lab_frame,
-                       max_step, reflection_spectrum)
+                       format_cells, half_step_config, integrate_checked,
+                       lab_frame, max_step, reflection_spectrum, write_columns)
 from .sequences import (PulseSequence, Segment, calibrate_swap_time,
                         demodulate, parse_sequence, run_sequence,
                         run_sequence_checked, validate_sequence, without_swaps)
@@ -214,21 +214,14 @@ def _pmap(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _write_csv(path, meta_lines, colnames, rows):
-    """Write tuple `rows` under a ``#`` header block: numeric cells as
-    ``%.17g``, str cells as they are."""
-    numeric = ",".join(["%.17g"] * len(colnames)) + "\n"
+def _write_csv(path, meta_lines, colnames, columns):
+    """Write equal-length `columns` under a ``#`` header block: a float
+    column as ``%.17g`` cells, a str column as it is."""
     with open(path, "w") as fh:
         for line in meta_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(colnames) + "\n")
-        for row in rows:
-            try:
-                line = numeric % row
-            except TypeError:  # a str cell: format this row cell by cell
-                line = ",".join("%s" if isinstance(v, str) else "%.17g"
-                                for v in row) % row + "\n"
-            fh.write(line)
+        write_columns(fh, columns)
 
 
 def _write_report(outdir, runner, cfg, results):
@@ -423,21 +416,19 @@ def run_splitting(cfg, outdir):
     pump_deltas = np.linspace(-0.5, 0.5, cfg["pump_count"]) * cfg["pump_span"]
     diff = abs(mode_a.omega - mode_b.omega)
 
-    rows = []
-    center_mag = None
-    k_center = int(np.argmin(np.abs(pump_deltas)))
+    mags = np.empty((pump_deltas.size, probes.size))
     for k, delta in enumerate(pump_deltas):
         pump = PumpDrive(diff + delta, 0.0, cw_envelope(g))
-        gam = reflection_spectrum(mode_a, mode_b, pump, probes)
-        mag = np.abs(gam)
-        if k == k_center:
-            center_mag = mag
-        for w, m in zip(probes, mag):
-            rows.append((delta / TWO_PI, (w - mode_a.omega) / TWO_PI, m))
+        mags[k] = np.abs(reflection_spectrum(mode_a, mode_b, pump, probes))
+    # pump-major rows; each axis value is formatted once
     _write_csv(os.path.join(outdir, "spectrum.csv"),
                [f"runner = splitting", f"gp_hz = {g / TWO_PI:.12g}"],
-               ["pump_detuning_hz", "probe_offset_hz", "reflection_abs"], rows)
+               ["pump_detuning_hz", "probe_offset_hz", "reflection_abs"],
+               [np.repeat(format_cells(pump_deltas / TWO_PI), probes.size),
+                np.tile(format_cells((probes - mode_a.omega) / TWO_PI), pump_deltas.size),
+                mags.ravel()])
 
+    center_mag = mags[int(np.argmin(np.abs(pump_deltas)))]
     separation = _dip_separation(probes, center_mag)
     results = {
         "gp_hz": g / TWO_PI,
@@ -483,22 +474,20 @@ def run_chevron(cfg, outdir):
     rel, diff = _swap_oracle(cfg, g, deltas[len(deltas) // 2], t_end,
                              math.sqrt(cfg["nbar"]))
 
-    map_rows = []
-    ridge_rows = []
-    omega_es = []
-    for delta, (ea, dt_rec, omega_e) in zip(deltas, out):
-        omega_es.append(omega_e)
-        ridge_rows.append((delta / TWO_PI, omega_e / TWO_PI))
-        for k, e in enumerate(ea):
-            map_rows.append((delta / TWO_PI, k * dt_rec, e))
+    eas, dts, omega_es = zip(*out)
+    omega_es = np.asarray(omega_es)
+    # detuning-major rows; each detuning is formatted once
+    detunings = format_cells(deltas / TWO_PI)
     _write_csv(os.path.join(outdir, "chevron_map.csv"),
                ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
-               ["pump_detuning_hz", "t_s", "energy_a"], map_rows)
+               ["pump_detuning_hz", "t_s", "energy_a"],
+               [np.repeat(detunings, [ea.size for ea in eas]),
+                np.concatenate([np.arange(ea.size) * dt for ea, dt in zip(eas, dts)]),
+                np.concatenate(eas)])
     _write_csv(os.path.join(outdir, "chevron_ridge.csv"),
                ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
-               ["pump_detuning_hz", "oscillation_hz"], ridge_rows)
+               ["pump_detuning_hz", "oscillation_hz"], [detunings, omega_es / TWO_PI])
 
-    omega_es = np.asarray(omega_es)
     # sqrt(D^2 + 4 g^2) model: linear least squares for g^2
     g_fit_sq = float(np.mean(omega_es**2 - deltas**2)) / 4.0
     g_fit = math.sqrt(max(g_fit_sq, 0.0))
@@ -527,28 +516,20 @@ def run_power_sweep(cfg, outdir):
     g_mid, t_mid = _power_point(cfg, powers[len(powers) // 2])
     rel, diff = _swap_oracle(cfg, g_mid, 0.0, t_mid, 1.0) if t_mid else (0.0, 0.0)
 
-    rows = []
-    amps = []
-    g_ext = []
-    n_silent = 0
-    for p, (g_true, omega_e) in zip(powers, out):
-        amp = math.sqrt(10.0 ** (p / 10.0))
-        if omega_e is None:
-            n_silent += 1
-            rows.append((p, amp, g_true / TWO_PI, "no_oscillation"))
-            continue
-        rows.append((p, amp, g_true / TWO_PI, f"{omega_e / (2.0 * TWO_PI):.17g}"))
-        amps.append(amp)
-        g_ext.append(omega_e / 2.0)
+    amps = np.array([math.sqrt(10.0 ** (p / 10.0)) for p in powers])
+    g_true = np.array([g for g, _ in out])
+    omega_es = np.array([math.nan if w is None else w for _, w in out])
+    found = ~np.isnan(omega_es)
     _write_csv(os.path.join(outdir, "power_sweep.csv"),
                ["runner = power_sweep"],
                ["power_dbm", "amp_sqrt_mw", "gp_flux_model_hz", "gp_extracted_hz"],
-               rows)
+               [powers, amps, g_true / TWO_PI,
+                np.where(found, format_cells(omega_es / (2.0 * TWO_PI)), "no_oscillation")])
 
-    amps = np.asarray(amps)
-    g_ext = np.asarray(g_ext)
+    amps = amps[found]
+    g_ext = omega_es[found] / 2.0
     results = {"convergence_rel_diff": rel, "exact_rk4_max_diff": diff,
-               "points_no_oscillation": n_silent}
+               "points_no_oscillation": int(np.sum(~found))}
     if amps.size >= 2:
         slope, intercept = np.polyfit(amps, g_ext, 1)
         pred = slope * amps + intercept
@@ -583,12 +564,11 @@ def run_store_retrieve(cfg, outdir):
     eta_shortest = float(retrieved[0]) / reference
     eta_prime = loss_corrected_efficiency(eta_shortest, t_a, t_b, mode_a, mode_b)
 
-    rows = [(delay, energy, energy / reference)
-            for delay, energy in zip(delays, retrieved)]
     _write_csv(os.path.join(outdir, "store_retrieve.csv"),
                ["runner = store_retrieve", f"gp_hz = {g / TWO_PI:.12g}",
                 f"t_swap_s = {t_swap:.12g}", f"reference = {reference:.12g}"],
-               ["delay_s", "retrieved_energy", "eta"], rows)
+               ["delay_s", "retrieved_energy", "eta"],
+               [delays, retrieved, retrieved / reference])
 
     results = {
         "gp_hz": g / TWO_PI,
@@ -626,20 +606,13 @@ def run_phase_sweep(cfg, outdir):
     reference = _retrieval_reference(cfg, g, t_swap, delay)
     out = _pmap(partial(_retrieval_worker, cfg, g, t_swap), points, cfg["jobs"])
 
-    rows = []
-    iqs = []
-    energies = []
-    for phase, (i, q, energy) in zip(phases, out):
-        iqs.append(complex(i, q))
-        energies.append(energy)
-        rows.append((phase, i, q, energy))
+    i, q, energies = (np.asarray(col) for col in zip(*out))
     _write_csv(os.path.join(outdir, "phase_sweep.csv"),
                ["runner = phase_sweep", f"gp_hz = {g / TWO_PI:.12g}",
                 f"t_swap_s = {t_swap:.12g}", f"reference = {reference:.12g}"],
-               ["pump_phase_rad", "i", "q", "energy"], rows)
+               ["pump_phase_rad", "i", "q", "energy"], [phases, i, q, energies])
 
-    iqs = np.asarray(iqs)
-    energies = np.asarray(energies)
+    iqs = np.array([complex(*iq) for iq in zip(i, q)])
     eta = float(np.mean(energies)) / reference
     mags = np.abs(iqs)
     fit = fit_phase_slope(phases, np.angle(iqs))

@@ -63,19 +63,23 @@ def parse_quantity(token: str) -> Quantity:
     """Parse a ``<number><unit>`` token into internal units.
 
     A bare number (no suffix) is dimensionless. Raises UnitError on
-    malformed numbers or unknown suffixes.
+    malformed numbers, unknown suffixes, and numbers that overflow to inf
+    as written (``1e999``) or once scaled to internal units (``1e300GHz``).
     """
     m = _NUM_RE.match(token)
     if m is None or m.start() != 0:
         raise UnitError(f"malformed numeric value {token!r}")
     suffix = token[m.end():]
-    number = float(m.group(0))
     if suffix == "":
-        return Quantity(number, "", "dimensionless")
-    if suffix not in _UNITS:
+        kind, scale = "dimensionless", 1.0
+    elif suffix in _UNITS:
+        kind, scale = _UNITS[suffix]
+    else:
         raise UnitError(f"unknown unit {suffix!r} in {token!r}")
-    kind, scale = _UNITS[suffix]
-    return Quantity(number * scale, suffix, kind)
+    value = float(m.group(0)) * scale
+    if not math.isfinite(value):
+        raise UnitError(f"numeric value {token!r} is out of range")
+    return Quantity(value, suffix, kind)
 
 
 def si_to_unit(value: float, unit: str) -> float:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cavityswap.analysis import (DegenerateFitError, FitConvergenceError,
                                  NoOscillationError, dwell_times,
                                  fit_exponential_decay, fit_phase_slope,
-                                 loss_corrected_efficiency,
+                                 fft_length, loss_corrected_efficiency,
                                  oscillation_frequency)
 from cavityswap.core import ModeParams, ValidationError
 from cavityswap.dynamics import TraceRecord
@@ -66,6 +66,47 @@ class TestOscillationFrequency:
         s, dt = self._series(freq, phase=phase)
         assert oscillation_frequency(s, dt) == pytest.approx(TWO_PI * freq,
                                                              rel=1e-4)
+
+
+def _oscillation_frequency_8n(series, dt):
+    """The estimator as it was with the FFT zero-padded to exactly 8 n
+    samples: the oracle of the smooth-length one."""
+    x = np.asarray(series, dtype=float)
+    n = x.size
+    t = np.arange(n, dtype=float)
+    x = x - np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyfit(t, x, 1))
+    x = x / np.max(np.abs(x))
+    nfft = 8 * n
+    mag = np.abs(np.fft.rfft(x * np.hanning(n), nfft))
+    k = int(np.argmax(mag[1:-1])) + 1
+    la, lb, lc = np.log(mag[k - 1]), np.log(mag[k]), np.log(mag[k + 1])
+    denom = la - 2.0 * lb + lc
+    shift = 0.0 if denom == 0.0 else 0.5 * (la - lc) / denom
+    shift = min(max(shift, -0.5), 0.5)
+    return TWO_PI * (k + shift) / (nfft * dt)
+
+
+class TestFftLength:
+    def test_smallest_5_smooth_length_by_brute_force(self):
+        smooth = np.unique([2**i * 3**j * 5**k for i in range(18) for j in range(12)
+                            for k in range(8)])
+        n = np.arange(1, 10**5 + 1)
+        expected = smooth[np.searchsorted(smooth, n)]
+        assert [fft_length(m) for m in range(1, 10**5 + 1)] == expected.tolist()
+
+    # chevron's default series (8n = 2^3 3^2 569), rk4_sweep's (2^4 2447),
+    # power_sweep's (2^3 17 353)
+    @pytest.mark.parametrize("n", [5121, 4894, 6001])
+    def test_matches_the_8n_estimator(self, n):
+        g = TWO_PI * 1.2e6
+        dt = 8e-6 / 5120
+        t = np.arange(n) * dt
+        for delta in TWO_PI * np.linspace(-4e6, 4e6, 17):
+            w = math.sqrt(delta**2 + 4.0 * g**2)
+            # lossless occupancy of the readout mode under a detuned swap
+            frac = 1.0 - (2.0 * g / w) ** 2 * np.sin(0.5 * w * t) ** 2
+            assert oscillation_frequency(frac, dt) == pytest.approx(
+                _oscillation_frequency_8n(frac, dt), rel=1e-5)
 
 
 class TestExponentialDecayFit:

@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cavityswap import experiments, fluxmap, sequences
+from cavityswap import dynamics, experiments, fluxmap, sequences
 from cavityswap.cli import main
 from cavityswap.core import (ComplexAmplitudePair, PumpDrive, RectPulse,
-                             ValidationError)
-from cavityswap.dynamics import SimConfig, TraceRecord, integrate_checked
+                             ValidationError, cw_envelope)
+from cavityswap.dynamics import (SimConfig, TraceRecord, integrate_checked,
+                                 reflection_spectrum)
 from cavityswap.experiments import (RUNNERS, parse_config_file, resolve_config,
                                     run_chevron, run_phase_sweep,
                                     run_power_sweep, run_splitting,
@@ -222,19 +225,98 @@ class TestExactSweepsMatchRk4:
         assert 0.0 < results["exact_rk4_max_diff"] < 1e-8
 
 
+def _per_cell_text(columns):
+    """The CSV rows of `columns` formatted cell by cell: the writer's oracle."""
+    return "".join(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n"
+                   for row in zip(*columns))
+
+
+_SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300]
+
+
 class TestCsvWriter:
     def test_matches_per_cell_formatting(self, tmp_path):
-        rows = [
-            (1, -0.0, float("inf"), "no_oscillation"),
-            (np.float64(0.1), np.int64(-7), float("nan"), 1e300),
-            (np.float32(0.1), 2**60, -float("inf"), "1.25"),
-            (True, 5e-324, np.float64(-2.5e-17), np.int32(3)),
+        columns = [
+            [1, np.float64(0.1), np.float32(0.1), True],
+            [-0.0, np.int64(-7), 2**60, 5e-324],
+            [float("inf"), float("nan"), -float("inf"), np.float64(-2.5e-17)],
+            ["no_oscillation", "1.25", "no_oscillation", "1.25"],
+            [1e300, np.int32(3), 1e300, np.int32(3)],
         ]
-        experiments._write_csv(tmp_path / "out.csv", ["a = 1"], ["w", "x", "y", "z"], rows)
-        expected = "# a = 1\nw,x,y,z\n" + "".join(
-            ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n"
-            for row in rows)
+        experiments._write_csv(tmp_path / "out.csv", ["a = 1"], ["v", "w", "x", "y", "z"],
+                               columns)
+        expected = "# a = 1\nv,w,x,y,z\n" + _per_cell_text(columns)
         assert (tmp_path / "out.csv").read_text() == expected
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="equal lengths"):
+            experiments._write_csv(tmp_path / "out.csv", [], ["x", "y"], [[1.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 11])  # around and across a block of 4
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_blocks_match_per_cell_formatting(self, tmp_path, monkeypatch, n, data):
+        monkeypatch.setattr(dynamics, "_CSV_BLOCK", 4)
+        floats = st.sampled_from(_SPECIAL_FLOATS) | st.floats()
+        words = st.text(alphabet="abz019.+-e_ ", max_size=6)
+        columns = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                col = data.draw(st.lists(floats, min_size=n, max_size=n))
+                assert list(dynamics.format_cells(col)) == [f"{v:.17g}" for v in col]
+                columns.append(np.array(col) if data.draw(st.booleans()) else col)
+            else:
+                columns.append(data.draw(st.lists(words, min_size=n, max_size=n)))
+        path = tmp_path / "out.csv"
+        experiments._write_csv(path, [], [f"c{k}" for k in range(len(columns))], columns)
+        header = ",".join(f"c{k}" for k in range(len(columns))) + "\n"
+        assert path.read_text() == header + _per_cell_text(columns)
+
+
+def _data_text(path):
+    """The rows of a runner CSV, without its header block and column names."""
+    lines = [line for line in path.read_text().splitlines(keepends=True)
+             if not line.startswith("#")]
+    return "".join(lines[1:])
+
+
+class TestAxisColumns:
+    """The runners format each sweep-axis value once; their CSVs must equal
+    the text of the former per-row loop over the same data."""
+
+    def test_splitting(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CSV_BLOCK", 100)
+        cfg = resolve_config("splitting", SMALL_SPLITTING)
+        run_splitting(cfg, tmp_path)
+        mode_a, mode_b = experiments._modes(cfg)
+        g = experiments._resolve_gp(cfg)
+        probes = mode_a.omega + np.linspace(-0.5, 0.5, cfg["probe_count"]) * cfg["probe_span"]
+        pump_deltas = np.linspace(-0.5, 0.5, cfg["pump_count"]) * cfg["pump_span"]
+        diff = abs(mode_a.omega - mode_b.omega)
+        rows = []
+        for delta in pump_deltas:
+            pump = PumpDrive(diff + delta, 0.0, cw_envelope(g))
+            mag = np.abs(reflection_spectrum(mode_a, mode_b, pump, probes))
+            for w, m in zip(probes, mag):
+                rows.append("%.17g,%.17g,%.17g\n" % (delta / TWO_PI, (w - mode_a.omega) / TWO_PI, m))
+        assert _data_text(tmp_path / "spectrum.csv") == "".join(rows)
+
+    def test_chevron(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CSV_BLOCK", 1000)
+        cfg = resolve_config("chevron", SMALL_CHEVRON)
+        run_chevron(cfg, tmp_path)
+        g = experiments._resolve_gp(cfg)
+        deltas = np.linspace(-0.5, 0.5, cfg["delta_count"]) * cfg["delta_span"]
+        map_rows = []
+        ridge_rows = []
+        for delta in deltas:
+            ea, dt_rec, omega_e = experiments._chevron_worker(cfg, cfg["t_end"], g, delta)
+            ridge_rows.append("%.17g,%.17g\n" % (delta / TWO_PI, omega_e / TWO_PI))
+            for k, e in enumerate(ea):
+                map_rows.append("%.17g,%.17g,%.17g\n" % (delta / TWO_PI, k * dt_rec, e))
+        assert _data_text(tmp_path / "chevron_map.csv") == "".join(map_rows)
+        assert _data_text(tmp_path / "chevron_ridge.csv") == "".join(ridge_rows)
 
 
 class TestStoreRetrieveRunner:
@@ -453,10 +535,20 @@ class TestCli:
         ("power_sweep", "frame = lab"),
         ("store_retrieve", "frame = lab"),
         ("phase_sweep", "frame = lab"),
+        # numbers that overflow to inf (a "seg" line goes to the sequence file)
+        ("chevron", "gp = 1e999MHz"),
+        ("chevron", "t_end = 1e999us"),
+        ("chevron", "delta_count = 1e999"),
+        ("store_retrieve", "delay_stop = 1e999us"),
+        ("custom_sequence", "seg delay dur=1e999us"),
     ])
     def test_refused_config_values_exit_2(self, tmp_path, capsys, runner, line):
         seq = tmp_path / "seq.txt"
-        seq.write_text(SEQ)
+        if line.startswith("seg "):
+            seq.write_text(SEQ + line + "\n")
+            line = ""
+        else:
+            seq.write_text(SEQ)
         cfg = tmp_path / "cfg.txt"
         extra = f"sequence = {seq}\n" if runner == "custom_sequence" else ""
         cfg.write_text(f"{line}\n{extra}")

@@ -13,7 +13,8 @@ import sys
 sys.modules["scipy"] = None
 import cavityswap, cavityswap.cli
 runs = [("splitting", "probe_count = 201\\npump_count = 3\\n"),
-        ("store_retrieve", "delay_count = 4\\ndelay_stop = 16us\\n")]
+        ("store_retrieve", "delay_count = 4\\ndelay_stop = 16us\\n"),
+        ("chevron", "delta_count = 3\\nt_end = 0.5us\\n")]
 for runner, text in runs:
     cfg = f"{runner}.cfg"
     with open(cfg, "w") as fh:
@@ -35,3 +36,4 @@ def test_runners_need_no_scipy(tmp_path):
     assert out.stdout.strip().endswith("ok")
     assert (tmp_path / "splitting" / "spectrum.csv").exists()
     assert (tmp_path / "store_retrieve" / "store_retrieve.csv").exists()
+    assert (tmp_path / "chevron" / "chevron_map.csv").exists()

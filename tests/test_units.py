@@ -45,6 +45,18 @@ class TestParseQuantity:
         with pytest.raises(UnitError, match="unknown unit"):
             parse_quantity("3mm")
 
+    @pytest.mark.parametrize("token", ["1e999", "-1e999", "1e999us", "1e999MHz",
+                                       "1e300GHz", "-1e300GHz", "1e400dBm"])
+    def test_overflowing_numbers_raise(self, token):
+        # inf as written, or once scaled to internal units
+        with pytest.raises(UnitError, match="out of range"):
+            parse_quantity(token)
+
+    def test_largest_finite_values_parse(self):
+        assert parse_quantity("1e308").value == 1e308
+        assert parse_quantity("1e300MHz").value == pytest.approx(TWO_PI * 1e306)
+        assert parse_quantity("1e-999us").value == 0.0
+
     def test_case_sensitive_units(self):
         # 'mhz' is not a unit; suffix matching must be exact
         with pytest.raises(UnitError):
