@@ -27,7 +27,7 @@ for delta_mhz in np.linspace(-4.0, 4.0, 9):
     pump = PumpDrive(mode_b.omega - mode_a.omega + delta, 0.0,
                      RectPulse(g_p, -1.0, 1.0))
     omega_fast = rabi_frequency(delta, g_p)
-    cfg = SimConfig("rotating", TWO_PI / (800 * omega_fast), t_end, 0.0, 8)
+    cfg = SimConfig(TWO_PI / (800 * omega_fast), t_end, 0.0, 8)
     trace = integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.0),
                       (mode_a, mode_b), pump, None, cfg)
     # occupancy fraction divides out the overall decay

@@ -33,8 +33,9 @@ class ModeParams:
     def __post_init__(self):
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValidationError(f"omega must be positive and finite, got {self.omega}")
-        if self.gamma_int < 0.0 or self.gamma_ext < 0.0:
-            raise ValidationError("dissipation rates must be non-negative")
+        for name, rate in (("gamma_int", self.gamma_int), ("gamma_ext", self.gamma_ext)):
+            if not (rate >= 0.0 and math.isfinite(rate)):
+                raise ValidationError(f"{name} must be non-negative and finite, got {rate}")
 
     @property
     def gamma_total(self) -> float:

@@ -1,13 +1,13 @@
 """Coupled-mode integration and steady-state reflection.
 
-The lab frame integrates the coupled-mode equations of motion directly
-(plus an input drive term on the readout port):
+In the lab frame the coupled-mode equations of motion read (plus an input
+drive term on the readout port):
 
     da/dt = -i(w_A - i g_A/2) a - i g_P(t) e^{+i(w_P t + phi_P)} b + sqrt(g_ext) a_in(t)
     db/dt = -i(w_B - i g_B/2) b - i g_P(t) e^{-i(w_P t + phi_P)} a
 
-The rotating frame rotates each mode at its own natural frequency, which
-leaves only the slow envelopes:
+Everything here integrates them in the rotating frame, which rotates each
+mode at its own natural frequency and leaves only the slow envelopes:
 
     da~/dt = -(g_A/2) a~ - i g_P(t) e^{+i(D t + phi_P)} b~ + drive
     db~/dt = -(g_B/2) b~ - i g_P(t) e^{-i(D t + phi_P)} a~
@@ -18,8 +18,7 @@ A). The output field at the readout port is a_out = a_in - sqrt(g_ext) a
 
 Both frames hold the same rotating-wave equations, so a lab-frame trace is
 exactly the rotating-frame one times e^{-i w_A t} (a, a_out) and
-e^{-i w_B t} (b): ``lab_frame`` applies that rotation after the fact, and
-lab-frame RK4 stays only as an independent check of it.
+e^{-i w_B t} (b): ``lab_frame`` applies that rotation after the fact.
 
 Integration is classic fixed-step RK4, chosen over adaptive stepping so
 that sweep trajectories are bit-reproducible. The equations are linear,
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,7 +67,7 @@ _CSV_BLOCK = 4096
 
 
 class ResolutionError(ValidationError):
-    """Integrator step too large for the fastest timescale in this frame."""
+    """Integrator step too large for the fastest rotating-frame timescale."""
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -110,7 +109,6 @@ class DriveTone:
 
 @dataclass(frozen=True)
 class SimConfig:
-    frame: str = "rotating"  # "lab" or "rotating"
     dt: float = 1e-9
     t_end: float = 1e-6
     t_start: float = 0.0
@@ -118,8 +116,6 @@ class SimConfig:
     tolerance: float = 1e-6  # half-step self-convergence target
 
     def __post_init__(self):
-        if self.frame not in ("lab", "rotating"):
-            raise ValidationError(f"unknown frame {self.frame!r}")
         if not self.dt > 0.0:
             raise ValidationError("dt must be positive")
         if not self.t_end > self.t_start:
@@ -245,34 +241,28 @@ def rabi_frequency(delta: float, g_p: float) -> float:
     return math.sqrt(delta * delta + 4.0 * g_p * g_p)
 
 
-def max_step(mode_a, mode_b, pump, drive=None, frame="rotating",
+def max_step(mode_a, mode_b, pump, drive=None,
              points_per_cycle=MIN_POINTS_PER_CYCLE) -> float:
     """Largest RK4 step that spends `points_per_cycle` steps on one cycle of
-    the fastest rate of this system in the given frame (inf if none).
+    the fastest rotating-frame rate of this system (inf if none).
 
-    The rotating-frame fastest rate is max(sqrt(D^2 + 4 g_P^2), gamma_A,
-    gamma_B, |w_d - w_A|): the swap frequency at the peak pump amplitude,
-    the losses and the drive offset. The lab frame adds the carriers.
+    That rate is max(sqrt(D^2 + 4 g_P^2), gamma_A, gamma_B, |w_d - w_A|):
+    the swap frequency at the peak pump amplitude, the losses and the
+    drive offset.
     """
-    rates = [mode_a.gamma_total, mode_b.gamma_total]
-    if frame == "lab":
-        rates += [mode_a.omega, mode_b.omega, pump.omega_p]
-        if drive is not None:
-            rates.append(drive.omega_d)
-    else:
-        rates.append(rabi_frequency(detuning(pump, mode_a, mode_b),
-                                    pump.envelope.max_amplitude))
-        if drive is not None:
-            rates.append(abs(drive.omega_d - mode_a.omega))
+    rates = [mode_a.gamma_total, mode_b.gamma_total,
+             rabi_frequency(detuning(pump, mode_a, mode_b), pump.envelope.max_amplitude)]
+    if drive is not None:
+        rates.append(abs(drive.omega_d - mode_a.omega))
     fastest = max(rates)
     return math.inf if fastest == 0.0 else TWO_PI / (points_per_cycle * fastest)
 
 
-def input_field(drive, mode_a, frame, t):
-    """Incident field a_in at times t (array), in the integration frame."""
+def input_field(drive, mode_a, t):
+    """Incident field a_in at times t (array), in the rotating frame."""
     if drive is None or drive.amp_in == 0.0:
         return np.zeros_like(t, dtype=complex)
-    dw = drive.omega_d if frame == "lab" else drive.omega_d - mode_a.omega
+    dw = drive.omega_d - mode_a.omega
     field_vals = drive.amp_in * np.exp(-1j * (dw * t + drive.phase))
     mask = (t >= drive.t_start) & (t <= drive.t_stop)
     return np.where(mask, field_vals, 0.0 + 0.0j)
@@ -290,8 +280,7 @@ def half_step_config(config: SimConfig) -> SimConfig:
     """The dt/2 run ``integrate_checked`` compares against (and returns),
     recording at twice the stride so it keeps the same record times."""
     _, dt = _steps(config)
-    return SimConfig(config.frame, 0.5 * dt, config.t_end, config.t_start,
-                     2 * config.record_stride, config.tolerance)
+    return replace(config, dt=0.5 * dt, record_stride=2 * config.record_stride)
 
 
 def _record_steps(n: int, stride: int) -> np.ndarray:
@@ -322,7 +311,7 @@ def exact_segment(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
                               detuning(pump, mode_a, mode_b), pump.phi_p, t)
     else:
         a, b = propagate_load(initial, modes, drive, t)
-    a_out = input_field(drive, mode_a, "rotating", t) - math.sqrt(mode_a.gamma_ext) * a
+    a_out = input_field(drive, mode_a, t) - math.sqrt(mode_a.gamma_ext) * a
     return TraceRecord(t, a, b, a_out)
 
 
@@ -338,11 +327,10 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     """
     mode_a, mode_b = modes
     check_mode_order(mode_a, mode_b)
-    dt_max = max_step(mode_a, mode_b, pump, drive, config.frame)
+    dt_max = max_step(mode_a, mode_b, pump, drive)
     if config.dt > dt_max * (1.0 + 1e-12):
-        raise ResolutionError(
-            f"dt={config.dt:.3e} s does not resolve the fastest timescale in the "
-            f"{config.frame} frame (need dt <= {dt_max:.3e} s)")
+        raise ResolutionError(f"dt={config.dt:.3e} s does not resolve the fastest "
+                              f"timescale (need dt <= {dt_max:.3e} s)")
 
     n, dt = _steps(config)
     steps = _record_steps(n, config.record_stride)
@@ -353,7 +341,7 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
         for j0 in range(0, n, _BLOCK):
             j1 = min(j0 + _BLOCK, n)
             maps = _rk4_maps(config.t_start + np.arange(j0, j1) * dt, dt,
-                             mode_a, mode_b, pump, drive, config.frame)
+                             mode_a, mode_b, pump, drive)
             states = _scan(maps, state)
             state = states[:, -1]
             lo, hi = np.searchsorted(steps, (j0, j1), side="right")
@@ -364,10 +352,10 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
         raise IntegrationDivergedError(
             f"non-finite state at t={t_arr[bad[0]]:.6e} s (a={a!r}, b={b!r})")
 
-    a_in = input_field(drive, mode_a, config.frame, t_arr)
+    a_in = input_field(drive, mode_a, t_arr)
     a_out = a_in - math.sqrt(mode_a.gamma_ext) * x[0]
     meta = {
-        "frame": config.frame,
+        "frame": "rotating",
         "dt": dt,
         "t_start": config.t_start,
         "t_end": config.t_end,
@@ -384,7 +372,7 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     return TraceRecord(t_arr, x[0], x[1], a_out, meta)
 
 
-def _rk4_maps(t, dt, mode_a, mode_b, pump, drive, frame) -> np.ndarray:
+def _rk4_maps(t, dt, mode_a, mode_b, pump, drive) -> np.ndarray:
     """The affine RK4 maps of the steps starting at the times `t`, as an
     array M of shape (2, 3, len(t)): row r of step k gives component r of
     x_{k+1} = M[:, :2, k] x_k + M[:, 2, k].
@@ -392,18 +380,14 @@ def _rk4_maps(t, dt, mode_a, mode_b, pump, drive, frame) -> np.ndarray:
     The classic RK4 stages run on the three columns at once: the unit
     states (1, 0) and (0, 1) without the drive, and (0, 0) with it.
     """
-    ga2 = 0.5 * mode_a.gamma_total
-    gb2 = 0.5 * mode_b.gamma_total
-    if frame == "lab":
-        na, nb, wp = -1j * mode_a.omega - ga2, -1j * mode_b.omega - gb2, pump.omega_p
-    else:
-        na, nb, wp = complex(-ga2), complex(-gb2), detuning(pump, mode_a, mode_b)
+    na, nb = complex(-0.5 * mode_a.gamma_total), complex(-0.5 * mode_b.gamma_total)
+    wp = detuning(pump, mode_a, mode_b)
     half = 0.5 * dt
     stages = t + np.array([0.0, half, dt])[:, None]  # t, t + dt/2, t + dt
     ph = np.exp(1j * (wp * stages + pump.phi_p))
     g = -1j * pump.envelope(stages)
     up, down = g * ph, g * ph.conj()  # a <- b and b <- a couplings
-    f = math.sqrt(mode_a.gamma_ext) * input_field(drive, mode_a, frame, stages)
+    f = math.sqrt(mode_a.gamma_ext) * input_field(drive, mode_a, stages)
 
     def rhs(s, a, b):
         da = na * a + up[s] * b

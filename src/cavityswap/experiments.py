@@ -193,6 +193,9 @@ def _render_cfg_value(kind, value):
 # shared pieces
 
 def _modes(cfg):
+    if not cfg["t1_b"] > 0.0:  # the storage-mode loss rate is 1/t1_b
+        t1_b = _render_cfg_value("time", cfg["t1_b"])
+        raise ValidationError(f"t1_b must be positive, got {t1_b}")
     mode_a = mode_params_from_q(cfg["freq_a"], cfg["q_int_a"], cfg["q_ext_a"])
     mode_b = ModeParams(cfg["freq_b"], 1.0 / cfg["t1_b"], 0.0)
     check_mode_order(mode_a, mode_b)
@@ -278,7 +281,7 @@ def _swap_problem(cfg, g, delta, t_end, amp0):
                      RectPulse(g, -1.0, 2.0 * t_end))
     dt = max_step(mode_a, mode_b, pump, points_per_cycle=cfg["points_per_cycle"])
     stride = max(1, int(math.ceil(t_end / dt)) // 4096)
-    config = SimConfig("rotating", dt, t_end, 0.0, stride, cfg["tolerance"])
+    config = SimConfig(dt, t_end, 0.0, stride, cfg["tolerance"])
     return ComplexAmplitudePair(complex(amp0), 0.0j, 0.0), modes, pump, config
 
 

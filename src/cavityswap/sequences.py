@@ -116,6 +116,9 @@ class PulseSequence:
 
 
 def _mode_from_spec(spec) -> ModeParams:
+    for key in ("q_int", "q_ext", "t1"):  # the rates divide by these
+        if key in spec and not spec[key].value > 0.0:
+            raise ValidationError(f"{key} must be positive, got {spec[key].render()}")
     omega = spec["freq"].value
     if "q_int" in spec:
         gamma_int = omega / spec["q_int"].value
@@ -344,7 +347,7 @@ def _run_segments(seq, points_per_cycle, exact, direct_load=True,
                 pump = PumpDrive(abs(mode_a.omega - mode_b.omega), 0.0, RectPulse(0.0, t0, t1))
             dt = min(max_step(mode_a, mode_b, pump, drive,
                               points_per_cycle=points_per_cycle), seg.duration / 8.0)
-            cfg = SimConfig("rotating", dt, t1, t0)
+            cfg = SimConfig(dt, t1, t0)
             if exact and "ramp" not in seg.params:
                 piece = exact_segment(state, modes, pump, drive, cfg)
             else:
@@ -406,20 +409,26 @@ def without_swaps(seq: PulseSequence) -> PulseSequence:
 def demodulate(trace: TraceRecord, omega_ref: float, window) -> tuple:
     """IQ demodulation of the output field over a time window.
 
-    Returns (I, Q, energy) with I + iQ = integral of a_out * e^{+i w_ref t}
-    dt in the lab frame (identity rotation for rotating-frame traces) and
-    energy = integral of |a_out|^2 dt.
+    Returns (I, Q, energy) with I + iQ = integral of a_out e^{+i w_ref t} dt
+    for the lab-frame a_out, and energy = integral of |a_out|^2 dt. Both
+    frames take one formula: a_out is turned by e^{i(w_ref - w_frame) t},
+    with w_frame = 0 for a lab-frame trace and w_frame = w_A
+    (meta["omega_a"]) for a rotating-frame one, whose a_out is the lab one
+    times e^{+i w_A t}.
     """
     t_lo, t_hi = window
     if not t_hi > t_lo:
         raise ValidationError("empty demodulation window")
+    if trace.meta.get("frame", "rotating") == "lab":
+        w_frame = 0.0
+    elif "omega_a" in trace.meta:
+        w_frame = trace.meta["omega_a"]
+    else:
+        raise ValidationError("demodulating a rotating-frame trace needs meta['omega_a']")
     sub = trace.window(t_lo, t_hi)
     if sub.t.size < 2:
         raise ValidationError("demodulation window contains fewer than 2 samples")
-    if trace.meta.get("frame", "rotating") == "lab":
-        rotated = sub.a_out * np.exp(1j * omega_ref * sub.t)
-    else:
-        rotated = sub.a_out
+    rotated = sub.a_out * np.exp(1j * (omega_ref - w_frame) * sub.t)
     iq = complex(np.trapezoid(rotated, sub.t))
     energy = float(np.trapezoid(np.abs(sub.a_out) ** 2, sub.t))
     return iq.real, iq.imag, energy

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from scipy.linalg import expm
 from cavityswap import dynamics
 from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive,
                              RaisedCosinePulse, RectPulse, ValidationError,
-                             cw_envelope, detuning, mode_params_from_q)
+                             cw_envelope, mode_params_from_q)
 from cavityswap.dynamics import (ConvergenceError, DriveTone,
                                  IntegrationDivergedError, ResolutionError,
                                  SimConfig, SingularSteadyStateError,
@@ -19,6 +18,7 @@ from cavityswap.dynamics import (ConvergenceError, DriveTone,
                                  propagate_swap, rabi_frequency,
                                  record_times, reflection_spectrum)
 from cavityswap.sequences import parse_sequence, run_sequence_checked
+from rk4_oracle import oracle_rhs, scalar_rk4
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,7 +42,7 @@ def _pump(g=GP, delta=0.0, phi=0.0):
 
 def _rotating_cfg(g, t_end, delta=0.0, ppc=400, stride=1):
     omega = math.sqrt(delta * delta + 4.0 * g * g)
-    return SimConfig("rotating", TWO_PI / (ppc * omega), t_end, 0.0, stride)
+    return SimConfig(TWO_PI / (ppc * omega), t_end, 0.0, stride)
 
 
 def _oracle_final_state(modes, g, delta, phi, a0, b0, t):
@@ -58,46 +58,6 @@ def _oracle_final_state(modes, g, delta, phi, a0, b0, t):
     ])
     u, v = expm(m * t) @ np.array([a0, b0])
     return u * np.exp(0.5j * delta * t), v * np.exp(-0.5j * delta * t)
-
-
-def _oracle_rhs(mode_a, mode_b, pump, drive, frame):
-    """The coupled-mode right-hand side of the ``cavityswap.dynamics``
-    docstring, one time and one state at a time."""
-    na = -0.5 * mode_a.gamma_total - (1j * mode_a.omega if frame == "lab" else 0.0)
-    nb = -0.5 * mode_b.gamma_total - (1j * mode_b.omega if frame == "lab" else 0.0)
-    wp = pump.omega_p if frame == "lab" else detuning(pump, mode_a, mode_b)
-    shift = 0.0 if frame == "lab" else mode_a.omega
-
-    def rhs(t, a, b):
-        coupling = -1j * float(pump.envelope(t)) * cmath.exp(1j * (wp * t + pump.phi_p))
-        da = na * a + coupling * b
-        if drive is not None and drive.t_start <= t <= drive.t_stop:
-            da += math.sqrt(mode_a.gamma_ext) * drive.amp_in * cmath.exp(
-                -1j * ((drive.omega_d - shift) * t + drive.phase))
-        return da, nb * b - coupling.conjugate() * a
-
-    return rhs
-
-
-def _scalar_rk4(initial, modes, pump, drive, config):
-    """Classic RK4, one step at a time: the oracle of the batched
-    ``integrate``. Returns the recorded a and b."""
-    rhs = _oracle_rhs(*modes, pump, drive, config.frame)
-    n, dt = dynamics._steps(config)
-    a, b = complex(initial.a), complex(initial.b)
-    rec_a, rec_b = [a], [b]
-    for k in range(n):
-        t = config.t_start + k * dt
-        k1a, k1b = rhs(t, a, b)
-        k2a, k2b = rhs(t + 0.5 * dt, a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
-        k3a, k3b = rhs(t + 0.5 * dt, a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
-        k4a, k4b = rhs(t + dt, a + dt * k3a, b + dt * k3b)
-        a = a + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        b = b + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        if (k + 1) % config.record_stride == 0 or k + 1 == n:
-            rec_a.append(a)
-            rec_b.append(b)
-    return np.array(rec_a), np.array(rec_b)
 
 
 class TestResonantSwap:
@@ -186,21 +146,20 @@ class TestConservationLaws:
 
 class TestFrameEquivalence:
     def test_envelopes_agree_on_scaled_system(self):
-        # scaled-down carrier frequencies keep the lab frame affordable
+        # scaled-down carrier frequencies keep the lab-frame oracle affordable
         mode_a = ModeParams(TWO_PI * 80e6)
         mode_b = ModeParams(TWO_PI * 143e6)
         g = TWO_PI * 0.5e6
         pump = PumpDrive(mode_b.omega - mode_a.omega, 0.3, cw_envelope(g))
         t_end = math.pi / (2.0 * g)
         init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
-        lab = integrate(init, (mode_a, mode_b), pump, None,
-                        SimConfig("lab", TWO_PI / (100 * mode_b.omega),
-                                  t_end, 0.0, 10**9))
+        lab_a, lab_b, _ = scalar_rk4(
+            init, (mode_a, mode_b), pump, None,
+            SimConfig(TWO_PI / (100 * mode_b.omega), t_end, 0.0, 10**9), "lab")
         rot = integrate(init, (mode_a, mode_b), pump, None,
-                        SimConfig("rotating", TWO_PI / (400 * 2 * g),
-                                  t_end, 0.0, 10**9))
-        assert abs(abs(lab.a[-1]) - abs(rot.a[-1])) < 1e-3
-        assert abs(abs(lab.b[-1]) - abs(rot.b[-1])) < 1e-3
+                        SimConfig(TWO_PI / (400 * 2 * g), t_end, 0.0, 10**9))
+        assert abs(abs(lab_a[-1]) - abs(rot.a[-1])) < 1e-3
+        assert abs(abs(lab_b[-1]) - abs(rot.b[-1])) < 1e-3
 
 
 class TestIntegratorMechanics:
@@ -208,19 +167,7 @@ class TestIntegratorMechanics:
         modes = _default_modes()
         with pytest.raises(ResolutionError):
             integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes, _pump(),
-                      None, SimConfig("rotating", 1e-6, 1e-5))
-
-    def test_lab_frame_needs_carrier_resolution(self):
-        modes = _default_modes()
-        dt_ok_rotating = TWO_PI / (400 * 2 * GP)
-        with pytest.raises(ResolutionError):
-            integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes, _pump(),
-                      None, SimConfig("lab", dt_ok_rotating, 1e-6))
-
-    def test_max_step_scales_with_frame(self):
-        mode_a, mode_b = _default_modes()
-        assert max_step(mode_a, mode_b, _pump(), frame="lab") < \
-            max_step(mode_a, mode_b, _pump(), frame="rotating")
+                      None, SimConfig(1e-6, 1e-5))
 
     @pytest.mark.parametrize("call", ["integrate", "propagate_swap", "reflection_spectrum"])
     def test_mode_b_must_lie_above_mode_a(self, call):
@@ -244,7 +191,7 @@ class TestIntegratorMechanics:
         modes = _default_modes()
         pump = PumpDrive(OMEGA_B - OMEGA_A, 0.4, RaisedCosinePulse(GP, 0.1e-6, 2e-6, 0.3e-6))
         drive = DriveTone(OMEGA_A + TWO_PI * 0.2e6, 1e3, 0.0, 0.5e-6, 1.5e-6)
-        cfg = SimConfig("rotating", max_step(*modes, pump, drive, points_per_cycle=2000),
+        cfg = SimConfig(max_step(*modes, pump, drive, points_per_cycle=2000),
                         2.5e-6, 0.0, 3)
         init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
         t1 = integrate(init, modes, pump, drive, cfg)
@@ -273,7 +220,7 @@ class TestIntegratorMechanics:
 
     def test_convergence_failure_raises(self):
         modes = _default_modes()
-        cfg = SimConfig("rotating", TWO_PI / (55 * 2 * GP), 20e-6,
+        cfg = SimConfig(TWO_PI / (55 * 2 * GP), 20e-6,
                         tolerance=1e-16)
         with pytest.raises(ConvergenceError) as exc:
             integrate_checked(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes,
@@ -283,7 +230,7 @@ class TestIntegratorMechanics:
     def test_derivative_matches_hand_computed_rhs(self):
         mode_a, mode_b = _default_modes()
         state = ComplexAmplitudePair(0.3 + 0.1j, 0.2 - 0.4j, 0.0)
-        rhs = _oracle_rhs(mode_a, mode_b, _pump(phi=0.5), None, "rotating")
+        rhs = oracle_rhs(mode_a, mode_b, _pump(phi=0.5), None, "rotating")
         da, db = rhs(0.0, state.a, state.b)
         expected_a = (-0.5 * mode_a.gamma_total * state.a
                       - 1j * GP * np.exp(0.5j) * state.b)
@@ -298,8 +245,7 @@ class TestBatchedRK4:
     scalar RK4 solution up to rounding."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(frame=st.sampled_from(["rotating", "lab"]),
-           ramp=st.sampled_from([0.0, 0.2, 0.5]),
+    @given(ramp=st.sampled_from([0.0, 0.2, 0.5]),
            driven=st.booleans(),
            steps=st.integers(1, 40),
            stride=st.integers(1, 9),
@@ -309,22 +255,18 @@ class TestBatchedRK4:
            g=st.floats(0.5, 8.0), delta=st.floats(-3.0, 3.0), dw=st.floats(-3.0, 3.0),
            phases=st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI)),
            a0=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
-    @example(frame="rotating", ramp=0.0, driven=True, steps=15, stride=4, t_start=0.0,
+    @example(ramp=0.0, driven=True, steps=15, stride=4, t_start=0.0,
              pulse=(-0.1, 1.1), window=(0.25, 0.75), g=2.0, delta=0.0, dw=0.5,
              phases=(0.0, 0.0), a0=1 + 0j)
-    @example(frame="lab", ramp=0.5, driven=True, steps=17, stride=3, t_start=1e-6,
-             pulse=(0.1, 0.9), window=(0.0, 0.5), g=5.0, delta=1.0, dw=-1.0,
-             phases=(1.0, 2.0), a0=0.3j)
-    def test_matches_scalar_rk4(self, frame, ramp, driven, steps, stride, t_start,
+    def test_matches_scalar_rk4(self, ramp, driven, steps, stride, t_start,
                                 pulse, window, g, delta, dw, phases, a0):
-        # scaled-down carriers keep the lab frame affordable; rates in MHz
-        # (angular); pulse and drive windows are fractions of the run, so
-        # their edges fall inside it or beyond either end; a block of 16
-        # steps puts 15 and 17 on both sides of a block boundary
+        # rates in MHz (angular); pulse and drive windows are fractions of
+        # the run, so their edges fall inside it or beyond either end; a
+        # block of 16 steps puts 15 and 17 on both sides of a block boundary
         modes = (ModeParams(TWO_PI * 80e6, 0.7e6, 1.3e6), ModeParams(TWO_PI * 143e6, 0.4e6))
         omega_p = modes[1].omega - modes[0].omega + delta * _MHZ
         tone = DriveTone(modes[0].omega + dw * _MHZ, 2e3, phases[1])
-        dt = max_step(*modes, PumpDrive(omega_p, 0.0, RectPulse(g * _MHZ)), tone, frame)
+        dt = max_step(*modes, PumpDrive(omega_p, 0.0, RectPulse(g * _MHZ)), tone)
         span = steps * dt
         lo, hi = sorted(pulse)
         lo, hi = t_start + lo * span, t_start + max(hi, lo + 0.05) * span
@@ -334,15 +276,16 @@ class TestBatchedRK4:
         on, off = sorted(window)
         drive = DriveTone(tone.omega_d, tone.amp_in, tone.phase, t_start + on * span,
                           t_start + max(off, on + 0.01) * span) if driven else None
-        cfg = SimConfig(frame, dt, t_start + span, t_start, stride)
+        cfg = SimConfig(dt, t_start + span, t_start, stride)
         init = ComplexAmplitudePair(a0, 0.5j * a0, t_start)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "_BLOCK", 16)
             trace = integrate(init, modes, pump, drive, cfg)
-        a, b = _scalar_rk4(init, modes, pump, drive, cfg)
+        a, b, a_out = scalar_rk4(init, modes, pump, drive, cfg)
         assert np.array_equal(trace.t, record_times(cfg))
         peak = float(np.max(np.hypot(np.abs(a), np.abs(b))))
         assert np.max(np.hypot(np.abs(a - trace.a), np.abs(b - trace.b))) < 1e-12 * peak
+        assert np.max(np.abs(a_out - trace.a_out)) < 1e-12 * float(np.max(np.abs(a_out)))
 
     def test_matches_scalar_rk4_over_default_blocks(self):
         # a detuned lossy swap long enough for several full blocks
@@ -350,7 +293,7 @@ class TestBatchedRK4:
         cfg = _rotating_cfg(GP, 2e-6, TWO_PI * 0.5e6, ppc=2000, stride=7)
         init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
         trace = integrate(init, modes, _pump(delta=TWO_PI * 0.5e6, phi=0.3), None, cfg)
-        a, b = _scalar_rk4(init, modes, _pump(delta=TWO_PI * 0.5e6, phi=0.3), None, cfg)
+        a, b, _ = scalar_rk4(init, modes, _pump(delta=TWO_PI * 0.5e6, phi=0.3), None, cfg)
         assert dynamics._steps(cfg)[0] > 2 * dynamics._BLOCK
         assert np.max(np.hypot(np.abs(a - trace.a), np.abs(b - trace.b))) < 1e-12
 
@@ -362,7 +305,7 @@ class TestDivergence:
         mode_a, mode_b = _default_modes()
         dt = 1e-9
         drive = DriveTone(OMEGA_A, 1e308, 0.0, 0.5e-6 + 9.7 * dt)
-        cfg = SimConfig("rotating", dt, 0.5e-6 + 30 * dt, 0.5e-6, 2)
+        cfg = SimConfig(dt, 0.5e-6 + 30 * dt, 0.5e-6, 2)
         with pytest.raises(IntegrationDivergedError,
                            match=f"non-finite state at t={record_times(cfg)[5]:.6e} s"):
             integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.5e-6), (mode_a, mode_b),
@@ -383,7 +326,7 @@ class TestDivergence:
 class TestRecordGrid:
     @pytest.mark.parametrize("stride", [1, 7, 64, 10**9])
     def test_record_times_are_the_integrate_grid(self, stride):
-        cfg = SimConfig("rotating", 3.3e-9, 1.7e-6, 0.2e-6, stride)
+        cfg = SimConfig(3.3e-9, 1.7e-6, 0.2e-6, stride)
         trace = integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.2e-6),
                           _default_modes(), _pump(), None, cfg)
         assert np.array_equal(record_times(cfg), trace.t)
@@ -414,7 +357,7 @@ class TestExactPropagator:
         t0 *= 1e-6
         init = ComplexAmplitudePair(a0, b0, t0)
         fastest = max(rabi_frequency(delta, g), gamma_a * 1e6, gamma_b * 1e6)
-        cfg = SimConfig("rotating", TWO_PI / (2000 * fastest), t0 + 0.6e-6, t0, 50)
+        cfg = SimConfig(TWO_PI / (2000 * fastest), t0 + 0.6e-6, t0, 50)
         rk4 = integrate(init, modes, _pump(g, delta, phi), None, cfg)
         a, b = propagate_swap(init, modes, g, delta, phi, rk4.t)
         peak = max(abs(a0), abs(b0))
@@ -454,7 +397,7 @@ class TestExactPropagator:
         a_near, b_near = propagate_swap(ComplexAmplitudePair(1 + 0j, 0j, 0.0),
                                         modes, g * (1.0 + 1e-9), 0.0, 0.0, t)
         assert np.max(np.abs(a_near - a)) < 1e-8
-        cfg = SimConfig("rotating", TWO_PI / (2000 * gamma_a), 3e-6, 0.0, 100)
+        cfg = SimConfig(TWO_PI / (2000 * gamma_a), 3e-6, 0.0, 100)
         rk4 = integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes,
                         _pump(g), None, cfg)
         a, b = propagate_swap(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes,
@@ -498,7 +441,7 @@ class TestExactLoad:
         t0 *= 1e-6
         init = ComplexAmplitudePair(a0, b0, t0)
         fastest = max(abs(dw) * _MHZ, (gamma_int + gamma_ext) * 1e6, gamma_b * 1e6)
-        cfg = SimConfig("rotating", TWO_PI / (2000 * fastest), t0 + 1e-6, t0, 50)
+        cfg = SimConfig(TWO_PI / (2000 * fastest), t0 + 1e-6, t0, 50)
         rk4 = integrate(init, modes, _pump(0.0), drive, cfg)
         a, b = propagate_load(init, modes, drive, rk4.t)
         peak = float(np.max(np.hypot(np.abs(a), np.abs(b))))

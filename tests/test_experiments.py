@@ -166,7 +166,7 @@ def _rk4_swap_trace(cfg, g, delta, t_end, amp0):
     omega_fast = math.sqrt(delta * delta + 4.0 * g * g)
     dt = TWO_PI / (cfg["points_per_cycle"] * max(omega_fast, mode_a.gamma_total))
     stride = max(1, int(math.ceil(t_end / dt)) // 4096)
-    config = SimConfig("rotating", dt, t_end, 0.0, stride, cfg["tolerance"])
+    config = SimConfig(dt, t_end, 0.0, stride, cfg["tolerance"])
     init = ComplexAmplitudePair(complex(amp0), 0.0j, 0.0)
     trace, _ = integrate_checked(init, (mode_a, mode_b), pump, None, config)
     return trace
@@ -541,6 +541,10 @@ class TestCli:
         ("chevron", "delta_count = 1e999"),
         ("store_retrieve", "delay_stop = 1e999us"),
         ("custom_sequence", "seg delay dur=1e999us"),
+        # loss parameters whose rates divide by zero or overflow to inf
+        *[(runner, line) for runner in ("splitting", "chevron", "store_retrieve")
+          for line in ("t1_b = 0us", "t1_b = 1e-999us", "t1_b = 1e-310s",
+                       "q_int_a = 1e-310", "q_ext_a = 1e-310")],
     ])
     def test_refused_config_values_exit_2(self, tmp_path, capsys, runner, line):
         seq = tmp_path / "seq.txt"

@@ -15,6 +15,7 @@ from cavityswap.sequences import (CalibrationError, SequenceSemanticError,
                                   demodulate, emit_sequence, parse_sequence,
                                   run_sequence, run_sequence_checked,
                                   without_swaps)
+from rk4_oracle import scalar_rk4
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,6 +112,19 @@ class TestParsing:
         bad = BASIC.replace("t1=14.9us", "t1=14.9us q_int=1e6")
         with pytest.raises(SequenceSemanticError, match="more than once"):
             parse_sequence(bad)
+
+    @pytest.mark.parametrize("loss,err", [
+        # each rate divides by its value; 1e-310 s gives an infinite rate
+        ("t1=0us", "t1 must be positive"),
+        ("q_int=0", "q_int must be positive"),
+        ("q_int=-1e3", "q_int must be positive"),
+        ("t1=1e-310s", "gamma_int must be non-negative and finite"),
+        ("t1=14.9us q_ext=0", "q_ext must be positive"),
+        ("t1=14.9us q_ext=1e-310", "gamma_ext must be non-negative and finite"),
+    ])
+    def test_loss_that_divides_by_zero_or_overflows_rejected(self, loss, err):
+        with pytest.raises(ValidationError, match=err):
+            parse_sequence(BASIC.replace("t1=14.9us", loss))
 
 
 class TestEmit:
@@ -310,10 +324,11 @@ class TestClosedFormSequences:
 
 class TestLabFrame:
     def test_post_hoc_rotation_matches_lab_frame_rk4(self):
-        # scaled-down carriers keep lab-frame RK4 affordable; it integrates
-        # the lab-frame equations segment by segment, independently of the
-        # rotating-frame run that the lab trace is rotated from. The carriers
-        # do not complete whole cycles in any segment.
+        # scaled-down carriers keep the scalar lab-frame RK4 oracle
+        # affordable; it integrates the lab-frame equations segment by
+        # segment, independently of the rotating-frame run that the lab
+        # trace is rotated from. The carriers do not complete whole cycles
+        # in any segment.
         seq = parse_sequence(
             "mode A freq=21.3MHz q_int=2e3 q_ext=1e3\n"
             "mode B freq=34.9MHz t1=5us\n"
@@ -331,13 +346,14 @@ class TestLabFrame:
             drive = DriveTone(mode_a.omega, 2e3) if kind == "load" else None
             pump = PumpDrive(diff + seg.get("delta"), seg.get("phase"),
                              cw_envelope(seg.get("gp")))
-            cfg = SimConfig("lab", TWO_PI / (400 * mode_b.omega), t1, t0, 10**9)
-            lab = integrate(state, (mode_a, mode_b), pump, drive, cfg)
-            state = ComplexAmplitudePair(lab.a[-1], lab.b[-1], t1)
+            cfg = SimConfig(TWO_PI / (400 * mode_b.omega), t1, t0, 10**9)
+            lab_a, lab_b, lab_a_out = scalar_rk4(state, (mode_a, mode_b), pump, drive,
+                                                 cfg, "lab")
+            state = ComplexAmplitudePair(lab_a[-1], lab_b[-1], t1)
             k = int(np.argmin(np.abs(trace.t - t1)))
             assert trace.t[k] == pytest.approx(t1, rel=1e-12)
             ends.append((trace.a[k], trace.b[k], trace.a_out[k],
-                         lab.a[-1], lab.b[-1], lab.a_out[-1]))
+                         lab_a[-1], lab_b[-1], lab_a_out[-1]))
         a, b, a_out, lab_a, lab_b, lab_a_out = np.array(ends).T
         # lab-frame RK4 at 400 steps per carrier cycle is good to ~6e-8 here
         peak = float(np.max(np.hypot(np.abs(trace.a), np.abs(trace.b))))
@@ -354,6 +370,28 @@ class TestDemodulate:
         sub = trace.window(w[-1][1], w[-1][2])
         assert energy == pytest.approx(
             float(np.trapezoid(np.abs(sub.a_out) ** 2, sub.t)), rel=1e-12)
+
+    @pytest.mark.parametrize("offset_mhz", [0.0, 0.3, -1.0])
+    def test_rotating_and_lab_traces_agree_off_the_mode_frequency(self, offset_mhz):
+        # the lab-frame twin is the same trace times e^{-i w_A t}
+        seq = parse_sequence(BASIC)
+        rot = run_sequence(seq)
+        lab = lab_frame(rot, seq.mode_a, seq.mode_b)
+        w = seq.windows()[-1]
+        omega_ref = seq.mode_a.omega + TWO_PI * offset_mhz * 1e6
+        i_rot, q_rot, e_rot = demodulate(rot, omega_ref, (w[1], w[2]))
+        i_lab, q_lab, e_lab = demodulate(lab, omega_ref, (w[1], w[2]))
+        assert abs(complex(i_rot, q_rot) - complex(i_lab, q_lab)) < \
+            1e-9 * abs(complex(i_lab, q_lab))
+        assert e_rot == pytest.approx(e_lab, rel=1e-12)
+
+    def test_rotating_trace_needs_the_mode_frequency(self):
+        seq = parse_sequence(BASIC)
+        trace = run_sequence(seq)
+        trace.meta.pop("omega_a")
+        w = seq.windows()[-1]
+        with pytest.raises(ValidationError, match="omega_a"):
+            demodulate(trace, seq.mode_a.omega, (w[1], w[2]))
 
     def test_empty_window_rejected(self):
         seq = parse_sequence(BASIC)
@@ -380,7 +418,7 @@ class TestSwapCalibration:
         pump = PumpDrive(modes[1].omega - modes[0].omega, 0.0, RectPulse(g))
         dt = TWO_PI / (800 * 2 * g)
         trace = integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes, pump,
-                          None, SimConfig("rotating", dt, t_cal, 0.0, 10**9))
+                          None, SimConfig(dt, t_cal, 0.0, 10**9))
         assert abs(trace.a[-1]) ** 2 < 1e-10
         # losses shorten the optimal pulse below pi/(2g)
         assert t_cal < t_pi
@@ -411,7 +449,7 @@ def _rk4_swap_time(modes, g_p, window, delta, points_per_cycle=800, time_tol=1e-
     dt = TWO_PI / (points_per_cycle * math.sqrt(delta * delta + 4.0 * g_p * g_p))
 
     def residual(t_swap):
-        cfg = SimConfig("rotating", dt, t_swap, 0.0, max(1, int(t_swap / dt)))
+        cfg = SimConfig(dt, t_swap, 0.0, max(1, int(t_swap / dt)))
         trace = integrate(ComplexAmplitudePair(1.0 + 0.0j, 0.0j, 0.0), modes,
                           pump, None, cfg)
         return float(np.abs(trace.a[-1]) ** 2)
