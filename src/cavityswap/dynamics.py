@@ -248,10 +248,15 @@ def max_step(mode_a, mode_b, pump, drive=None,
 
     That rate is max(sqrt(D^2 + 4 g_P^2), gamma_A, gamma_B, |w_d - w_A|):
     the swap frequency at the peak pump amplitude, the losses and the
-    drive offset.
+    drive offset. A swap frequency at or above w_B - w_A, outside the
+    rotating-wave model, raises ValidationError.
     """
-    rates = [mode_a.gamma_total, mode_b.gamma_total,
-             rabi_frequency(detuning(pump, mode_a, mode_b), pump.envelope.max_amplitude)]
+    swap = rabi_frequency(detuning(pump, mode_a, mode_b), pump.envelope.max_amplitude)
+    spacing = mode_b.omega - mode_a.omega
+    if not swap < spacing:
+        raise ValidationError(f"swap frequency {swap / TWO_PI:.6g}Hz is not below the mode "
+                              f"spacing {spacing / TWO_PI:.6g}Hz: outside the rotating-wave model")
+    rates = [mode_a.gamma_total, mode_b.gamma_total, swap]
     if drive is not None:
         rates.append(abs(drive.omega_d - mode_a.omega))
     fastest = max(rates)

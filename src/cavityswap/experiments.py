@@ -30,7 +30,7 @@ from .dynamics import (SimConfig, TraceRecord, check_exact, exact_segment,
 from .sequences import (PulseSequence, Segment, calibrate_swap_time,
                         demodulate, parse_sequence, run_sequence,
                         run_sequence_checked, validate_sequence, without_swaps)
-from .units import Quantity, parse_quantity
+from .units import Quantity, format_quantity, parse_quantity
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,35 +38,39 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 # configuration schemas
 
-_COMMON_KEYS = {
+# Key groups. Each runner's schema is made of the groups it reads, and a
+# key that a runner does not read is unknown to it (exit 2).
+_MODES = {
     "freq_a": ("freq", TWO_PI * 8.70e9),
     "q_int_a": ("dimensionless", 900e3),
     "q_ext_a": ("dimensionless", 50e3),
     "freq_b": ("freq", TWO_PI * 9.33e9),
     "t1_b": ("time", 14.9e-6),
-    "pump_power": ("power_dbm", -52.0),
-    "flux_calib": ("dimensionless", fluxmap.DEFAULT_FLUX_CALIB),
-    "delta_phi": ("dimensionless", 0.0),  # 0 = derive from pump_power
-    "gp": ("freq", 0.0),                  # 0 = derive from the flux curves
-    "jobs": ("int", 1),
-    "tolerance": ("dimensionless", 1e-6),
 }
+# gp = 0 derives g_P from pump_power and the flux curves
+_GP_SOURCE = {"pump_power": ("power_dbm", -52.0), "gp": ("freq", 0.0)}
+_FLUX_CALIB = {"flux_calib": ("dimensionless", fluxmap.DEFAULT_FLUX_CALIB)}
+_TOLERANCE = {"tolerance": ("dimensionless", 1e-6)}
+_JOBS = {"jobs": ("int", 1)}
 
-_RUNNER_KEYS = {
+_SCHEMAS = {
     "splitting": {
+        **_MODES, **_GP_SOURCE, **_FLUX_CALIB, **_JOBS,
         "probe_span": ("freq", TWO_PI * 8e6),
         "probe_count": ("int", 801),
         "pump_span": ("freq", TWO_PI * 8e6),
         "pump_count": ("int", 41),
     },
     "chevron": {
+        **_MODES, **_GP_SOURCE, **_FLUX_CALIB, **_TOLERANCE, **_JOBS,
         "delta_span": ("freq", TWO_PI * 8e6),
         "delta_count": ("int", 17),
         "t_end": ("time", 8e-6),
         "points_per_cycle": ("int", 800),
         "nbar": ("dimensionless", 1.0),
     },
-    "power_sweep": {
+    "power_sweep": {  # g_P comes from each swept power
+        **_MODES, **_FLUX_CALIB, **_TOLERANCE, **_JOBS,
         "power_start": ("power_dbm", -64.0),
         "power_stop": ("power_dbm", -44.0),
         "power_count": ("int", 11),
@@ -74,6 +78,7 @@ _RUNNER_KEYS = {
         "points_per_cycle": ("int", 1000),
     },
     "store_retrieve": {
+        **_MODES, **_GP_SOURCE, **_FLUX_CALIB, **_TOLERANCE, **_JOBS,
         "delay_start": ("time", 1e-6),
         "delay_stop": ("time", 55e-6),
         "delay_count": ("int", 12),
@@ -84,6 +89,7 @@ _RUNNER_KEYS = {
         "points_per_cycle": ("int", 400),
     },
     "phase_sweep": {
+        **_MODES, **_GP_SOURCE, **_FLUX_CALIB, **_TOLERANCE, **_JOBS,
         "phase_count": ("int", 16),
         "delay": ("time", 5e-6),
         "t_swap": ("time", 0.0),
@@ -92,20 +98,26 @@ _RUNNER_KEYS = {
         "nbar": ("dimensionless", 10.0),
         "points_per_cycle": ("int", 400),
     },
-    "custom_sequence": {
+    "custom_sequence": {  # the modes and couplings come from the sequence file
+        **_FLUX_CALIB, **_TOLERANCE, **_JOBS,
         "sequence": ("str", ""),
         "points_per_cycle": ("int", 400),
         "frame": ("str", "rotating"),  # of the written trace
     },
 }
 
+# fewest sweep points: the decay fit needs 4 delays, the phase-slope fit 3 phases
+_SWEEP_MIN = {"probe_count": 2, "pump_count": 2, "delta_count": 2, "power_count": 2,
+              "delay_count": 4, "phase_count": 3}
+
+_KIND_UNITS = {"freq": "Hz", "time": "s", "power_dbm": "dBm"}  # rendering units
+
 
 def runner_schema(runner: str) -> dict:
-    if runner not in _RUNNER_KEYS:
+    """{key: (kind, default)} of every config key `runner` reads."""
+    if runner not in _SCHEMAS:
         raise ValidationError(f"unknown runner {runner!r}")
-    schema = dict(_COMMON_KEYS)
-    schema.update(_RUNNER_KEYS[runner])
-    return schema
+    return dict(_SCHEMAS[runner])
 
 
 def parse_config_file(path) -> dict:
@@ -160,10 +172,9 @@ def _validate_config(runner, cfg):
         raise ValidationError(f"frame must be lab or rotating, got {cfg['frame']!r}")
     if cfg["jobs"] < 1:
         raise ValidationError("jobs must be >= 1")
-    for key in ("probe_count", "pump_count", "delta_count", "power_count",
-                "delay_count", "phase_count"):
-        if key in cfg and cfg[key] < 2:
-            raise ValidationError(f"sweep count {key} must be >= 2")
+    for key, least in _SWEEP_MIN.items():
+        if key in cfg and cfg[key] < least:
+            raise ValidationError(f"sweep count {key} must be >= {least}")
     if cfg.get("points_per_cycle", 1) < 1:
         raise ValidationError("points_per_cycle must be >= 1")
     for key in ("tolerance", "nbar"):
@@ -173,20 +184,13 @@ def _validate_config(runner, cfg):
         if not cfg.get(key, 0.0) >= 0.0:
             kind = runner_schema(runner)[key][0]
             raise ValidationError(f"{key} must be >= 0, got {_render_cfg_value(kind, cfg[key])}")
-    # constructing the modes validates all physical overrides
-    _modes(cfg)
+    if "freq_a" in cfg:  # constructing the modes validates all mode overrides
+        _modes(cfg)
 
 
 def _render_cfg_value(kind, value):
-    if kind == "freq":
-        return f"{value / TWO_PI:.12g}Hz"
-    if kind == "time":
-        return f"{value:.12g}s"
-    if kind == "angle":
-        return f"{value:.12g}rad"
-    if kind == "power_dbm":
-        return f"{value:.12g}dBm"
-    return f"{value}"
+    unit = _KIND_UNITS.get(kind)
+    return f"{value}" if unit is None else format_quantity(value, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +198,7 @@ def _render_cfg_value(kind, value):
 
 def _modes(cfg):
     if not cfg["t1_b"] > 0.0:  # the storage-mode loss rate is 1/t1_b
-        t1_b = _render_cfg_value("time", cfg["t1_b"])
-        raise ValidationError(f"t1_b must be positive, got {t1_b}")
+        raise ValidationError(f"t1_b must be positive, got {format_quantity(cfg['t1_b'], 's')}")
     mode_a = mode_params_from_q(cfg["freq_a"], cfg["q_int_a"], cfg["q_ext_a"])
     mode_b = ModeParams(cfg["freq_b"], 1.0 / cfg["t1_b"], 0.0)
     check_mode_order(mode_a, mode_b)
@@ -207,7 +210,7 @@ def _resolve_gp(cfg) -> float:
     if cfg["gp"] > 0.0:
         return cfg["gp"]
     return fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], cfg["pump_power"],
-                                      cfg["flux_calib"], cfg["delta_phi"])
+                                      cfg["flux_calib"])
 
 
 def _pmap(fn, items, jobs):
@@ -412,7 +415,7 @@ def run_splitting(cfg, outdir):
     spacing = 2.0 * half_span / (cfg["probe_count"] - 1)
     if not half_span > g + spacing:
         raise ValidationError(
-            f"probe_span = {_render_cfg_value('freq', cfg['probe_span'])} cannot "
+            f"probe_span = {format_quantity(cfg['probe_span'], 'Hz')} cannot "
             f"hold both dips at +-g_P = +-{g / TWO_PI:.12g}Hz: half the span "
             "must exceed g_P plus one probe spacing")
     probes = mode_a.omega + np.linspace(-0.5, 0.5, cfg["probe_count"]) * cfg["probe_span"]

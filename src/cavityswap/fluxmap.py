@@ -201,15 +201,10 @@ def calibrated_curves(omega_a: float = 2.0 * math.pi * 8.70e9,
 
 
 def pump_coupling_rate(omega_a: float, omega_b: float, p_dbm: float,
-                       calib: float, delta_phi: float = 0.0) -> float:
+                       calib: float) -> float:
     """Coupling rate g_P (rad/s) of a flux pump at power `p_dbm` between
     modes at `omega_a` and `omega_b`: ``calibrated_curves`` at those modes,
-    ``pump_power_to_flux`` with scalar `calib`, then ``coupling_rate``.
-
-    A nonzero `delta_phi` is the pump flux amplitude itself and skips the
-    power conversion.
-    """
+    ``pump_power_to_flux`` with scalar `calib`, then ``coupling_rate``."""
     curve_a, curve_b, coupler = calibrated_curves(omega_a=omega_a, omega_b=omega_b)
-    if delta_phi == 0.0:
-        delta_phi = pump_power_to_flux(p_dbm, calib)
+    delta_phi = pump_power_to_flux(p_dbm, calib)
     return coupling_rate(curve_a, curve_b, replace(coupler, delta_phi=delta_phi))

@@ -32,8 +32,7 @@ import numpy as np
 
 from . import fluxmap
 from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, RectPulse,
-                   RaisedCosinePulse, ValidationError, check_mode_order,
-                   detuning)
+                   RaisedCosinePulse, ValidationError, check_mode_order)
 from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact,
                        check_half_step, exact_segment, integrate, max_step,
                        propagate_swap)
@@ -282,25 +281,21 @@ def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> Drive
     if "amp" in seg.params:
         amp = seg.params["amp"].value
     else:
-        if mode_a.gamma_ext == 0.0:
-            raise SequenceSemanticError(
-                "cannot drive a load pulse into a mode with no external coupling")
-        nbar = seg.params["nbar"].value
-        dur = t1 - t0
+        # resonant fill from vacuum: a(T) = (2 sq amp/ga)(1 - e^{-ga T/2}),
+        # with sq = sqrt(gamma_ext) and ga = gamma_A >= gamma_ext
         ga = mode_a.gamma_total
-        sq = math.sqrt(mode_a.gamma_ext)
-        # resonant fill from vacuum: a(T) = (2 sq amp/ga)(1 - e^{-ga T/2})
-        if ga == 0.0:
-            amp = math.sqrt(nbar) / (sq * dur)
-        else:
-            amp = math.sqrt(nbar) * ga / (2.0 * sq * (1.0 - math.exp(-0.5 * ga * dur)))
+        fill = 2.0 * math.sqrt(mode_a.gamma_ext) * (1.0 - math.exp(-0.5 * ga * (t1 - t0)))
+        if not fill > 0.0:
+            raise SequenceSemanticError(
+                "cannot fill mode A to nbar: its external coupling is zero or too "
+                "weak for the pulse")
+        amp = math.sqrt(seg.params["nbar"].value) * ga / fill
     # pad the support like _segment_pump: boundary RK4 stages must see the drive
     pad = 1e-12 * (t1 - t0)
     return DriveTone(omega_d, amp, 0.0, t0 - pad, t1 + pad)
 
 
 def run_sequence(seq: PulseSequence, *, points_per_cycle: int = 400,
-                 direct_load: bool = True,
                  flux_calib: float = fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
     """Execute a pulse sequence with continuous state handoff; the trace is
     in the rotating frame (``dynamics.lab_frame`` turns it to the lab).
@@ -308,15 +303,16 @@ def run_sequence(seq: PulseSequence, *, points_per_cycle: int = 400,
     Each segment is sampled with `points_per_cycle` points per cycle of
     its fastest rate (``max_step``), at least 8 per segment.
     Constant-coefficient segments are exact (``exact_segment``);
-    raised-cosine swaps are integrated with RK4 at that step. With
-    `direct_load` (the default for analysis runs) a leading load segment
-    sets a = sqrt(nbar) at its end instead of simulating the fill pulse;
-    pass direct_load=False to drive the port explicitly.
+    raised-cosine swaps are integrated with RK4 at that step. A leading
+    ``load nbar=`` segment sets a = sqrt(nbar) at its end instead of
+    simulating the fill pulse; any other load drives the port. A swap
+    given by ``power=`` gets its g_P from the flux curves with the pump
+    calibration `flux_calib`.
     """
-    return _run_segments(seq, points_per_cycle, True, direct_load, flux_calib)
+    return _run_segments(seq, points_per_cycle, True, flux_calib)
 
 
-def _run_segments(seq, points_per_cycle, exact, direct_load=True,
+def _run_segments(seq, points_per_cycle, exact,
                   flux_calib=fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
     """``run_sequence``; `exact` = False integrates every segment with RK4
     (the oracle of ``run_sequence_checked``)."""
@@ -328,7 +324,7 @@ def _run_segments(seq, points_per_cycle, exact, direct_load=True,
     pieces = []
     for i, seg in enumerate(seq.segments):
         t0, t1 = t, t + seg.duration
-        if seg.kind == "load" and direct_load and i == 0 and "nbar" in seg.params:
+        if seg.kind == "load" and i == 0 and "nbar" in seg.params:
             a_end = complex(math.sqrt(seg.params["nbar"].value))
             piece = TraceRecord(
                 np.array([t0, t1]),
@@ -377,7 +373,8 @@ def _run_segments(seq, points_per_cycle, exact, direct_load=True,
 
 
 def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
-                         points_per_cycle: int = 400, **kwargs):
+                         points_per_cycle: int = 400,
+                         flux_calib: float = fluxmap.DEFAULT_FLUX_CALIB):
     """run_sequence at 2 * `points_per_cycle`, checked against RK4.
 
     Two checks, each raising ConvergenceError above `tolerance`:
@@ -388,10 +385,10 @@ def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
     Returns (closed-form rotating-frame trace, half-step difference); its
     meta holds both as "convergence_rel_diff" and "exact_rk4_max_diff".
     """
-    coarse = _run_segments(seq, points_per_cycle, False, **kwargs)
-    fine = _run_segments(seq, 2 * points_per_cycle, False, **kwargs)
+    coarse = _run_segments(seq, points_per_cycle, False, flux_calib)
+    fine = _run_segments(seq, 2 * points_per_cycle, False, flux_calib)
     rel = check_half_step(coarse, fine, tolerance)
-    trace = run_sequence(seq, points_per_cycle=2 * points_per_cycle, **kwargs)
+    trace = run_sequence(seq, points_per_cycle=2 * points_per_cycle, flux_calib=flux_calib)
     diff = check_exact(trace.a, trace.b, fine, tolerance)
     trace.meta.update(convergence_rel_diff=rel, exact_rk4_max_diff=diff)
     return trace, rel
@@ -434,24 +431,21 @@ def demodulate(trace: TraceRecord, omega_ref: float, window) -> tuple:
     return iq.real, iq.imag, energy
 
 
-def calibrate_swap_time(modes, g_p: float, window, *, delta: float = 0.0,
-                        time_tol: float = 1e-13) -> float:
-    """Pulse length minimizing the residual readout-mode energy after one swap.
+def calibrate_swap_time(modes, g_p: float, window) -> float:
+    """Length of a resonant swap pulse minimizing the residual readout-mode
+    energy after one swap.
 
-    Golden-section search of the exact residual |a(T)|^2 (closed-form
-    propagator, no time stepping) over the given (t_lo, t_hi) window; for
-    the lossless resonant case this is pi/(2 g_P). Raises CalibrationError
-    when the window excludes the minimum.
+    Golden-section search, to 1e-13 s, of the exact residual |a(T)|^2 of a
+    pump at zero detuning (closed-form propagator, no time stepping) over
+    the given (t_lo, t_hi) window; for lossless modes this is pi/(2 g_P).
+    Raises CalibrationError when the window excludes the minimum.
     """
     if not g_p > 0.0:
         raise ValidationError("g_p must be positive for swap calibration")
-    mode_a, mode_b = modes
-    # the detuning as the RK4 right-hand side sees it (not `delta` itself)
-    d_rot = detuning(PumpDrive(abs(mode_a.omega - mode_b.omega) + delta), mode_a, mode_b)
     init = ComplexAmplitudePair(1.0 + 0.0j, 0.0j, 0.0)
 
     def residual(t_swap):
-        a, _ = propagate_swap(init, modes, g_p, d_rot, 0.0, t_swap)
+        a, _ = propagate_swap(init, modes, g_p, 0.0, 0.0, t_swap)
         return float(abs(a) ** 2)
 
     lo, hi = window
@@ -462,7 +456,7 @@ def calibrate_swap_time(modes, g_p: float, window, *, delta: float = 0.0,
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = residual(x1), residual(x2)
-    while b - a > time_tol:
+    while b - a > 1e-13:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)

@@ -97,6 +97,51 @@ SEQ = ("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
        "seg readout dur=2us\n")
 
 
+class _ReadRecorder(dict):
+    """A config dict that records the keys read from it while `on`."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+        self.on = True
+
+    def __getitem__(self, key):
+        if self.on:
+            self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if self.on:
+            self.read.add(key)
+        return super().get(key, default)
+
+
+class TestSchemas:
+    @pytest.mark.parametrize("runner,small", [
+        ("splitting", SMALL_SPLITTING), ("chevron", SMALL_CHEVRON),
+        ("power_sweep", SMALL_POWER), ("store_retrieve", SMALL_SR),
+        ("phase_sweep", SMALL_PHASE), ("custom_sequence", None)])
+    def test_every_key_is_read(self, tmp_path, monkeypatch, runner, small):
+        # a key the runner never reads, outside the report that lists the
+        # config, cannot change its output; `jobs` of the two runners
+        # without a sweep pool is the one exception
+        if small is None:
+            seq = tmp_path / "seq.txt"
+            seq.write_text(SEQ)
+            small = {"sequence": str(seq)}
+        cfg = _ReadRecorder(resolve_config(runner, small))
+        write_report = experiments._write_report
+
+        def unrecorded(outdir, name, config, results):
+            config.on = False
+            return write_report(outdir, name, config, results)
+
+        monkeypatch.setattr(experiments, "_write_report", unrecorded)
+        RUNNERS[runner](cfg, tmp_path / "out")
+        unread = {"jobs"} if runner in ("splitting", "custom_sequence") else set()
+        assert cfg.read == set(experiments.runner_schema(runner)) - unread
+
+
 class TestSplittingRunner:
     def test_dip_separation_and_outputs(self, tmp_path):
         cfg = resolve_config("splitting", SMALL_SPLITTING)
@@ -535,6 +580,20 @@ class TestCli:
         ("power_sweep", "frame = lab"),
         ("store_retrieve", "frame = lab"),
         ("phase_sweep", "frame = lab"),
+        # keys the runner does not read are unknown
+        ("custom_sequence", "freq_a = 8.7GHz"),
+        ("power_sweep", "gp = 1MHz"),
+        ("splitting", "tolerance = 1e-6"),
+        ("chevron", "delta_phi = 0.2"),
+        # a swap frequency at or above the mode spacing w_B - w_A
+        ("custom_sequence", "seg swap dur=0.01us gp=400MHz"),
+        ("custom_sequence", "seg swap dur=1us power=60dBm"),
+        ("chevron", "gp = 400MHz\ndelta_count = 3\nt_end = 0.5us"),
+        ("chevron", "pump_power = 100dBm\ndelta_count = 3\nt_end = 1us"),
+        ("power_sweep", "power_stop = 100dBm"),
+        # sweeps too short for their fits
+        ("store_retrieve", "delay_count = 3"),
+        ("phase_sweep", "phase_count = 2"),
         # numbers that overflow to inf (a "seg" line goes to the sequence file)
         ("chevron", "gp = 1e999MHz"),
         ("chevron", "t_end = 1e999us"),
