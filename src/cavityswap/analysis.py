@@ -17,6 +17,8 @@ import numpy as np
 from .core import ValidationError
 
 TWO_PI = 2.0 * math.pi
+_DECAY_MAX_ITER = 100  # Gauss-Newton iterations of fit_exponential_decay
+_DECAY_STEP_TOL = 1e-10  # and the relative step that ends them
 
 
 class NoOscillationError(ValueError):
@@ -100,8 +102,7 @@ def oscillation_frequency(series, dt: float) -> float:
     return TWO_PI * (k + shift) / (nfft * dt)
 
 
-def fit_exponential_decay(t, energy, max_iter: int = 100,
-                          step_tol: float = 1e-10) -> FitResult:
+def fit_exponential_decay(t, energy) -> FitResult:
     """Least-squares fit of A*exp(-t/tau) + c to (t, energy) data.
 
     Initialized by a log-linear fit, refined by damped Gauss-Newton
@@ -136,7 +137,7 @@ def fit_exponential_decay(t, energy, max_iter: int = 100,
 
     r = residual(p)
     cost = float(r @ r)
-    for _ in range(max_iter):
+    for _ in range(_DECAY_MAX_ITER):
         amp, tau, off = p
         e = np.exp(-t / tau)
         jac = np.column_stack([e, amp * t / tau**2 * e, np.ones_like(t)])
@@ -156,11 +157,11 @@ def fit_exponential_decay(t, energy, max_iter: int = 100,
                                       {"amplitude": p[0], "tau": p[1], "offset": p[2]})
         rel_step = np.max(np.abs(lam * step) / np.maximum(np.abs(trial), 1e-300))
         p, r, cost = trial, r_trial, cost_trial
-        if rel_step < step_tol:
+        if rel_step < _DECAY_STEP_TOL:
             break
     else:
         raise FitConvergenceError(
-            f"no convergence in {max_iter} iterations",
+            f"no convergence in {_DECAY_MAX_ITER} iterations",
             {"amplitude": p[0], "tau": p[1], "offset": p[2]})
 
     if p[1] <= 0.0:

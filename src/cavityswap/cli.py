@@ -2,8 +2,9 @@
 
 Usage::
 
-    cavityswap <runner> --config <file> [--out <dir>] [--jobs N]
+    cavityswap <runner> --config <file> [--out <dir>] [--jobs 1]
 
+Every runner works in one process; ``--jobs`` (config ``jobs``) accepts only 1.
 ``custom_sequence``, the one runner that writes a trace, also takes
 ``--lab-frame`` (config ``frame = lab``).
 
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=name + "_out",
                        help="output directory (default: %(default)s)")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for sweep points")
+                       help="accepted only as 1: every sweep runs in one process")
         if name == "custom_sequence":
             p.add_argument("--lab-frame", action="store_true",
                            help="write the trace in the lab frame (an exact "

@@ -6,8 +6,7 @@ Conventions used throughout the package:
 * flux is dimensionless, in units of the flux quantum,
 * ``|a|**2`` is a mean photon number, so energy ratios are dimensionless.
 
-All types are immutable value objects; they can be shared freely between
-worker processes.
+All types are immutable value objects.
 """
 
 from __future__ import annotations

@@ -4,15 +4,13 @@ Each runner takes a resolved configuration dict plus an output directory,
 writes CSV data (with a ``#``-prefixed header block) and a ``report.txt``
 containing the full resolved parameter set and the results, and returns
 the results dict. Runners are deterministic: repeated invocations produce
-byte-identical files, independent of the worker count.
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -51,7 +49,7 @@ _MODES = {
 _GP_SOURCE = {"pump_power": ("power_dbm", -52.0), "gp": ("freq", 0.0)}
 _FLUX_CALIB = {"flux_calib": ("dimensionless", fluxmap.DEFAULT_FLUX_CALIB)}
 _TOLERANCE = {"tolerance": ("dimensionless", 1e-6)}
-_JOBS = {"jobs": ("int", 1)}
+_JOBS = {"jobs": ("int", 1)}  # accepted only as 1: every sweep runs in one process
 
 _SCHEMAS = {
     "splitting": {
@@ -170,8 +168,8 @@ def resolve_config(runner: str, overrides: dict | None = None) -> dict:
 def _validate_config(runner, cfg):
     if cfg.get("frame", "rotating") not in ("lab", "rotating"):
         raise ValidationError(f"frame must be lab or rotating, got {cfg['frame']!r}")
-    if cfg["jobs"] < 1:
-        raise ValidationError("jobs must be >= 1")
+    if cfg["jobs"] != 1:
+        raise ValidationError(f"jobs must be 1: sweeps run in one process, got {cfg['jobs']}")
     for key, least in _SWEEP_MIN.items():
         if key in cfg and cfg[key] < least:
             raise ValidationError(f"sweep count {key} must be >= {least}")
@@ -180,6 +178,10 @@ def _validate_config(runner, cfg):
     for key in ("tolerance", "nbar"):
         if key in cfg and not cfg[key] > 0.0:
             raise ValidationError(f"{key} must be positive, got {cfg[key]}")
+    if "delay_start" in cfg and not cfg["delay_start"] < cfg["delay_stop"]:
+        raise ValidationError(
+            f"delay_start = {format_quantity(cfg['delay_start'], 's')} must be below "
+            f"delay_stop = {format_quantity(cfg['delay_stop'], 's')}")
     for key in ("gp", "t_swap"):  # 0 = derive from the flux curves / calibrate
         if not cfg.get(key, 0.0) >= 0.0:
             kind = runner_schema(runner)[key][0]
@@ -211,13 +213,6 @@ def _resolve_gp(cfg) -> float:
         return cfg["gp"]
     return fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], cfg["pump_power"],
                                       cfg["flux_calib"])
-
-
-def _pmap(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_csv(path, meta_lines, colnames, columns):
@@ -273,7 +268,7 @@ def _swap_oscillation_frequency(trace) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sweep workers (module level so they pickle for the process pool)
+# sweep points
 
 def _swap_problem(cfg, g, delta, t_end, amp0):
     """(initial state, modes, pump, RK4 config) of a constant-pump swap
@@ -475,7 +470,7 @@ def run_chevron(cfg, outdir):
     t_end = cfg["t_end"]
     deltas = np.linspace(-0.5, 0.5, cfg["delta_count"]) * cfg["delta_span"]
 
-    out = _pmap(partial(_chevron_worker, cfg, t_end, g), deltas, cfg["jobs"])
+    out = [_chevron_worker(cfg, t_end, g, delta) for delta in deltas]
     # the middle point is the resonant one of the symmetric detuning sweep
     rel, diff = _swap_oracle(cfg, g, deltas[len(deltas) // 2], t_end,
                              math.sqrt(cfg["nbar"]))
@@ -518,7 +513,7 @@ def run_power_sweep(cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
     powers = np.linspace(cfg["power_start"], cfg["power_stop"], cfg["power_count"])
 
-    out = _pmap(partial(_power_worker, cfg), powers, cfg["jobs"])
+    out = [_power_worker(cfg, p_dbm) for p_dbm in powers]
     g_mid, t_mid = _power_point(cfg, powers[len(powers) // 2])
     rel, diff = _swap_oracle(cfg, g_mid, 0.0, t_mid, 1.0) if t_mid else (0.0, 0.0)
 
@@ -561,10 +556,9 @@ def run_store_retrieve(cfg, outdir):
     points = [(delay, 0.0) for delay in delays]
     rel, diff = _retrieval_oracle(cfg, g, t_swap, points[len(points) // 2])
     reference = _retrieval_reference(cfg, g, t_swap, float(delays[-1]))
-    worker = partial(_retrieval_worker, cfg, g, t_swap)
     # the shortest-delay run also gives the dwell times of eta'
-    *shortest, t_a, t_b = worker(points[0], dwell=True)
-    out = [tuple(shortest)] + _pmap(worker, points[1:], cfg["jobs"])
+    *shortest, t_a, t_b = _retrieval_worker(cfg, g, t_swap, points[0], dwell=True)
+    out = [tuple(shortest)] + [_retrieval_worker(cfg, g, t_swap, p) for p in points[1:]]
 
     retrieved = np.asarray([energy for _, _, energy in out])
     eta_shortest = float(retrieved[0]) / reference
@@ -610,7 +604,7 @@ def run_phase_sweep(cfg, outdir):
     points = [(delay, phase) for phase in phases]
     rel, diff = _retrieval_oracle(cfg, g, t_swap, points[len(points) // 2])
     reference = _retrieval_reference(cfg, g, t_swap, delay)
-    out = _pmap(partial(_retrieval_worker, cfg, g, t_swap), points, cfg["jobs"])
+    out = [_retrieval_worker(cfg, g, t_swap, p) for p in points]
 
     i, q, energies = (np.asarray(col) for col in zip(*out))
     _write_csv(os.path.join(outdir, "phase_sweep.csv"),

@@ -282,9 +282,10 @@ def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> Drive
         amp = seg.params["amp"].value
     else:
         # resonant fill from vacuum: a(T) = (2 sq amp/ga)(1 - e^{-ga T/2}),
-        # with sq = sqrt(gamma_ext) and ga = gamma_A >= gamma_ext
+        # with sq = sqrt(gamma_ext) and ga = gamma_A >= gamma_ext; expm1
+        # keeps the fill exact when ga T is tiny
         ga = mode_a.gamma_total
-        fill = 2.0 * math.sqrt(mode_a.gamma_ext) * (1.0 - math.exp(-0.5 * ga * (t1 - t0)))
+        fill = 2.0 * math.sqrt(mode_a.gamma_ext) * -math.expm1(-0.5 * ga * (t1 - t0))
         if not fill > 0.0:
             raise SequenceSemanticError(
                 "cannot fill mode A to nbar: its external coupling is zero or too "

@@ -42,25 +42,25 @@ def splitting_results(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def chevron_results(tmp_path_factory):
-    return run_chevron(resolve_config("chevron", {"jobs": 2}),
+    return run_chevron(resolve_config("chevron"),
                        tmp_path_factory.mktemp("chevron"))
 
 
 @pytest.fixture(scope="session")
 def power_results(tmp_path_factory):
-    return run_power_sweep(resolve_config("power_sweep", {"jobs": 2}),
+    return run_power_sweep(resolve_config("power_sweep"),
                            tmp_path_factory.mktemp("power"))
 
 
 @pytest.fixture(scope="session")
 def store_results(tmp_path_factory):
-    return run_store_retrieve(resolve_config("store_retrieve", {"jobs": 2}),
+    return run_store_retrieve(resolve_config("store_retrieve"),
                               tmp_path_factory.mktemp("store"))
 
 
 @pytest.fixture(scope="session")
 def phase_results(tmp_path_factory):
-    return run_phase_sweep(resolve_config("phase_sweep", {"jobs": 2}),
+    return run_phase_sweep(resolve_config("phase_sweep"),
                            tmp_path_factory.mktemp("phase"))
 
 

@@ -123,8 +123,8 @@ class TestSchemas:
         ("phase_sweep", SMALL_PHASE), ("custom_sequence", None)])
     def test_every_key_is_read(self, tmp_path, monkeypatch, runner, small):
         # a key the runner never reads, outside the report that lists the
-        # config, cannot change its output; `jobs` of the two runners
-        # without a sweep pool is the one exception
+        # config, cannot change its output; `jobs` is the one exception: it
+        # accepts only 1 and stays for configs that still set it
         if small is None:
             seq = tmp_path / "seq.txt"
             seq.write_text(SEQ)
@@ -138,8 +138,7 @@ class TestSchemas:
 
         monkeypatch.setattr(experiments, "_write_report", unrecorded)
         RUNNERS[runner](cfg, tmp_path / "out")
-        unread = {"jobs"} if runner in ("splitting", "custom_sequence") else set()
-        assert cfg.read == set(experiments.runner_schema(runner)) - unread
+        assert cfg.read == set(experiments.runner_schema(runner)) - {"jobs"}
 
 
 class TestSplittingRunner:
@@ -174,15 +173,6 @@ class TestChevronRunner:
         assert results["model_rms_rel"] < 0.02
         assert results["ridge_min_hz"] == pytest.approx(2.4e6, rel=0.02)
         assert results["convergence_rel_diff"] < 1e-8
-
-    def test_deterministic_across_worker_counts(self, tmp_path):
-        cfg1 = resolve_config("chevron", dict(SMALL_CHEVRON, jobs="1"))
-        cfg2 = resolve_config("chevron", dict(SMALL_CHEVRON, jobs="3"))
-        run_chevron(cfg1, tmp_path / "a")
-        run_chevron(cfg2, tmp_path / "b")
-        for name in ("chevron_map.csv", "chevron_ridge.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
 
     def test_repeated_runs_byte_identical(self, tmp_path):
         cfg = resolve_config("chevron", SMALL_CHEVRON)
@@ -594,6 +584,11 @@ class TestCli:
         # sweeps too short for their fits
         ("store_retrieve", "delay_count = 3"),
         ("phase_sweep", "phase_count = 2"),
+        # a delay sweep that does not increase
+        ("store_retrieve", "delay_start = 55us\ndelay_stop = 1us"),
+        ("store_retrieve", "delay_start = 5us\ndelay_stop = 5us"),
+        # every sweep runs in one process
+        *[(runner, line) for runner in RUNNERS for line in ("jobs = 2", "jobs = 0")],
         # numbers that overflow to inf (a "seg" line goes to the sequence file)
         ("chevron", "gp = 1e999MHz"),
         ("chevron", "t_end = 1e999us"),
@@ -642,15 +637,19 @@ class TestCli:
         assert "numerical check failed" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*.csv"))
 
-    def test_jobs_and_lab_frame_flags_are_wired(self, tmp_path):
+    def test_jobs_and_lab_frame_flags_are_wired(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("delta_count = 3\nt_end = 2us\n")
-        assert main(["chevron", "--config", str(cfg), "--jobs", "2",
+        assert main(["chevron", "--config", str(cfg), "--jobs", "1",
                      "--out", str(tmp_path / "jobs")]) == 0
-        assert "config.jobs = 2" in (tmp_path / "jobs" / "report.txt").read_text()
         assert main(["chevron", "--config", str(cfg), "--out", str(tmp_path / "serial")]) == 0
         assert (tmp_path / "jobs" / "chevron_map.csv").read_bytes() == \
             (tmp_path / "serial" / "chevron_map.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["chevron", "--config", str(cfg), "--jobs", "2",
+                     "--out", str(tmp_path / "pool")]) == 2
+        assert capsys.readouterr().err.startswith("error: jobs must be 1")
+        assert not list((tmp_path / "pool").glob("*.csv"))
 
         seq = tmp_path / "seq.txt"
         seq.write_text(SEQ)

@@ -1,4 +1,5 @@
-"""The package runs on numpy alone: scipy is a test-only dependency."""
+"""The package runs on numpy alone: scipy is a test-only dependency, and
+no runner starts worker processes."""
 
 import os
 import subprocess
@@ -37,3 +38,14 @@ def test_runners_need_no_scipy(tmp_path):
     assert (tmp_path / "splitting" / "spectrum.csv").exists()
     assert (tmp_path / "store_retrieve" / "store_retrieve.csv").exists()
     assert (tmp_path / "chevron" / "chevron_map.csv").exists()
+
+
+def test_cli_loads_no_process_pool():
+    script = ("import sys, cavityswap.cli\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

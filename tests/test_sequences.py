@@ -164,8 +164,19 @@ class TestExecution:
         k = int(np.argmin(np.abs(trace.t - w[1][2])))
         assert abs(trace.a[k]) ** 2 == pytest.approx(10.0, rel=1e-6)
 
+    @pytest.mark.parametrize("q_ext", ["1e15", "1e18", "1e19"])
+    def test_driven_load_fills_a_weakly_coupled_mode(self, q_ext):
+        # gamma_A T/2 is 3e-11 down to 3e-15 here: the fill must not cancel
+        seq = parse_sequence(f"mode A freq=8.7GHz q_ext={q_ext}\n"
+                             "mode B freq=9.33GHz\n"
+                             "seg delay dur=1us\n"
+                             "seg load dur=1us nbar=1\n")
+        trace = run_sequence(seq)
+        assert abs(trace.a[-1]) ** 2 == pytest.approx(1.0, rel=1e-12)
+
     def test_load_into_a_vanishing_external_rate_rejected(self):
-        # gamma_ext = w_A / 1e300 leaves 1 - e^{-gamma_A T/2} at 0.0
+        # gamma_ext = w_A / 1e300: the fill 2 sqrt(gamma_ext) (1 - e^{-gamma_A T/2}),
+        # about 5e-145 times 3e-296, underflows to 0.0
         seq = parse_sequence("mode A freq=8.7GHz q_ext=1e300\n"
                              "mode B freq=9.33GHz\n"
                              "seg delay dur=1us\n"
