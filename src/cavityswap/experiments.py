@@ -182,6 +182,10 @@ def _validate_config(runner, cfg):
         raise ValidationError(
             f"delay_start = {format_quantity(cfg['delay_start'], 's')} must be below "
             f"delay_stop = {format_quantity(cfg['delay_stop'], 's')}")
+    if "power_start" in cfg and cfg["power_start"] == cfg["power_stop"]:
+        raise ValidationError(
+            f"power_start = power_stop = {format_quantity(cfg['power_start'], 'dBm')}: "
+            "the slope fit needs two pump powers")
     for key in ("gp", "t_swap"):  # 0 = derive from the flux curves / calibrate
         if not cfg.get(key, 0.0) >= 0.0:
             kind = runner_schema(runner)[key][0]
@@ -290,38 +294,14 @@ def _swap_point(cfg, g, delta, t_end, amp0) -> TraceRecord:
     return exact_segment(init, modes, pump, None, half_step_config(config))
 
 
-def _swap_oracle(cfg, g, delta, t_end, amp0):
-    """(half-step difference, exact-vs-RK4 difference) of one swap point:
-    ``integrate_checked`` at the point, and the worst exact-minus-RK4
-    amplitude over its grid relative to the peak, which must stay within
-    the tolerance."""
+def _swap_oracle(cfg, g, delta, t_end, amp0, exact):
+    """(half-step difference, exact-vs-RK4 difference) of one swap point
+    whose ``_swap_point`` trace is `exact`: ``integrate_checked`` at the
+    point, and the worst exact-minus-RK4 amplitude over its grid relative to
+    the peak, which must stay within the tolerance."""
     init, modes, pump, config = _swap_problem(cfg, g, delta, t_end, amp0)
     rk4, rel = integrate_checked(init, modes, pump, None, config)
-    exact = _swap_point(cfg, g, delta, t_end, amp0)
     return rel, check_exact(exact.a, exact.b, rk4, cfg["tolerance"])
-
-
-def _chevron_worker(cfg, t_end, g, delta):
-    trace = _swap_point(cfg, g, delta, t_end, math.sqrt(cfg["nbar"]))
-    ea, dt_rec = _uniform_energy_series(trace)
-    return ea, dt_rec, _swap_oscillation_frequency(trace)
-
-
-def _power_point(cfg, p_dbm):
-    """(g_P, swap duration) at pump power `p_dbm`; the duration is None at
-    g_P = 0."""
-    g = fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], p_dbm, cfg["flux_calib"])
-    return g, (cfg["n_cycles"] * TWO_PI / (2.0 * g) if g else None)
-
-
-def _power_worker(cfg, p_dbm):
-    g, t_end = _power_point(cfg, p_dbm)
-    if t_end is None:
-        return g, None
-    try:
-        return g, _swap_oscillation_frequency(_swap_point(cfg, g, 0.0, t_end, 1.0))
-    except NoOscillationError:
-        return g, None
 
 
 def _sr_sequence(cfg, g, t_swap, delay, phase2) -> PulseSequence:
@@ -352,31 +332,25 @@ def _sr_sequence(cfg, g, t_swap, delay, phase2) -> PulseSequence:
     return seq
 
 
-def _retrieval_worker(cfg, g, t_swap, point, dwell=False):
-    """One storage/retrieval trajectory at `point` = (delay, phase of the
-    retrieval pulse); returns demodulated readout I, Q and retrieved
-    energy, followed with `dwell` by the dwell times over the correction
-    window."""
-    delay, phase2 = point
-    seq = _sr_sequence(cfg, g, t_swap, delay, phase2)
-    trace = run_sequence(seq, points_per_cycle=2 * cfg["points_per_cycle"])
+def _retrieval_traces(cfg, seqs):
+    """(half-step difference, exact-vs-RK4 difference, traces) of a
+    storage/retrieval sweep. The middle sequence is the RK4 oracle
+    (``run_sequence_checked``); `traces` yields the rotating-frame trace of
+    each sequence in turn at twice `points_per_cycle`, reusing the oracle's
+    closed-form trace for the middle one."""
+    mid = len(seqs) // 2
+    oracle, rel = run_sequence_checked(seqs[mid], tolerance=cfg["tolerance"],
+                                       points_per_cycle=cfg["points_per_cycle"])
+    traces = (oracle if k == mid
+              else run_sequence(seq, points_per_cycle=2 * cfg["points_per_cycle"])
+              for k, seq in enumerate(seqs))
+    return rel, oracle.meta["exact_rk4_max_diff"], traces
+
+
+def _readout(seq, trace):
+    """Demodulated I, Q and energy over the readout window of `seq`."""
     windows = seq.windows()
-    readout_win = (windows[-1][1], windows[-1][2])
-    readout = demodulate(trace, trace.meta["omega_a"], readout_win)
-    if not dwell:
-        return readout
-    correction_win = (windows[0][2], windows[-1][1])  # load end -> readout start
-    return readout + dwell_times(trace, correction_win)
-
-
-def _retrieval_oracle(cfg, g, t_swap, point):
-    """(half-step difference, exact-vs-RK4 difference) of
-    ``run_sequence_checked`` at one storage/retrieval point; its trace is
-    the one ``_retrieval_worker`` computes."""
-    seq = _sr_sequence(cfg, g, t_swap, *point)
-    trace, rel = run_sequence_checked(seq, tolerance=cfg["tolerance"],
-                                      points_per_cycle=cfg["points_per_cycle"])
-    return rel, trace.meta["exact_rk4_max_diff"]
+    return demodulate(trace, trace.meta["omega_a"], (windows[-1][1], windows[-1][2]))
 
 
 def _retrieval_reference(cfg, g, t_swap, delay):
@@ -470,12 +444,17 @@ def run_chevron(cfg, outdir):
     t_end = cfg["t_end"]
     deltas = np.linspace(-0.5, 0.5, cfg["delta_count"]) * cfg["delta_span"]
 
-    out = [_chevron_worker(cfg, t_end, g, delta) for delta in deltas]
-    # the middle point is the resonant one of the symmetric detuning sweep
-    rel, diff = _swap_oracle(cfg, g, deltas[len(deltas) // 2], t_end,
-                             math.sqrt(cfg["nbar"]))
-
-    eas, dts, omega_es = zip(*out)
+    amp0 = math.sqrt(cfg["nbar"])
+    mid = len(deltas) // 2  # the RK4 oracle; resonant only for an odd delta_count
+    eas, dts, omega_es = [], [], []
+    for k, delta in enumerate(deltas):
+        trace = _swap_point(cfg, g, delta, t_end, amp0)
+        if k == mid:
+            rel, diff = _swap_oracle(cfg, g, delta, t_end, amp0, trace)
+        ea, dt = _uniform_energy_series(trace)
+        eas.append(ea)
+        dts.append(dt)
+        omega_es.append(_swap_oscillation_frequency(trace))
     omega_es = np.asarray(omega_es)
     # detuning-major rows; each detuning is formatted once
     detunings = format_cells(deltas / TWO_PI)
@@ -513,13 +492,25 @@ def run_power_sweep(cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
     powers = np.linspace(cfg["power_start"], cfg["power_stop"], cfg["power_count"])
 
-    out = [_power_worker(cfg, p_dbm) for p_dbm in powers]
-    g_mid, t_mid = _power_point(cfg, powers[len(powers) // 2])
-    rel, diff = _swap_oracle(cfg, g_mid, 0.0, t_mid, 1.0) if t_mid else (0.0, 0.0)
+    g_true = [fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], p_dbm,
+                                         cfg["flux_calib"]) for p_dbm in powers]
+    mid = len(powers) // 2  # the RK4 oracle, skipped when its g_P is 0
+    rel = diff = 0.0
+    omega_es = np.full(len(powers), math.nan)
+    for k, g in enumerate(g_true):
+        if not g:
+            continue
+        t_end = cfg["n_cycles"] * TWO_PI / (2.0 * g)
+        trace = _swap_point(cfg, g, 0.0, t_end, 1.0)
+        if k == mid:
+            rel, diff = _swap_oracle(cfg, g, 0.0, t_end, 1.0, trace)
+        try:
+            omega_es[k] = _swap_oscillation_frequency(trace)
+        except NoOscillationError:
+            pass
 
     amps = np.array([math.sqrt(10.0 ** (p / 10.0)) for p in powers])
-    g_true = np.array([g for g, _ in out])
-    omega_es = np.array([math.nan if w is None else w for _, w in out])
+    g_true = np.asarray(g_true)
     found = ~np.isnan(omega_es)
     _write_csv(os.path.join(outdir, "power_sweep.csv"),
                ["runner = power_sweep"],
@@ -553,14 +544,17 @@ def run_store_retrieve(cfg, outdir):
     t_swap = _resolve_t_swap(cfg, g, mode_a, mode_b)
     delays = np.linspace(cfg["delay_start"], cfg["delay_stop"], cfg["delay_count"])
 
-    points = [(delay, 0.0) for delay in delays]
-    rel, diff = _retrieval_oracle(cfg, g, t_swap, points[len(points) // 2])
+    seqs = [_sr_sequence(cfg, g, t_swap, delay, 0.0) for delay in delays]
+    rel, diff, traces = _retrieval_traces(cfg, seqs)
     reference = _retrieval_reference(cfg, g, t_swap, float(delays[-1]))
-    # the shortest-delay run also gives the dwell times of eta'
-    *shortest, t_a, t_b = _retrieval_worker(cfg, g, t_swap, points[0], dwell=True)
-    out = [tuple(shortest)] + [_retrieval_worker(cfg, g, t_swap, p) for p in points[1:]]
+    retrieved = []
+    for seq, trace in zip(seqs, traces):
+        if not retrieved:  # the shortest-delay run also gives the dwell times of eta'
+            windows = seq.windows()  # over load end -> readout start
+            t_a, t_b = dwell_times(trace, (windows[0][2], windows[-1][1]))
+        retrieved.append(_readout(seq, trace)[2])
 
-    retrieved = np.asarray([energy for _, _, energy in out])
+    retrieved = np.asarray(retrieved)
     eta_shortest = float(retrieved[0]) / reference
     eta_prime = loss_corrected_efficiency(eta_shortest, t_a, t_b, mode_a, mode_b)
 
@@ -601,10 +595,10 @@ def run_phase_sweep(cfg, outdir):
     phases = np.arange(cfg["phase_count"]) * TWO_PI / cfg["phase_count"]
     delay = cfg["delay"]
 
-    points = [(delay, phase) for phase in phases]
-    rel, diff = _retrieval_oracle(cfg, g, t_swap, points[len(points) // 2])
+    seqs = [_sr_sequence(cfg, g, t_swap, delay, phase) for phase in phases]
+    rel, diff, traces = _retrieval_traces(cfg, seqs)
     reference = _retrieval_reference(cfg, g, t_swap, delay)
-    out = [_retrieval_worker(cfg, g, t_swap, p) for p in points]
+    out = [_readout(seq, trace) for seq, trace in zip(seqs, traces)]
 
     i, q, energies = (np.asarray(col) for col in zip(*out))
     _write_csv(os.path.join(outdir, "phase_sweep.csv"),

@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import CouplerState, ValidationError
+from .units import format_quantity
 
 
 class DegenerateBiasWarning(UserWarning):
@@ -33,7 +34,7 @@ class CouplerPullCurve:
     """Cavity frequency vs flux from a dispersive coupler pull.
 
     omega(phi) = omega_bare + kappa_pull / (omega_bare^2 - omega_c(phi)^2)
-    omega_c(phi) = omega_c_max * sqrt(|cos(pi*(phi - phi_offset))|)
+    omega_c(phi) = omega_c_max * sqrt(|cos(pi*phi)|)
 
     The coupler self-resonance must stay below the bare cavity frequency
     (omega_c_max < omega_bare), so the denominator never vanishes.
@@ -43,7 +44,6 @@ class CouplerPullCurve:
     omega_bare: float
     kappa_pull: float
     omega_c_max: float
-    phi_offset: float = 0.0
 
     def __post_init__(self):
         if not self.omega_bare > 0.0:
@@ -53,20 +53,19 @@ class CouplerPullCurve:
 
     def omega_at(self, phi):
         """Mode frequency (rad/s) at flux `phi` (flux-quantum units, periodic)."""
-        phi = _check_flux(phi)
-        c = np.cos(np.pi * (phi - self.phi_offset))
-        denom = self.omega_bare**2 - self.omega_c_max**2 * np.abs(c)
+        c = np.abs(np.cos(np.pi * _check_flux(phi)))
+        denom = self.omega_bare * self.omega_bare - self.omega_c_max**2 * c
         return self.omega_bare + self.kappa_pull / denom
 
     def slope_at(self, phi):
         """Analytic derivative d(omega)/d(phi) in rad/s per flux quantum."""
-        phi = _check_flux(phi)
-        theta = np.pi * (phi - self.phi_offset)
+        theta = np.pi * _check_flux(phi)
         c = np.cos(theta)
-        denom = self.omega_bare**2 - self.omega_c_max**2 * np.abs(c)
+        denom = self.omega_bare * self.omega_bare - self.omega_c_max**2 * np.abs(c)
         # d|cos|/dphi = -pi*sin(theta)*sign(cos(theta)); zero at the cusp
         dabs = -np.pi * np.sin(theta) * np.sign(c)
-        return self.kappa_pull * self.omega_c_max**2 * dabs / denom**2
+        # (w_c/denom)^2 first, so a huge omega_bare or kappa_pull cannot overflow
+        return self.kappa_pull * (dabs * (self.omega_c_max / denom) ** 2)
 
 
 def _check_flux(phi):
@@ -110,11 +109,10 @@ def flux_for_pump_power(target_delta_phi: float, p_dbm: float) -> float:
     return target_delta_phi / math.sqrt(10.0 ** (p_dbm / 10.0))
 
 
-# Targets of ``calibrated_curves``: the coupler's maximum self-resonance
-# and flux offset, the readout curve's peak-to-peak flux modulation, and
-# the coupling rate that a pump amplitude of DELTA_PHI must give.
+# Targets of ``calibrated_curves``: the coupler's maximum self-resonance,
+# the readout curve's peak-to-peak flux modulation, and the coupling rate
+# that a pump amplitude of DELTA_PHI must give.
 OMEGA_C_MAX = 2.0 * math.pi * 7.7e9
-PHI_OFFSET = 0.0
 PEAK_TO_PEAK_A = 2.0 * math.pi * 4.0e6
 GP_TARGET = 2.0 * math.pi * 1.2e6
 DELTA_PHI = 0.2
@@ -124,80 +122,42 @@ DELTA_PHI = 0.2
 DEFAULT_FLUX_CALIB = flux_for_pump_power(DELTA_PHI, -52.0)
 
 
-def _peak_to_peak(curve, n: int = 4001) -> float:
-    phi = np.linspace(0.0, 1.0, n)
-    om = curve.omega_at(phi)
-    return float(np.max(om) - np.min(om))
+def max_slope_bias(curve) -> float:
+    """Flux bias in [0, 1/2] of largest |slope| ~ sqrt(1 - c^2) / (w0^2 - wc^2 c)^2,
+    c = |cos(pi*phi)|: c = 4r / (1 + sqrt(1 + 8 r^2)), r = (wc/w0)^2, the positive
+    root of wc^2 c^2 + w0^2 c - 2 wc^2 = 0 (w0 = omega_bare, wc = omega_c_max)."""
+    r = (curve.omega_c_max / curve.omega_bare) ** 2
+    return math.acos(4.0 * r / (1.0 + math.sqrt(1.0 + 8.0 * r * r))) / math.pi
 
 
-def _bisect_increasing(fun, target, lo, hi, rel_tol=1e-12, max_iter=200):
-    # fun must be increasing in its argument; bracket grows if needed
-    while fun(hi) < target:
-        hi *= 2.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if fun(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
-def max_slope_bias(curve, lo: float = 0.0, hi: float = 0.5, n: int = 2001) -> float:
-    """Flux bias maximizing |slope| over [lo, hi], grid search plus golden refine."""
-    phi = np.linspace(lo, hi, n)
-    s = np.abs(curve.slope_at(phi))
-    k = int(np.argmax(s))
-    a = phi[max(k - 1, 0)]
-    b = phi[min(k + 1, n - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = -abs(float(curve.slope_at(x1)))
-    f2 = -abs(float(curve.slope_at(x2)))
-    for _ in range(80):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = -abs(float(curve.slope_at(x1)))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = -abs(float(curve.slope_at(x2)))
-    return 0.5 * (a + b)
+def _calibrated(what, value, omega):
+    if not (math.isfinite(value) and value > 0.0):  # overflowed, or a zero slope
+        raise ValidationError(f"flux calibration: {what} at mode frequency "
+                              f"{format_quantity(omega, 'GHz')} is {value!r}")
+    return value
 
 
 @lru_cache(maxsize=32)
 def calibrated_curves(omega_a: float = 2.0 * math.pi * 8.70e9,
                       omega_b: float = 2.0 * math.pi * 9.33e9):
-    """Coupler-pull curves for cavities at `omega_a` and `omega_b` plus
-    their bias point.
-
-    The A-curve pull strength is set (by bisection) so its peak-to-peak
-    flux modulation is PEAK_TO_PEAK_A; the DC bias is the maximum-slope
-    point of that curve; the B-curve pull strength is then set so a pump
-    amplitude of DELTA_PHI yields exactly GP_TARGET.
-    Returns (curve_a, curve_b, CouplerState).
-    """
-    def pp_a(kappa):
-        return _peak_to_peak(CouplerPullCurve(omega_a, kappa, OMEGA_C_MAX, PHI_OFFSET))
-
-    kappa_a = _bisect_increasing(pp_a, PEAK_TO_PEAK_A, 0.0, omega_a**3 * 1e-6)
-    curve_a = CouplerPullCurve(omega_a, kappa_a, OMEGA_C_MAX, PHI_OFFSET)
-    phi_dc = max_slope_bias(curve_a, PHI_OFFSET, PHI_OFFSET + 0.5)
-    state = CouplerState(phi_dc=phi_dc, delta_phi=DELTA_PHI)
-
-    slope_a = abs(float(curve_a.slope_at(phi_dc)))
-    # g = (delta_phi/4) sqrt(slope_a * slope_b), slope_b linear in kappa_b
-    def gp_of(kappa):
-        cb = CouplerPullCurve(omega_b, kappa, OMEGA_C_MAX, PHI_OFFSET)
-        return 0.25 * DELTA_PHI * math.sqrt(slope_a * abs(float(cb.slope_at(phi_dc))))
-
-    kappa_b = _bisect_increasing(gp_of, GP_TARGET, 0.0, omega_b**3 * 1e-6)
-    curve_b = CouplerPullCurve(omega_b, kappa_b, OMEGA_C_MAX, PHI_OFFSET)
-    return curve_a, curve_b, state
+    """Closed-form coupler-pull curves for cavities at `omega_a` and `omega_b`,
+    and their bias point. kappa_A sets the peak-to-peak modulation (the pull at
+    |cos| = 1 minus that at |cos| = 0, kappa_A w_c^2 / (w_A^2 (w_A^2 - w_c^2)))
+    to PEAK_TO_PEAK_A; the DC bias is that curve's maximum-slope point; slope_B
+    is linear in kappa_B, set so a pump amplitude of DELTA_PHI yields GP_TARGET.
+    A value that overflows or a slope that vanishes raises ValidationError.
+    Returns (curve_a, curve_b, CouplerState)."""
+    curve_a = CouplerPullCurve(omega_a, PEAK_TO_PEAK_A * omega_a * omega_a * (
+        omega_a * omega_a - OMEGA_C_MAX**2) / OMEGA_C_MAX**2, OMEGA_C_MAX)
+    _calibrated("the A pull strength", curve_a.kappa_pull, omega_a)
+    phi_dc = max_slope_bias(curve_a)
+    slope_a = abs(float(curve_a.slope_at(phi_dc)))  # of order PEAK_TO_PEAK_A
+    unit_b = CouplerPullCurve(omega_b, 1.0, OMEGA_C_MAX)
+    slope_b1 = _calibrated("the B slope", abs(float(unit_b.slope_at(phi_dc))), omega_b)
+    kappa_b = _calibrated("the B pull strength",
+                          (4.0 * GP_TARGET / DELTA_PHI) ** 2 / slope_a / slope_b1, omega_b)
+    curve_b = CouplerPullCurve(omega_b, kappa_b, OMEGA_C_MAX)
+    return curve_a, curve_b, CouplerState(phi_dc=phi_dc, delta_phi=DELTA_PHI)
 
 
 def pump_coupling_rate(omega_a: float, omega_b: float, p_dbm: float,

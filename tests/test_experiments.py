@@ -346,7 +346,9 @@ class TestAxisColumns:
         map_rows = []
         ridge_rows = []
         for delta in deltas:
-            ea, dt_rec, omega_e = experiments._chevron_worker(cfg, cfg["t_end"], g, delta)
+            trace = experiments._swap_point(cfg, g, delta, cfg["t_end"], math.sqrt(cfg["nbar"]))
+            ea, dt_rec = experiments._uniform_energy_series(trace)
+            omega_e = experiments._swap_oscillation_frequency(trace)
             ridge_rows.append("%.17g,%.17g\n" % (delta / TWO_PI, omega_e / TWO_PI))
             for k, e in enumerate(ea):
                 map_rows.append("%.17g,%.17g,%.17g\n" % (delta / TWO_PI, k * dt_rec, e))
@@ -587,6 +589,9 @@ class TestCli:
         # a delay sweep that does not increase
         ("store_retrieve", "delay_start = 55us\ndelay_stop = 1us"),
         ("store_retrieve", "delay_start = 5us\ndelay_stop = 5us"),
+        # a power sweep with one abscissa, which the slope fit cannot use
+        ("power_sweep", "power_start = -52dBm\npower_stop = -52dBm\npower_count = 3\n"
+                        "n_cycles = 3"),
         # every sweep runs in one process
         *[(runner, line) for runner in RUNNERS for line in ("jobs = 2", "jobs = 0")],
         # numbers that overflow to inf (a "seg" line goes to the sequence file)
@@ -599,6 +604,8 @@ class TestCli:
         *[(runner, line) for runner in ("splitting", "chevron", "store_retrieve")
           for line in ("t1_b = 0us", "t1_b = 1e-999us", "t1_b = 1e-310s",
                        "q_int_a = 1e-310", "q_ext_a = 1e-310")],
+        # a mode frequency whose flux calibration underflows or overflows
+        *[(runner, "freq_b = 1e100GHz") for runner in ("splitting", "chevron", "store_retrieve")],
     ])
     def test_refused_config_values_exit_2(self, tmp_path, capsys, runner, line):
         seq = tmp_path / "seq.txt"
@@ -613,6 +620,19 @@ class TestCli:
         out = tmp_path / "out"
         assert main([runner, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not list(out.glob("*.csv"))
+
+    def test_sequence_flux_calibration_refuses_huge_mode_frequency(self, tmp_path, capsys):
+        # a power= swap calibrates the flux curves at the file's mode frequencies
+        seq = tmp_path / "seq.txt"
+        seq.write_text(SEQ.replace("freq=9.33GHz", "freq=1e100GHz")
+                       + "seg swap dur=0.2us power=-52dBm\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"sequence = {seq}\n")
+        out = tmp_path / "out"
+        assert main(["custom_sequence", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: flux calibration") and "1e+100GHz" in err
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("runner", ["splitting", "chevron", "power_sweep",

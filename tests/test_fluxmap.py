@@ -142,6 +142,14 @@ class TestCalibratedCurves:
             np.max(np.abs(curve_a.slope_at(phi))) * (1.0 - 1e-9)
 
 
+    @pytest.mark.parametrize("freq_a,freq_b", [(8.7e9, 9.33e9), (20e9, 30e9),
+                                               (1e69, 2e69)])
+    def test_coupling_target_to_rounding(self, freq_a, freq_b):
+        curve_a, curve_b, state = calibrated_curves(TWO_PI * freq_a, TWO_PI * freq_b)
+        g = coupling_rate(curve_a, curve_b, state)
+        assert abs(g / (TWO_PI * 1.2e6) - 1.0) <= 1e-14
+
+
 class TestMaxSlopeBias:
     def test_finds_the_argmax(self):
         curve = _default_curve()
