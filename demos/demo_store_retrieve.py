@@ -30,8 +30,7 @@ seg readout dur=4.5us
 
 probe = parse_sequence(TEMPLATE.format(t_swap=0.2, delay=1))
 t_pi = math.pi / (2.0 * G_P)
-t_swap = calibrate_swap_time((probe.mode_a, probe.mode_b), G_P,
-                             (0.5 * t_pi, 1.5 * t_pi))
+t_swap = calibrate_swap_time((probe.mode_a, probe.mode_b), G_P)
 print(f"calibrated swap time: {t_swap * 1e6:.4f} us "
       f"(pi/2g = {t_pi * 1e6:.4f} us)")
 

@@ -19,6 +19,9 @@ from .core import ValidationError
 TWO_PI = 2.0 * math.pi
 _DECAY_MAX_ITER = 100  # Gauss-Newton iterations of fit_exponential_decay
 _DECAY_STEP_TOL = 1e-10  # and the relative step that ends them
+# a spread of the energies below this fraction of their maximum is rounding,
+# not decay: it would put tau above 1e12 spans of the sampled times
+_DECAY_MIN_SPREAD = 1e-12
 
 
 class NoOscillationError(ValueError):
@@ -105,10 +108,14 @@ def oscillation_frequency(series, dt: float) -> float:
 def fit_exponential_decay(t, energy) -> FitResult:
     """Least-squares fit of A*exp(-t/tau) + c to (t, energy) data.
 
-    Initialized by a log-linear fit, refined by damped Gauss-Newton
-    iterations. Raises DegenerateFitError for constant or growing data and
-    for a non-positive fitted tau; FitConvergenceError if the iteration
-    stalls without meeting the step tolerance.
+    Fits y / max(y) against t / (t[-1] - t[0]), so that the Jacobian's
+    columns share one scale whatever the units, and returns amplitude, tau,
+    offset and residual_rms in the caller's units. Initialized by a
+    log-linear fit, refined by damped Gauss-Newton iterations. Raises
+    DegenerateFitError for growing data, for data constant to within
+    1e-12 of its maximum (rounding, not decay) and for a non-positive
+    fitted tau; FitConvergenceError if the iteration stalls without
+    meeting the step tolerance.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(energy, dtype=float)
@@ -119,9 +126,13 @@ def fit_exponential_decay(t, energy) -> FitResult:
     if np.any(y < 0.0):
         raise ValidationError("energies must be >= 0")
 
-    spread = float(np.max(y) - np.min(y))
-    if spread == 0.0:
+    t_unit = float(t[-1] - t[0])
+    y_unit = float(np.max(y))
+    spread = float(y_unit - np.min(y)) / y_unit if y_unit > 0.0 else 0.0
+    if not spread > _DECAY_MIN_SPREAD:
         raise DegenerateFitError("constant series: decay time is unbounded")
+    t = t / t_unit
+    y = y / y_unit
 
     # log-linear initialization on the offset-shifted data
     c0 = float(np.min(y)) - 0.05 * spread
@@ -134,6 +145,10 @@ def fit_exponential_decay(t, energy) -> FitResult:
     def residual(params):
         amp, tau, off = params
         return amp * np.exp(-t / tau) + off - y
+
+    def in_units(params):
+        amp, tau, off = params
+        return {"amplitude": amp * y_unit, "tau": tau * t_unit, "offset": off * y_unit}
 
     r = residual(p)
     cost = float(r @ r)
@@ -153,23 +168,19 @@ def fit_exponential_decay(t, energy) -> FitResult:
                     break
             lam *= 0.5
         else:
-            raise FitConvergenceError("Gauss-Newton step rejected",
-                                      {"amplitude": p[0], "tau": p[1], "offset": p[2]})
+            raise FitConvergenceError("Gauss-Newton step rejected", in_units(p))
         rel_step = np.max(np.abs(lam * step) / np.maximum(np.abs(trial), 1e-300))
         p, r, cost = trial, r_trial, cost_trial
         if rel_step < _DECAY_STEP_TOL:
             break
     else:
         raise FitConvergenceError(
-            f"no convergence in {_DECAY_MAX_ITER} iterations",
-            {"amplitude": p[0], "tau": p[1], "offset": p[2]})
+            f"no convergence in {_DECAY_MAX_ITER} iterations", in_units(p))
 
     if p[1] <= 0.0:
-        raise DegenerateFitError(f"fitted tau is non-positive ({p[1]:.3e})")
+        raise DegenerateFitError(f"fitted tau is non-positive ({p[1] * t_unit:.3e})")
 
-    amp, tau, off = p
-    return FitResult({"amplitude": amp, "tau": tau, "offset": off},
-                     math.sqrt(cost / t.size))
+    return FitResult(in_units(p), math.sqrt(cost / t.size) * y_unit)
 
 
 def dwell_times(trace, window) -> tuple[float, float]:

@@ -366,8 +366,7 @@ def _retrieval_reference(cfg, g, t_swap, delay):
 def _resolve_t_swap(cfg, g, mode_a, mode_b) -> float:
     if cfg["t_swap"] > 0.0:
         return cfg["t_swap"]
-    t_pi = math.pi / (2.0 * g)
-    return calibrate_swap_time((mode_a, mode_b), g, (0.25 * t_pi, 2.0 * t_pi))
+    return calibrate_swap_time((mode_a, mode_b), g)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +508,7 @@ def run_power_sweep(cfg, outdir):
         except NoOscillationError:
             pass
 
-    amps = np.array([math.sqrt(10.0 ** (p / 10.0)) for p in powers])
+    amps = np.array([fluxmap.pump_amplitude(p) for p in powers])
     g_true = np.asarray(g_true)
     found = ~np.isnan(omega_es)
     _write_csv(os.path.join(outdir, "power_sweep.csv"),

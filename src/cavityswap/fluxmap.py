@@ -93,20 +93,30 @@ def coupling_rate(curve_a, curve_b, state: CouplerState) -> float:
     return 0.25 * state.delta_phi * math.sqrt(abs(sa * sb))
 
 
+def pump_amplitude(p_dbm: float) -> float:
+    """Pump amplitude sqrt(10**(p_dbm/10)) in sqrt(mW); a power whose mW
+    value overflows raises ValidationError."""
+    try:
+        return math.sqrt(math.pow(10.0, p_dbm / 10.0))
+    except OverflowError:
+        raise ValidationError(f"pump power {format_quantity(p_dbm, 'dBm')} "
+                              "overflows its value in mW") from None
+
+
 def pump_power_to_flux(p_dbm: float, calib: float) -> float:
     """Pump flux amplitude (flux quanta) from pump power in dBm.
 
     `calib` is a single lumped scalar in flux quanta per sqrt(mW);
-    delta_phi = calib * sqrt(10**(p_dbm/10)) is linear in pump amplitude.
+    delta_phi = calib * pump_amplitude(p_dbm) is linear in pump amplitude.
     """
     if not calib > 0.0:
         raise ValidationError("calibration scalar must be positive")
-    return calib * math.sqrt(10.0 ** (p_dbm / 10.0))
+    return calib * pump_amplitude(p_dbm)
 
 
 def flux_for_pump_power(target_delta_phi: float, p_dbm: float) -> float:
     """Calibration scalar that maps `p_dbm` to `target_delta_phi`."""
-    return target_delta_phi / math.sqrt(10.0 ** (p_dbm / 10.0))
+    return target_delta_phi / pump_amplitude(p_dbm)
 
 
 # Targets of ``calibrated_curves``: the coupler's maximum self-resonance,

@@ -20,6 +20,8 @@ Every segment with constant coefficients (rectangular swaps, delays,
 readouts and driven loads) is evaluated in closed form on the grid RK4
 would record; raised-cosine swaps are integrated with RK4.
 ``run_sequence_checked`` runs the whole sequence with RK4 as the oracle.
+``calibrate_swap_time`` gives the resonant swap length that empties the
+readout mode as the first zero of its closed-form amplitude.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from . import fluxmap
 from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, RectPulse,
                    RaisedCosinePulse, ValidationError, check_mode_order)
 from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact,
-                       check_half_step, exact_segment, integrate, max_step,
-                       propagate_swap)
+                       check_half_step, exact_segment, integrate, max_step)
 from .units import parse_quantity
 
 
@@ -55,7 +56,7 @@ class SequenceSemanticError(ValueError):
 
 
 class CalibrationError(RuntimeError):
-    """Swap-time search window excludes the minimum."""
+    """No pulse length nulls mode A: gamma_B - gamma_A >= 4 g_P."""
 
 
 # key -> required unit kind, in canonical emit order
@@ -432,43 +433,31 @@ def demodulate(trace: TraceRecord, omega_ref: float, window) -> tuple:
     return iq.real, iq.imag, energy
 
 
-def calibrate_swap_time(modes, g_p: float, window) -> float:
-    """Length of a resonant swap pulse minimizing the residual readout-mode
-    energy after one swap.
+def calibrate_swap_time(modes, g_p: float) -> float:
+    """Length of the shortest resonant swap pulse that empties mode A.
 
-    Golden-section search, to 1e-13 s, of the exact residual |a(T)|^2 of a
-    pump at zero detuning (closed-form propagator, no time stepping) over
-    the given (t_lo, t_hi) window; for lossless modes this is pi/(2 g_P).
-    Raises CalibrationError when the window excludes the minimum.
+    For a(0) = 1, b(0) = 0 and a pump at zero detuning, a(T) is real:
+    a(T) = e^{-(gamma_A + gamma_B) T/4} (cos(W T) - d sin(W T)/W), with
+    d = (gamma_A - gamma_B)/4 and W = sqrt(g_P^2 - d^2) (``propagate_swap``).
+    Its first zero is T = atan2(W, d)/W when g_P > |d| (pi/(2 g_P) for
+    lossless modes), T = atanh(s/d)/s with s = sqrt(d^2 - g_P^2) when
+    0 < g_P < d, and T = 1/d at g_P = d. Raises CalibrationError when
+    gamma_B - gamma_A >= 4 g_P, where a(T) has no zero.
     """
     if not g_p > 0.0:
         raise ValidationError("g_p must be positive for swap calibration")
-    init = ComplexAmplitudePair(1.0 + 0.0j, 0.0j, 0.0)
-
-    def residual(t_swap):
-        a, _ = propagate_swap(init, modes, g_p, 0.0, 0.0, t_swap)
-        return float(abs(a) ** 2)
-
-    lo, hi = window
-    if not (hi > lo > 0.0):
-        raise ValidationError("search window must satisfy 0 < t_lo < t_hi")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = residual(x1), residual(x2)
-    while b - a > 1e-13:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = residual(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = residual(x2)
-    t_opt = 0.5 * (a + b)
-    margin = 1e-3 * (hi - lo)
-    if t_opt - lo < margin or hi - t_opt < margin:
-        raise CalibrationError(
-            f"swap-time minimum at {t_opt:.3e} s sits on the search window edge")
-    return t_opt
+    gamma_a, gamma_b = modes[0].gamma_total, modes[1].gamma_total
+    d = 0.25 * (gamma_a - gamma_b)
+    if g_p > abs(d):
+        w = math.sqrt((g_p - d) * (g_p + d))
+        return math.atan2(w, d) / w
+    if d > g_p:
+        s = math.sqrt((d - g_p) * (d + g_p))
+        # atanh(s/d) = log((d + s)/g_p), written without the cancellation
+        # of 1 - s/d when g_p << d
+        return math.log1p((d - g_p + s) / g_p) / s
+    if d == g_p:
+        return 1.0 / d
+    raise CalibrationError(
+        f"no pulse length nulls mode A: gamma_B - gamma_A = {gamma_b:.6g} - "
+        f"{gamma_a:.6g} 1/s is at least 4 g_P = {4.0 * g_p:.6g} rad/s")

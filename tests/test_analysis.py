@@ -119,6 +119,20 @@ class TestExponentialDecayFit:
         assert fit.params["offset"] == pytest.approx(0.02, abs=1e-9)
         assert fit.residual_rms < 1e-12
 
+    @pytest.mark.parametrize("energy_scale", [1e-30, 1e-20, 1e-10, 1.0, 1e10, 1e20, 1e30])
+    @pytest.mark.parametrize("time_scale", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
+    def test_scale_free(self, energy_scale, time_scale):
+        # the Jacobian's columns scale with the data's units; unnormalised,
+        # lstsq's cutoff dropped the tau column away from unit scale
+        t = np.linspace(0.0, 5.0, 6) * time_scale
+        tau = 2.3 * time_scale
+        y = energy_scale * (1.7 * np.exp(-t / tau) + 0.1)
+        fit = fit_exponential_decay(t, y)
+        assert fit.params["tau"] == pytest.approx(tau, rel=1e-9)
+        assert fit.params["amplitude"] == pytest.approx(1.7 * energy_scale, rel=1e-9)
+        assert fit.params["offset"] == pytest.approx(0.1 * energy_scale, rel=1e-9)
+        assert fit.residual_rms < 1e-12 * energy_scale
+
     def test_recovers_tau_with_noise(self):
         rng = np.random.default_rng(11)
         t = np.linspace(0.0, 60e-6, 48)
@@ -129,8 +143,13 @@ class TestExponentialDecayFit:
 
     def test_constant_data_is_degenerate(self):
         t = np.linspace(0.0, 1.0, 8)
-        with pytest.raises(DegenerateFitError):
-            fit_exponential_decay(t, np.full(8, 0.3))
+        # a lossless storage mode's energies differ only in the last bits,
+        # which the fit would otherwise read as a decay
+        rounded = np.full(8, 7.44117808)
+        rounded[0] = np.nextafter(np.nextafter(rounded[0], 8.0), 8.0)
+        for y in (np.full(8, 0.3), np.zeros(8), rounded):
+            with pytest.raises(DegenerateFitError, match="constant series"):
+                fit_exponential_decay(t, y)
 
     def test_growing_data_is_degenerate(self):
         t = np.linspace(0.0, 1.0, 8)

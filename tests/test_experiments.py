@@ -547,6 +547,33 @@ class TestCli:
         assert "numerical check failed" in capsys.readouterr().err
         assert not (tmp_path / "out" / "chevron_map.csv").exists()
 
+    @pytest.mark.parametrize("runner,small", [("store_retrieve", SMALL_SR),
+                                              ("phase_sweep", SMALL_PHASE)])
+    def test_swap_calibration_on_both_sides_of_critical_damping(self, tmp_path, capsys,
+                                                                runner, small):
+        # q_ext_a = 1e3 overdamps the swap (gamma_A - gamma_B > 4 g_P), yet
+        # a(T) still crosses zero; a 10 ns storage T1 leaves no zero at all
+        lines = [f"{k} = {v}" for k, v in small.items()]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("\n".join(lines + ["q_ext_a = 1e3"]) + "\n")
+        assert main([runner, "--config", str(cfg), "--out", str(tmp_path / "lossy")]) == 0
+        capsys.readouterr()
+        cfg.write_text("\n".join(lines + ["t1_b = 0.01us"]) + "\n")
+        assert main([runner, "--config", str(cfg), "--out", str(tmp_path / "none")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical check failed: no pulse length nulls mode A")
+        assert not list((tmp_path / "none").glob("*.csv"))
+
+    def test_decay_fit_is_scale_free(self, tmp_path, capsys):
+        # at nbar = 1e9 lstsq's default cutoff used to drop the tau column
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("nbar = 1e9\ndelay_count = 4\ndelay_stop = 5us\n")
+        assert main(["store_retrieve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        out = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                   if " = " in line)
+        assert float(out["tau_s"]) == pytest.approx(14.9e-6, rel=1e-6)
+
     @pytest.mark.parametrize("runner,line", [
         ("chevron", "points_per_cycle = 0"),
         ("power_sweep", "points_per_cycle = 0"),
@@ -606,6 +633,11 @@ class TestCli:
                        "q_int_a = 1e-310", "q_ext_a = 1e-310")],
         # a mode frequency whose flux calibration underflows or overflows
         *[(runner, "freq_b = 1e100GHz") for runner in ("splitting", "chevron", "store_retrieve")],
+        # a pump power whose value in mW overflows
+        *[(runner, "pump_power = 4000dBm")
+          for runner in ("splitting", "chevron", "store_retrieve", "phase_sweep")],
+        ("custom_sequence", "seg swap dur=0.2us power=4000dBm"),
+        ("power_sweep", "power_stop = 4000dBm"),
     ])
     def test_refused_config_values_exit_2(self, tmp_path, capsys, runner, line):
         seq = tmp_path / "seq.txt"

@@ -430,15 +430,15 @@ class TestSwapCalibration:
         modes = (ModeParams(TWO_PI * 8.7e9), ModeParams(TWO_PI * 9.33e9))
         g = TWO_PI * 1.2e6
         t_pi = math.pi / (2.0 * g)
-        t_cal = calibrate_swap_time(modes, g, (0.5 * t_pi, 1.5 * t_pi))
-        assert t_cal == pytest.approx(t_pi, rel=1e-6)
+        t_cal = calibrate_swap_time(modes, g)
+        assert t_cal == pytest.approx(t_pi, rel=1e-15)
 
     def test_lossy_calibration_nulls_the_residual(self):
         modes = (ModeParams(TWO_PI * 8.7e9, 1e5, 1e6),
                  ModeParams(TWO_PI * 9.33e9, 1.0 / 14.9e-6, 0.0))
         g = TWO_PI * 1.2e6
         t_pi = math.pi / (2.0 * g)
-        t_cal = calibrate_swap_time(modes, g, (0.5 * t_pi, 1.5 * t_pi))
+        t_cal = calibrate_swap_time(modes, g)
         # verify with a direct simulation of the calibrated pulse
         pump = PumpDrive(modes[1].omega - modes[0].omega, 0.0, RectPulse(g))
         dt = TWO_PI / (800 * 2 * g)
@@ -453,22 +453,54 @@ class TestSwapCalibration:
                  ModeParams(TWO_PI * 9.33e9, 1.0 / 14.9e-6, 0.0))
         g = TWO_PI * 1.2e6
         t_pi = math.pi / (2.0 * g)
-        window = (0.25 * t_pi, 2.0 * t_pi)
-        t_cal = calibrate_swap_time(modes, g, window)
-        assert t_cal == pytest.approx(_rk4_swap_time(modes, g, window), rel=1e-12)
+        t_cal = calibrate_swap_time(modes, g)
+        # the oracle's own time tolerance
+        assert t_cal == pytest.approx(
+            _rk4_swap_time(modes, g, (0.25 * t_pi, 2.0 * t_pi)), abs=1e-13)
 
-    def test_window_excluding_minimum_raises(self):
-        modes = (ModeParams(TWO_PI * 8.7e9), ModeParams(TWO_PI * 9.33e9))
+    @pytest.mark.parametrize("excess", [1.0, 1.5])
+    def test_no_null_raises(self, excess):
+        # gamma_B - gamma_A >= 4 g_P: a(t) decays without crossing zero
         g = TWO_PI * 1.2e6
-        t_pi = math.pi / (2.0 * g)
-        with pytest.raises(CalibrationError):
-            calibrate_swap_time(modes, g, (0.1 * t_pi, 0.5 * t_pi))
+        modes = (ModeParams(TWO_PI * 8.7e9, 1e5, 0.0),
+                 ModeParams(TWO_PI * 9.33e9, 1e5 + excess * 4.0 * g, 0.0))
+        with pytest.raises(CalibrationError, match="no pulse length nulls mode A"):
+            calibrate_swap_time(modes, g)
+
+    def test_critical_damping_nulls_at_one_over_d(self):
+        g = TWO_PI * 1.2e6
+        modes = (ModeParams(TWO_PI * 8.7e9, 4.0 * g, 0.0), ModeParams(TWO_PI * 9.33e9))
+        t_cal = calibrate_swap_time(modes, g)
+        assert t_cal == 1.0 / g
+        a, _ = dynamics.propagate_swap(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes,
+                                       g, 0.0, 0.0, t_cal)
+        assert abs(a) ** 2 <= 1e-28
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(g_mhz=st.floats(1e-2, 1e2), x_a=st.floats(0.0, 10.0),
+           v=st.floats(0.0, 1.0, exclude_max=True))
+    def test_first_null_property(self, g_mhz, x_a, v):
+        # loss rates in units of 4 g_P: x_a = gamma_A/(4 g_P) and
+        # gamma_B - gamma_A < 4 g_P, on both sides of the critical point
+        # x_a - x_b = 1 (overdamped with gamma_A above it)
+        g = TWO_PI * 1e6 * g_mhz
+        x_b = v * (x_a + 0.999)
+        modes = (ModeParams(TWO_PI * 8.7e9, 4.0 * g * x_a, 0.0),
+                 ModeParams(TWO_PI * 9.33e9, 4.0 * g * x_b, 0.0))
+        t_cal = calibrate_swap_time(modes, g)
+        init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
+        a_end, _ = dynamics.propagate_swap(init, modes, g, 0.0, 0.0, t_cal)
+        assert abs(a_end) ** 2 <= 1e-28
+        # a(t) stays positive before t_cal, so t_cal is the first null
+        a, _ = dynamics.propagate_swap(init, modes, g, 0.0, 0.0,
+                                       np.linspace(0.0, t_cal, 201)[1:-1])
+        assert np.all(a.real > 0.0)
 
 
 def _rk4_swap_time(modes, g_p, window, points_per_cycle=800, time_tol=1e-13):
     """Golden-section search of the RK4-simulated residual |a(T)|^2 of a
-    resonant pump: the oracle for the closed-form residual of
-    calibrate_swap_time."""
+    resonant pump over `window`: the oracle for the closed-form first null
+    of calibrate_swap_time."""
     mode_a, mode_b = modes
     pump = PumpDrive(mode_b.omega - mode_a.omega, 0.0, RectPulse(g_p))
     dt = TWO_PI / (points_per_cycle * 2.0 * g_p)
