@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from cavityswap import (ComplexAmplitudePair, ModeParams, PumpDrive,
-                        RectPulse, SimConfig, integrate, mode_params_from_q,
+                        SimConfig, integrate, mode_params_from_q,
                         oscillation_frequency, rabi_frequency)
 
 TWO_PI = 2.0 * math.pi
@@ -24,8 +24,7 @@ t_end = 6e-6
 print("detuning (MHz)   extracted (MHz)   sqrt(D^2+4g^2) (MHz)")
 for delta_mhz in np.linspace(-4.0, 4.0, 9):
     delta = TWO_PI * delta_mhz * 1e6
-    pump = PumpDrive(mode_b.omega - mode_a.omega + delta, 0.0,
-                     RectPulse(g_p, -1.0, 1.0))
+    pump = PumpDrive(g_p, delta)
     omega_fast = rabi_frequency(delta, g_p)
     cfg = SimConfig(TWO_PI / (800 * omega_fast), t_end, 0.0, 8)
     trace = integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.0),

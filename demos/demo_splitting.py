@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from cavityswap import (ModeParams, PumpDrive, cw_envelope,
-                        mode_params_from_q, reflection_spectrum)
+from cavityswap import (ModeParams, PumpDrive, mode_params_from_q,
+                        reflection_spectrum)
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,14 +22,13 @@ probe = mode_a.omega + np.linspace(-4e6, 4e6, 1601) * TWO_PI
 
 print("pump detuning (MHz)   dip offsets (MHz)")
 for delta_mhz in (-2.0, -1.0, 0.0, 1.0, 2.0):
-    pump = PumpDrive(mode_b.omega - mode_a.omega + TWO_PI * delta_mhz * 1e6,
-                     0.0, cw_envelope(g_p))
+    pump = PumpDrive(g_p, TWO_PI * delta_mhz * 1e6)
     mag = np.abs(reflection_spectrum(mode_a, mode_b, pump, probe))
     idx = np.where((mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))[0] + 1
     offsets = (probe[idx] - mode_a.omega) / TWO_PI / 1e6
     print(f"{delta_mhz:+18.1f}   " + ", ".join(f"{o:+.3f}" for o in offsets))
 
-pump = PumpDrive(mode_b.omega - mode_a.omega, 0.0, cw_envelope(g_p))
+pump = PumpDrive(g_p)
 mag = np.abs(reflection_spectrum(mode_a, mode_b, pump, probe))
 idx = np.where((mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))[0] + 1
 sep = abs(probe[idx[-1]] - probe[idx[0]]) / TWO_PI

@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from cavityswap import (calibrate_swap_time, demodulate, dwell_times,
-                        loss_corrected_efficiency, parse_sequence,
-                        run_sequence_checked, without_swaps)
+from cavityswap import (PulseSequence, calibrate_swap_time, demodulate,
+                        dwell_times, loss_corrected_efficiency,
+                        parse_sequence, run_sequence_checked)
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,21 +35,23 @@ print(f"calibrated swap time: {t_swap * 1e6:.4f} us "
       f"(pi/2g = {t_pi * 1e6:.4f} us)")
 
 
-def retrieved_energy(delay_us, reference=False):
-    seq = parse_sequence(TEMPLATE.format(t_swap=t_swap * 1e6, delay=delay_us))
+def readout_energy(seq):
     windows = seq.windows()
-    if reference:
-        seq = without_swaps(seq)
-        window = (windows[0][2], windows[-1][2])
-    else:
-        window = (windows[-1][1], windows[-1][2])
     trace, _ = run_sequence_checked(seq)
-    _, _, energy = demodulate(trace, seq.mode_a.omega, window)
+    _, _, energy = demodulate(trace, seq.mode_a.omega, windows[-1][1:])
     return energy, trace, windows
 
 
+def retrieved_energy(delay_us):
+    return readout_energy(parse_sequence(TEMPLATE.format(t_swap=t_swap * 1e6,
+                                                         delay=delay_us)))
+
+
+# the reference: the same load read out at once, over a readout-length window
+reference, _, _ = readout_energy(
+    PulseSequence(probe.mode_specs, (probe.segments[0], probe.segments[-1])))
+
 delays = np.array([1.0, 5.0, 15.0, 30.0, 55.0])
-reference, _, _ = retrieved_energy(delays[-1], reference=True)
 
 print("\ndelay (us)   retrieved   efficiency")
 etas = []

@@ -4,7 +4,7 @@ dissipative cavity modes coupled by a flux-pumped element.
 The package is organised bottom-up:
 
 * :mod:`cavityswap.units` -- unit-suffixed text values <-> internal SI,
-* :mod:`cavityswap.core` -- modes, pump drives, envelopes, field state,
+* :mod:`cavityswap.core` -- modes, the pump drive and its envelope, field state,
 * :mod:`cavityswap.fluxmap` -- the coupler-pull flux modulation curves
   and the pump-power to coupling-rate conversion,
 * :mod:`cavityswap.dynamics` -- RK4 integration of the coupled-mode
@@ -23,8 +23,7 @@ from .analysis import (DegenerateFitError, FitConvergenceError, FitResult,
                        fit_phase_slope, loss_corrected_efficiency,
                        oscillation_frequency)
 from .core import (ComplexAmplitudePair, CouplerState, ModeParams, PumpDrive,
-                   RaisedCosinePulse, RectPulse, ValidationError, cw_envelope,
-                   detuning, mode_params_from_q)
+                   ValidationError, mode_params_from_q)
 from .dynamics import (ConvergenceError, DriveTone, IntegrationDivergedError,
                        ResolutionError, SimConfig, SingularSteadyStateError,
                        TraceRecord, integrate, integrate_checked,
@@ -36,8 +35,7 @@ from .fluxmap import (DEFAULT_FLUX_CALIB, CouplerPullCurve,
 from .sequences import (CalibrationError, PulseSequence, Segment,
                         SequenceSemanticError, SequenceSyntaxError,
                         calibrate_swap_time, demodulate, emit_sequence,
-                        parse_sequence, run_sequence, run_sequence_checked,
-                        without_swaps)
+                        parse_sequence, run_sequence, run_sequence_checked)
 from .units import Quantity, UnitError, format_quantity, parse_quantity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,7 +18,7 @@ from .core import ValidationError
 
 TWO_PI = 2.0 * math.pi
 _DECAY_MAX_ITER = 100  # Gauss-Newton iterations of fit_exponential_decay
-_DECAY_STEP_TOL = 1e-10  # and the relative step that ends them
+_DECAY_STEP_TOL = 1e-10  # and the step, over max(|p|, 1), that ends them
 # a spread of the energies below this fraction of their maximum is rounding,
 # not decay: it would put tau above 1e12 spans of the sampled times
 _DECAY_MIN_SPREAD = 1e-12
@@ -110,8 +110,9 @@ def fit_exponential_decay(t, energy) -> FitResult:
 
     Fits y / max(y) against t / (t[-1] - t[0]), so that the Jacobian's
     columns share one scale whatever the units, and returns amplitude, tau,
-    offset and residual_rms in the caller's units. Initialized by a
-    log-linear fit, refined by damped Gauss-Newton iterations. Raises
+    offset and residual_rms in the caller's units. Initialized by the
+    better of two log-linear fits (offset-shifted, and with no offset),
+    refined by damped Gauss-Newton iterations. Raises
     DegenerateFitError for growing data, for data constant to within
     1e-12 of its maximum (rounding, not decay) and for a non-positive
     fitted tau; FitConvergenceError if the iteration stalls without
@@ -134,17 +135,26 @@ def fit_exponential_decay(t, energy) -> FitResult:
     t = t / t_unit
     y = y / y_unit
 
-    # log-linear initialization on the offset-shifted data
-    c0 = float(np.min(y)) - 0.05 * spread
-    z = np.log(y - c0)
-    slope, intercept = np.polyfit(t, z, 1)
-    if slope >= 0.0:
-        raise DegenerateFitError("series does not decay")
-    p = np.array([math.exp(intercept), -1.0 / slope, c0])
-
     def residual(params):
         amp, tau, off = params
         return amp * np.exp(-t / tau) + off - y
+
+    def log_linear(c0):
+        slope, intercept = np.polyfit(t, np.log(y - c0), 1)
+        return slope, np.array([math.exp(intercept), -1.0 / slope, c0])
+
+    # log-linear initialization on the offset-shifted data
+    slope, p = log_linear(float(np.min(y)) - 0.05 * spread)
+    if slope >= 0.0:
+        raise DegenerateFitError("series does not decay")
+    if np.min(y) > 0.0:
+        # and with no offset: a decay that is fast against the sampling
+        # flattens the shifted logarithm, whose start then lies in the
+        # basin of a wrong minimum; keep whichever start fits better
+        slope, p0 = log_linear(0.0)
+        r0, r = residual(p0), residual(p)
+        if slope < 0.0 and r0 @ r0 < r @ r:
+            p = p0
 
     def in_units(params):
         amp, tau, off = params
@@ -169,7 +179,10 @@ def fit_exponential_decay(t, energy) -> FitResult:
             lam *= 0.5
         else:
             raise FitConvergenceError("Gauss-Newton step rejected", in_units(p))
-        rel_step = np.max(np.abs(lam * step) / np.maximum(np.abs(trial), 1e-300))
+        # against max(|p|, 1) in the normalised units: an offset whose true
+        # value is 0 sits at rounding level, where a step relative to |p|
+        # alone never falls below the tolerance
+        rel_step = np.max(np.abs(lam * step) / np.maximum(np.abs(trial), 1.0))
         p, r, cost = trial, r_trial, cost_trial
         if rel_step < _DECAY_STEP_TOL:
             break

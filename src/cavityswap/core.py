@@ -1,4 +1,4 @@
-"""Shared domain types: cavity modes, coupler bias, pump drives, field state.
+"""Shared domain types: cavity modes, coupler bias, the pump drive, field state.
 
 Conventions used throughout the package:
 
@@ -12,7 +12,7 @@ All types are immutable value objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,32 +83,33 @@ class CouplerState:
             raise ValidationError("pump flux amplitude delta_phi must be >= 0")
 
 
-# ---------------------------------------------------------------------------
-# Pump envelopes g_P(t).  An envelope is a non-negative coupling amplitude
-# (rad/s) that vanishes outside its declared support.
-
 @dataclass(frozen=True)
-class RectPulse:
-    """Rectangular envelope: `amplitude` on the closed interval
-    [t_start, t_stop], zero outside.
+class PumpDrive:
+    """Flux pump in the rotating frame: peak coupling `g` (rad/s), detuning
+    `delta` = w_P - (w_B - w_A) (rad/s), `phase`, and the envelope g_P(t).
 
-    The closed right end matters for fixed-step integration: a segment's
-    final RK4 stage lands exactly on t_stop and must still see the pulse.
+    g_P is `g` on the closed interval [t_start, t_stop] and zero outside;
+    `ramp` > 0 gives the pulse raised-cosine edges of that duration. The
+    closed right end matters for fixed-step integration: a segment's final
+    RK4 stage lands exactly on t_stop and must still see the pulse.
     """
 
-    amplitude: float
+    g: float
+    delta: float = 0.0
+    phase: float = 0.0
     t_start: float = -math.inf
     t_stop: float = math.inf
+    ramp: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValidationError("envelope amplitude must be >= 0")
+        if not self.g >= 0.0:
+            raise ValidationError(f"pump coupling g must be >= 0, got {self.g}")
+        if not math.isfinite(self.delta):
+            raise ValidationError(f"pump detuning must be finite, got {self.delta}")
         if not self.t_stop > self.t_start:
-            raise ValidationError("envelope support must be well-ordered")
-
-    @property
-    def max_amplitude(self) -> float:
-        return self.amplitude
+            raise ValidationError("pump support must be well-ordered")
+        if not 0.0 <= self.ramp <= 0.5 * (self.t_stop - self.t_start):
+            raise ValidationError("ramp must be >= 0 and fit inside the pulse")
 
     @property
     def is_cw(self) -> bool:
@@ -116,78 +117,23 @@ class RectPulse:
 
     def __call__(self, t):
         """g_P at time `t`, a float or an array of times."""
-        return self.amplitude * ((self.t_start <= t) & (t <= self.t_stop))
-
-
-@dataclass(frozen=True)
-class RaisedCosinePulse:
-    """Rectangular pulse with raised-cosine edges of duration `ramp`."""
-
-    amplitude: float
-    t_start: float
-    t_stop: float
-    ramp: float
-
-    def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValidationError("envelope amplitude must be >= 0")
-        if not self.t_stop > self.t_start:
-            raise ValidationError("envelope support must be well-ordered")
-        if not 0.0 < self.ramp <= 0.5 * (self.t_stop - self.t_start):
-            raise ValidationError("ramp must be positive and fit inside the pulse")
-
-    @property
-    def max_amplitude(self) -> float:
-        return self.amplitude
-
-    @property
-    def is_cw(self) -> bool:
-        return False
-
-    def __call__(self, t):
-        """g_P at time `t`, a float or an array of times."""
+        if self.ramp == 0.0:
+            return self.g * ((self.t_start <= t) & (t <= self.t_stop))
         t = np.asarray(t, dtype=float)
         rise = t - self.t_start
         edge = np.where(rise < self.ramp, rise, self.t_stop - t)
         g = np.where(edge < self.ramp,
-                     self.amplitude * 0.5 * (1.0 - np.cos(np.pi * edge / self.ramp)),
-                     self.amplitude)
+                     self.g * 0.5 * (1.0 - np.cos(np.pi * edge / self.ramp)),
+                     self.g)
         return np.where((self.t_start <= t) & (t <= self.t_stop), g, 0.0)[()]
-
-
-def cw_envelope(amplitude: float) -> RectPulse:
-    """Continuous-wave envelope (constant for all time)."""
-    return RectPulse(amplitude)
-
-
-@dataclass(frozen=True)
-class PumpDrive:
-    """Flux-pump tone: carrier frequency, phase, and coupling envelope g_P(t)."""
-
-    omega_p: float
-    phi_p: float = 0.0
-    envelope: RectPulse | RaisedCosinePulse = field(default_factory=lambda: RectPulse(0.0))
-
-    def __post_init__(self):
-        if self.omega_p < 0.0:
-            raise ValidationError("pump frequency must be >= 0")
-
-
-def detuning(pump: PumpDrive, mode_a: ModeParams, mode_b: ModeParams) -> float:
-    """Signed pump detuning from the mode difference frequency.
-
-    Returns omega_p - |omega_a - omega_b|; this is the only place the
-    detuning is derived, so it can never go stale against its modes.
-    """
-    return pump.omega_p - abs(mode_a.omega - mode_b.omega)
 
 
 def check_mode_order(mode_a: ModeParams, mode_b: ModeParams) -> None:
     """Require the storage mode B to lie above the readout mode A.
 
     The coupled-mode equations couple a to b through e^{+i w_P t}, which is
-    resonant only for w_B > w_A; under that order ``detuning`` equals the
-    signed offset the dynamics see. Raises ValidationError otherwise.
+    resonant only for w_B > w_A; under that order ``PumpDrive.delta`` is
+    the signed offset the dynamics see. Raises ValidationError otherwise.
     """
     if not mode_b.omega > mode_a.omega:
         raise ValidationError(

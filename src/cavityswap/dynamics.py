@@ -12,9 +12,11 @@ mode at its own natural frequency and leaves only the slow envelopes:
     da~/dt = -(g_A/2) a~ - i g_P(t) e^{+i(D t + phi_P)} b~ + drive
     db~/dt = -(g_B/2) b~ - i g_P(t) e^{-i(D t + phi_P)} a~
 
-with D = w_P - (w_B - w_A) (``core.detuning``; mode B must lie above mode
-A). The output field at the readout port is a_out = a_in - sqrt(g_ext) a
-(fixed by the critical-coupling null of the reflection coefficient).
+with D = w_P - (w_B - w_A) the pump detuning (mode B must lie above mode
+A). ``core.PumpDrive`` holds D itself, with the envelope g_P(t) and the
+phase phi_P, and no absolute pump frequency. The output field at the
+readout port is a_out = a_in - sqrt(g_ext) a (fixed by the
+critical-coupling null of the reflection coefficient).
 
 Both frames hold the same rotating-wave equations, so a lab-frame trace is
 exactly the rotating-frame one times e^{-i w_A t} (a, a_out) and
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, ValidationError,
-                   check_mode_order, detuning)
+                   check_mode_order)
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,6 +62,10 @@ MIN_POINTS_PER_CYCLE = 50
 # RK4 steps whose maps ``integrate`` builds and composes at once: bounds
 # its working memory, not its result
 _BLOCK = 4096
+
+# most RK4 steps one ``integrate`` call may take (default runner configs
+# take at most 30,720): a longer run is refused before it starts
+MAX_STEPS = 10**7
 
 # CSV rows formatted by one ``%`` in ``write_columns``: bounds the template
 # and each write, not the text
@@ -251,7 +257,7 @@ def max_step(mode_a, mode_b, pump, drive=None,
     drive offset. A swap frequency at or above w_B - w_A, outside the
     rotating-wave model, raises ValidationError.
     """
-    swap = rabi_frequency(detuning(pump, mode_a, mode_b), pump.envelope.max_amplitude)
+    swap = rabi_frequency(pump.delta, pump.g)
     spacing = mode_b.omega - mode_a.omega
     if not swap < spacing:
         raise ValidationError(f"swap frequency {swap / TWO_PI:.6g}Hz is not below the mode "
@@ -275,9 +281,11 @@ def input_field(drive, mode_a, t):
 
 def _steps(config: SimConfig):
     """(step count, step) of ``integrate``: dt is shrunk, never grown, so an
-    integer number of steps lands exactly on t_end."""
+    integer number of steps lands exactly on t_end. The rounding slack is
+    relative, as in the ResolutionError check of ``integrate``, so a span
+    of exactly N steps takes N at any N."""
     span = config.t_end - config.t_start
-    n = max(1, int(math.ceil(span / config.dt - 1e-12)))
+    n = max(1, int(math.ceil(span / config.dt * (1.0 - 1e-12))))
     return n, span / n
 
 
@@ -309,11 +317,10 @@ def exact_segment(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     """The closed-form rotating-frame solution of one constant-coefficient
     segment (constant pump and no drive, or a drive tone and no pump) on
     the grid ``integrate`` records under `config`."""
-    mode_a, mode_b = modes
+    mode_a = modes[0]
     t = record_times(config)
     if drive is None:
-        a, b = propagate_swap(initial, modes, pump.envelope.max_amplitude,
-                              detuning(pump, mode_a, mode_b), pump.phi_p, t)
+        a, b = propagate_swap(initial, modes, pump.g, pump.delta, pump.phase, t)
     else:
         a, b = propagate_load(initial, modes, drive, t)
     a_out = input_field(drive, mode_a, t) - math.sqrt(mode_a.gamma_ext) * a
@@ -326,8 +333,9 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     """Fixed-step RK4 trajectory of the coupled-mode equations.
 
     The step is shrunk (never grown) so an integer number of steps lands
-    exactly on t_end. Records (t, a, b, a_out) every `record_stride` steps
-    plus the final point. ``_rk4_maps`` builds the affine maps of `_BLOCK`
+    exactly on t_end; more than ``MAX_STEPS`` steps raise ValidationError.
+    Records (t, a, b, a_out) every `record_stride` steps plus the final
+    point. ``_rk4_maps`` builds the affine maps of `_BLOCK`
     steps at a time and ``_scan`` composes them (see the module docstring).
     """
     mode_a, mode_b = modes
@@ -338,6 +346,9 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
                               f"timescale (need dt <= {dt_max:.3e} s)")
 
     n, dt = _steps(config)
+    if n > MAX_STEPS:
+        raise ValidationError(f"{n} RK4 steps exceed the bound of {MAX_STEPS} steps "
+                              "per integration")
     steps = _record_steps(n, config.record_stride)
     t_arr = record_times(config)
     x = np.empty((2, steps.size + 1), dtype=complex)
@@ -371,8 +382,8 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
         "omega_b": mode_b.omega,
         "gamma_int_b": mode_b.gamma_int,
         "gamma_ext_b": mode_b.gamma_ext,
-        "omega_p": pump.omega_p,
-        "phi_p": pump.phi_p,
+        "delta": pump.delta,
+        "phi_p": pump.phase,
     }
     return TraceRecord(t_arr, x[0], x[1], a_out, meta)
 
@@ -386,11 +397,10 @@ def _rk4_maps(t, dt, mode_a, mode_b, pump, drive) -> np.ndarray:
     states (1, 0) and (0, 1) without the drive, and (0, 0) with it.
     """
     na, nb = complex(-0.5 * mode_a.gamma_total), complex(-0.5 * mode_b.gamma_total)
-    wp = detuning(pump, mode_a, mode_b)
     half = 0.5 * dt
     stages = t + np.array([0.0, half, dt])[:, None]  # t, t + dt/2, t + dt
-    ph = np.exp(1j * (wp * stages + pump.phi_p))
-    g = -1j * pump.envelope(stages)
+    ph = np.exp(1j * (pump.delta * stages + pump.phase))
+    g = -1j * pump(stages)
     up, down = g * ph, g * ph.conj()  # a <- b and b <- a couplings
     f = math.sqrt(mode_a.gamma_ext) * input_field(drive, mode_a, stages)
 
@@ -483,8 +493,8 @@ def propagate_swap(initial: ComplexAmplitudePair, modes, g_p: float,
                    delta: float, phi_p: float, t):
     """Exact rotating-frame amplitudes under a constant pump and no drive.
 
-    `g_p` is the pump amplitude, `delta` = omega_p - (omega_B - omega_A)
-    the detuning and `phi_p` the pump phase; the state `initial` is taken
+    `g_p` is the pump amplitude, `delta` = w_P - (w_B - w_A) the detuning
+    and `phi_p` the pump phase; the state `initial` is taken
     at time initial.t. Returns the arrays (a~(t), b~(t)) at the times `t`
     from the closed-form matrix exponential in the module docstring.
     """
@@ -559,16 +569,16 @@ def reflection_spectrum(mode_a: ModeParams, mode_b: ModeParams,
     the standard single-port Lorentzian 1 - gamma_ext / (i(w_A - w) + gamma_A/2).
     """
     check_mode_order(mode_a, mode_b)
-    if not getattr(pump.envelope, "is_cw", False):
+    if not pump.is_cw:
         raise ValidationError("reflection_spectrum requires a CW pump envelope")
-    g = pump.envelope.max_amplitude
+    g = pump.g
     w = np.asarray(probe_omegas, dtype=float)
 
     chi_a_inv = 1j * (mode_a.omega - w) + 0.5 * mode_a.gamma_total
     if g == 0.0:
         denom = chi_a_inv
     else:
-        chi_b_inv = 1j * (mode_b.omega - w - pump.omega_p) + 0.5 * mode_b.gamma_total
+        chi_b_inv = 1j * ((mode_a.omega - w) - pump.delta) + 0.5 * mode_b.gamma_total
         if np.any(chi_b_inv == 0.0):
             raise SingularSteadyStateError(
                 "undamped storage mode exactly on the converted probe frequency")

@@ -19,15 +19,14 @@ from .analysis import (DegenerateFitError, FitConvergenceError,
                        NoOscillationError, dwell_times,
                        fit_exponential_decay, fit_phase_slope,
                        loss_corrected_efficiency, oscillation_frequency)
-from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, RectPulse,
-                   ValidationError, check_mode_order, cw_envelope,
-                   mode_params_from_q)
+from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError,
+                   check_mode_order, mode_params_from_q)
 from .dynamics import (SimConfig, TraceRecord, check_exact, exact_segment,
                        format_cells, half_step_config, integrate_checked,
                        lab_frame, max_step, reflection_spectrum, write_columns)
 from .sequences import (PulseSequence, Segment, calibrate_swap_time,
                         demodulate, parse_sequence, run_sequence,
-                        run_sequence_checked, validate_sequence, without_swaps)
+                        run_sequence_checked, validate_sequence)
 from .units import Quantity, format_quantity, parse_quantity
 
 TWO_PI = 2.0 * math.pi
@@ -278,10 +277,9 @@ def _swap_problem(cfg, g, delta, t_end, amp0):
     """(initial state, modes, pump, RK4 config) of a constant-pump swap
     from a(0) = amp0, b(0) = 0 at pump detuning `delta`, in the rotating
     frame: callers use only frame-independent energies."""
-    mode_a, mode_b = modes = _modes(cfg)
-    pump = PumpDrive(abs(mode_a.omega - mode_b.omega) + delta, 0.0,
-                     RectPulse(g, -1.0, 2.0 * t_end))
-    dt = max_step(mode_a, mode_b, pump, points_per_cycle=cfg["points_per_cycle"])
+    modes = _modes(cfg)
+    pump = PumpDrive(g, delta)
+    dt = max_step(*modes, pump, points_per_cycle=cfg["points_per_cycle"])
     stride = max(1, int(math.ceil(t_end / dt)) // 4096)
     config = SimConfig(dt, t_end, 0.0, stride, cfg["tolerance"])
     return ComplexAmplitudePair(complex(amp0), 0.0j, 0.0), modes, pump, config
@@ -353,14 +351,12 @@ def _readout(seq, trace):
     return demodulate(trace, trace.meta["omega_a"], (windows[-1][1], windows[-1][2]))
 
 
-def _retrieval_reference(cfg, g, t_swap, delay):
-    """Leaked energy of the same load with the swap pulses disabled."""
-    seq = without_swaps(_sr_sequence(cfg, g, t_swap, delay, 0.0))
-    trace = run_sequence(seq, points_per_cycle=2 * cfg["points_per_cycle"])
-    windows = seq.windows()
-    ref_win = (windows[0][2], windows[-1][2])  # everything after the load
-    _, _, energy = demodulate(trace, trace.meta["omega_a"], ref_win)
-    return energy
+def _retrieval_reference(cfg, seq):
+    """Readout energy of the load of `seq` followed directly by its
+    readout: gamma_ext nbar (1 - e^{-gamma_A T_R}) / gamma_A over a window
+    of the readout's length T_R."""
+    ref = PulseSequence(seq.mode_specs, (seq.segments[0], seq.segments[-1]))
+    return _readout(ref, run_sequence(ref, points_per_cycle=2 * cfg["points_per_cycle"]))[2]
 
 
 def _resolve_t_swap(cfg, g, mode_a, mode_b) -> float:
@@ -388,12 +384,10 @@ def run_splitting(cfg, outdir):
             "must exceed g_P plus one probe spacing")
     probes = mode_a.omega + np.linspace(-0.5, 0.5, cfg["probe_count"]) * cfg["probe_span"]
     pump_deltas = np.linspace(-0.5, 0.5, cfg["pump_count"]) * cfg["pump_span"]
-    diff = abs(mode_a.omega - mode_b.omega)
 
     mags = np.empty((pump_deltas.size, probes.size))
     for k, delta in enumerate(pump_deltas):
-        pump = PumpDrive(diff + delta, 0.0, cw_envelope(g))
-        mags[k] = np.abs(reflection_spectrum(mode_a, mode_b, pump, probes))
+        mags[k] = np.abs(reflection_spectrum(mode_a, mode_b, PumpDrive(g, delta), probes))
     # pump-major rows; each axis value is formatted once
     _write_csv(os.path.join(outdir, "spectrum.csv"),
                [f"runner = splitting", f"gp_hz = {g / TWO_PI:.12g}"],
@@ -545,7 +539,7 @@ def run_store_retrieve(cfg, outdir):
 
     seqs = [_sr_sequence(cfg, g, t_swap, delay, 0.0) for delay in delays]
     rel, diff, traces = _retrieval_traces(cfg, seqs)
-    reference = _retrieval_reference(cfg, g, t_swap, float(delays[-1]))
+    reference = _retrieval_reference(cfg, seqs[0])
     retrieved = []
     for seq, trace in zip(seqs, traces):
         if not retrieved:  # the shortest-delay run also gives the dwell times of eta'
@@ -596,7 +590,7 @@ def run_phase_sweep(cfg, outdir):
 
     seqs = [_sr_sequence(cfg, g, t_swap, delay, phase) for phase in phases]
     rel, diff, traces = _retrieval_traces(cfg, seqs)
-    reference = _retrieval_reference(cfg, g, t_swap, delay)
+    reference = _retrieval_reference(cfg, seqs[0])
     out = [_readout(seq, trace) for seq, trace in zip(seqs, traces)]
 
     i, q, energies = (np.asarray(col) for col in zip(*out))

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fluxmap
-from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, RectPulse,
-                   RaisedCosinePulse, ValidationError, check_mode_order)
+from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, ValidationError,
+                   check_mode_order)
 from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact,
                        check_half_step, exact_segment, integrate, max_step)
 from .units import parse_quantity
@@ -265,16 +265,10 @@ def _segment_pump(seg: Segment, seq: PulseSequence, t0: float, t1: float,
     else:
         g = fluxmap.pump_coupling_rate(seq.mode_a.omega, seq.mode_b.omega,
                                        seg.params["power"].value, flux_calib)
-    delta = seg.get("delta")
-    phase = seg.get("phase")
-    omega_p = abs(seq.mode_a.omega - seq.mode_b.omega) + delta
     # pad the support so boundary RK4 stages are inside despite rounding
     pad = 1e-12 * (t1 - t0)
-    if "ramp" in seg.params:
-        env = RaisedCosinePulse(g, t0, t1, seg.params["ramp"].value)
-    else:
-        env = RectPulse(g, t0 - pad, t1 + pad)
-    return PumpDrive(omega_p, phase, env)
+    return PumpDrive(g, seg.get("delta"), seg.get("phase"), t0 - pad, t1 + pad,
+                     seg.get("ramp"))
 
 
 def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> DriveTone:
@@ -307,7 +301,9 @@ def run_sequence(seq: PulseSequence, *, points_per_cycle: int = 400,
     Constant-coefficient segments are exact (``exact_segment``);
     raised-cosine swaps are integrated with RK4 at that step. A leading
     ``load nbar=`` segment sets a = sqrt(nbar) at its end instead of
-    simulating the fill pulse; any other load drives the port. A swap
+    simulating the fill pulse, with no incident field on its two samples;
+    any other load drives the port. A sample on a segment boundary
+    belongs to the segment that ends there. A swap
     given by ``power=`` gets its g_P from the flux curves with the pump
     calibration `flux_calib`.
     """
@@ -327,26 +323,21 @@ def _run_segments(seq, points_per_cycle, exact,
     for i, seg in enumerate(seq.segments):
         t0, t1 = t, t + seg.duration
         if seg.kind == "load" and i == 0 and "nbar" in seg.params:
-            a_end = complex(math.sqrt(seg.params["nbar"].value))
-            piece = TraceRecord(
-                np.array([t0, t1]),
-                np.array([state.a, a_end]),
-                np.array([state.b, state.b]),
-                np.array([0.0 + 0.0j, 0.0 + 0.0j]))
-            state = ComplexAmplitudePair(a_end, state.b, t1)
+            a = np.array([state.a, math.sqrt(seg.params["nbar"].value)], dtype=complex)
+            piece = TraceRecord(np.array([t0, t1]), a, np.array([state.b, state.b]),
+                                np.zeros(2) - math.sqrt(mode_a.gamma_ext) * a)  # a_in = 0
+            state = ComplexAmplitudePair(a[-1], state.b, t1)
         else:
-            pump = None
+            pump = PumpDrive(0.0)
             drive = None
             if seg.kind == "swap":
                 pump = _segment_pump(seg, seq, t0, t1, flux_calib)
             elif seg.kind == "load":
                 drive = _load_drive(seg, mode_a, t0, t1)
-            if pump is None:
-                pump = PumpDrive(abs(mode_a.omega - mode_b.omega), 0.0, RectPulse(0.0, t0, t1))
             dt = min(max_step(mode_a, mode_b, pump, drive,
                               points_per_cycle=points_per_cycle), seg.duration / 8.0)
             cfg = SimConfig(dt, t1, t0)
-            if exact and "ramp" not in seg.params:
+            if exact and pump.ramp == 0.0:
                 piece = exact_segment(state, modes, pump, drive, cfg)
             else:
                 piece = integrate(state, modes, pump, drive, cfg)
@@ -394,15 +385,6 @@ def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
     diff = check_exact(trace.a, trace.b, fine, tolerance)
     trace.meta.update(convergence_rel_diff=rel, exact_rk4_max_diff=diff)
     return trace, rel
-
-
-def without_swaps(seq: PulseSequence) -> PulseSequence:
-    """The same sequence with every swap replaced by an equal-length delay
-    (the reference run for efficiency measurements)."""
-    segs = tuple(
-        Segment("delay", {"dur": seg.params["dur"]}) if seg.kind == "swap" else seg
-        for seg in seq.segments)
-    return PulseSequence(seq.mode_specs, segs)
 
 
 def demodulate(trace: TraceRecord, omega_ref: float, window) -> tuple:

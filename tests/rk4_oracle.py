@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from cavityswap import dynamics
-from cavityswap.core import detuning
 
 
 def oracle_input(drive, mode_a, frame):
@@ -33,12 +32,13 @@ def oracle_rhs(mode_a, mode_b, pump, drive, frame):
     a time."""
     na = -0.5 * mode_a.gamma_total - (1j * mode_a.omega if frame == "lab" else 0.0)
     nb = -0.5 * mode_b.gamma_total - (1j * mode_b.omega if frame == "lab" else 0.0)
-    wp = pump.omega_p if frame == "lab" else detuning(pump, mode_a, mode_b)
+    # the lab-frame carrier w_P = w_B - w_A + delta; the rotating frame sees delta
+    wp = mode_b.omega - mode_a.omega + pump.delta if frame == "lab" else pump.delta
     sq = math.sqrt(mode_a.gamma_ext)
     a_in = oracle_input(drive, mode_a, frame)
 
     def rhs(t, a, b):
-        coupling = -1j * float(pump.envelope(t)) * cmath.exp(1j * (wp * t + pump.phi_p))
+        coupling = -1j * float(pump(t)) * cmath.exp(1j * (wp * t + pump.phase))
         return na * a + coupling * b + sq * a_in(t), nb * b - coupling.conjugate() * a
 
     return rhs

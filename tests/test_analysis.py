@@ -133,6 +133,22 @@ class TestExponentialDecayFit:
         assert fit.params["offset"] == pytest.approx(0.1 * energy_scale, rel=1e-9)
         assert fit.residual_rms < 1e-12 * energy_scale
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(amp_exp=st.floats(-6.0, 6.0), time_exp=st.floats(-9.0, 0.0),
+           tau_span=st.floats(0.02, 5.0), start=st.floats(0.0, 0.5),
+           n=st.integers(4, 40))
+    def test_zero_offset_converges(self, amp_exp, time_exp, tau_span, start, n):
+        # noise-free A e^{-t/tau}: the fitted offset sits at rounding level
+        # around its true 0, where it must not hold up the stopping test;
+        # a tau well below the sample spacing must not end in a wrong minimum
+        span = 10.0 ** time_exp
+        t = span * np.linspace(start, start + 1.0, n)
+        tau = tau_span * span
+        y = 10.0 ** amp_exp * np.exp(-t / tau)
+        fit = fit_exponential_decay(t, y)
+        assert fit.params["tau"] == pytest.approx(tau, rel=1e-9)
+        assert abs(fit.params["offset"]) <= 1e-9 * y[0]
+
     def test_recovers_tau_with_noise(self):
         rng = np.random.default_rng(11)
         t = np.linspace(0.0, 60e-6, 48)

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from cavityswap.core import (ComplexAmplitudePair, CouplerState, ModeParams,
-                             PumpDrive, RaisedCosinePulse, RectPulse,
-                             ValidationError, cw_envelope, detuning,
-                             mode_params_from_q)
+                             PumpDrive, ValidationError, mode_params_from_q)
+from cavityswap.dynamics import (SimConfig, exact_segment, propagate_swap,
+                                 record_times)
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,8 +61,10 @@ class TestCouplerState:
 
 
 class TestRectPulse:
+    """The envelope of a PumpDrive with ramp = 0: a closed-support rectangle."""
+
     def test_closed_interval_support(self):
-        p = RectPulse(2.0, 1.0, 3.0)
+        p = PumpDrive(2.0, t_start=1.0, t_stop=3.0)
         assert p(1.0) == 2.0  # both endpoints included
         assert p(3.0) == 2.0
         assert p(2.0) == 2.0
@@ -69,24 +72,30 @@ class TestRectPulse:
         assert p(3.001) == 0.0
 
     def test_cw_envelope(self):
-        p = cw_envelope(1.5)
+        p = PumpDrive(1.5)
         assert p.is_cw
         assert p(-1e9) == 1.5 and p(1e9) == 1.5
-        assert not RectPulse(1.0, 0.0, 1.0).is_cw
+        assert not PumpDrive(1.0, t_start=0.0, t_stop=1.0).is_cw
 
     def test_max_amplitude(self):
-        assert RectPulse(0.7, 0.0, 1.0).max_amplitude == 0.7
+        p = PumpDrive(0.7, t_start=0.0, t_stop=1.0)
+        assert p.g == 0.7
+        assert np.max(p(np.linspace(-1.0, 2.0, 31))) == 0.7
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            RectPulse(-1.0)
+            PumpDrive(-1.0)
         with pytest.raises(ValidationError):
-            RectPulse(1.0, 2.0, 1.0)
+            PumpDrive(math.nan)
+        with pytest.raises(ValidationError):
+            PumpDrive(1.0, t_start=2.0, t_stop=1.0)
 
 
 class TestRaisedCosinePulse:
+    """The envelope of a PumpDrive with ramp > 0: raised-cosine edges."""
+
     def test_edges_and_plateau(self):
-        p = RaisedCosinePulse(2.0, 0.0, 10.0, 2.0)
+        p = PumpDrive(2.0, t_start=0.0, t_stop=10.0, ramp=2.0)
         assert p(0.0) == 0.0
         assert p(1.0) == pytest.approx(1.0)  # half-way up the ramp
         assert p(5.0) == 2.0
@@ -96,27 +105,37 @@ class TestRaisedCosinePulse:
 
     def test_ramp_must_fit(self):
         with pytest.raises(ValidationError):
-            RaisedCosinePulse(1.0, 0.0, 1.0, 0.6)
+            PumpDrive(1.0, t_start=0.0, t_stop=1.0, ramp=0.6)
         with pytest.raises(ValidationError):
-            RaisedCosinePulse(1.0, 0.0, 1.0, 0.0)
+            PumpDrive(1.0, t_start=0.0, t_stop=1.0, ramp=-0.1)
+        # ramp = 0 is the rectangle
+        t = np.linspace(-0.5, 1.5, 41)
+        assert np.array_equal(PumpDrive(1.0, t_start=0.0, t_stop=1.0, ramp=0.0)(t),
+                              1.0 * ((0.0 <= t) & (t <= 1.0)))
 
     def test_never_cw(self):
-        assert not RaisedCosinePulse(1.0, 0.0, 1.0, 0.1).is_cw
+        assert not PumpDrive(1.0, t_start=0.0, t_stop=1.0, ramp=0.1).is_cw
 
 
 class TestPumpDrive:
-    def test_negative_frequency_rejected(self):
-        with pytest.raises(ValidationError):
-            PumpDrive(-1.0)
+    def test_non_finite_detuning_rejected(self):
+        for delta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                PumpDrive(1.0, delta)
+        assert PumpDrive(1.0, -50.0).delta == -50.0  # a signed offset
 
-    def test_detuning_is_signed_offset_from_difference(self):
-        a = ModeParams(TWO_PI * 8.7e9)
-        b = ModeParams(TWO_PI * 9.33e9)
-        diff = b.omega - a.omega
-        assert detuning(PumpDrive(diff), a, b) == 0.0
-        assert detuning(PumpDrive(diff + 100.0), a, b) == pytest.approx(100.0)
-        # mode order must not matter
-        assert detuning(PumpDrive(diff - 50.0), b, a) == pytest.approx(-50.0)
+    def test_exact_segment_swaps_at_the_pump_detuning(self):
+        """The pump's own delta is the detuning of the dynamics: the exact
+        segment is propagate_swap at that delta, bit for bit."""
+        modes = (mode_params_from_q(TWO_PI * 8.7e9, 900e3, 50e3),
+                 ModeParams(TWO_PI * 9.33e9, 1.0 / 14.9e-6))
+        pump = PumpDrive(TWO_PI * 1.2e6, TWO_PI * 0.7e6, 0.4)
+        init = ComplexAmplitudePair(0.6 + 0.2j, 0.1j, 0.0)
+        config = SimConfig(2e-9, 1e-6)
+        trace = exact_segment(init, modes, pump, None, config)
+        a, b = propagate_swap(init, modes, TWO_PI * 1.2e6, TWO_PI * 0.7e6, 0.4,
+                              record_times(config))
+        assert np.array_equal(trace.a, a) and np.array_equal(trace.b, b)
 
 
 class TestComplexAmplitudePair:

@@ -8,8 +8,7 @@ from scipy.linalg import expm
 
 from cavityswap import dynamics
 from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive,
-                             RaisedCosinePulse, RectPulse, ValidationError,
-                             cw_envelope, mode_params_from_q)
+                             ValidationError, mode_params_from_q)
 from cavityswap.dynamics import (ConvergenceError, DriveTone,
                                  IntegrationDivergedError, ResolutionError,
                                  SimConfig, SingularSteadyStateError,
@@ -37,7 +36,7 @@ def _default_modes():
 
 
 def _pump(g=GP, delta=0.0, phi=0.0):
-    return PumpDrive(OMEGA_B - OMEGA_A + delta, phi, cw_envelope(g))
+    return PumpDrive(g, delta, phi)
 
 
 def _rotating_cfg(g, t_end, delta=0.0, ppc=400, stride=1):
@@ -150,7 +149,7 @@ class TestFrameEquivalence:
         mode_a = ModeParams(TWO_PI * 80e6)
         mode_b = ModeParams(TWO_PI * 143e6)
         g = TWO_PI * 0.5e6
-        pump = PumpDrive(mode_b.omega - mode_a.omega, 0.3, cw_envelope(g))
+        pump = PumpDrive(g, 0.0, 0.3)
         t_end = math.pi / (2.0 * g)
         init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
         lab_a, lab_b, _ = scalar_rk4(
@@ -189,7 +188,7 @@ class TestIntegratorMechanics:
     def test_bit_reproducible(self):
         # a ramped pump and a drive over several blocks of steps
         modes = _default_modes()
-        pump = PumpDrive(OMEGA_B - OMEGA_A, 0.4, RaisedCosinePulse(GP, 0.1e-6, 2e-6, 0.3e-6))
+        pump = PumpDrive(GP, 0.0, 0.4, 0.1e-6, 2e-6, 0.3e-6)
         drive = DriveTone(OMEGA_A + TWO_PI * 0.2e6, 1e3, 0.0, 0.5e-6, 1.5e-6)
         cfg = SimConfig(max_step(*modes, pump, drive, points_per_cycle=2000),
                         2.5e-6, 0.0, 3)
@@ -264,15 +263,13 @@ class TestBatchedRK4:
         # the run, so their edges fall inside it or beyond either end; a
         # block of 16 steps puts 15 and 17 on both sides of a block boundary
         modes = (ModeParams(TWO_PI * 80e6, 0.7e6, 1.3e6), ModeParams(TWO_PI * 143e6, 0.4e6))
-        omega_p = modes[1].omega - modes[0].omega + delta * _MHZ
         tone = DriveTone(modes[0].omega + dw * _MHZ, 2e3, phases[1])
-        dt = max_step(*modes, PumpDrive(omega_p, 0.0, RectPulse(g * _MHZ)), tone)
+        dt = max_step(*modes, PumpDrive(g * _MHZ, delta * _MHZ), tone)
         span = steps * dt
         lo, hi = sorted(pulse)
         lo, hi = t_start + lo * span, t_start + max(hi, lo + 0.05) * span
-        env = (RaisedCosinePulse(g * _MHZ, lo, hi, ramp * 0.5 * (hi - lo)) if ramp
-               else RectPulse(g * _MHZ, lo, hi))
-        pump = PumpDrive(omega_p, phases[0], env)
+        pump = PumpDrive(g * _MHZ, delta * _MHZ, phases[0], lo, hi,
+                         ramp * 0.5 * (hi - lo))
         on, off = sorted(window)
         drive = DriveTone(tone.omega_d, tone.amp_in, tone.phase, t_start + on * span,
                           t_start + max(off, on + 0.01) * span) if driven else None
@@ -336,6 +333,34 @@ class TestRecordGrid:
         trace, _ = integrate_checked(ComplexAmplitudePair(1 + 0j, 0j, 0.0),
                                      _default_modes(), _pump(), None, cfg)
         assert np.array_equal(record_times(half_step_config(cfg)), trace.t)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 10**6), dt_exp=st.floats(-15.0, 0.0))
+    @example(n=15360, dt_exp=math.log10(8e-6 / 15360))  # the default chevron row
+    def test_span_of_n_steps_takes_n(self, n, dt_exp):
+        # the rounding slack is relative: an absolute 1e-12 is below one ulp
+        # of span/dt above about 4,500 steps, where N steps became N + 1
+        dt = 10.0 ** dt_exp
+        assert dynamics._steps(SimConfig(dt, n * dt))[0] == n
+
+
+class TestStepBound:
+    def test_longer_runs_are_refused_before_they_start(self):
+        dt = 0.5 * max_step(*_default_modes(), _pump())
+        cfg = SimConfig(dt, (dynamics.MAX_STEPS + 1) * dt)
+        with pytest.raises(ValidationError, match=f"{dynamics.MAX_STEPS + 1} RK4 steps "
+                                                  f"exceed the bound of {dynamics.MAX_STEPS}"):
+            integrate(ComplexAmplitudePair(1 + 0j, 0j, 0.0), _default_modes(), _pump(),
+                      None, cfg)
+
+    def test_the_bound_itself_runs(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+        dt = 0.5 * max_step(*_default_modes(), _pump())
+        init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
+        trace = integrate(init, _default_modes(), _pump(), None, SimConfig(dt, 100 * dt))
+        assert trace.t.size == 101
+        with pytest.raises(ValidationError, match="101 RK4 steps"):
+            integrate(init, _default_modes(), _pump(), None, SimConfig(dt, 101 * dt))
 
 
 _MHZ = TWO_PI * 1e6
@@ -530,7 +555,7 @@ class TestReflectionSpectrum:
     def test_pump_off_is_lorentzian(self):
         mode_a, mode_b = _default_modes()
         w = mode_a.omega + np.linspace(-1, 1, 101) * TWO_PI * 2e6
-        pump = PumpDrive(OMEGA_B - OMEGA_A, 0.0, cw_envelope(0.0))
+        pump = PumpDrive(0.0)
         gamma = reflection_spectrum(mode_a, mode_b, pump, w)
         expected = 1.0 - mode_a.gamma_ext / (
             1j * (mode_a.omega - w) + 0.5 * mode_a.gamma_total)
@@ -539,7 +564,7 @@ class TestReflectionSpectrum:
     def test_critical_coupling_null(self):
         mode_a = ModeParams(OMEGA_A, 1e5, 1e5)  # gamma_int == gamma_ext
         mode_b = ModeParams(OMEGA_B, 1.0 / 14.9e-6, 0.0)
-        pump = PumpDrive(OMEGA_B - OMEGA_A, 0.0, cw_envelope(0.0))
+        pump = PumpDrive(0.0)
         gamma = reflection_spectrum(mode_a, mode_b, pump,
                                     np.array([mode_a.omega]))
         assert abs(gamma[0]) < 1e-12
@@ -555,16 +580,30 @@ class TestReflectionSpectrum:
         assert offsets[0] == pytest.approx(-1.2e6, rel=2e-2)
         assert offsets[1] == pytest.approx(1.2e6, rel=2e-2)
 
+    @pytest.mark.parametrize("delta_mhz", [-3.0, -0.4, 0.0, 0.7, 2.5])
+    def test_matches_the_lab_carrier_formula(self, delta_mhz):
+        # the oracle: the converted-probe term written with the absolute
+        # carrier w_P = w_B - w_A + delta, as w_B - w - w_P
+        mode_a, mode_b = _default_modes()
+        w = mode_a.omega + np.linspace(-1, 1, 801) * TWO_PI * 4e6
+        delta = TWO_PI * delta_mhz * 1e6
+        omega_p = mode_b.omega - mode_a.omega + delta
+        chi_a_inv = 1j * (mode_a.omega - w) + 0.5 * mode_a.gamma_total
+        chi_b_inv = 1j * (mode_b.omega - w - omega_p) + 0.5 * mode_b.gamma_total
+        expected = 1.0 - mode_a.gamma_ext / (chi_a_inv + GP * GP / chi_b_inv)
+        gamma = reflection_spectrum(mode_a, mode_b, _pump(delta=delta), w)
+        assert np.max(np.abs(gamma - expected)) < 1e-11
+
     def test_requires_cw_pump(self):
         mode_a, mode_b = _default_modes()
-        pulsed = PumpDrive(OMEGA_B - OMEGA_A, 0.0, RectPulse(GP, 0.0, 1e-6))
+        pulsed = PumpDrive(GP, t_start=0.0, t_stop=1e-6)
         with pytest.raises(ValidationError):
             reflection_spectrum(mode_a, mode_b, pulsed,
                                 np.array([mode_a.omega]))
 
     def test_singular_lossless_resonance(self):
         mode_a, mode_b = _lossless_modes()
-        pump = PumpDrive(OMEGA_B - OMEGA_A, 0.0, cw_envelope(0.0))
+        pump = PumpDrive(0.0)
         with pytest.raises(SingularSteadyStateError):
             reflection_spectrum(mode_a, mode_b, pump, np.array([mode_a.omega]))
 

@@ -1,4 +1,6 @@
 import math
+import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +10,7 @@ from hypothesis import strategies as st
 
 from cavityswap import dynamics, experiments, fluxmap, sequences
 from cavityswap.cli import main
-from cavityswap.core import (ComplexAmplitudePair, PumpDrive, RectPulse,
-                             ValidationError, cw_envelope)
+from cavityswap.core import ComplexAmplitudePair, PumpDrive, ValidationError
 from cavityswap.dynamics import (SimConfig, TraceRecord, integrate_checked,
                                  reflection_spectrum)
 from cavityswap.experiments import (RUNNERS, parse_config_file, resolve_config,
@@ -196,8 +197,7 @@ def _rk4_swap_trace(cfg, g, delta, t_end, amp0):
     """The integrate_checked path chevron and power_sweep ran on every sweep
     point before their closed form: the oracle for the exact traces."""
     mode_a, mode_b = experiments._modes(cfg)
-    pump = PumpDrive(abs(mode_a.omega - mode_b.omega) + delta, 0.0,
-                     RectPulse(g, -1.0, 2.0 * t_end))
+    pump = PumpDrive(g, delta, 0.0, -1.0, 2.0 * t_end)
     omega_fast = math.sqrt(delta * delta + 4.0 * g * g)
     dt = TWO_PI / (cfg["points_per_cycle"] * max(omega_fast, mode_a.gamma_total))
     stride = max(1, int(math.ceil(t_end / dt)) // 4096)
@@ -328,11 +328,9 @@ class TestAxisColumns:
         g = experiments._resolve_gp(cfg)
         probes = mode_a.omega + np.linspace(-0.5, 0.5, cfg["probe_count"]) * cfg["probe_span"]
         pump_deltas = np.linspace(-0.5, 0.5, cfg["pump_count"]) * cfg["pump_span"]
-        diff = abs(mode_a.omega - mode_b.omega)
         rows = []
         for delta in pump_deltas:
-            pump = PumpDrive(diff + delta, 0.0, cw_envelope(g))
-            mag = np.abs(reflection_spectrum(mode_a, mode_b, pump, probes))
+            mag = np.abs(reflection_spectrum(mode_a, mode_b, PumpDrive(g, delta), probes))
             for w, m in zip(probes, mag):
                 rows.append("%.17g,%.17g,%.17g\n" % (delta / TWO_PI, (w - mode_a.omega) / TWO_PI, m))
         assert _data_text(tmp_path / "spectrum.csv") == "".join(rows)
@@ -367,6 +365,17 @@ class TestStoreRetrieveRunner:
         # calibrated swap time sits near (slightly below) pi/(2 g)
         t_pi = math.pi / (2.0 * TWO_PI * results["gp_hz"])
         assert 0.95 * t_pi < results["t_swap_s"] < t_pi
+
+    def test_reference_matches_its_closed_form(self, tmp_path):
+        # the load read out at once over the readout's own length T_R:
+        # gamma_ext nbar (1 - e^{-gamma_A T_R}) / gamma_A
+        cfg = resolve_config("store_retrieve", SMALL_SR)
+        results = run_store_retrieve(cfg, tmp_path)
+        mode_a, _ = experiments._modes(cfg)
+        gamma_a = mode_a.gamma_total
+        t_r = 5.0 / gamma_a  # readout_dur = 0
+        expected = mode_a.gamma_ext * cfg["nbar"] * -math.expm1(-gamma_a * t_r) / gamma_a
+        assert results["reference_energy"] == pytest.approx(expected, rel=1e-5)
 
     def test_explicit_swap_time_is_respected(self, tmp_path):
         cfg = resolve_config("store_retrieve",
@@ -449,17 +458,17 @@ class TestSwapOracle:
     @pytest.mark.parametrize("runner,small", [("chevron", SMALL_CHEVRON),
                                               ("power_sweep", SMALL_POWER)])
     def test_one_oracle_call_per_runner(self, tmp_path, monkeypatch, runner, small):
-        pump_omegas = []
+        pump_deltas = []
 
         def recording(*args, **kwargs):
-            pump_omegas.append(args[2].omega_p)
+            pump_deltas.append(args[2].delta)
             return integrate_checked(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "integrate_checked", recording)
         cfg = resolve_config(runner, small)
         results = RUNNERS[runner](cfg, tmp_path)
         # one call, at zero pump detuning (the middle of the chevron sweep)
-        assert pump_omegas == [cfg["freq_b"] - cfg["freq_a"]]
+        assert pump_deltas == [0.0]
         assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
         assert 0.0 < results["convergence_rel_diff"] < 1e-8
 
@@ -573,6 +582,34 @@ class TestCli:
         out = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
                    if " = " in line)
         assert float(out["tau_s"]) == pytest.approx(14.9e-6, rel=1e-6)
+
+    def test_decay_fit_converges_with_a_zero_offset(self, tmp_path, capsys):
+        # the fitted offset sits at rounding level around its true 0; a step
+        # measured against it alone never met the tolerance, and tau_s was
+        # dropped as FitConvergenceError
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("nbar = 18.64\nt1_b = 15.1793us\n"
+                       "delay_start = 0.9524us\ndelay_stop = 55.0476us\n")
+        assert main(["store_retrieve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        out = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                   if " = " in line)
+        assert out["tau_degenerate"] == "false"
+        assert float(out["tau_s"]) == pytest.approx(15.1793e-6, rel=1e-9)
+
+    def test_run_beyond_the_step_bound_exits_2(self, tmp_path, capsys):
+        # the middle power's g_P is so small that its RK4 oracle would take
+        # 3.2e8 steps: refused at once instead of running for hours
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("power_start = -300dBm\npower_stop = -50dBm\n"
+                       "power_count = 3\nn_cycles = 3\n")
+        start = time.perf_counter()
+        assert main(["power_sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 10.0
+        assert re.match(r"error: \d+ RK4 steps exceed the bound of 10000000 steps",
+                        capsys.readouterr().err)
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     @pytest.mark.parametrize("runner,line", [
         ("chevron", "points_per_cycle = 0"),
