@@ -359,6 +359,17 @@ def _retrieval_reference(cfg, seq):
     return _readout(ref, run_sequence(ref, points_per_cycle=2 * cfg["points_per_cycle"]))[2]
 
 
+def _check_normal_energies(cfg, energies):
+    """Refuse readout energies below the normal doubles: a subnormal keeps
+    too few bits for the fits. The energies scale with ``nbar``."""
+    low = float(np.min(energies))
+    tiny = float(np.finfo(float).tiny)
+    if not low >= tiny:
+        raise ValidationError(
+            f"nbar = {cfg['nbar']:.3g} gives readout energies down to {low:.3g}, below "
+            f"the smallest normal double {tiny:.3g}: the fits would see only a few bits")
+
+
 def _resolve_t_swap(cfg, g, mode_a, mode_b) -> float:
     if cfg["t_swap"] > 0.0:
         return cfg["t_swap"]
@@ -388,13 +399,12 @@ def run_splitting(cfg, outdir):
     mags = np.empty((pump_deltas.size, probes.size))
     for k, delta in enumerate(pump_deltas):
         mags[k] = np.abs(reflection_spectrum(mode_a, mode_b, PumpDrive(g, delta), probes))
-    # pump-major rows; each axis value is formatted once
+    # pump-major rows
     _write_csv(os.path.join(outdir, "spectrum.csv"),
                [f"runner = splitting", f"gp_hz = {g / TWO_PI:.12g}"],
                ["pump_detuning_hz", "probe_offset_hz", "reflection_abs"],
-               [np.repeat(format_cells(pump_deltas / TWO_PI), probes.size),
-                np.tile(format_cells((probes - mode_a.omega) / TWO_PI), pump_deltas.size),
-                mags.ravel()])
+               [np.repeat(pump_deltas / TWO_PI, probes.size),
+                np.tile((probes - mode_a.omega) / TWO_PI, pump_deltas.size), mags.ravel()])
 
     center_mag = mags[int(np.argmin(np.abs(pump_deltas)))]
     separation = _dip_separation(probes, center_mag)
@@ -449,8 +459,8 @@ def run_chevron(cfg, outdir):
         dts.append(dt)
         omega_es.append(_swap_oscillation_frequency(trace))
     omega_es = np.asarray(omega_es)
-    # detuning-major rows; each detuning is formatted once
-    detunings = format_cells(deltas / TWO_PI)
+    # detuning-major rows
+    detunings = deltas / TWO_PI
     _write_csv(os.path.join(outdir, "chevron_map.csv"),
                ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
                ["pump_detuning_hz", "t_s", "energy_a"],
@@ -548,6 +558,7 @@ def run_store_retrieve(cfg, outdir):
         retrieved.append(_readout(seq, trace)[2])
 
     retrieved = np.asarray(retrieved)
+    _check_normal_energies(cfg, np.append(retrieved, reference))
     eta_shortest = float(retrieved[0]) / reference
     eta_prime = loss_corrected_efficiency(eta_shortest, t_a, t_b, mode_a, mode_b)
 
@@ -594,6 +605,7 @@ def run_phase_sweep(cfg, outdir):
     out = [_readout(seq, trace) for seq, trace in zip(seqs, traces)]
 
     i, q, energies = (np.asarray(col) for col in zip(*out))
+    _check_normal_energies(cfg, np.append(energies, reference))
     _write_csv(os.path.join(outdir, "phase_sweep.csv"),
                ["runner = phase_sweep", f"gp_hz = {g / TWO_PI:.12g}",
                 f"t_swap_s = {t_swap:.12g}", f"reference = {reference:.12g}"],

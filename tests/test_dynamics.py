@@ -551,6 +551,71 @@ class TestTraceRecord:
             trace.window(5e-6, 6e-6)
 
 
+def _cells(values):
+    """The float cells of `values` as the CSV writer lays them out."""
+    return list(dynamics.format_cells(np.asarray(values, dtype=float)))
+
+
+def _percent_g(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+class TestCsvCells:
+    """The cell kernel against per-cell ``'%.17g' %``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                    | st.integers(0, 2**64 - 1).map(
+                        lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))),
+                    min_size=1, max_size=40))
+    def test_any_float(self, values):
+        # the second strategy draws bit patterns: every exponent is as likely
+        assert _cells(values) == _percent_g(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+        values = np.concatenate((powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)))
+        assert _cells(values) == _percent_g(values)
+        assert _cells(-values) == _percent_g(-values)
+
+    def test_quarter_ties_near_1e15(self):
+        # x 10 has a fraction of exactly 1/2 for odd k: %.17g rounds half to even
+        values = 1e15 + np.arange(-400, 401) / 4.0
+        assert _cells(values) == _percent_g(values)
+        # every other exact tie: x = j / 2^(n + 1), j odd, so |x| 10^n = j 5^n / 2,
+        # with n = 16 - E from 1 to 24 (10^23 and 10^24 are not doubles)
+        ties = [j / 2 ** (n + 1) for n in range(1, 25)
+                for j in range(-(-2 * 10**16 // 5**n) | 1, 2 * 10**17 // 5**n, 2)[:400]]
+        assert len(ties) > 8000
+        assert _cells(ties) == _percent_g(ties)
+
+    def test_digits_that_round_up_to_the_next_power(self):
+        # the doubles within 8 ulps of 10^E, where the 17-digit integer of
+        # |x| 10^(16 - E) can round up to 10^17 and log10 can miss E by one
+        powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+        values = np.concatenate([powers + k * np.spacing(powers) for k in range(-8, 9)])
+        assert _cells(values) == _percent_g(values)
+        assert _cells([99999999999999999.0, 1e23]) == ["1e+17", "9.9999999999999992e+22"]
+        # the exact integer part of |x| 10^(16 - E), not the rounded double,
+        # must lie in [10^16, 10^17): this one prints with its own exponent
+        assert _cells([9.9999999999999995e-07]) == ["9.9999999999999995e-07"]
+
+    def test_zeros_and_non_finite(self):
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+        assert _cells(values) == ["0", "-0", "inf", "-inf", "nan", "4.9406564584124654e-324",
+                                  "-4.9406564584124654e-324"]
+
+    def test_str_cells_keep_their_exact_text(self):
+        words = np.array(["", "é", "☃ x", "a\x00", "\x00", "no_oscillation"], dtype=object)
+        floats = np.array([1.5, -0.0, 1e-300, 2.0, math.nan, 0.1])
+        rows = "".join(dynamics._csv_blocks([words, floats, words[::-1]]))
+        assert rows == "".join(f"{a},{'%.17g' % x},{b}\n"
+                               for a, x, b in zip(words, floats, words[::-1]))
+        # a column of empty cells only
+        assert "".join(dynamics._csv_blocks([["", ""], [1.0, 2.0]])) == ",1\n,2\n"
+
+
 class TestReflectionSpectrum:
     def test_pump_off_is_lorentzian(self):
         mode_a, mode_b = _default_modes()

@@ -354,6 +354,38 @@ class TestAxisColumns:
         assert _data_text(tmp_path / "chevron_ridge.csv") == "".join(ridge_rows)
 
 
+def _fallback_share(columns):
+    """Share of the float cells of `columns` that the cell kernel sends to
+    ``'%.17g' %``."""
+    x = np.concatenate(columns)
+    return float(np.mean(dynamics._float_cells(x, np.zeros(x.size, dtype=np.intp))[1]))
+
+
+class TestCellFallbackShare:
+    """The kernel certifies all but a small share of real data cells."""
+
+    def test_default_chevron_map(self, tmp_path):
+        run_chevron(resolve_config("chevron"), tmp_path)
+        rows = _data_text(tmp_path / "chevron_map.csv").splitlines()
+        data = np.array([row.split(",") for row in rows], dtype=float)
+        share = _fallback_share(data.T)
+        print(f"chevron_map.csv: {share:.3%} of {data.size} float cells fall back")
+        assert share < 0.01
+
+    def test_custom_sequence_trace(self, tmp_path):
+        seq = tmp_path / "seq.txt"
+        seq.write_text(SEQ.replace("seg readout", "seg swap dur=0.4us gp=1.2MHz ramp=0.1us\n"
+                                                  "seg readout"))
+        experiments.run_custom_sequence(resolve_config("custom_sequence", {"sequence": str(seq)}),
+                                        tmp_path)
+        trace = TraceRecord.from_csv(tmp_path / "trace.csv")
+        columns = [trace.t, trace.a.real, trace.a.imag, trace.b.real, trace.b.imag,
+                   trace.a_out.real, trace.a_out.imag]
+        share = _fallback_share(columns)
+        print(f"trace.csv: {share:.3%} of {7 * trace.t.size} float cells fall back")
+        assert share < 0.01
+
+
 class TestStoreRetrieveRunner:
     def test_efficiency_and_decay(self, tmp_path):
         cfg = resolve_config("store_retrieve", SMALL_SR)
@@ -675,6 +707,10 @@ class TestCli:
           for runner in ("splitting", "chevron", "store_retrieve", "phase_sweep")],
         ("custom_sequence", "seg swap dur=0.2us power=4000dBm"),
         ("power_sweep", "power_stop = 4000dBm"),
+        # an nbar whose readout energies are subnormal, where the fits used to
+        # answer silently wrong (tau_s 12.77 us for 14.9 us, eta 0.718 for 0.729)
+        ("store_retrieve", "nbar = 1e-320\ndelay_count = 4\ndelay_stop = 5us"),
+        ("phase_sweep", "nbar = 1e-320\nphase_count = 4\ndelay = 1us"),
     ])
     def test_refused_config_values_exit_2(self, tmp_path, capsys, runner, line):
         seq = tmp_path / "seq.txt"
