@@ -364,23 +364,42 @@ def _str_cells(cells, separator):
     return out
 
 
+def _axis_cells(values, index, last):
+    """The (values, index) column of ``_csv_blocks``: the float cells of
+    `values`, formatted once, and `index` as an integer array."""
+    values = np.asarray(values).astype(float, copy=False).reshape(-1)
+    index = np.asarray(index)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ValidationError("the index of a (values, index) CSV column must be "
+                              "a 1-D integer array")
+    if index.size and not (index.min() >= 0 and index.max() < values.size):
+        raise ValidationError(f"a (values, index) CSV column indexes outside its "
+                              f"{values.size} values")
+    return _float_cells(values, last)[0].view(np.uint8).reshape(-1, _CELL_BYTES), index
+
+
 def _csv_blocks(columns):
     """The CSV rows of equal-length `columns`, ``_CSV_BLOCK`` rows to a
     string: a column of str cells (a str or object array, or a list) as it
-    is, any other as float cells.
+    is, a pair ``(values, index)`` of a float and an integer array as the
+    float cells of ``values[index]``, and any other as float cells.
 
     The float cells of a block are laid out together by ``_float_cells``,
     which certifies each cell it formats with array arithmetic and sends
-    the rest to ``'%.17g' %``: every cell is the text of ``'%.17g' %``.
+    the rest to ``'%.17g' %``: every cell is the text of ``'%.17g' %``. The
+    `values` of a pair (a sweep axis, whose values repeat from row to row)
+    are formatted once, and each block gathers their cells by `index`.
     """
-    cols = []
-    for col in columns:
+    cols, axes = [], {}  # axes[k]: the cells of the values of pair column k
+    for k, col in enumerate(columns):
+        if isinstance(col, tuple):  # cols[k] is then its index
+            axes[k], col = _axis_cells(*col, k == len(columns) - 1)
         arr = np.asarray(col)
-        cols.append(arr if arr.dtype.kind in "OU" else arr.astype(float, copy=False))
+        cols.append(arr if k in axes or arr.dtype.kind in "OU" else arr.astype(float, copy=False))
     n = len(cols[0])
     if any(len(col) != n for col in cols):
         raise ValidationError("CSV columns must have equal lengths")
-    floats = [k for k, col in enumerate(cols) if col.dtype.kind not in "OU"]
+    floats = [k for k, col in enumerate(cols) if k not in axes and col.dtype.kind not in "OU"]
     last = np.array([k == len(cols) - 1 for k in floats], dtype=np.intp)
     for lo in range(0, n, _CSV_BLOCK):
         rows = min(_CSV_BLOCK, n - lo)
@@ -388,6 +407,7 @@ def _csv_blocks(columns):
         cells = iter(_float_cells(x, np.repeat(last, rows))[0]
                      .view(np.uint8).reshape(len(floats), rows, _CELL_BYTES))
         slots = [next(cells) if k in floats else
+                 np.take(axes[k], col[lo:lo + rows], axis=0) if k in axes else
                  _str_cells(col[lo:lo + rows].tolist(), _SEPARATORS[k == len(cols) - 1])
                  for k, col in enumerate(cols)]
         block = np.concatenate(slots, axis=1).reshape(-1)
@@ -648,11 +668,19 @@ def check_half_step(coarse: TraceRecord, fine: TraceRecord, tolerance: float) ->
     """Relative difference |(a, b)_coarse - (a, b)_fine| / |(a, b)_fine| of
     the final states of a run and its half-step rerun.
 
+    Both states are first scaled by the power of two that brings the peak
+    component of the fine one into [1/2, 1): exact, so the difference is
+    the same, but its squares in the norms cannot underflow at tiny
+    amplitudes.
+
     Raises ConvergenceError above `tolerance`; otherwise stores the
     difference as fine.meta["convergence_rel_diff"] and returns it.
     """
     vc = np.array([coarse.a[-1], coarse.b[-1]])
     vf = np.array([fine.a[-1], fine.b[-1]])
+    shift = -math.frexp(float(np.max(np.abs(vf.view(float)))))[1]
+    with np.errstate(over="ignore"):  # a coarse state far above the fine one fails below
+        vc, vf = (np.ldexp(v.view(float), shift).view(complex) for v in (vc, vf))
     scale = max(float(np.linalg.norm(vf)), 1e-300)
     rel = float(np.linalg.norm(vc - vf) / scale)
     if rel > tolerance:

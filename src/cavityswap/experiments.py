@@ -220,7 +220,8 @@ def _resolve_gp(cfg) -> float:
 
 def _write_csv(path, meta_lines, colnames, columns):
     """Write equal-length `columns` under a ``#`` header block: a float
-    column as ``%.17g`` cells, a str column as it is."""
+    column as ``%.17g`` cells, a str column as it is, and a pair
+    ``(values, index)`` as the cells of ``values[index]``."""
     with open(path, "w") as fh:
         for line in meta_lines:
             fh.write(f"# {line}\n")
@@ -359,15 +360,15 @@ def _retrieval_reference(cfg, seq):
     return _readout(ref, run_sequence(ref, points_per_cycle=2 * cfg["points_per_cycle"]))[2]
 
 
-def _check_normal_energies(cfg, energies):
-    """Refuse readout energies below the normal doubles: a subnormal keeps
-    too few bits for the fits. The energies scale with ``nbar``."""
+def _check_normal_energies(cfg, energies, what="readout energies"):
+    """Refuse `energies` below the normal doubles: a subnormal keeps too
+    few bits for the fits and the FFT. The energies scale with ``nbar``."""
     low = float(np.min(energies))
     tiny = float(np.finfo(float).tiny)
     if not low >= tiny:
         raise ValidationError(
-            f"nbar = {cfg['nbar']:.3g} gives readout energies down to {low:.3g}, below "
-            f"the smallest normal double {tiny:.3g}: the fits would see only a few bits")
+            f"nbar = {cfg['nbar']:.3g} gives {what} down to {low:.3g}, below the "
+            f"smallest normal double {tiny:.3g}: the fits would see only a few bits")
 
 
 def _resolve_t_swap(cfg, g, mode_a, mode_b) -> float:
@@ -399,12 +400,14 @@ def run_splitting(cfg, outdir):
     mags = np.empty((pump_deltas.size, probes.size))
     for k, delta in enumerate(pump_deltas):
         mags[k] = np.abs(reflection_spectrum(mode_a, mode_b, PumpDrive(g, delta), probes))
-    # pump-major rows
+    # pump-major rows; the two axes as (values, index) columns
+    n_pump, n_probe = mags.shape
     _write_csv(os.path.join(outdir, "spectrum.csv"),
                [f"runner = splitting", f"gp_hz = {g / TWO_PI:.12g}"],
                ["pump_detuning_hz", "probe_offset_hz", "reflection_abs"],
-               [np.repeat(pump_deltas / TWO_PI, probes.size),
-                np.tile((probes - mode_a.omega) / TWO_PI, pump_deltas.size), mags.ravel()])
+               [(pump_deltas / TWO_PI, np.repeat(np.arange(n_pump), n_probe)),
+                ((probes - mode_a.omega) / TWO_PI, np.tile(np.arange(n_probe), n_pump)),
+                mags.ravel()])
 
     center_mag = mags[int(np.argmin(np.abs(pump_deltas)))]
     separation = _dip_separation(probes, center_mag)
@@ -449,7 +452,7 @@ def run_chevron(cfg, outdir):
 
     amp0 = math.sqrt(cfg["nbar"])
     mid = len(deltas) // 2  # the RK4 oracle; resonant only for an odd delta_count
-    eas, dts, omega_es = [], [], []
+    eas, dts, omega_es, lows = [], [], [], []
     for k, delta in enumerate(deltas):
         trace = _swap_point(cfg, g, delta, t_end, amp0)
         if k == mid:
@@ -458,13 +461,15 @@ def run_chevron(cfg, outdir):
         eas.append(ea)
         dts.append(dt)
         omega_es.append(_swap_oscillation_frequency(trace))
+        lows.append(np.min(trace.energy_a + trace.energy_b))
+    _check_normal_energies(cfg, lows, "energies |a|^2 + |b|^2")
     omega_es = np.asarray(omega_es)
     # detuning-major rows
     detunings = deltas / TWO_PI
     _write_csv(os.path.join(outdir, "chevron_map.csv"),
                ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
                ["pump_detuning_hz", "t_s", "energy_a"],
-               [np.repeat(detunings, [ea.size for ea in eas]),
+               [(detunings, np.repeat(np.arange(detunings.size), [ea.size for ea in eas])),
                 np.concatenate([np.arange(ea.size) * dt for ea, dt in zip(eas, dts)]),
                 np.concatenate(eas)])
     _write_csv(os.path.join(outdir, "chevron_ridge.csv"),

@@ -12,7 +12,8 @@ from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive,
 from cavityswap.dynamics import (ConvergenceError, DriveTone,
                                  IntegrationDivergedError, ResolutionError,
                                  SimConfig, SingularSteadyStateError,
-                                 TraceRecord, half_step_config, integrate,
+                                 TraceRecord, check_half_step,
+                                 half_step_config, integrate,
                                  integrate_checked, max_step, propagate_load,
                                  propagate_swap, rabi_frequency,
                                  record_times, reflection_spectrum)
@@ -237,6 +238,44 @@ class TestIntegratorMechanics:
                       - 1j * GP * np.exp(-0.5j) * state.a)
         assert da == pytest.approx(expected_a, rel=1e-14)
         assert db == pytest.approx(expected_b, rel=1e-14)
+
+
+def _final_states(a, b):
+    """A two-point trace whose final state is (a, b)."""
+    return TraceRecord(np.zeros(2), np.array([0j, a]), np.array([0j, b]), np.zeros(2, complex))
+
+
+_HALF_STEP_SEQ = ("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
+                  "mode B freq=9.33GHz t1=14.9us\n"
+                  "seg load dur=2us nbar={nbar}\n"
+                  "seg swap dur=0.2037us gp=1.2MHz\n"
+                  "seg readout dur=2us\n")
+
+
+class TestHalfStepCheck:
+    def test_power_of_two_scaling_keeps_the_difference(self):
+        # unscaled, the squares of the 2^-1000 states and of their difference underflow
+        a, b = 0.6 - 0.3j, -0.2 + 0.7j
+        da, db = 3e-11 + 1e-12j, -2e-11j
+        rel = check_half_step(_final_states(a + da, b + db), _final_states(a, b), 1.0)
+        assert 1e-11 < rel < 1e-10
+        tiny = 2.0**-1000
+        scaled = check_half_step(_final_states((a + da) * tiny, (b + db) * tiny),
+                                 _final_states(a * tiny, b * tiny), 1.0)
+        assert scaled == rel
+
+    def test_zero_states_keep_the_floor(self):
+        assert check_half_step(_final_states(0j, 0j), _final_states(0j, 0j), 1.0) == 0.0
+        # a zero fine state divides by the floor 1e-300
+        assert check_half_step(_final_states(1e-150j, 0j), _final_states(0j, 0j),
+                               1e200) == pytest.approx(1e150)
+
+    def test_subnormal_occupancy_sequence(self):
+        # amplitudes near 1e-160 used to report a difference of exactly 0
+        rels = [run_sequence_checked(parse_sequence(_HALF_STEP_SEQ.format(nbar=nbar)))[1]
+                for nbar in ("1", "1e-320")]
+        assert rels[0] > 1e-12
+        assert rels[1] == pytest.approx(rels[0], rel=1e-3)
 
 
 class TestBatchedRK4:
@@ -549,6 +588,50 @@ class TestTraceRecord:
         trace = self._trace()
         with pytest.raises(ValidationError):
             trace.window(5e-6, 6e-6)
+
+
+_AXIS_VALUES = np.array([2.5, -0.0, 1e-300, math.nan, 0.1, 3e17, -7.0])
+_AXIS_INDEX = np.array([4, 0, 0, 5, 2, 2, 2, 1, 3, 0, 5, 4, 1, 6, 6, 0, 3])  # repeats, any order
+
+
+class TestAxisColumns:
+    """A (values, index) column writes the cells of values[index]."""
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("place", [0, 1, 2])  # first, middle, last
+    def test_rows_match_the_dense_column(self, monkeypatch, block, place):
+        monkeypatch.setattr(dynamics, "_CSV_BLOCK", block)
+        n = _AXIS_INDEX.size
+        words = np.array([f"w{k}" for k in range(n)], dtype=object)
+        floats = np.linspace(-1.0, 1.0, n)
+
+        def rows(axis):
+            columns = [words, floats]
+            columns.insert(place, axis)
+            return "".join(dynamics._csv_blocks(columns))
+
+        dense = _AXIS_VALUES[_AXIS_INDEX]
+        text = rows((_AXIS_VALUES, _AXIS_INDEX))
+        assert text == rows(dense)
+        cells = [list(words), _percent_g(floats)]
+        cells.insert(place, _percent_g(dense))
+        assert text == "".join(",".join(row) + "\n" for row in zip(*cells))
+
+    def test_pair_columns_only(self):
+        index = _AXIS_INDEX.astype(np.uint8)
+        text = "".join(dynamics._csv_blocks([(_AXIS_VALUES, index), (_AXIS_VALUES[::-1], index)]))
+        assert text == "".join(f"{'%.17g' % _AXIS_VALUES[k]},{'%.17g' % _AXIS_VALUES[-1 - k]}\n"
+                               for k in _AXIS_INDEX)
+
+    @pytest.mark.parametrize("column,match", [
+        ((_AXIS_VALUES, _AXIS_INDEX[:-1]), "equal lengths"),
+        ((_AXIS_VALUES, _AXIS_INDEX.astype(float)), "integer array"),
+        ((_AXIS_VALUES, _AXIS_INDEX - 1), "outside its 7 values"),
+        ((_AXIS_VALUES[:-1], _AXIS_INDEX), "outside its 6 values"),
+    ])
+    def test_refused(self, column, match):
+        with pytest.raises(ValidationError, match=match):
+            list(dynamics._csv_blocks([np.zeros(_AXIS_INDEX.size), column]))
 
 
 def _cells(values):

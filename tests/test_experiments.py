@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import time
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cavityswap import dynamics, experiments, fluxmap, sequences
+from cavityswap import cli, dynamics, experiments, fluxmap, sequences
 from cavityswap.cli import main
 from cavityswap.core import ComplexAmplitudePair, PumpDrive, ValidationError
 from cavityswap.dynamics import (SimConfig, TraceRecord, integrate_checked,
@@ -182,6 +183,13 @@ class TestChevronRunner:
         assert (tmp_path / "a" / "report.txt").read_bytes() == \
             (tmp_path / "b" / "report.txt").read_bytes()
 
+    def test_tiny_normal_occupancy_gives_the_same_fit(self, tmp_path):
+        # the equations are linear: nbar scales every energy and no frequency
+        fits = [run_chevron(resolve_config("chevron", {"nbar": nbar, "delta_count": "3",
+                                                       "t_end": "2us"}),
+                            tmp_path / nbar)["gp_fit_hz"] for nbar in ("1", "1e-300")]
+        assert fits[1] == pytest.approx(fits[0], rel=1e-9)
+
     def test_lab_frame_is_rejected(self):
         # energies are frame-independent: chevron has no frame setting
         with pytest.raises(ValidationError, match="unknown config key 'frame'"):
@@ -352,6 +360,39 @@ class TestAxisColumns:
                 map_rows.append("%.17g,%.17g,%.17g\n" % (delta / TWO_PI, k * dt_rec, e))
         assert _data_text(tmp_path / "chevron_map.csv") == "".join(map_rows)
         assert _data_text(tmp_path / "chevron_ridge.csv") == "".join(ridge_rows)
+
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """{file name: float values the cell kernel formatted to write it}"""
+        counts, current = {}, []
+        float_cells, write_csv = dynamics._float_cells, experiments._write_csv
+
+        def counting_cells(x, last):
+            counts[current[-1]] = counts.get(current[-1], 0) + np.size(x)
+            return float_cells(x, last)
+
+        def tracking_write(path, *args):
+            current.append(os.path.basename(path))
+            write_csv(path, *args)
+
+        monkeypatch.setattr(dynamics, "_float_cells", counting_cells)
+        monkeypatch.setattr(experiments, "_write_csv", tracking_write)
+        return counts
+
+    def test_splitting_formats_each_axis_value_once(self, tmp_path, formatted):
+        cfg = resolve_config("splitting", SMALL_SPLITTING)
+        run_splitting(cfg, tmp_path)
+        probe, pump = cfg["probe_count"], cfg["pump_count"]
+        assert formatted == {"spectrum.csv": probe * pump + probe + pump}
+
+    def test_chevron_formats_each_detuning_once(self, tmp_path, formatted):
+        cfg = resolve_config("chevron", SMALL_CHEVRON)
+        run_chevron(cfg, tmp_path)
+        rows = len(_data_text(tmp_path / "chevron_map.csv").splitlines())
+        assert rows > 100 * cfg["delta_count"]
+        assert formatted == {"chevron_map.csv": 2 * rows + cfg["delta_count"],
+                             "chevron_ridge.csv": 2 * cfg["delta_count"]}
 
 
 def _fallback_share(columns):
@@ -566,6 +607,19 @@ class TestCli:
         diff = float(report.split("result.exact_rk4_max_diff = ")[1].split()[0])
         assert 0.0 < diff < 1e-9
 
+    def test_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("probe_count = 51\npump_count = 3\n")
+        for out in ("a", "b"):
+            assert main(["splitting", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        assert built == [1]
+        assert ((tmp_path / "a" / "spectrum.csv").read_bytes()
+                == (tmp_path / "b" / "spectrum.csv").read_bytes())
+
     def test_validation_error_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("nonsense = 1\n")
@@ -711,6 +765,9 @@ class TestCli:
         # answer silently wrong (tau_s 12.77 us for 14.9 us, eta 0.718 for 0.729)
         ("store_retrieve", "nbar = 1e-320\ndelay_count = 4\ndelay_stop = 5us"),
         ("phase_sweep", "nbar = 1e-320\nphase_count = 4\ndelay = 1us"),
+        # mode energies |a|^2 + |b|^2 that are subnormal, where chevron answered
+        # gp_fit_hz 1199979.848 for 1199977.021
+        ("chevron", "nbar = 1e-320\ndelta_count = 3\nt_end = 2us"),
     ])
     def test_refused_config_values_exit_2(self, tmp_path, capsys, runner, line):
         seq = tmp_path / "seq.txt"
