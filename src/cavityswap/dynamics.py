@@ -25,11 +25,14 @@ e^{-i w_B t} (b): ``lab_frame`` applies that rotation after the fact.
 Integration is classic fixed-step RK4, chosen over adaptive stepping so
 that sweep trajectories are bit-reproducible. The equations are linear,
 x' = A(t) x + f(t), so one RK4 step is an affine map x_{k+1} = P_k x_k +
-q_k. ``integrate`` builds the maps of a block of steps as arrays from A
-and f at the stage times and composes them with an odd-even prefix scan
-(Blelloch, CMU-CS-90-190, 1990): the RK4 solution of a step-by-step loop,
-rounded differently, so the dt/2 rerun of ``integrate_checked`` still
-measures a genuine RK4 step-size difference. A constant pump with no
+q_k. One engine, ``rk4_run``, steps ``integrate`` (one segment) and the
+sequence oracle (every segment of a sequence, each with its own step,
+pump and drive) alike: for each block of steps it builds the maps as
+arrays from A and f at the stage times and composes them with an
+odd-even prefix scan (Blelloch, CMU-CS-90-190, 1990), and its blocks run
+across segment boundaries. That is the RK4 solution of a step-by-step
+loop, rounded differently, so the dt/2 rerun of ``integrate_checked``
+still measures a genuine RK4 step-size difference. A constant pump with no
 drive has an exact solution instead (``propagate_swap``): substituting
 c = b~ e^{i(D t + phi_P)} makes the rotating-frame system time-invariant,
 
@@ -533,47 +536,41 @@ def exact_segment(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     return TraceRecord(t, a, b, a_out)
 
 
+def checked_steps(modes, pump: PumpDrive, drive: DriveTone | None, config: SimConfig):
+    """(step count, step) of the RK4 run of ``integrate`` under `config`
+    (``_steps``), after its two refusals: ResolutionError when config.dt
+    does not resolve the fastest timescale (``max_step``), and
+    ValidationError above ``MAX_STEPS`` steps. Both come before any array
+    is built."""
+    dt_max = max_step(*modes, pump, drive)
+    if config.dt > dt_max * (1.0 + 1e-12):
+        raise ResolutionError(f"dt={config.dt:.3e} s does not resolve the fastest "
+                              f"timescale (need dt <= {dt_max:.3e} s)")
+    n, dt = _steps(config)
+    if n > MAX_STEPS:
+        raise ValidationError(f"{n} RK4 steps exceed the bound of {MAX_STEPS} steps "
+                              "per integration")
+    return n, dt
+
+
 def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
               drive: DriveTone | None = None,
               config: SimConfig = SimConfig()) -> TraceRecord:
     """Fixed-step RK4 trajectory of the coupled-mode equations.
 
     The step is shrunk (never grown) so an integer number of steps lands
-    exactly on t_end; more than ``MAX_STEPS`` steps raise ValidationError.
-    Records (t, a, b, a_out) every `record_stride` steps plus the final
-    point. ``_rk4_maps`` builds the affine maps of `_BLOCK`
-    steps at a time and ``_scan`` composes them (see the module docstring).
+    exactly on t_end; more than ``MAX_STEPS`` steps raise ValidationError
+    (``checked_steps``). Records (t, a, b, a_out) every `record_stride` steps
+    plus the final point. ``rk4_run`` steps it as a run of one segment.
     """
-    mode_a, mode_b = modes
-    check_mode_order(mode_a, mode_b)
-    dt_max = max_step(mode_a, mode_b, pump, drive)
-    if config.dt > dt_max * (1.0 + 1e-12):
-        raise ResolutionError(f"dt={config.dt:.3e} s does not resolve the fastest "
-                              f"timescale (need dt <= {dt_max:.3e} s)")
-
-    n, dt = _steps(config)
-    if n > MAX_STEPS:
-        raise ValidationError(f"{n} RK4 steps exceed the bound of {MAX_STEPS} steps "
-                              "per integration")
-    steps = _record_steps(n, config.record_stride)
+    check_mode_order(*modes)
+    n, dt = checked_steps(modes, pump, drive, config)
     t_arr = record_times(config)
-    x = np.empty((2, steps.size + 1), dtype=complex)
-    x[:, 0] = state = np.array([initial.a, initial.b], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
-        for j0 in range(0, n, _BLOCK):
-            j1 = min(j0 + _BLOCK, n)
-            maps = _rk4_maps(config.t_start + np.arange(j0, j1) * dt, dt,
-                             mode_a, mode_b, pump, drive)
-            states = _scan(maps, state)
-            state = states[:, -1]
-            lo, hi = np.searchsorted(steps, (j0, j1), side="right")
-            x[:, 1 + lo:1 + hi] = states[:, steps[lo:hi] - j0 - 1]
-    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=0))
-    if bad.size:
-        a, b = complex(x[0, bad[0]]), complex(x[1, bad[0]])
-        raise IntegrationDivergedError(
-            f"non-finite state at t={t_arr[bad[0]]:.6e} s (a={a!r}, b={b!r})")
+    x = rk4_run([initial.a, initial.b], modes, [(pump, drive, config.t_start, n, dt)],
+                _record_steps(n, config.record_stride))
+    check_finite(x, t_arr)
 
+    mode_a, mode_b = modes
     a_in = input_field(drive, mode_a, t_arr)
     a_out = a_in - math.sqrt(mode_a.gamma_ext) * x[0]
     meta = {
@@ -594,21 +591,93 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     return TraceRecord(t_arr, x[0], x[1], a_out, meta)
 
 
-def _rk4_maps(t, dt, mode_a, mode_b, pump, drive) -> np.ndarray:
-    """The affine RK4 maps of the steps starting at the times `t`, as an
-    array M of shape (2, 3, len(t)): row r of step k gives component r of
+def check_finite(x, t):
+    """Raise IntegrationDivergedError naming the first of the states `x`
+    (2, len(t)), recorded at the times `t`, that is not finite."""
+    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=0))
+    if bad.size:
+        a, b = complex(x[0, bad[0]]), complex(x[1, bad[0]])
+        raise IntegrationDivergedError(
+            f"non-finite state at t={t[bad[0]]:.6e} s (a={a!r}, b={b!r})")
+
+
+def rk4_run(x0, modes, segments, record) -> np.ndarray:
+    """RK4 from the state `x0` = (a, b) through `segments`, one after the
+    other: each is (pump, drive, t_start, n, dt), n steps of dt from
+    t_start. Returns the states (2, 1 + len(record)): `x0`, then the
+    state after each step count of `record` (increasing, counted over
+    all the segments).
+
+    The steps run in blocks of ``_BLOCK``, counted from the first step,
+    that cross segment boundaries: one ``_rk4_maps`` call builds the
+    affine maps of a block from the stage coefficients of every
+    segment's share of it (``_block_coefficients``), and one ``_scan``
+    composes them from the state the block starts in. So a block holds
+    at most ``_BLOCK`` steps, however long a segment is.
+    """
+    mode_a, mode_b = modes
+    na, nb = complex(-0.5 * mode_a.gamma_total), complex(-0.5 * mode_b.gamma_total)
+    total = sum(n for _, _, _, n, _ in segments)
+    x = np.empty((2, len(record) + 1), dtype=complex)
+    x[:, 0] = state = np.array(x0, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # see check_finite
+        for j0 in range(0, total, _BLOCK):
+            j1 = min(j0 + _BLOCK, total)
+            # `maps` lives on while the next block's maps are built: freed
+            # first, its pages go back to the system and fault in again
+            # (3.6 times the page faults over a run of 8 blocks)
+            maps = _rk4_maps(na, nb, *_block_coefficients(segments, j0, j1, mode_a))
+            states = _scan(maps, state)
+            state = states[:, -1]
+            lo, hi = np.searchsorted(record, (j0, j1), side="right")
+            x[:, 1 + lo:1 + hi] = states[:, record[lo:hi] - j0 - 1]
+    return x
+
+
+def _block_coefficients(segments, j0, j1, mode_a):
+    """(h, up, down, f) of the steps j0 to j1 - 1 of ``rk4_run``: the stage
+    coefficients (``_rk4_coefficients``) of each segment's share, joined,
+    and the step length, a float where one segment holds them all and an
+    array of one per step otherwise."""
+    steps, coeffs = [], []  # (step, count) and coefficients of each share
+    first = 0  # the first step of each segment
+    for pump, drive, t_start, n, dt in segments:
+        lo, hi = max(j0 - first, 0), min(j1 - first, n)
+        if lo < hi:
+            steps.append((dt, hi - lo))
+            coeffs.append(_rk4_coefficients(t_start + np.arange(lo, hi) * dt, dt,
+                                            mode_a, pump, drive))
+        first += n
+    if len(coeffs) == 1:
+        return (steps[0][0], *coeffs[0])
+    return (np.repeat(*zip(*steps)), *(np.concatenate(c, axis=-1) for c in zip(*coeffs)))
+
+
+def _rk4_coefficients(t, dt, mode_a, pump, drive):
+    """The coefficients at the three RK4 stage times t, t + dt/2, t + dt of
+    the steps of length `dt` starting at the times `t`, each as a
+    (3, len(t)) array: the couplings up = -i g_P e^{+i(D t + phi_P)}
+    (a <- b) and down = -i g_P e^{-i(D t + phi_P)} (b <- a), and the drive
+    f = sqrt(gamma_ext) a_in."""
+    stages = t + np.array([0.0, 0.5 * dt, dt])[:, None]
+    ph = np.exp(1j * (pump.delta * stages + pump.phase))
+    g = -1j * pump(stages)
+    f = math.sqrt(mode_a.gamma_ext) * input_field(drive, mode_a, stages)
+    return g * ph, g * ph.conj(), f
+
+
+def _rk4_maps(na, nb, h, up, down, f) -> np.ndarray:
+    """The affine RK4 maps of the steps with the stage coefficients `up`,
+    `down`, `f` of ``_rk4_coefficients``, the decay rates na = -gamma_A/2
+    and nb = -gamma_B/2 and the step length `h` (a float, or an array of
+    one per step: the arithmetic and its bits are the same), as an array
+    M of shape (2, 3, steps): row r of step k gives component r of
     x_{k+1} = M[:, :2, k] x_k + M[:, 2, k].
 
     The classic RK4 stages run on the three columns at once: the unit
     states (1, 0) and (0, 1) without the drive, and (0, 0) with it.
     """
-    na, nb = complex(-0.5 * mode_a.gamma_total), complex(-0.5 * mode_b.gamma_total)
-    half = 0.5 * dt
-    stages = t + np.array([0.0, half, dt])[:, None]  # t, t + dt/2, t + dt
-    ph = np.exp(1j * (pump.delta * stages + pump.phase))
-    g = -1j * pump(stages)
-    up, down = g * ph, g * ph.conj()  # a <- b and b <- a couplings
-    f = math.sqrt(mode_a.gamma_ext) * input_field(drive, mode_a, stages)
+    half = 0.5 * h
 
     def rhs(s, a, b):
         da = na * a + up[s] * b
@@ -620,8 +689,8 @@ def _rk4_maps(t, dt, mode_a, mode_b, pump, drive) -> np.ndarray:
     k1a, k1b = rhs(0, a, b)
     k2a, k2b = rhs(1, a + half * k1a, b + half * k1b)
     k3a, k3b = rhs(1, a + half * k2a, b + half * k2b)
-    k4a, k4b = rhs(2, a + dt * k3a, b + dt * k3b)
-    sixth = dt / 6.0
+    k4a, k4b = rhs(2, a + h * k3a, b + h * k3b)
+    sixth = h / 6.0
     return np.stack((a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
                      b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)))
 

@@ -245,28 +245,28 @@ def _write_report(outdir, runner, cfg, results):
     return path
 
 
-def _uniform_energy_series(trace):
-    """(energy_a, dt) on a strictly uniform time grid (trailing sample of an
-    off-stride record is dropped)."""
+def _swap_energies(trace):
+    """(|a|^2, |a|^2 + |b|^2, dt, low) of a swap trace, each energy
+    computed once: both on its strictly uniform time grid of step dt (the
+    trailing sample of an off-stride record is dropped), and low, the
+    least |a|^2 + |b|^2 over every sample."""
     t = trace.t
     dt = t[1] - t[0]
+    ea = trace.energy_a
+    total = ea + trace.energy_b
+    low = np.min(total)
     if t.size > 2 and abs((t[-1] - t[-2]) - dt) > 1e-9 * dt:
-        t = t[:-1]
-        ea = trace.energy_a[:-1]
-    else:
-        ea = trace.energy_a
-    return ea, float(dt)
+        ea, total = ea[:-1], total[:-1]
+    return ea, total, float(dt), low
 
 
-def _swap_oscillation_frequency(trace) -> float:
-    """Oscillation frequency of the readout-mode occupancy fraction.
+def _swap_oscillation_frequency(ea, total, dt) -> float:
+    """Oscillation frequency of the readout-mode occupancy fraction, from
+    the energies |a|^2 and |a|^2 + |b|^2 sampled every `dt`.
 
     Using |a|^2/(|a|^2+|b|^2) instead of |a|^2 divides out the overall
     energy decay, so the FFT peak stays sharp for lossy modes at any
     pump detuning."""
-    ea, dt = _uniform_energy_series(trace)
-    eb = trace.energy_b[:ea.size]
-    total = ea + eb
     floor = np.max(total) * 1e-300
     return oscillation_frequency(ea / np.maximum(total, floor), dt)
 
@@ -360,15 +360,16 @@ def _retrieval_reference(cfg, seq):
     return _readout(ref, run_sequence(ref, points_per_cycle=2 * cfg["points_per_cycle"]))[2]
 
 
-def _check_normal_energies(cfg, energies, what="readout energies"):
+def _check_normal_energies(source, energies, what="readout energies down to"):
     """Refuse `energies` below the normal doubles: a subnormal keeps too
-    few bits for the fits and the FFT. The energies scale with ``nbar``."""
+    few bits for the fits, the FFT and the written trace. The energies
+    scale with the occupancy that `source` names."""
     low = float(np.min(energies))
     tiny = float(np.finfo(float).tiny)
     if not low >= tiny:
         raise ValidationError(
-            f"nbar = {cfg['nbar']:.3g} gives {what} down to {low:.3g}, below the "
-            f"smallest normal double {tiny:.3g}: the fits would see only a few bits")
+            f"{source} gives {what} {low:.3g}, below the smallest normal "
+            f"double {tiny:.3g}: they keep only a few bits")
 
 
 def _resolve_t_swap(cfg, g, mode_a, mode_b) -> float:
@@ -457,12 +458,13 @@ def run_chevron(cfg, outdir):
         trace = _swap_point(cfg, g, delta, t_end, amp0)
         if k == mid:
             rel, diff = _swap_oracle(cfg, g, delta, t_end, amp0, trace)
-        ea, dt = _uniform_energy_series(trace)
+        ea, total, dt, low = _swap_energies(trace)
         eas.append(ea)
         dts.append(dt)
-        omega_es.append(_swap_oscillation_frequency(trace))
-        lows.append(np.min(trace.energy_a + trace.energy_b))
-    _check_normal_energies(cfg, lows, "energies |a|^2 + |b|^2")
+        omega_es.append(_swap_oscillation_frequency(ea, total, dt))
+        lows.append(low)
+    _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", lows,
+                           "energies |a|^2 + |b|^2 down to")
     omega_es = np.asarray(omega_es)
     # detuning-major rows
     detunings = deltas / TWO_PI
@@ -513,7 +515,7 @@ def run_power_sweep(cfg, outdir):
         if k == mid:
             rel, diff = _swap_oracle(cfg, g, 0.0, t_end, 1.0, trace)
         try:
-            omega_es[k] = _swap_oscillation_frequency(trace)
+            omega_es[k] = _swap_oscillation_frequency(*_swap_energies(trace)[:3])
         except NoOscillationError:
             pass
 
@@ -563,7 +565,7 @@ def run_store_retrieve(cfg, outdir):
         retrieved.append(_readout(seq, trace)[2])
 
     retrieved = np.asarray(retrieved)
-    _check_normal_energies(cfg, np.append(retrieved, reference))
+    _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", np.append(retrieved, reference))
     eta_shortest = float(retrieved[0]) / reference
     eta_prime = loss_corrected_efficiency(eta_shortest, t_a, t_b, mode_a, mode_b)
 
@@ -610,7 +612,7 @@ def run_phase_sweep(cfg, outdir):
     out = [_readout(seq, trace) for seq, trace in zip(seqs, traces)]
 
     i, q, energies = (np.asarray(col) for col in zip(*out))
-    _check_normal_energies(cfg, np.append(energies, reference))
+    _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", np.append(energies, reference))
     _write_csv(os.path.join(outdir, "phase_sweep.csv"),
                ["runner = phase_sweep", f"gp_hz = {g / TWO_PI:.12g}",
                 f"t_swap_s = {t_swap:.12g}", f"reference = {reference:.12g}"],
@@ -659,6 +661,8 @@ def run_custom_sequence(cfg, outdir):
     trace, rel = run_sequence_checked(
         seq, tolerance=cfg["tolerance"], points_per_cycle=cfg["points_per_cycle"],
         flux_calib=cfg["flux_calib"])
+    _check_normal_energies("the sequence", np.max(trace.energy_a + trace.energy_b),
+                           "energies |a|^2 + |b|^2 that peak at")
     if cfg["frame"] == "lab":
         trace = lab_frame(trace, seq.mode_a, seq.mode_b)
     trace.to_csv(os.path.join(outdir, "trace.csv"))

@@ -19,7 +19,9 @@ phase between two swap pulses is well defined across a delay.
 Every segment with constant coefficients (rectangular swaps, delays,
 readouts and driven loads) is evaluated in closed form on the grid RK4
 would record; raised-cosine swaps are integrated with RK4.
-``run_sequence_checked`` runs the whole sequence with RK4 as the oracle.
+``run_sequence_checked`` runs the whole sequence with RK4 as the oracle,
+in one ``dynamics.rk4_run`` pass whose blocks of steps cross segment
+boundaries.
 ``calibrate_swap_time`` gives the resonant swap length that empties the
 readout mode as the first zero of its closed-form amplitude.
 """
@@ -35,8 +37,9 @@ import numpy as np
 from . import fluxmap
 from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, ValidationError,
                    check_mode_order)
-from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact,
-                       check_half_step, exact_segment, integrate, max_step)
+from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact, check_finite,
+                       check_half_step, checked_steps, exact_segment, input_field,
+                       integrate, max_step, record_times, rk4_run)
 from .units import parse_quantity
 
 
@@ -313,13 +316,17 @@ def run_sequence(seq: PulseSequence, *, points_per_cycle: int = 400,
 def _run_segments(seq, points_per_cycle, exact,
                   flux_calib=fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
     """``run_sequence``; `exact` = False integrates every segment with RK4
-    (the oracle of ``run_sequence_checked``)."""
+    (the oracle of ``run_sequence_checked``) in one ``rk4_run`` whose
+    blocks of steps cross segment boundaries, with the refusals of
+    ``integrate`` applied to each segment before any step is taken."""
     mode_a = seq.mode_a
     mode_b = seq.mode_b
     modes = (mode_a, mode_b)
+    check_mode_order(mode_a, mode_b)
     t = 0.0
     state = ComplexAmplitudePair(0.0 + 0.0j, 0.0 + 0.0j, 0.0)
     pieces = []
+    plan = []  # (pump, drive, config, step count, step) of each segment, for rk4_run
     for i, seg in enumerate(seq.segments):
         t0, t1 = t, t + seg.duration
         if seg.kind == "load" and i == 0 and "nbar" in seg.params:
@@ -327,6 +334,7 @@ def _run_segments(seq, points_per_cycle, exact,
             piece = TraceRecord(np.array([t0, t1]), a, np.array([state.b, state.b]),
                                 np.zeros(2) - math.sqrt(mode_a.gamma_ext) * a)  # a_in = 0
             state = ComplexAmplitudePair(a[-1], state.b, t1)
+            pieces.append(piece)
         else:
             pump = PumpDrive(0.0)
             drive = None
@@ -337,13 +345,27 @@ def _run_segments(seq, points_per_cycle, exact,
             dt = min(max_step(mode_a, mode_b, pump, drive,
                               points_per_cycle=points_per_cycle), seg.duration / 8.0)
             cfg = SimConfig(dt, t1, t0)
-            if exact and pump.ramp == 0.0:
-                piece = exact_segment(state, modes, pump, drive, cfg)
+            if not exact:  # stepped below, with every other segment
+                plan.append((pump, drive, cfg, *checked_steps(modes, pump, drive, cfg)))
             else:
-                piece = integrate(state, modes, pump, drive, cfg)
-            state = ComplexAmplitudePair(piece.a[-1], piece.b[-1], t1)
-        pieces.append(piece)
+                step = exact_segment if pump.ramp == 0.0 else integrate
+                piece = step(state, modes, pump, drive, cfg)
+                state = ComplexAmplitudePair(piece.a[-1], piece.b[-1], t1)
+                pieces.append(piece)
         t = t1
+
+    if plan:
+        segments = [(pump, drive, cfg.t_start, n, dt) for pump, drive, cfg, n, dt in plan]
+        x = rk4_run([state.a, state.b], modes, segments,
+                    np.arange(1, sum(seg[3] for seg in segments) + 1))
+        grids = [record_times(cfg) for _, _, cfg, _, _ in plan]
+        check_finite(x, np.concatenate([grids[0]] + [grid[1:] for grid in grids[1:]]))
+        k = 0
+        for (_, drive, _, n, _), grid in zip(plan, grids):
+            a_seg = x[0, k:k + n + 1]
+            a_out = input_field(drive, mode_a, grid) - math.sqrt(mode_a.gamma_ext) * a_seg
+            pieces.append(TraceRecord(grid, a_seg, x[1, k:k + n + 1], a_out))
+            k += n
 
     skip = [0] + [1] * (len(pieces) - 1)  # drop duplicated boundary samples
     t_arr = np.concatenate([p.t[s:] for p, s in zip(pieces, skip)])

@@ -1,9 +1,10 @@
 """Scalar RK4 of the coupled-mode equations, one step and one state at a
-time: the oracle of the batched ``cavityswap.dynamics.integrate`` in the
-rotating frame, and the lab-frame integrator that ``dynamics.lab_frame``
-is checked against. Its `frame` argument picks the equations of the
-``cavityswap.dynamics`` docstring; the package itself integrates only the
-rotating-frame ones.
+time: the oracle of the batched ``cavityswap.dynamics.rk4_run`` in the
+rotating frame (``integrate``, and the all-RK4 sequence run chained
+segment by segment), and the lab-frame integrator that
+``dynamics.lab_frame`` is checked against. Its `frame` argument picks
+the equations of the ``cavityswap.dynamics`` docstring; the package
+itself integrates only the rotating-frame ones.
 """
 
 import cmath

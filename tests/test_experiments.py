@@ -224,7 +224,7 @@ class TestExactSweepsMatchRk4:
         old_rows = []
         for delta in deltas:
             trace = _rk4_swap_trace(cfg, g, delta, cfg["t_end"], math.sqrt(cfg["nbar"]))
-            ea, dt_rec = experiments._uniform_energy_series(trace)
+            ea, _, dt_rec, _ = experiments._swap_energies(trace)
             old_rows += [(delta / TWO_PI, k * dt_rec, e) for k, e in enumerate(ea)]
         new_rows = _csv_rows(tmp_path / "chevron_map.csv")
         assert [r[:2] for r in new_rows] == \
@@ -250,7 +250,8 @@ class TestExactSweepsMatchRk4:
             new = experiments._swap_point(cfg, g, 0.0, t_end, 1.0)
             assert np.array_equal(new.t, old.t)
             assert np.max(np.abs(new.energy_a - old.energy_a)) <= 1e-10
-            omega_old = experiments._swap_oscillation_frequency(old)
+            ea, total, dt_rec, _ = experiments._swap_energies(old)
+            omega_old = experiments._swap_oscillation_frequency(ea, total, dt_rec)
             assert row[:3] == [f"{p:.17g}", f"{math.sqrt(10.0 ** (p / 10.0)):.17g}",
                                f"{g / TWO_PI:.17g}"]
             assert float(row[3]) == pytest.approx(omega_old / (2.0 * TWO_PI), rel=1e-12)
@@ -353,8 +354,8 @@ class TestAxisColumns:
         ridge_rows = []
         for delta in deltas:
             trace = experiments._swap_point(cfg, g, delta, cfg["t_end"], math.sqrt(cfg["nbar"]))
-            ea, dt_rec = experiments._uniform_energy_series(trace)
-            omega_e = experiments._swap_oscillation_frequency(trace)
+            ea, total, dt_rec, _ = experiments._swap_energies(trace)
+            omega_e = experiments._swap_oscillation_frequency(ea, total, dt_rec)
             ridge_rows.append("%.17g,%.17g\n" % (delta / TWO_PI, omega_e / TWO_PI))
             for k, e in enumerate(ea):
                 map_rows.append("%.17g,%.17g,%.17g\n" % (delta / TWO_PI, k * dt_rec, e))
@@ -512,17 +513,18 @@ class TestSequenceOracle:
                                               ("phase_sweep", SMALL_PHASE)])
     def test_only_the_oracle_point_integrates(self, tmp_path, monkeypatch, runner, small):
         calls = []
-        integrate = sequences.integrate
+        rk4_run = sequences.rk4_run
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return integrate(*args, **kwargs)
+        def counting(x0, modes, segments, record):
+            calls.append(len(segments))
+            return rk4_run(x0, modes, segments, record)
 
-        monkeypatch.setattr(sequences, "integrate", counting)
+        monkeypatch.setattr(sequences, "rk4_run", counting)
+        monkeypatch.setattr(sequences, "integrate", None)  # no ramped swap here
         results = RUNNERS[runner](resolve_config(runner, small), tmp_path)
-        # 4 integrated segments (swap, delay, swap, readout; the load is
-        # direct) x (coarse + fine) at the middle point only
-        assert len(calls) == 8
+        # one RK4 run of the 4 integrated segments (swap, delay, swap,
+        # readout; the load is direct), coarse and fine, at the middle point only
+        assert calls == [4, 4]
         assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
         assert 0.0 < results["convergence_rel_diff"] < 1e-8
 
@@ -768,11 +770,19 @@ class TestCli:
         # mode energies |a|^2 + |b|^2 that are subnormal, where chevron answered
         # gp_fit_hz 1199979.848 for 1199977.021
         ("chevron", "nbar = 1e-320\ndelta_count = 3\nt_end = 2us"),
+        # a sequence whose energies are all subnormal, which wrote a trace.csv
+        # of few-bit energies and final_energy_a = 0
+        ("custom_sequence", "mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
+                            "mode B freq=9.33GHz t1=14.9us\nseg load dur=2us nbar=1e-320\n"
+                            "seg swap dur=0.2037us gp=1.2MHz\nseg readout dur=2us"),
     ])
     def test_refused_config_values_exit_2(self, tmp_path, capsys, runner, line):
         seq = tmp_path / "seq.txt"
         if line.startswith("seg "):
             seq.write_text(SEQ + line + "\n")
+            line = ""
+        elif line.startswith("mode "):  # a whole sequence file
+            seq.write_text(line + "\n")
             line = ""
         else:
             seq.write_text(SEQ)
@@ -783,6 +793,16 @@ class TestCli:
         assert main([runner, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(out.glob("*.csv"))
+
+    def test_tiny_normal_sequence_energies_still_run(self, tmp_path):
+        # the peak |a|^2 + |b|^2 of 1e-300 is normal, though final_energy_a is not
+        seq = tmp_path / "seq.txt"
+        seq.write_text(SEQ.replace("seg load dur=5us nbar=4", "seg load dur=2us nbar=1e-300"))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"sequence = {seq}\n")
+        out = tmp_path / "out"
+        assert main(["custom_sequence", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "trace.csv").exists()
 
     def test_sequence_flux_calibration_refuses_huge_mode_frequency(self, tmp_path, capsys):
         # a power= swap calibrates the flux curves at the file's mode frequencies

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from cavityswap.core import ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError
-from cavityswap import dynamics, sequences
-from cavityswap.dynamics import (ConvergenceError, DriveTone, SimConfig, integrate,
-                                 lab_frame)
+from cavityswap import dynamics, fluxmap, sequences
+from cavityswap.dynamics import (ConvergenceError, DriveTone, IntegrationDivergedError,
+                                 SimConfig, integrate, lab_frame)
 from cavityswap.sequences import (CalibrationError, SequenceSemanticError,
                                   SequenceSyntaxError, calibrate_swap_time,
                                   demodulate, emit_sequence, parse_sequence,
@@ -354,6 +354,157 @@ class TestClosedFormSequences:
         peak = float(np.max(np.hypot(np.abs(exact.a), np.abs(exact.b))))
         assert np.max(np.hypot(np.abs(exact.a - rk4.a), np.abs(exact.b - rk4.b))) < 1e-8 * peak
         assert np.max(np.abs(exact.a_out - rk4.a_out)) < 1e-8 * np.max(np.abs(rk4.a_out))
+
+
+@st.composite
+def oracle_sequences(draw):
+    """Sequence text with lossy or lossless modes: a leading direct
+    (``nbar=``) or driven (``amp=``) load, then 1-4 rect or ramped,
+    resonant or detuned swaps, delays and driven loads, then a readout."""
+    lossy = draw(st.booleans())
+    lines = ["mode A freq=8.7GHz" + (" q_int=900e3" if lossy else "") + " q_ext=50e3",
+             "mode B freq=9.33GHz" + (" t1=14.9us" if lossy else "")]
+    if draw(st.booleans()):
+        lines.append(f"seg load dur=1us nbar={draw(st.floats(0.5, 10.0)):.4g}")
+    else:
+        lines.append(f"seg load dur=0.5us amp={draw(st.floats(100.0, 2000.0)):.4g}")
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["rect", "ramp", "delay", "load"]))
+        dur = draw(st.floats(0.05, 0.3))
+        if kind == "delay":
+            lines.append(f"seg delay dur={dur:.4g}us")
+        elif kind == "load":
+            lines.append(f"seg load dur={dur:.4g}us amp={draw(st.floats(100.0, 2000.0)):.4g}"
+                         f" freq={8.7e9 + draw(st.floats(-300e3, 300e3)):.10g}Hz")
+        else:
+            swap = (f"seg swap dur={dur:.4g}us gp={draw(st.floats(0.5, 2.0)):.4g}MHz"
+                    f" delta={draw(st.floats(-300.0, 300.0)):.4g}kHz"
+                    f" phase={draw(st.floats(0.0, 360.0)):.4g}deg")
+            if kind == "ramp":
+                swap += f" ramp={draw(st.floats(0.05, 0.45)) * dur:.4g}us"
+            lines.append(swap)
+    lines.append(f"seg readout dur={draw(st.floats(0.05, 0.3)):.4g}us")
+    return "\n".join(lines) + "\n"
+
+
+def _segment_problems(seq, points_per_cycle):
+    """(pump, drive, SimConfig) of each segment of `seq` as the all-RK4
+    path of ``run_sequence_checked`` sets them up, or None for a leading
+    direct load."""
+    modes = (seq.mode_a, seq.mode_b)
+    out = []
+    for i, (seg, (kind, t0, t1)) in enumerate(zip(seq.segments, seq.windows())):
+        if i == 0 and kind == "load" and "nbar" in seg.params:
+            out.append(None)
+            continue
+        pump = (sequences._segment_pump(seg, seq, t0, t1, fluxmap.DEFAULT_FLUX_CALIB)
+                if kind == "swap" else PumpDrive(0.0))
+        drive = sequences._load_drive(seg, seq.mode_a, t0, t1) if kind == "load" else None
+        dt = min(dynamics.max_step(*modes, pump, drive, points_per_cycle=points_per_cycle),
+                 seg.duration / 8.0)
+        out.append((pump, drive, SimConfig(dt, t1, t0)))
+    return out
+
+
+def _scalar_chain(seq, points_per_cycle):
+    """(t, a, b, a_out) of the scalar RK4 of ``rk4_oracle``, run segment by
+    segment, each from the final state of the one before; a boundary
+    sample belongs to the segment that ends there."""
+    modes = (seq.mode_a, seq.mode_b)
+    sq = math.sqrt(seq.mode_a.gamma_ext)
+    state = ComplexAmplitudePair(0j, 0j, 0.0)
+    parts = []
+    for seg, (_, t0, t1), problem in zip(seq.segments, seq.windows(),
+                                         _segment_problems(seq, points_per_cycle)):
+        if problem is None:
+            t = np.array([t0, t1])
+            a = np.array([0j, math.sqrt(seg.get("nbar"))])
+            b, a_out = np.zeros(2, complex), -sq * a
+        else:
+            pump, drive, cfg = problem
+            t = dynamics.record_times(cfg)
+            a, b, a_out = scalar_rk4(state, modes, pump, drive, cfg)
+        state = ComplexAmplitudePair(a[-1], b[-1], t1)
+        skip = 1 if parts else 0
+        parts.append((t[skip:], a[skip:], b[skip:], a_out[skip:]))
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+class TestBatchedOracle:
+    """The all-RK4 oracle of ``run_sequence_checked`` runs every segment in
+    one ``rk4_run`` whose blocks cross segment boundaries: it must be the
+    RK4 solution of the segments run one after the other."""
+
+    @pytest.mark.parametrize("block", [None, 16])
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(text=oracle_sequences())
+    def test_matches_a_per_segment_scalar_rk4_chain(self, text, block):
+        seq = parse_sequence(text)
+        sizes = []
+        maps = dynamics._rk4_maps
+
+        def sizing(na, nb, h, up, down, f):
+            sizes.append(up.shape[-1])
+            return maps(na, nb, h, up, down, f)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(dynamics, "_BLOCK", block)
+            mp.setattr(dynamics, "_rk4_maps", sizing)
+            rk4 = sequences._run_segments(seq, 400, exact=False)
+        t, a, b, a_out = _scalar_chain(seq, 400)
+        # one block of maps per _BLOCK steps, counted over the whole sequence
+        steps = rk4.t.size - 1 - ("nbar" in seq.segments[0].params)
+        limit = block or dynamics._BLOCK
+        assert sizes == [limit] * (steps // limit) + ([steps % limit] if steps % limit else [])
+        assert np.array_equal(rk4.t, t)
+        peak = float(np.max(np.hypot(np.abs(a), np.abs(b))))
+        assert np.max(np.hypot(np.abs(rk4.a - a), np.abs(rk4.b - b))) < 1e-12 * peak
+        assert np.max(np.abs(rk4.a_out - a_out)) < 1e-12 * float(np.max(np.abs(a_out)))
+
+    @pytest.mark.parametrize("text,steps", [
+        # a driven load alone, long enough for three blocks of steps
+        ("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\nmode B freq=9.33GHz t1=14.9us\n"
+         "seg load dur=5us amp=800 freq=8.705GHz\n", 10000),
+        # a direct load (no RK4), then a ramped detuned swap
+        ("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\nmode B freq=9.33GHz t1=14.9us\n"
+         "seg load dur=1us nbar=4\n"
+         "seg swap dur=0.4us gp=1.2MHz delta=150kHz phase=30deg ramp=0.1us\n", 385),
+    ])
+    def test_one_segment_is_integrate_bit_for_bit(self, text, steps):
+        seq = parse_sequence(text)
+        rk4 = sequences._run_segments(seq, 400, exact=False)
+        pump, drive, cfg = _segment_problems(seq, 400)[-1]
+        k = -1 - dynamics._steps(cfg)[0]  # the sample the segment starts from
+        start = ComplexAmplitudePair(rk4.a[k], rk4.b[k], cfg.t_start)
+        ref = integrate(start, (seq.mode_a, seq.mode_b), pump, drive, cfg)
+        n = ref.t.size
+        for field in ("t", "a", "b", "a_out"):
+            assert getattr(rk4, field)[-n:].tobytes() == getattr(ref, field).tobytes()
+        assert n == steps + 1
+
+    def test_step_bound_refuses_before_any_step(self, monkeypatch):
+        # the first segment fits the bound, the swap does not
+        seq = parse_sequence("mode A freq=8.7GHz q_ext=50e3\nmode B freq=9.33GHz\n"
+                             "seg delay dur=0.1us\nseg swap dur=0.3us gp=1.2MHz\n")
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+        monkeypatch.setattr(sequences, "rk4_run", None)  # any call fails
+        monkeypatch.setattr(sequences, "integrate", None)
+        with pytest.raises(ValidationError, match=r"\d+ RK4 steps exceed the bound of 100 "):
+            run_sequence_checked(seq)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_load_names_the_first_non_finite_time(self):
+        # f = sqrt(gamma_ext) amp overflows: the state after the first step
+        # of the second load is the first non-finite one
+        seq = parse_sequence("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
+                             "mode B freq=9.33GHz t1=14.9us\n"
+                             "seg load dur=1us nbar=4\nseg swap dur=0.2us gp=1.2MHz\n"
+                             "seg load dur=0.5us amp=1e308\nseg readout dur=1us\n")
+        cfg = _segment_problems(seq, 400)[2][2]
+        first = dynamics.record_times(cfg)[1]
+        with pytest.raises(IntegrationDivergedError, match=f"non-finite state at t={first:.6e} s"):
+            run_sequence_checked(seq)
 
 
 class TestLabFrame:
