@@ -334,6 +334,27 @@ class TestBatchedRK4:
         assert np.max(np.hypot(np.abs(a - trace.a), np.abs(b - trace.b))) < 1e-12
 
 
+    @pytest.mark.parametrize("pump", [PumpDrive(0.0), PumpDrive(0.0, TWO_PI * 0.3e6, 0.7),
+                                      PumpDrive(0.0, 0.0, 0.0, 1.1e-6, 1.3e-6, 0.05e-6)],
+                             ids=["delay", "detuned", "ramped"])
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_unpumped_maps_keep_their_bits(self, pump, driven):
+        # g_P = 0 skips the pump phase; the maps are those of the coupling
+        # formula -i g_P(t) e^{+-i(D t + phi_P)}, signed zeros included
+        modes = _default_modes()
+        t, dt = 1e-6 + np.arange(500) * 1e-9, 1e-9
+        drive = DriveTone(OMEGA_A + 1e5, 1e3, 0.2, 1.05e-6, 1.4e-6) if driven else None
+        na, nb = (complex(-0.5 * mode.gamma_total) for mode in modes)
+        up, down, f = dynamics._rk4_coefficients(t, dt, modes[0], pump, drive)
+        stages = t + np.array([0.0, 0.5 * dt, dt])[:, None]
+        ph = np.exp(1j * (pump.delta * stages + pump.phase))
+        g = -1j * pump(stages)
+        assert not np.any(up) and not np.any(down)
+        maps = dynamics._rk4_maps(na, nb, dt, up, down, f)
+        formula = dynamics._rk4_maps(na, nb, dt, g * ph, g * ph.conj(), f)
+        assert maps.tobytes() == formula.tobytes()
+
+
 class TestDivergence:
     def test_integrate_names_the_first_non_finite_record(self):
         # an overflowing drive switches on between steps 9 and 10: state 10,
@@ -481,6 +502,74 @@ class TestExactPropagator:
             a_ref, b_ref = _oracle_final_state(modes, g, delta, 0.0, 0.3, 1.0, tk)
             assert abs(a[k] - a_ref) < 1e-10 and abs(b[k] - b_ref) < 1e-10
         assert abs(b[-1]) > 0.1
+
+
+_SQUARES = st.integers(1, 316).map(lambda r: r * r)
+# (modes, g_P) of each physical case; a drawn g_P (MHz, angular) where None
+_GRID_CASES = {
+    "lossless": (_lossless_modes(), None),
+    "equal_loss": ((ModeParams(OMEGA_A, 1e6, 1e6), ModeParams(OMEGA_B, 1e6, 1e6)), None),
+    "default": (_default_modes(), None),
+    # D = 0 and g_P = |g_A - g_B|/4: s = 0 exactly, and 1e-9 to either side
+    "exceptional": ((ModeParams(OMEGA_A, 4e6), ModeParams(OMEGA_B)), 1e6),
+    "exceptional+": ((ModeParams(OMEGA_A, 4e6), ModeParams(OMEGA_B)), 1e6 * (1.0 + 1e-9)),
+    "exceptional-": ((ModeParams(OMEGA_A, 4e6), ModeParams(OMEGA_B)), 1e6 * (1.0 - 1e-9)),
+    # a q = 30 readout mode: |Re s| tau passes 700 within a microsecond
+    "overflow": ((mode_params_from_q(OMEGA_A, 60.0, 60.0), ModeParams(OMEGA_B, 1.0 / 14.9e-6)),
+                 None),
+}
+
+
+class TestExactGrid:
+    """``exact_segment`` tabulates the closed form on its record grid; the
+    per-sample ``propagate_swap`` is its oracle."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(sorted(_GRID_CASES)), stride=st.integers(1, 7),
+           samples=st.one_of(st.integers(1, 10**5), _SQUARES, _SQUARES.map(lambda n: n + 1)),
+           tail=st.integers(0, 6), span=st.floats(0.01, 5.0),
+           g=st.one_of(st.just(0.0), st.floats(0.05, 3.0)), delta=st.floats(-4.0, 4.0),
+           phi=st.floats(0.0, TWO_PI), t_start=st.floats(0.0, 3.0),
+           lead=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+           a0=st.complex_numbers(max_magnitude=2.0),
+           b0=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+    @example(case="exceptional", stride=3, samples=10**5, tail=2, span=3.0, g=1.0,
+             delta=0.0, phi=0.3, t_start=0.0, lead=0.0, a0=1 + 0j, b0=0.5j)
+    @example(case="exceptional+", stride=1, samples=10**4, tail=0, span=3.0, g=1.0,
+             delta=0.0, phi=0.0, t_start=0.5, lead=0.2, a0=1 + 0j, b0=0.5j)
+    @example(case="exceptional-", stride=2, samples=10**4 + 1, tail=1, span=3.0, g=1.0,
+             delta=0.0, phi=0.0, t_start=0.5, lead=0.0, a0=1 + 0j, b0=0.5j)
+    @example(case="overflow", stride=5, samples=40001, tail=3, span=200.0, g=0.0,
+             delta=0.0, phi=0.0, t_start=1.0, lead=0.0, a0=1 + 0j, b0=0.8j)
+    @example(case="overflow", stride=1, samples=10**5, tail=0, span=200.0, g=0.1,
+             delta=0.3, phi=1.0, t_start=1.0, lead=0.5, a0=1 + 0j, b0=0.8j)
+    @example(case="default", stride=7, samples=1, tail=0, span=0.3, g=0.0,
+             delta=0.0, phi=0.0, t_start=0.0, lead=0.0, a0=1 + 0j, b0=0.8j)
+    @example(case="default", stride=4, samples=1, tail=3, span=0.3, g=1.2,
+             delta=0.7, phi=0.4, t_start=0.0, lead=0.0, a0=1 + 0j, b0=0.8j)
+    def test_matches_propagate_swap(self, case, stride, samples, tail, span, g, delta,
+                                    phi, t_start, lead, a0, b0):
+        # rates in MHz (angular), times in us; `samples` on the stride, then
+        # an off-stride last step where tail % stride != 0, from a state
+        # taken `lead` before t_start
+        modes, g_fixed = _GRID_CASES[case]
+        if g_fixed is None:
+            g, delta = g * _MHZ, delta * _MHZ
+        else:
+            g, delta = g_fixed, 0.0
+        n = (samples - 1) * stride + tail % stride
+        n = max(n, 1)
+        t_start *= 1e-6
+        dt = span * 1e-6 / n
+        cfg = SimConfig(dt, t_start + n * dt, t_start, stride)
+        assert dynamics._steps(cfg)[0] == n
+        init = ComplexAmplitudePair(a0, b0, t_start - lead * 1e-6)
+        trace = dynamics.exact_segment(init, modes, _pump(g, delta, phi), None, cfg)
+        t = record_times(cfg)
+        a, b = propagate_swap(init, modes, g, delta, phi, t)
+        assert trace.t.tobytes() == t.tobytes()
+        peak = np.max(np.hypot(np.abs(a), np.abs(b)))
+        assert np.max(np.hypot(np.abs(trace.a - a), np.abs(trace.b - b))) <= 1e-12 * peak
 
 
 class TestExactLoad:

@@ -244,13 +244,13 @@ class TestExecution:
         seq = parse_sequence(BASIC)
         trace, rel = run_sequence_checked(seq)
         assert 0.0 < trace.meta["exact_rk4_max_diff"] < 1e-9
-        exact = dynamics.propagate_swap
+        exact = dynamics._swap_exp  # the closed form behind every exact swap
 
         def off_by_1e_6(*args):
-            a, b = exact(*args)
-            return a * (1.0 + 1e-6), b
+            n11, ch, sh = exact(*args)
+            return n11, ch * (1.0 + 1e-6), sh
 
-        monkeypatch.setattr(dynamics, "propagate_swap", off_by_1e_6)
+        monkeypatch.setattr(dynamics, "_swap_exp", off_by_1e_6)
         with pytest.raises(ConvergenceError, match="exact-vs-RK4"):
             run_sequence_checked(seq, tolerance=1e-7)
 

@@ -12,7 +12,8 @@ Run from anywhere::
 swap and a ``power=`` swap), and the five demos. It writes each runner's
 files and printed results under ``DIR/<run>/`` and each demo's standard
 output as ``DIR/demos/<demo>.txt``. It runs the package of the checkout
-this file sits in (``src/`` next to ``tools/``); to capture another
+this file sits in (``src/`` next to ``tools/``), and exits with an error
+where ``cavityswap`` is imported from anywhere else; to capture another
 checkout, copy ``tools/`` into it and run its copy. The runs use paths
 relative to DIR, so captures of different checkouts can be byte-identical.
 
@@ -57,6 +58,11 @@ def capture(dest) -> None:
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     from cavityswap import cli
+
+    # another checkout's package (an editable install, say) shadows this one
+    origin = Path(cli.__file__).resolve()
+    if not origin.is_relative_to(ROOT / "src"):
+        raise SystemExit(f"imported cavityswap from {origin.parent}, not {ROOT / 'src'}")
 
     dest = Path(dest)
     (dest / "demos").mkdir(parents=True, exist_ok=True)
