@@ -18,10 +18,9 @@ The package is organised bottom-up:
   (also exposed through the ``cavityswap`` command-line tool).
 """
 
-from .analysis import (DegenerateFitError, FitConvergenceError, FitResult,
-                       NoOscillationError, dwell_times, fit_exponential_decay,
-                       fit_phase_slope, loss_corrected_efficiency,
-                       oscillation_frequency)
+from .analysis import (DegenerateFitError, FitResult, NoOscillationError,
+                       dwell_times, fit_exponential_decay, fit_phase_slope,
+                       loss_corrected_efficiency, oscillation_frequency)
 from .core import (ComplexAmplitudePair, CouplerState, ModeParams, PumpDrive,
                    ValidationError, mode_params_from_q)
 from .dynamics import (ConvergenceError, DriveTone, IntegrationDivergedError,

@@ -2,9 +2,11 @@
 
 Covers the swap-oscillation frequency (FFT peak with quadratic
 refinement, zero-padded to the smallest 2^i 3^j 5^k length of at least
-8x the series), exponential energy-decay fits, the dwell times and
-loss-corrected storage/retrieval efficiency, and the pump-phase response
-slope.
+8x the series), exponential energy-decay fits (variable projection: a
+grid of decay rates, then bracketed Newton steps on the rate), the dwell
+times and loss-corrected storage/retrieval efficiency, and the
+pump-phase response slope. The three estimators refuse NaN and infinite
+input with ValidationError.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import numpy as np
 from .core import ValidationError
 
 TWO_PI = 2.0 * math.pi
-_DECAY_MAX_ITER = 100  # Gauss-Newton iterations of fit_exponential_decay
-_DECAY_STEP_TOL = 1e-10  # and the step, over max(|p|, 1), that ends them
 # a spread of the energies below this fraction of their maximum is rounding,
 # not decay: it would put tau above 1e12 spans of the sampled times
 _DECAY_MIN_SPREAD = 1e-12
+# the decay rates, per span of the sampled times, that fit_exponential_decay
+# searches, 10 a decade: at 1e-9 the decay's curvature is below rounding, and
+# at 1e6 it has died (k s > 37) by the second of up to 25,000 even samples
+_DECAY_RATES = np.geomspace(1e-9, 1e6, 151)
 
 
 class NoOscillationError(ValueError):
@@ -29,15 +33,8 @@ class NoOscillationError(ValueError):
 
 
 class DegenerateFitError(ValueError):
-    """Fit target is degenerate (constant data, infinite or negative tau)."""
-
-
-class FitConvergenceError(RuntimeError):
-    """Iterative fit failed to converge; carries the last iterate."""
-
-    def __init__(self, message, last_params):
-        super().__init__(message)
-        self.last_params = last_params
+    """Fit target is degenerate (constant data, a decay time the samples do
+    not resolve, growing data)."""
 
 
 @dataclass(frozen=True)
@@ -48,6 +45,14 @@ class FitResult:
     def __post_init__(self):
         if self.residual_rms < 0.0:
             raise ValidationError("residual_rms must be >= 0")
+
+
+def _finite(values, what):
+    """`values` as a float array; NaN or infinity raises ValidationError."""
+    x = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{what} must be finite")
+    return x
 
 
 def fft_length(n: int) -> int:
@@ -77,16 +82,16 @@ def oscillation_frequency(series, dt: float) -> float:
     by quadratic interpolation of the log magnitudes of the three bins
     around it (Gasior & Gonzalez, AIP Conf. Proc. 732, 276, 2004).
     """
-    x = np.asarray(series, dtype=float)
+    x = _finite(series, "series")
     if x.ndim != 1 or x.size < 16:
         raise ValidationError("need a 1-D series of at least 16 samples")
-    if not dt > 0.0:
+    if not _finite(dt, "dt") > 0.0:
         raise ValidationError("dt must be positive")
     n = x.size
+    scale = float(np.max(np.abs(x)))
     t = np.arange(n, dtype=float)
     coef = np.polynomial.polynomial.polyfit(t, x, 1)
     x = x - np.polynomial.polynomial.polyval(t, coef)
-    scale = float(np.max(np.abs(np.asarray(series, dtype=float))))
     peak_amp = np.max(np.abs(x))
     if peak_amp <= 1e-12 * max(scale, 1e-300):
         raise NoOscillationError("series is constant after detrending")
@@ -108,18 +113,23 @@ def oscillation_frequency(series, dt: float) -> float:
 def fit_exponential_decay(t, energy) -> FitResult:
     """Least-squares fit of A*exp(-t/tau) + c to (t, energy) data.
 
-    Fits y / max(y) against t / (t[-1] - t[0]), so that the Jacobian's
-    columns share one scale whatever the units, and returns amplitude, tau,
-    offset and residual_rms in the caller's units. Initialized by the
-    better of two log-linear fits (offset-shifted, and with no offset),
-    refined by damped Gauss-Newton iterations. Raises
-    DegenerateFitError for growing data, for data constant to within
-    1e-12 of its maximum (rounding, not decay) and for a non-positive
-    fitted tau; FitConvergenceError if the iteration stalls without
-    meeting the step tolerance.
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973): at a fixed rate k, A and c are linear, so only k is searched.
+    On s = (t - t[0]) / (t[-1] - t[0]) and y / max(y), the residual of the
+    centred y off the centred column expm1(-k s) is formed explicitly, so
+    that it resolves k to rounding, slow decays included. Its rms is
+    evaluated on the ``_DECAY_RATES`` grid in one pass. Newton steps on k,
+    with the Gauss-Newton curvature (Kaufman, BIT 15, 49, 1975), then stay
+    between the best rate's neighbours, bisecting where a step would leave
+    them or fails to halve the last, until a move is below sqrt(eps) of k.
+    Returns amplitude (at t = 0), tau, offset and residual_rms in the
+    caller's units. Raises DegenerateFitError for data constant to within
+    1e-12 of their maximum, for an rms at either end of the grid within
+    8 ulp of the least (tau not resolved) and for a non-positive amplitude
+    (data that grow).
     """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(energy, dtype=float)
+    t = _finite(t, "times")
+    y = _finite(energy, "energies")
     if t.ndim != 1 or t.size < 4 or y.shape != t.shape:
         raise ValidationError("need >= 4 matching (t, energy) points")
     if np.any(np.diff(t) <= 0.0):
@@ -127,73 +137,58 @@ def fit_exponential_decay(t, energy) -> FitResult:
     if np.any(y < 0.0):
         raise ValidationError("energies must be >= 0")
 
-    t_unit = float(t[-1] - t[0])
+    span = float(t[-1] - t[0])
     y_unit = float(np.max(y))
     spread = float(y_unit - np.min(y)) / y_unit if y_unit > 0.0 else 0.0
     if not spread > _DECAY_MIN_SPREAD:
         raise DegenerateFitError("constant series: decay time is unbounded")
-    t = t / t_unit
+    s = (t - t[0]) / span
+    mean = np.full(s.size, 1.0 / s.size)
     y = y / y_unit
+    y_mean = float(y @ mean)
+    y = y - y_mean
 
-    def residual(params):
-        amp, tau, off = params
-        return amp * np.exp(-t / tau) + off - y
+    w = np.expm1(np.multiply.outer(-_DECAY_RATES, s))
+    w -= (w @ mean)[:, None]
+    r = y - ((w @ y) / np.vecdot(w, w))[:, None] * w
+    rms = np.sqrt(np.vecdot(r, r) * (1.0 / s.size))
+    j = int(np.argmin(rms))
+    if min(rms[0], rms[-1]) <= rms[j] + 8.0 * math.ulp(1.0):
+        raise DegenerateFitError("decay time not resolved by the sampled times")
 
-    def log_linear(c0):
-        slope, intercept = np.polyfit(t, np.log(y - c0), 1)
-        return slope, np.array([math.exp(intercept), -1.0 / slope, c0])
-
-    # log-linear initialization on the offset-shifted data
-    slope, p = log_linear(float(np.min(y)) - 0.05 * spread)
-    if slope >= 0.0:
-        raise DegenerateFitError("series does not decay")
-    if np.min(y) > 0.0:
-        # and with no offset: a decay that is fast against the sampling
-        # flattens the shifted logarithm, whose start then lies in the
-        # basin of a wrong minimum; keep whichever start fits better
-        slope, p0 = log_linear(0.0)
-        r0, r = residual(p0), residual(p)
-        if slope < 0.0 and r0 @ r0 < r @ r:
-            p = p0
-
-    def in_units(params):
-        amp, tau, off = params
-        return {"amplitude": amp * y_unit, "tau": tau * t_unit, "offset": off * y_unit}
-
-    r = residual(p)
-    cost = float(r @ r)
-    for _ in range(_DECAY_MAX_ITER):
-        amp, tau, off = p
-        e = np.exp(-t / tau)
-        jac = np.column_stack([e, amp * t / tau**2 * e, np.ones_like(t)])
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        # damped update: halve the step until the cost stops increasing
-        lam = 1.0
-        for _ in range(40):
-            trial = p + lam * step
-            if trial[1] > 0.0:
-                r_trial = residual(trial)
-                cost_trial = float(r_trial @ r_trial)
-                if cost_trial <= cost:
-                    break
-            lam *= 0.5
-        else:
-            raise FitConvergenceError("Gauss-Newton step rejected", in_units(p))
-        # against max(|p|, 1) in the normalised units: an offset whose true
-        # value is 0 sits at rounding level, where a step relative to |p|
-        # alone never falls below the tolerance
-        rel_step = np.max(np.abs(lam * step) / np.maximum(np.abs(trial), 1.0))
-        p, r, cost = trial, r_trial, cost_trial
-        if rel_step < _DECAY_STEP_TOL:
+    lo, k, hi = (float(rate) for rate in _DECAY_RATES[j - 1:j + 2])
+    last = hi - lo
+    while True:
+        w = np.expm1(-k * s)
+        d = s + s * w  # -dw/dk
+        w_mean = float(w @ mean)
+        w -= w_mean
+        ww = float(w @ w)
+        amp = float(w @ y) / ww
+        r = y - amp * w
+        if last <= 1.5e-8 * k:  # a move below sqrt(eps): k is at rounding
             break
-    else:
-        raise FitConvergenceError(
-            f"no convergence in {_DECAY_MAX_ITER} iterations", in_units(p))
+        # the slope of |r|^2 over its Gauss-Newton curvature, with d
+        # projected off the fitted columns
+        d -= float(d @ mean) + float(d @ w) / ww * w
+        step = float(r @ d) / (amp * float(d @ d))
+        if step > 0.0:
+            hi = k
+        else:
+            lo = k
+        if abs(step) < 0.5 * last and lo <= k - step <= hi:
+            k_next = k - step
+        else:
+            k_next = 0.5 * (lo + hi)
+        last = abs(k_next - k)
+        k = k_next
+    if not amp > 0.0:
+        raise DegenerateFitError("series does not decay")
 
-    if p[1] <= 0.0:
-        raise DegenerateFitError(f"fitted tau is non-positive ({p[1] * t_unit:.3e})")
-
-    return FitResult(in_units(p), math.sqrt(cost / t.size) * y_unit)
+    return FitResult({"amplitude": amp * y_unit * math.exp(k * t[0] / span),
+                      "tau": span / k,
+                      "offset": (y_mean - amp * (1.0 + w_mean)) * y_unit},
+                     math.sqrt(float(r @ r) / s.size) * y_unit)
 
 
 def dwell_times(trace, window) -> tuple[float, float]:
@@ -236,8 +231,8 @@ def fit_phase_slope(pump_phases, retrieved_phases) -> FitResult:
     be unambiguous for slopes of order one, adjacent pump phases must be
     spaced by less than pi (sparser sampling is rejected).
     """
-    x = np.asarray(pump_phases, dtype=float)
-    y = np.asarray(retrieved_phases, dtype=float)
+    x = _finite(pump_phases, "pump phases")
+    y = _finite(retrieved_phases, "retrieved phases")
     if x.ndim != 1 or x.size < 3 or y.shape != x.shape:
         raise ValidationError("need >= 3 matching (pump phase, retrieved phase) points")
     if np.max(x) - np.min(x) < math.pi:

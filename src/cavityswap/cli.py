@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import DegenerateFitError, FitConvergenceError, NoOscillationError
+from .analysis import DegenerateFitError, NoOscillationError
 from .core import ValidationError
 from .dynamics import ConvergenceError, IntegrationDivergedError
 from .experiments import RUNNERS, parse_config_file, resolve_config
@@ -28,8 +28,7 @@ from .units import UnitError
 _VALIDATION_ERRORS = (ValidationError, UnitError, SequenceSyntaxError,
                       SequenceSemanticError, OSError)
 _NUMERICAL_ERRORS = (ConvergenceError, IntegrationDivergedError,
-                     FitConvergenceError, CalibrationError,
-                     NoOscillationError, DegenerateFitError)
+                     CalibrationError, NoOscillationError, DegenerateFitError)
 
 
 def build_parser() -> argparse.ArgumentParser:

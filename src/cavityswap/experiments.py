@@ -15,8 +15,7 @@ import os
 import numpy as np
 
 from . import fluxmap
-from .analysis import (DegenerateFitError, FitConvergenceError,
-                       NoOscillationError, dwell_times,
+from .analysis import (DegenerateFitError, NoOscillationError, dwell_times,
                        fit_exponential_decay, fit_phase_slope,
                        loss_corrected_efficiency, oscillation_frequency)
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError,
@@ -590,7 +589,7 @@ def run_store_retrieve(cfg, outdir):
         results["tau_s"] = fit.params["tau"]
         results["fit_residual_rms"] = fit.residual_rms
         results["tau_degenerate"] = "false"
-    except (DegenerateFitError, FitConvergenceError) as exc:  # lossless storage mode
+    except DegenerateFitError as exc:  # lossless storage mode
         results["tau_degenerate"] = "true"
         results["tau_note"] = type(exc).__name__
     _write_report(outdir, "store_retrieve", cfg, results)

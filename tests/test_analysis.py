@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityswap.analysis import (DegenerateFitError, FitConvergenceError,
-                                 NoOscillationError, dwell_times,
-                                 fit_exponential_decay, fit_phase_slope,
-                                 fft_length, loss_corrected_efficiency,
+from cavityswap.analysis import (DegenerateFitError, NoOscillationError,
+                                 dwell_times, fit_exponential_decay,
+                                 fit_phase_slope, fft_length,
+                                 loss_corrected_efficiency,
                                  oscillation_frequency)
 from cavityswap.core import ModeParams, ValidationError
 from cavityswap.dynamics import TraceRecord
@@ -136,18 +136,45 @@ class TestExponentialDecayFit:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(amp_exp=st.floats(-6.0, 6.0), time_exp=st.floats(-9.0, 0.0),
            tau_span=st.floats(0.02, 5.0), start=st.floats(0.0, 0.5),
-           n=st.integers(4, 40))
-    def test_zero_offset_converges(self, amp_exp, time_exp, tau_span, start, n):
-        # noise-free A e^{-t/tau}: the fitted offset sits at rounding level
-        # around its true 0, where it must not hold up the stopping test;
-        # a tau well below the sample spacing must not end in a wrong minimum
+           n=st.integers(4, 40), offset=st.floats(0.0, 0.3))
+    def test_noise_free_decays_are_recovered(self, amp_exp, time_exp, tau_span,
+                                             start, n, offset):
+        # noise-free A e^{-t/tau} + c, c from 0 to 0.3 of the decay's first
+        # sample: a true offset of 0 fits to rounding level, and a tau well
+        # below the sample spacing must not end in a wrong minimum
         span = 10.0 ** time_exp
         t = span * np.linspace(start, start + 1.0, n)
         tau = tau_span * span
-        y = 10.0 ** amp_exp * np.exp(-t / tau)
+        decay = 10.0 ** amp_exp * np.exp(-t / tau)
+        y = decay + offset * decay[0]
         fit = fit_exponential_decay(t, y)
         assert fit.params["tau"] == pytest.approx(tau, rel=1e-9)
-        assert abs(fit.params["offset"]) <= 1e-9 * y[0]
+        assert abs(fit.params["offset"] - offset * decay[0]) <= 1e-9 * y[0]
+
+    def test_fast_decay_with_offset(self):
+        # fast against the sampling, with an offset: a local search started
+        # from a log-linear fit ends in a wrong minimum (tau = 0.00149)
+        t = np.linspace(0.0, 1.0, 8)
+        fit = fit_exponential_decay(t, np.exp(-t / 0.05) + 0.1)
+        assert fit.params["tau"] == pytest.approx(0.05, rel=1e-9)
+        assert fit.params["offset"] == pytest.approx(0.1, rel=1e-9)
+
+    @pytest.mark.parametrize("tau_span", [1e-3, 1e-4])
+    def test_unresolved_fast_decay_is_degenerate(self, tau_span):
+        # gone before the second of 12 samples: any faster rate fits as well
+        t = np.linspace(0.0, 1.0, 12)
+        with pytest.raises(DegenerateFitError, match="not resolved"):
+            fit_exponential_decay(t, np.exp(-t / tau_span))
+
+    @pytest.mark.parametrize("tau_span,rel", [(1e3, 1e-9), (1e6, 1e-3)])
+    def test_slow_decay(self, tau_span, rel):
+        # the curvature e^{-s/tau} carries over the span is 1/(2 tau^2): at
+        # 1e6 spans that is 5e-13, and the least-squares tau itself lies
+        # 8e-5 (12 points) and 2.7e-4 (40 points) from the true one
+        for n in (12, 40):
+            t = np.linspace(0.0, 1.0, n)
+            fit = fit_exponential_decay(t, np.exp(-t / tau_span))
+            assert fit.params["tau"] == pytest.approx(tau_span, rel=rel)
 
     def test_recovers_tau_with_noise(self):
         rng = np.random.default_rng(11)
@@ -180,9 +207,25 @@ class TestExponentialDecayFit:
         with pytest.raises(ValidationError):
             fit_exponential_decay([0, 1, 2, 3], [1.0, 0.5, -0.1, 0.1])
 
-    def test_convergence_error_carries_last_params(self):
-        err = FitConvergenceError("stalled", {"tau": 1.0})
-        assert err.last_params["tau"] == 1.0
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call,arg", [
+    ("oscillation", 0), ("oscillation", 1), ("decay", 0), ("decay", 1),
+    ("phase", 0), ("phase", 1)])
+def test_non_finite_input_is_refused(call, arg, bad):
+    t = np.linspace(0.0, 1.0, 32)
+    fn, args = {
+        "oscillation": (oscillation_frequency, [np.cos(TWO_PI * 4.0 * t), 1.0 / 32]),
+        "decay": (fit_exponential_decay, [t, np.exp(-t)]),
+        "phase": (fit_phase_slope, [TWO_PI * t, TWO_PI * t]),
+    }[call]
+    if np.ndim(args[arg]):
+        args[arg] = args[arg].copy()
+        args[arg][5] = bad
+    else:
+        args[arg] = bad
+    with pytest.raises(ValidationError, match="must be finite"):
+        fn(*args)
 
 
 def _two_phase_trace(t_half=5e-6, n=2001):

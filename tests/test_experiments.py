@@ -467,6 +467,23 @@ class TestStoreRetrieveRunner:
         assert results["tau_note"] == "DegenerateFitError"
         assert "tau_s" not in results
 
+    def test_occupancy_scales_energies_and_nothing_else(self, tmp_path):
+        # the equations are linear: nbar = 4 multiplies every energy by 4,
+        # exactly in floating point, and leaves every ratio and tau_s alone
+        runs = {}
+        for nbar in ("1", "4"):
+            cfg = resolve_config("store_retrieve", dict(SMALL_SR, nbar=nbar))
+            results = run_store_retrieve(cfg, tmp_path / nbar)
+            rows = np.array(_csv_rows(tmp_path / nbar / "store_retrieve.csv"), dtype=float)
+            runs[nbar] = results, rows
+        (one, rows_one), (four, rows_four) = runs["1"], runs["4"]
+        assert np.array_equal(rows_four[:, 1], 4.0 * rows_one[:, 1])
+        assert np.array_equal(rows_four[:, 2], rows_one[:, 2])  # eta
+        for key in ("reference_energy", "fit_residual_rms"):
+            assert four[key] == 4.0 * one[key]
+        for key in ("eta_shortest", "eta_prime", "tau_s"):
+            assert four[key] == one[key]
+
     def test_unexpected_fit_failure_propagates(self, tmp_path, monkeypatch):
         def broken_fit(t, energy):
             raise ZeroDivisionError("not a fit outcome")
@@ -672,9 +689,9 @@ class TestCli:
         assert float(out["tau_s"]) == pytest.approx(14.9e-6, rel=1e-6)
 
     def test_decay_fit_converges_with_a_zero_offset(self, tmp_path, capsys):
-        # the fitted offset sits at rounding level around its true 0; a step
-        # measured against it alone never met the tolerance, and tau_s was
-        # dropped as FitConvergenceError
+        # the fitted offset sits at rounding level around its true 0, where a
+        # stopping test on each parameter's step relative to itself is never
+        # met and tau_s would be dropped
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("nbar = 18.64\nt1_b = 15.1793us\n"
                        "delay_start = 0.9524us\ndelay_stop = 55.0476us\n")
