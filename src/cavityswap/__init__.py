@@ -5,6 +5,8 @@ The package is organised bottom-up:
 
 * :mod:`cavityswap.units` -- unit-suffixed text values <-> internal SI,
 * :mod:`cavityswap.core` -- modes, the pump drive and its envelope, field state,
+* :mod:`cavityswap.textio` -- the two text formats: CSV files of ``%.17g``
+  cells and ``key = value`` files,
 * :mod:`cavityswap.fluxmap` -- the coupler-pull flux modulation curves
   and the pump-power to coupling-rate conversion,
 * :mod:`cavityswap.dynamics` -- RK4 integration of the coupled-mode

@@ -125,8 +125,8 @@ def fit_exponential_decay(t, energy) -> FitResult:
     Returns amplitude (at t = 0), tau, offset and residual_rms in the
     caller's units. Raises DegenerateFitError for data constant to within
     1e-12 of their maximum, for an rms at either end of the grid within
-    8 ulp of the least (tau not resolved) and for a non-positive amplitude
-    (data that grow).
+    8 ulp of the least (tau not resolved), for a non-positive amplitude
+    (data that grow) and for an amplitude at t = 0 that overflows.
     """
     t = _finite(t, "times")
     y = _finite(energy, "energies")
@@ -184,8 +184,15 @@ def fit_exponential_decay(t, energy) -> FitResult:
         k = k_next
     if not amp > 0.0:
         raise DegenerateFitError("series does not decay")
+    growth = k * t[0] / span  # from the first time back to t = 0
+    try:
+        amplitude = amp * y_unit * math.exp(growth)
+    except OverflowError:
+        amplitude = math.inf
+    if math.isinf(amplitude):
+        raise DegenerateFitError(f"amplitude at t = 0 overflows: {amp * y_unit:.6g} e^{growth:g}")
 
-    return FitResult({"amplitude": amp * y_unit * math.exp(k * t[0] / span),
+    return FitResult({"amplitude": amplitude,
                       "tau": span / k,
                       "offset": (y_mean - amp * (1.0 + w_mean)) * y_unit},
                      math.sqrt(float(r @ r) / s.size) * y_unit)

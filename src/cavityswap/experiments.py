@@ -21,11 +21,12 @@ from .analysis import (DegenerateFitError, NoOscillationError, dwell_times,
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError,
                    check_mode_order, mode_params_from_q)
 from .dynamics import (SimConfig, TraceRecord, check_exact, exact_segment,
-                       format_cells, half_step_config, integrate_checked,
-                       lab_frame, max_step, reflection_spectrum, write_columns)
+                       half_step_config, integrate_checked, lab_frame, max_step,
+                       reflection_spectrum)
 from .sequences import (PulseSequence, Segment, calibrate_swap_time,
                         demodulate, parse_sequence, run_sequence,
                         run_sequence_checked, validate_sequence)
+from .textio import format_cells, write_key_values, write_csv as _write_csv
 from .units import Quantity, format_quantity, parse_quantity
 
 TWO_PI = 2.0 * math.pi
@@ -217,30 +218,15 @@ def _resolve_gp(cfg) -> float:
                                       cfg["flux_calib"])
 
 
-def _write_csv(path, meta_lines, colnames, columns):
-    """Write equal-length `columns` under a ``#`` header block: a float
-    column as ``%.17g`` cells, a str column as it is, and a pair
-    ``(values, index)`` as the cells of ``values[index]``."""
-    with open(path, "w") as fh:
-        for line in meta_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(colnames) + "\n")
-        write_columns(fh, columns)
-
-
 def _write_report(outdir, runner, cfg, results):
     schema = runner_schema(runner)
     path = os.path.join(outdir, "report.txt")
-    with open(path, "w") as fh:
-        fh.write(f"runner = {runner}\n")
-        for key in sorted(cfg):
-            fh.write(f"config.{key} = {_render_cfg_value(schema[key][0], cfg[key])}\n")
-        for key in sorted(results):
-            val = results[key]
-            if isinstance(val, float):
-                fh.write(f"result.{key} = {val:.12g}\n")
-            else:
-                fh.write(f"result.{key} = {val}\n")
+    pairs = [("runner", runner)]
+    pairs += [(f"config.{key}", _render_cfg_value(schema[key][0], cfg[key]))
+              for key in sorted(cfg)]
+    pairs += [(f"result.{key}", f"{val:.12g}" if isinstance(val, float) else val)
+              for key, val in sorted(results.items())]
+    write_key_values(path, pairs)
     return path
 
 

@@ -199,6 +199,12 @@ class TestExponentialDecayFit:
         with pytest.raises(DegenerateFitError):
             fit_exponential_decay(t, np.exp(t))
 
+    def test_overflowing_amplitude_is_degenerate(self):
+        # the amplitude at t = 0 is e^2000 times the one at the first time
+        t = np.linspace(1000, 1001, 12)
+        with pytest.raises(DegenerateFitError, match="amplitude at t = 0 overflows"):
+            fit_exponential_decay(t, np.exp(-(t - 1000) / 0.5))
+
     def test_input_validation(self):
         with pytest.raises(ValidationError):
             fit_exponential_decay([0.0, 1.0], [1.0, 0.5])  # too few

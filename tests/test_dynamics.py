@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cavityswap import dynamics
+from cavityswap import dynamics, textio
 from cavityswap.core import (ComplexAmplitudePair, ModeParams, PumpDrive,
                              ValidationError, mode_params_from_q)
 from cavityswap.dynamics import (ConvergenceError, DriveTone,
@@ -689,7 +689,7 @@ class TestAxisColumns:
     @pytest.mark.parametrize("block", [1, 7, 4096])
     @pytest.mark.parametrize("place", [0, 1, 2])  # first, middle, last
     def test_rows_match_the_dense_column(self, monkeypatch, block, place):
-        monkeypatch.setattr(dynamics, "_CSV_BLOCK", block)
+        monkeypatch.setattr(textio, "_CSV_BLOCK", block)
         n = _AXIS_INDEX.size
         words = np.array([f"w{k}" for k in range(n)], dtype=object)
         floats = np.linspace(-1.0, 1.0, n)
@@ -697,7 +697,7 @@ class TestAxisColumns:
         def rows(axis):
             columns = [words, floats]
             columns.insert(place, axis)
-            return "".join(dynamics._csv_blocks(columns))
+            return "".join(textio._csv_blocks(columns))
 
         dense = _AXIS_VALUES[_AXIS_INDEX]
         text = rows((_AXIS_VALUES, _AXIS_INDEX))
@@ -708,7 +708,7 @@ class TestAxisColumns:
 
     def test_pair_columns_only(self):
         index = _AXIS_INDEX.astype(np.uint8)
-        text = "".join(dynamics._csv_blocks([(_AXIS_VALUES, index), (_AXIS_VALUES[::-1], index)]))
+        text = "".join(textio._csv_blocks([(_AXIS_VALUES, index), (_AXIS_VALUES[::-1], index)]))
         assert text == "".join(f"{'%.17g' % _AXIS_VALUES[k]},{'%.17g' % _AXIS_VALUES[-1 - k]}\n"
                                for k in _AXIS_INDEX)
 
@@ -720,12 +720,12 @@ class TestAxisColumns:
     ])
     def test_refused(self, column, match):
         with pytest.raises(ValidationError, match=match):
-            list(dynamics._csv_blocks([np.zeros(_AXIS_INDEX.size), column]))
+            list(textio._csv_blocks([np.zeros(_AXIS_INDEX.size), column]))
 
 
 def _cells(values):
     """The float cells of `values` as the CSV writer lays them out."""
-    return list(dynamics.format_cells(np.asarray(values, dtype=float)))
+    return list(textio.format_cells(np.asarray(values, dtype=float)))
 
 
 def _percent_g(values):
@@ -781,11 +781,11 @@ class TestCsvCells:
     def test_str_cells_keep_their_exact_text(self):
         words = np.array(["", "é", "☃ x", "a\x00", "\x00", "no_oscillation"], dtype=object)
         floats = np.array([1.5, -0.0, 1e-300, 2.0, math.nan, 0.1])
-        rows = "".join(dynamics._csv_blocks([words, floats, words[::-1]]))
+        rows = "".join(textio._csv_blocks([words, floats, words[::-1]]))
         assert rows == "".join(f"{a},{'%.17g' % x},{b}\n"
                                for a, x, b in zip(words, floats, words[::-1]))
         # a column of empty cells only
-        assert "".join(dynamics._csv_blocks([["", ""], [1.0, 2.0]])) == ",1\n,2\n"
+        assert "".join(textio._csv_blocks([["", ""], [1.0, 2.0]])) == ",1\n,2\n"
 
 
 class TestReflectionSpectrum:

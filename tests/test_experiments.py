@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cavityswap import cli, dynamics, experiments, fluxmap, sequences
+from cavityswap import cli, experiments, fluxmap, sequences, textio
 from cavityswap.cli import main
 from cavityswap.core import ComplexAmplitudePair, PumpDrive, ValidationError
 from cavityswap.dynamics import (SimConfig, TraceRecord, integrate_checked,
@@ -190,15 +190,25 @@ class TestChevronRunner:
                             tmp_path / nbar)["gp_fit_hz"] for nbar in ("1", "1e-300")]
         assert fits[1] == pytest.approx(fits[0], rel=1e-9)
 
+    def test_ridge_mirrors_in_detuning(self, tmp_path):
+        # conjugating the equations (with b -> -b) maps +delta onto -delta:
+        # the ridge of a symmetric detuning grid is its own reverse, bit for bit
+        run_chevron(resolve_config("chevron", SMALL_CHEVRON), tmp_path)
+        ridge = np.array(_csv_rows(tmp_path / "chevron_ridge.csv"), dtype=float)[:, 1]
+        assert ridge.size == 5
+        assert np.array_equal(ridge, ridge[::-1])
+
     def test_lab_frame_is_rejected(self):
         # energies are frame-independent: chevron has no frame setting
         with pytest.raises(ValidationError, match="unknown config key 'frame'"):
             resolve_config("chevron", dict(SMALL_CHEVRON, frame="lab"))
 
 
-def _csv_rows(path):
+def _csv_rows(path, names=False):
+    """The rows of a runner CSV as lists of cells, after its column names
+    (or from them, with `names`)."""
     lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
-    return [line.split(",") for line in lines[1:]]
+    return [line.split(",") for line in lines[not names:]]
 
 
 def _rk4_swap_trace(cfg, g, delta, t_end, amp0):
@@ -301,14 +311,14 @@ class TestCsvWriter:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_blocks_match_per_cell_formatting(self, tmp_path, monkeypatch, n, data):
-        monkeypatch.setattr(dynamics, "_CSV_BLOCK", 4)
+        monkeypatch.setattr(textio, "_CSV_BLOCK", 4)
         floats = st.sampled_from(_SPECIAL_FLOATS) | st.floats()
         words = st.text(alphabet="abz019.+-e_ ", max_size=6)
         columns = []
         for _ in range(data.draw(st.integers(1, 4))):
             if data.draw(st.booleans()):
                 col = data.draw(st.lists(floats, min_size=n, max_size=n))
-                assert list(dynamics.format_cells(col)) == [f"{v:.17g}" for v in col]
+                assert list(textio.format_cells(col)) == [f"{v:.17g}" for v in col]
                 columns.append(np.array(col) if data.draw(st.booleans()) else col)
             else:
                 columns.append(data.draw(st.lists(words, min_size=n, max_size=n)))
@@ -330,7 +340,7 @@ class TestAxisColumns:
     the text of the former per-row loop over the same data."""
 
     def test_splitting(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dynamics, "_CSV_BLOCK", 100)
+        monkeypatch.setattr(textio, "_CSV_BLOCK", 100)
         cfg = resolve_config("splitting", SMALL_SPLITTING)
         run_splitting(cfg, tmp_path)
         mode_a, mode_b = experiments._modes(cfg)
@@ -345,7 +355,7 @@ class TestAxisColumns:
         assert _data_text(tmp_path / "spectrum.csv") == "".join(rows)
 
     def test_chevron(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dynamics, "_CSV_BLOCK", 1000)
+        monkeypatch.setattr(textio, "_CSV_BLOCK", 1000)
         cfg = resolve_config("chevron", SMALL_CHEVRON)
         run_chevron(cfg, tmp_path)
         g = experiments._resolve_gp(cfg)
@@ -367,7 +377,7 @@ class TestAxisColumns:
     def formatted(self, monkeypatch):
         """{file name: float values the cell kernel formatted to write it}"""
         counts, current = {}, []
-        float_cells, write_csv = dynamics._float_cells, experiments._write_csv
+        float_cells, write_csv = textio._float_cells, experiments._write_csv
 
         def counting_cells(x, last):
             counts[current[-1]] = counts.get(current[-1], 0) + np.size(x)
@@ -377,7 +387,7 @@ class TestAxisColumns:
             current.append(os.path.basename(path))
             write_csv(path, *args)
 
-        monkeypatch.setattr(dynamics, "_float_cells", counting_cells)
+        monkeypatch.setattr(textio, "_float_cells", counting_cells)
         monkeypatch.setattr(experiments, "_write_csv", tracking_write)
         return counts
 
@@ -400,7 +410,7 @@ def _fallback_share(columns):
     """Share of the float cells of `columns` that the cell kernel sends to
     ``'%.17g' %``."""
     x = np.concatenate(columns)
-    return float(np.mean(dynamics._float_cells(x, np.zeros(x.size, dtype=np.intp))[1]))
+    return float(np.mean(textio._float_cells(x, np.zeros(x.size, dtype=np.intp))[1]))
 
 
 class TestCellFallbackShare:
@@ -467,22 +477,31 @@ class TestStoreRetrieveRunner:
         assert results["tau_note"] == "DegenerateFitError"
         assert "tau_s" not in results
 
-    def test_occupancy_scales_energies_and_nothing_else(self, tmp_path):
-        # the equations are linear: nbar = 4 multiplies every energy by 4,
-        # exactly in floating point, and leaves every ratio and tau_s alone
+    @pytest.mark.parametrize("runner", ["store_retrieve", "chevron", "phase_sweep"])
+    def test_occupancy_scales_energies_and_nothing_else(self, tmp_path, runner):
+        # the equations are linear: nbar = 4 doubles every amplitude and
+        # multiplies every energy by 4, exactly in floating point, and
+        # leaves every other CSV column and result alone, bit for bit
+        small, scaled = {
+            "store_retrieve": (SMALL_SR, {"store_retrieve.csv:retrieved_energy": 4.0,
+                                          "reference_energy": 4.0, "fit_residual_rms": 4.0}),
+            "chevron": (SMALL_CHEVRON, {"chevron_map.csv:energy_a": 4.0}),
+            "phase_sweep": (SMALL_PHASE, {"phase_sweep.csv:i": 2.0, "phase_sweep.csv:q": 2.0,
+                                          "phase_sweep.csv:energy": 4.0}),
+        }[runner]
         runs = {}
         for nbar in ("1", "4"):
-            cfg = resolve_config("store_retrieve", dict(SMALL_SR, nbar=nbar))
-            results = run_store_retrieve(cfg, tmp_path / nbar)
-            rows = np.array(_csv_rows(tmp_path / nbar / "store_retrieve.csv"), dtype=float)
-            runs[nbar] = results, rows
-        (one, rows_one), (four, rows_four) = runs["1"], runs["4"]
-        assert np.array_equal(rows_four[:, 1], 4.0 * rows_one[:, 1])
-        assert np.array_equal(rows_four[:, 2], rows_one[:, 2])  # eta
-        for key in ("reference_energy", "fit_residual_rms"):
-            assert four[key] == 4.0 * one[key]
-        for key in ("eta_shortest", "eta_prime", "tau_s"):
-            assert four[key] == one[key]
+            out = tmp_path / nbar
+            runs[nbar] = RUNNERS[runner](resolve_config(runner, dict(small, nbar=nbar)), out)
+            for path in out.glob("*.csv"):
+                names, *rows = _csv_rows(path, names=True)
+                for name, column in zip(names, np.array(rows, dtype=float).T):
+                    runs[nbar][f"{path.name}:{name}"] = column
+        one, four = runs["1"], runs["4"]
+        assert one.keys() == four.keys() and scaled.keys() <= one.keys()
+        for key, value in one.items():
+            expected = scaled[key] * value if key in scaled else value
+            assert np.array_equal(four[key], expected), key
 
     def test_unexpected_fit_failure_propagates(self, tmp_path, monkeypatch):
         def broken_fit(t, energy):
