@@ -27,10 +27,13 @@ that sweep trajectories are bit-reproducible. The equations are linear,
 x' = A(t) x + f(t), so one RK4 step is an affine map x_{k+1} = P_k x_k +
 q_k. One engine, ``rk4_run``, steps ``integrate`` (one segment) and the
 sequence oracle (every segment of a sequence, each with its own step,
-pump and drive) alike: for each block of steps it builds the maps as
-arrays from A and f at the stage times and composes them with an
-odd-even prefix scan (Blelloch, CMU-CS-90-190, 1990), and its blocks run
-across segment boundaries. That is the RK4 solution of a step-by-step
+pump and drive) alike: for each block of steps it builds one map per
+distinct step as arrays from A and f at the stage times (one for a
+segment's share with constant A and f, such as a resonant rectangular
+swap, a delay or a resonant load, and one per step otherwise), repeats
+each to one map per step and composes them with an odd-even prefix scan
+(Blelloch, CMU-CS-90-190, 1990); its blocks run across segment
+boundaries. That is the RK4 solution of a step-by-step
 loop, rounded differently, so the dt/2 rerun of ``integrate_checked``
 still measures a genuine RK4 step-size difference. A constant pump with no
 drive has an exact solution instead (``propagate_swap``): substituting
@@ -368,10 +371,11 @@ def rk4_run(x0, modes, segments, record) -> np.ndarray:
 
     The steps run in blocks of ``_BLOCK``, counted from the first step,
     that cross segment boundaries: one ``_rk4_maps`` call builds the
-    affine maps of a block from the stage coefficients of every
-    segment's share of it (``_block_coefficients``), and one ``_scan``
-    composes them from the state the block starts in. So a block holds
-    at most ``_BLOCK`` steps, however long a segment is.
+    distinct affine maps of a block (``_block_coefficients``: one for a
+    segment's share with constant coefficients, one per step otherwise),
+    they are repeated to one map per step, and one ``_scan`` composes them
+    from the state the block starts in. So a block holds at most
+    ``_BLOCK`` steps, however long a segment is.
     """
     mode_a, mode_b = modes
     na, nb = complex(-0.5 * mode_a.gamma_total), complex(-0.5 * mode_b.gamma_total)
@@ -381,10 +385,15 @@ def rk4_run(x0, modes, segments, record) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # see check_finite
         for j0 in range(0, total, _BLOCK):
             j1 = min(j0 + _BLOCK, total)
+            counts, *coefficients = _block_coefficients(segments, j0, j1, mode_a)
             # `maps` lives on while the next block's maps are built: freed
             # first, its pages go back to the system and fault in again
             # (3.6 times the page faults over a run of 8 blocks)
-            maps = _rk4_maps(na, nb, *_block_coefficients(segments, j0, j1, mode_a))
+            maps = _rk4_maps(na, nb, *coefficients)
+            if len(counts) == 1:
+                maps = np.broadcast_to(maps, (2, 3, j1 - j0))
+            elif len(counts) < j1 - j0:
+                maps = np.repeat(maps, counts, axis=-1)
             states = _scan(maps, state)
             state = states[:, -1]
             lo, hi = np.searchsorted(record, (j0, j1), side="right")
@@ -393,22 +402,51 @@ def rk4_run(x0, modes, segments, record) -> np.ndarray:
 
 
 def _block_coefficients(segments, j0, j1, mode_a):
-    """(h, up, down, f) of the steps j0 to j1 - 1 of ``rk4_run``: the stage
-    coefficients (``_rk4_coefficients``) of each segment's share, joined,
-    and the step length, a float where one segment holds them all and an
-    array of one per step otherwise."""
-    steps, coeffs = [], []  # (step, count) and coefficients of each share
+    """(counts, h, up, down, f) of the steps j0 to j1 - 1 of ``rk4_run``:
+    the stage coefficients (``_rk4_coefficients``) of the distinct steps
+    of each segment's share, joined, with the number of steps each stands
+    for, and the step length, a float where one segment holds them all
+    and an array of one per distinct step otherwise.
+
+    A share with constant coefficients (``_constant_share``) is one
+    distinct step standing for all of its steps, a varying one has each
+    of its steps standing for itself. Each map entry of ``_rk4_maps`` is
+    elementwise in its column and in h, and its stage coefficients at
+    every step of a constant share differ at most in the signs of zeros
+    (see ``_rk4_coefficients``), so repeating its map keeps every bit."""
+    shares = []  # (step, counts, coefficients) of each share
     first = 0  # the first step of each segment
     for pump, drive, t_start, n, dt in segments:
         lo, hi = max(j0 - first, 0), min(j1 - first, n)
         if lo < hi:
-            steps.append((dt, hi - lo))
-            coeffs.append(_rk4_coefficients(t_start + np.arange(lo, hi) * dt, dt,
-                                            mode_a, pump, drive))
+            t = t_start + np.arange(lo, hi) * dt
+            # the first and last stage times, as _rk4_coefficients forms them
+            if _constant_share(pump, drive, mode_a, t[0] + 0.0, t[-1] + dt):
+                t, counts = t[:1], [hi - lo]
+            else:
+                counts = np.ones(hi - lo, dtype=int)
+            shares.append((dt, counts, _rk4_coefficients(t, dt, mode_a, pump, drive)))
         first += n
-    if len(coeffs) == 1:
-        return (steps[0][0], *coeffs[0])
-    return (np.repeat(*zip(*steps)), *(np.concatenate(c, axis=-1) for c in zip(*coeffs)))
+    if len(shares) == 1:
+        dt, counts, coeffs = shares[0]
+        return (counts, dt, *coeffs)
+    steps, counts, coeffs = zip(*shares)
+    h = np.repeat(steps, [c[0].shape[-1] for c in coeffs])
+    return (np.concatenate(counts), h, *(np.concatenate(c, axis=-1) for c in zip(*coeffs)))
+
+
+def _constant_share(pump, drive, mode_a, first, last) -> bool:
+    """Whether the stage coefficients of ``_rk4_coefficients`` are the
+    same at every stage time from `first` to `last`: the pump is off, or
+    rectangular and resonant, and the drive is absent, off or resonant,
+    and each that is on is on over all of [first, last] (from its support,
+    not from its values at the ends: a pulse may start and stop between
+    them)."""
+    pump_const = pump.g == 0.0 or (pump.delta == 0.0 and pump.ramp == 0.0
+                                   and pump.t_start <= first and last <= pump.t_stop)
+    return pump_const and (drive is None or drive.amp_in == 0.0
+                           or (drive.omega_d == mode_a.omega
+                               and drive.t_start <= first and last <= drive.t_stop))
 
 
 def _rk4_coefficients(t, dt, mode_a, pump, drive):

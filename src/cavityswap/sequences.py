@@ -279,16 +279,24 @@ def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> Drive
     if "amp" in seg.params:
         amp = seg.params["amp"].value
     else:
-        # resonant fill from vacuum: a(T) = (2 sq amp/ga)(1 - e^{-ga T/2}),
-        # with sq = sqrt(gamma_ext) and ga = gamma_A >= gamma_ext; expm1
-        # keeps the fill exact when ga T is tiny
+        # fill from vacuum, with sq = sqrt(gamma_ext), ga = gamma_A >= gamma_ext
+        # and the drive offset dw: |a(T)| = sq amp |1 - e^{-zT}|/|z| with
+        # z = ga/2 - i dw; expm1 keeps the fill exact when ga T is tiny
         ga = mode_a.gamma_total
-        fill = 2.0 * math.sqrt(mode_a.gamma_ext) * -math.expm1(-0.5 * ga * (t1 - t0))
+        dw = omega_d - mode_a.omega
+        decay = 0.5 * ga * (t1 - t0)
+        if dw == 0.0:  # a(T) = (2 sq amp/ga)(1 - e^{-ga T/2})
+            fill = 2.0 * math.sqrt(mode_a.gamma_ext) * -math.expm1(-decay)
+            rate = ga
+        else:  # |1 - e^{-zT}|^2 = expm1(-ga T/2)^2 + 4 e^{-ga T/2} sin^2(dw T/2)
+            turn = 2.0 * math.exp(-0.5 * decay) * math.sin(0.5 * dw * (t1 - t0))
+            fill = math.sqrt(mode_a.gamma_ext) * math.hypot(math.expm1(-decay), turn)
+            rate = math.hypot(0.5 * ga, dw)
         if not fill > 0.0:
             raise SequenceSemanticError(
                 "cannot fill mode A to nbar: its external coupling is zero or too "
                 "weak for the pulse")
-        amp = math.sqrt(seg.params["nbar"].value) * ga / fill
+        amp = math.sqrt(seg.params["nbar"].value) * rate / fill
     # pad the support like _segment_pump: boundary RK4 stages must see the drive
     pad = 1e-12 * (t1 - t0)
     return DriveTone(omega_d, amp, 0.0, t0 - pad, t1 + pad)
@@ -305,7 +313,14 @@ def run_sequence(seq: PulseSequence, *, points_per_cycle: int = 400,
     raised-cosine swaps are integrated with RK4 at that step. A leading
     ``load nbar=`` segment sets a = sqrt(nbar) at its end instead of
     simulating the fill pulse, with no incident field on its two samples;
-    any other load drives the port. A sample on a segment boundary
+    any other load drives the port. A later ``load nbar=`` drives it with
+    the tone, at ``freq=`` (mode A's frequency by default), whose
+    closed-form fill takes an empty mode A to nbar at the segment's end:
+    it assumes mode A is empty, and ends elsewhere when it is not (after
+    ``load dur=2us nbar=9``, a resonant ``load dur=2us nbar=4`` ends at
+    |a|^2 = 8.68 with the modes of the module docstring). A refusal
+    (SequenceSemanticError) comes where that fill rounds to nothing. A
+    sample on a segment boundary
     belongs to the segment that ends there. A swap
     given by ``power=`` gets its g_P from the flux curves with the pump
     calibration `flux_calib`.

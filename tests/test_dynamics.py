@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -353,6 +354,120 @@ class TestBatchedRK4:
         maps = dynamics._rk4_maps(na, nb, dt, up, down, f)
         formula = dynamics._rk4_maps(na, nb, dt, g * ph, g * ph.conj(), f)
         assert maps.tobytes() == formula.tobytes()
+
+
+_SHARE_KINDS = ["rect", "detuned", "ramped", "delay", "readout", "load", "detuned_load",
+                "inner", "inner_load"]
+
+
+@st.composite
+def _shared_map_runs(draw):
+    """(modes, x0, segments) for ``rk4_run``: 1-4 segments from a start
+    time that may be negative, each a resonant or detuned rect swap, a
+    resonant ramped swap, a delay, a readout, a resonant or off-resonant
+    driven load, or a resonant rect pulse or resonant tone inside its
+    segment ("inner", "inner_load").
+    Supports are padded like those of ``run_sequence``, or not at all."""
+    modes = draw(st.sampled_from([_default_modes(), _lossless_modes(),
+                                  (ModeParams(OMEGA_A, 1e6, 1e6), ModeParams(OMEGA_B, 1e6, 1e6))]))
+    t = draw(st.floats(-3e-6, 1e-6))
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(_SHARE_KINDS))
+        dur = draw(st.floats(0.05e-6, 0.4e-6))
+        pad = draw(st.sampled_from([0.0, 1e-12])) * dur
+        g, phase = draw(st.floats(0.5, 2.0)) * _MHZ, draw(st.floats(0.0, TWO_PI))
+        pump, drive = PumpDrive(0.0), None
+        if kind in ("rect", "detuned", "ramped"):
+            delta = draw(st.floats(-0.3, 0.3)) * _MHZ if kind == "detuned" else 0.0
+            ramp = 0.3 * dur if kind == "ramped" else 0.0
+            pump = PumpDrive(g, delta, phase, t - pad, t + dur + pad, ramp)
+        elif kind == "inner":
+            pump = PumpDrive(g, 0.0, phase, t + 0.3 * dur, t + 0.6 * dur)
+        elif kind in ("load", "detuned_load"):
+            dw = draw(st.floats(-0.3, 0.3)) * _MHZ if kind == "detuned_load" else 0.0
+            drive = DriveTone(OMEGA_A + dw, draw(st.floats(100.0, 2000.0)), phase,
+                              t - pad, t + dur + pad)
+        elif kind == "inner_load":
+            drive = DriveTone(OMEGA_A, draw(st.floats(100.0, 2000.0)), phase,
+                              t + 0.3 * dur, t + 0.6 * dur)
+        dt = min(max_step(*modes, pump, drive, points_per_cycle=draw(st.integers(50, 100))),
+                 dur / 8.0)
+        n, dt = dynamics._steps(SimConfig(dt, t + dur, t))
+        segments.append((pump, drive, t, n, dt))
+        t += dur
+    x0 = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+    return modes, (x0, 0.5j * x0), segments
+
+
+def _as_bits(*arrays):
+    return [np.ascontiguousarray(x).view(np.int64) for x in arrays]
+
+
+class TestSharedMaps:
+    """A segment's share of a block with constant stage coefficients builds
+    one RK4 map and repeats it: every result keeps the bits of a map per
+    step, signed zeros included."""
+
+    @pytest.mark.parametrize("block", [None, 16])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(run=_shared_map_runs())
+    def test_rk4_run_keeps_its_bits(self, run, block):
+        modes, x0, segments = run
+        record = np.arange(1, sum(seg[3] for seg in segments) + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(dynamics, "_BLOCK", block)
+            shared = dynamics.rk4_run(x0, modes, segments, record)
+            mp.setattr(dynamics, "_constant_share", lambda *args: False)
+            per_step = dynamics.rk4_run(x0, modes, segments, record)
+        assert np.array_equal(*_as_bits(shared, per_step))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(run=_shared_map_runs(), stride=st.integers(1, 5))
+    def test_integrate_keeps_its_bits(self, run, stride):
+        modes, (a0, b0), segments = run
+        for pump, drive, t0, n, dt in segments:  # each segment on its own
+            cfg = SimConfig(dt, t0 + n * dt, t0, stride)
+            init = ComplexAmplitudePair(a0, b0, t0)
+            shared = integrate(init, modes, pump, drive, cfg)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dynamics, "_constant_share", lambda *args: False)
+                per_step = integrate(init, modes, pump, drive, cfg)
+            for name in ("t", "a", "b", "a_out"):
+                assert np.array_equal(*_as_bits(getattr(shared, name),
+                                                getattr(per_step, name)))
+
+    def test_inner_pump_window_is_not_constant(self):
+        # the pump is off at both ends of the run and on in between: equal
+        # coefficients at the ends would have made the whole run uncoupled
+        pump = PumpDrive(GP, t_start=1e-6, t_stop=2e-6)
+        cfg = SimConfig(1e-9, 3e-6)
+        init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
+        shared = integrate(init, _default_modes(), pump, None, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_constant_share", lambda *args: False)
+            per_step = integrate(init, _default_modes(), pump, None, cfg)
+        assert np.array_equal(*_as_bits(shared.b, per_step.b))
+        assert abs(shared.b[-1]) ** 2 == pytest.approx(0.14460090219672453, rel=1e-12)
+
+    def test_constant_share_needs_the_whole_support(self):
+        mode_a = _default_modes()[0]
+        pump = PumpDrive(GP, t_start=1e-6, t_stop=2e-6)
+        tone = DriveTone(OMEGA_A, 1e3, 0.0, 1e-6, 2e-6)
+        share = dynamics._constant_share
+        assert share(pump, None, mode_a, 1e-6, 2e-6)
+        assert share(PumpDrive(0.0), tone, mode_a, 1e-6, 2e-6)
+        assert not share(pump, None, mode_a, 0.0, 3e-6)
+        assert not share(pump, None, mode_a, 1e-6, 2e-6 + 1e-21)
+        assert not share(PumpDrive(0.0), tone, mode_a, 1e-6 - 1e-21, 2e-6)
+        assert not share(PumpDrive(GP, 1.0), None, mode_a, 1e-6, 2e-6)
+        assert not share(PumpDrive(GP, ramp=0.1e-6, t_start=0.0, t_stop=1e-6), None,
+                         mode_a, 0.0, 1e-6)
+        assert not share(PumpDrive(0.0), replace(tone, omega_d=OMEGA_A + 1.0), mode_a,
+                         1e-6, 2e-6)
+        assert share(PumpDrive(0.0), replace(tone, omega_d=OMEGA_A + 1.0, amp_in=0.0),
+                     mode_a, 0.0, 3e-6)
 
 
 class TestDivergence:

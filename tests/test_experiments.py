@@ -811,6 +811,9 @@ class TestCli:
         ("custom_sequence", "mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
                             "mode B freq=9.33GHz t1=14.9us\nseg load dur=2us nbar=1e-320\n"
                             "seg swap dur=0.2037us gp=1.2MHz\nseg readout dur=2us"),
+        # a detuned nbar= load into a mode A with no external coupling
+        ("custom_sequence", "mode A freq=8.7GHz q_int=900e3\nmode B freq=9.33GHz\n"
+                            "seg delay dur=1us\nseg load dur=1us nbar=1 freq=8.701GHz"),
     ])
     def test_refused_config_values_exit_2(self, tmp_path, capsys, runner, line):
         seq = tmp_path / "seq.txt"

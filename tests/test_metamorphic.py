@@ -1,0 +1,55 @@
+"""Metamorphic relations: two runs of the program whose results must relate
+in a known way. They check sequences that no single closed form covers."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cavityswap.sequences import parse_sequence, run_sequence, run_sequence_checked
+
+# a direct load leaves mode A at |a|^2 = 4, so every segment kind below
+# acts on a nonzero state
+_HEAD = "seg load dur=1us nbar=4\n"
+_MODES = {
+    "lossy": "mode A freq=8.7GHz q_int=900e3 q_ext=50e3\nmode B freq=9.33GHz t1=14.9us\n",
+    "lossless": "mode A freq=8.7GHz q_ext=50e3\nmode B freq=9.33GHz\n",
+}
+
+
+@st.composite
+def _segment_params(draw, kind):
+    """The key = value text of one `kind` segment, without its duration."""
+    if kind == "swap":
+        return (f"gp={draw(st.floats(0.5, 2.0)):.4g}MHz"
+                f" delta={draw(st.floats(-300.0, 300.0)):.4g}kHz"
+                f" phase={draw(st.floats(0.0, 360.0)):.4g}deg")
+    if kind == "load":
+        return (f"amp={draw(st.floats(100.0, 2000.0)):.4g}"
+                f" freq={8.7e9 + draw(st.floats(-300e3, 300e3)):.10g}Hz")
+    return ""
+
+
+class TestSegmentSplitting:
+    """One segment and two segments of the same kind and parameters that
+    cover its span end in the same state: the pump and the drive run on
+    the global clock, so the split changes nothing but rounding."""
+
+    @pytest.mark.parametrize("kind", ["delay", "swap", "load", "readout"])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data(), modes=st.sampled_from(sorted(_MODES)),
+           first=st.integers(20, 300), second=st.integers(20, 300))
+    def test_split_segment_ends_in_the_same_state(self, kind, data, modes, first, second):
+        params = data.draw(_segment_params(kind))
+        whole = parse_sequence(_MODES[modes] + _HEAD
+                               + f"seg {kind} dur={first + second}ns {params}\n")
+        split = parse_sequence(_MODES[modes] + _HEAD
+                               + f"seg {kind} dur={first}ns {params}\n"
+                               + f"seg {kind} dur={second}ns {params}\n")
+        one, two = run_sequence(whole), run_sequence(split)
+        assert two.t[-1] == pytest.approx(one.t[-1], rel=1e-15)
+        peak = float(np.max(np.hypot(np.abs(one.a), np.abs(one.b))))
+        assert math.hypot(abs(one.a[-1] - two.a[-1]), abs(one.b[-1] - two.b[-1])) < 1e-14 * peak
+        run_sequence_checked(split)  # raises ConvergenceError if RK4 disagrees

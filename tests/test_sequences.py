@@ -172,6 +172,24 @@ class TestExecution:
         trace = run_sequence(seq)
         assert abs(trace.a[-1]) ** 2 == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("freq", ["8.701GHz", "8.7001GHz", "8.6999GHz"])
+    def test_later_nbar_load_off_resonance_reaches_target_occupancy(self, freq):
+        # the resonant fill missed nbar = 4 off resonance: |a|^2 = 0.033 at
+        # 8.701GHz, 3.53 at 8.7001GHz
+        seq = parse_sequence("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
+                             "mode B freq=9.33GHz t1=14.9us\n"
+                             "seg delay dur=1us\n"
+                             f"seg load dur=2us nbar=4 freq={freq}\n")
+        assert abs(run_sequence(seq).a[-1]) ** 2 == pytest.approx(4.0, rel=1e-12)
+
+    def test_later_nbar_load_fills_an_empty_mode_only(self):
+        # nbar= sets the tone from the fill of an empty mode A
+        seq = parse_sequence("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
+                             "mode B freq=9.33GHz t1=14.9us\n"
+                             "seg load dur=2us nbar=9\n"
+                             "seg load dur=2us nbar=4\n")
+        assert abs(run_sequence(seq).a[-1]) ** 2 == pytest.approx(8.68, abs=5e-3)
+
     def test_load_into_a_vanishing_external_rate_rejected(self):
         # gamma_ext = w_A / 1e300: the fill 2 sqrt(gamma_ext) (1 - e^{-gamma_A T/2}),
         # about 5e-145 times 3e-296, underflows to 0.0
@@ -440,17 +458,23 @@ class TestBatchedOracle:
     @given(text=oracle_sequences())
     def test_matches_a_per_segment_scalar_rk4_chain(self, text, block):
         seq = parse_sequence(text)
-        sizes = []
-        maps = dynamics._rk4_maps
+        sizes = []  # the steps of each block's maps, as _scan takes them
+        depth = []  # _scan recurses on the half-length problem: not counted
+        scan = dynamics._scan
 
-        def sizing(na, nb, h, up, down, f):
-            sizes.append(up.shape[-1])
-            return maps(na, nb, h, up, down, f)
+        def sizing(maps, x0):
+            if not depth:
+                sizes.append(maps.shape[-1])
+            depth.append(None)
+            try:
+                return scan(maps, x0)
+            finally:
+                depth.pop()
 
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(dynamics, "_BLOCK", block)
-            mp.setattr(dynamics, "_rk4_maps", sizing)
+            mp.setattr(dynamics, "_scan", sizing)
             rk4 = sequences._run_segments(seq, 400, exact=False)
         t, a, b, a_out = _scalar_chain(seq, 400)
         # one block of maps per _BLOCK steps, counted over the whole sequence
