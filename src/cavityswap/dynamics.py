@@ -25,9 +25,10 @@ e^{-i w_B t} (b): ``lab_frame`` applies that rotation after the fact.
 Integration is classic fixed-step RK4, chosen over adaptive stepping so
 that sweep trajectories are bit-reproducible. The equations are linear,
 x' = A(t) x + f(t), so one RK4 step is an affine map x_{k+1} = P_k x_k +
-q_k. One engine, ``rk4_run``, steps ``integrate`` (one segment) and the
-sequence oracle (every segment of a sequence, each with its own step,
-pump and drive) alike: for each block of steps it builds one map per
+q_k. One trace builder, ``rk4_trace``, serves ``integrate`` (a plan of one
+segment) and the sequence oracle (a plan of every segment of a sequence,
+each with its own step, pump and drive) alike, around one call to the
+engine ``rk4_run``: for each block of steps it builds one map per
 distinct step as arrays from A and f at the stage times (one for a
 segment's share with constant A and f, such as a resonant rectangular
 swap, a delay or a resonant load, and one per step otherwise), repeats
@@ -274,8 +275,13 @@ def _record_steps(n: int, stride: int) -> np.ndarray:
 
 
 def record_times(config: SimConfig) -> np.ndarray:
-    """The times ``integrate`` records under `config`, bit for bit."""
+    """The times ``integrate`` records under `config`, bit for bit. A span
+    of 2**64 steps or more, a count numpy holds in no integer type, raises
+    ValidationError."""
     n, dt = _steps(config)
+    if n >= 2**64:
+        raise ValidationError(f"{n} steps on the record grid exceed the bound of "
+                              f"{2**64 - 1} steps")
     k = _record_steps(n, config.record_stride)
     return np.concatenate(([config.t_start], config.t_start + k * dt))
 
@@ -297,21 +303,16 @@ def exact_segment(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     return TraceRecord(t, a, b, a_out)
 
 
-def checked_steps(modes, pump: PumpDrive, drive: DriveTone | None, config: SimConfig):
-    """(step count, step) of the RK4 run of ``integrate`` under `config`
-    (``_steps``), after its two refusals: ResolutionError when config.dt
-    does not resolve the fastest timescale (``max_step``), and
-    ValidationError above ``MAX_STEPS`` steps. Both come before any array
-    is built."""
-    dt_max = max_step(*modes, pump, drive)
-    if config.dt > dt_max * (1.0 + 1e-12):
-        raise ResolutionError(f"dt={config.dt:.3e} s does not resolve the fastest "
-                              f"timescale (need dt <= {dt_max:.3e} s)")
-    n, dt = _steps(config)
-    if n > MAX_STEPS:
-        raise ValidationError(f"{n} RK4 steps exceed the bound of {MAX_STEPS} steps "
-                              "per integration")
-    return n, dt
+def mode_meta(modes) -> dict:
+    """The metadata every rotating-frame trace of ``integrate`` and
+    ``sequences.run_sequence`` carries: its frame and the frequency and
+    loss rates of both modes."""
+    mode_a, mode_b = modes
+    return {"frame": "rotating",
+            "omega_a": mode_a.omega, "gamma_int_a": mode_a.gamma_int,
+            "gamma_ext_a": mode_a.gamma_ext,
+            "omega_b": mode_b.omega, "gamma_int_b": mode_b.gamma_int,
+            "gamma_ext_b": mode_b.gamma_ext}
 
 
 def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
@@ -320,46 +321,57 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     """Fixed-step RK4 trajectory of the coupled-mode equations.
 
     The step is shrunk (never grown) so an integer number of steps lands
-    exactly on t_end; more than ``MAX_STEPS`` steps raise ValidationError
-    (``checked_steps``). Records (t, a, b, a_out) every `record_stride` steps
-    plus the final point. ``rk4_run`` steps it as a run of one segment.
+    exactly on t_end; more than ``MAX_STEPS`` steps raise ValidationError.
+    Records (t, a, b, a_out) every `record_stride` steps plus the final
+    point: ``rk4_trace`` of one segment.
+    """
+    trace = rk4_trace(initial, modes, [(pump, drive, config)])
+    trace.meta = {**mode_meta(modes), "dt": _steps(config)[1], "t_start": config.t_start,
+                  "t_end": config.t_end, "record_stride": config.record_stride,
+                  "delta": pump.delta, "phi_p": pump.phase}
+    return trace
+
+
+def rk4_trace(initial: ComplexAmplitudePair, modes, plan) -> TraceRecord:
+    """RK4 trace, with no metadata, from the state `initial` through the
+    one or more segments of `plan`, each (pump, drive, SimConfig), in one
+    ``rk4_run``: each segment is refused before any array is built, with
+    ResolutionError where its dt does not resolve the fastest timescale
+    (``max_step``) and ValidationError above ``MAX_STEPS`` steps, and
+    recorded on its ``record_times``. A boundary sample belongs to the
+    segment that ends there, whose drive gives its a_out. The first
+    non-finite state raises IntegrationDivergedError naming its time.
     """
     check_mode_order(*modes)
-    n, dt = checked_steps(modes, pump, drive, config)
-    t_arr = record_times(config)
-    x = rk4_run([initial.a, initial.b], modes, [(pump, drive, config.t_start, n, dt)],
-                _record_steps(n, config.record_stride))
-    check_finite(x, t_arr)
-
-    mode_a, mode_b = modes
-    a_in = input_field(drive, mode_a, t_arr)
-    a_out = a_in - math.sqrt(mode_a.gamma_ext) * x[0]
-    meta = {
-        "frame": "rotating",
-        "dt": dt,
-        "t_start": config.t_start,
-        "t_end": config.t_end,
-        "record_stride": config.record_stride,
-        "omega_a": mode_a.omega,
-        "gamma_int_a": mode_a.gamma_int,
-        "gamma_ext_a": mode_a.gamma_ext,
-        "omega_b": mode_b.omega,
-        "gamma_int_b": mode_b.gamma_int,
-        "gamma_ext_b": mode_b.gamma_ext,
-        "delta": pump.delta,
-        "phi_p": pump.phase,
-    }
-    return TraceRecord(t_arr, x[0], x[1], a_out, meta)
-
-
-def check_finite(x, t):
-    """Raise IntegrationDivergedError naming the first of the states `x`
-    (2, len(t)), recorded at the times `t`, that is not finite."""
+    segments = []  # (pump, drive, t_start, step count, step), as rk4_run takes them
+    for pump, drive, config in plan:
+        dt_max = max_step(*modes, pump, drive)
+        if config.dt > dt_max * (1.0 + 1e-12):
+            raise ResolutionError(f"dt={config.dt:.3e} s does not resolve the fastest "
+                                  f"timescale (need dt <= {dt_max:.3e} s)")
+        n, dt = _steps(config)
+        if n > MAX_STEPS:
+            raise ValidationError(f"{n} RK4 steps exceed the bound of {MAX_STEPS} steps "
+                                  "per integration")
+        segments.append((pump, drive, config.t_start, n, dt))
+    times, a_in, record = [], [], []
+    done = 0  # the steps of the segments before
+    for (_, drive, config), (*_, n, _) in zip(plan, segments):
+        grid = record_times(config)
+        first = 1 if times else 0  # the boundary sample belongs to the segment before
+        times.append(grid[first:])
+        a_in.append(input_field(drive, modes[0], grid)[first:])
+        record.append(done + _record_steps(n, config.record_stride))
+        done += n
+    t = np.concatenate(times)
+    x = rk4_run([initial.a, initial.b], modes, segments, np.concatenate(record))
     bad = np.flatnonzero(~np.all(np.isfinite(x), axis=0))
     if bad.size:
         a, b = complex(x[0, bad[0]]), complex(x[1, bad[0]])
         raise IntegrationDivergedError(
             f"non-finite state at t={t[bad[0]]:.6e} s (a={a!r}, b={b!r})")
+    a_out = np.concatenate(a_in) - math.sqrt(modes[0].gamma_ext) * x[0]
+    return TraceRecord(t, x[0], x[1], a_out)
 
 
 def rk4_run(x0, modes, segments, record) -> np.ndarray:
@@ -382,7 +394,7 @@ def rk4_run(x0, modes, segments, record) -> np.ndarray:
     total = sum(n for _, _, _, n, _ in segments)
     x = np.empty((2, len(record) + 1), dtype=complex)
     x[:, 0] = state = np.array(x0, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # see check_finite
+    with np.errstate(over="ignore", invalid="ignore"):  # see rk4_trace
         for j0 in range(0, total, _BLOCK):
             j1 = min(j0 + _BLOCK, total)
             counts, *coefficients = _block_coefficients(segments, j0, j1, mode_a)

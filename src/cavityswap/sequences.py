@@ -16,12 +16,14 @@ oscillator runs continuously in simulation time, so a swap segment's
 phase is defined relative to that continuous reference and the relative
 phase between two swap pulses is well defined across a delay.
 
-Every segment with constant coefficients (rectangular swaps, delays,
-readouts and driven loads) is evaluated in closed form on the grid RK4
-would record; raised-cosine swaps are integrated with RK4.
-``run_sequence_checked`` runs the whole sequence with RK4 as the oracle,
-in one ``dynamics.rk4_run`` pass whose blocks of steps cross segment
-boundaries.
+``_plan`` alone turns segments into pumps, drives and steps: it gives a
+leading ``load nbar=`` as a two-sample trace and every other segment as
+(pump, drive, SimConfig). ``run_sequence`` walks that plan, evaluating
+every segment with constant coefficients (rectangular swaps, delays,
+readouts and driven loads) in closed form on the grid RK4 would record
+and integrating raised-cosine swaps with RK4. ``run_sequence_checked``
+hands the same plan to ``dynamics.rk4_trace`` as the oracle: one RK4
+run whose blocks of steps cross segment boundaries.
 ``calibrate_swap_time`` gives the resonant swap length that empties the
 readout mode as the first zero of its closed-form amplitude.
 """
@@ -37,9 +39,8 @@ import numpy as np
 from . import fluxmap
 from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, ValidationError,
                    check_mode_order)
-from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact, check_finite,
-                       check_half_step, checked_steps, exact_segment, input_field,
-                       integrate, max_step, record_times, rk4_run)
+from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact, check_half_step,
+                       exact_segment, integrate, max_step, mode_meta, rk4_trace)
 from .units import parse_quantity
 
 
@@ -281,17 +282,15 @@ def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> Drive
     else:
         # fill from vacuum, with sq = sqrt(gamma_ext), ga = gamma_A >= gamma_ext
         # and the drive offset dw: |a(T)| = sq amp |1 - e^{-zT}|/|z| with
-        # z = ga/2 - i dw; expm1 keeps the fill exact when ga T is tiny
+        # z = ga/2 - i dw and |1 - e^{-zT}|^2 = expm1(-ga T/2)^2
+        # + 4 e^{-ga T/2} sin^2(dw T/2); expm1 keeps the fill exact when ga T
+        # is tiny
         ga = mode_a.gamma_total
         dw = omega_d - mode_a.omega
         decay = 0.5 * ga * (t1 - t0)
-        if dw == 0.0:  # a(T) = (2 sq amp/ga)(1 - e^{-ga T/2})
-            fill = 2.0 * math.sqrt(mode_a.gamma_ext) * -math.expm1(-decay)
-            rate = ga
-        else:  # |1 - e^{-zT}|^2 = expm1(-ga T/2)^2 + 4 e^{-ga T/2} sin^2(dw T/2)
-            turn = 2.0 * math.exp(-0.5 * decay) * math.sin(0.5 * dw * (t1 - t0))
-            fill = math.sqrt(mode_a.gamma_ext) * math.hypot(math.expm1(-decay), turn)
-            rate = math.hypot(0.5 * ga, dw)
+        turn = 2.0 * math.exp(-0.5 * decay) * math.sin(0.5 * dw * (t1 - t0))
+        fill = math.sqrt(mode_a.gamma_ext) * math.hypot(math.expm1(-decay), turn)
+        rate = math.hypot(0.5 * ga, dw)
         if not fill > 0.0:
             raise SequenceSemanticError(
                 "cannot fill mode A to nbar: its external coupling is zero or too "
@@ -300,6 +299,46 @@ def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> Drive
     # pad the support like _segment_pump: boundary RK4 stages must see the drive
     pad = 1e-12 * (t1 - t0)
     return DriveTone(omega_d, amp, 0.0, t0 - pad, t1 + pad)
+
+
+def _plan(seq: PulseSequence, points_per_cycle, flux_calib):
+    """(pieces, state, plan) of `seq`: the two-sample trace of a leading
+    ``load nbar=`` in a list (empty without one), the state after it, and
+    (pump, drive, SimConfig) for every other segment, stepped with
+    `points_per_cycle` points per cycle of its fastest rate (``max_step``)
+    and at least 8 steps."""
+    mode_a, mode_b = seq.mode_a, seq.mode_b
+    check_mode_order(mode_a, mode_b)
+    state = ComplexAmplitudePair(0.0 + 0.0j, 0.0 + 0.0j, 0.0)
+    pieces, plan = [], []
+    for i, (seg, (kind, t0, t1)) in enumerate(zip(seq.segments, seq.windows())):
+        if kind == "load" and i == 0 and "nbar" in seg.params:
+            a = np.array([state.a, math.sqrt(seg.params["nbar"].value)], dtype=complex)
+            pieces.append(TraceRecord(np.array([t0, t1]), a, np.array([state.b, state.b]),
+                                      np.zeros(2) - math.sqrt(mode_a.gamma_ext) * a))  # a_in = 0
+            state = ComplexAmplitudePair(a[-1], state.b, t1)
+            continue
+        pump = _segment_pump(seg, seq, t0, t1, flux_calib) if kind == "swap" else PumpDrive(0.0)
+        drive = _load_drive(seg, mode_a, t0, t1) if kind == "load" else None
+        dt = min(max_step(mode_a, mode_b, pump, drive, points_per_cycle=points_per_cycle),
+                 seg.duration / 8.0)
+        plan.append((pump, drive, SimConfig(dt, t1, t0)))
+    return pieces, state, plan
+
+
+def _join(seq: PulseSequence, points_per_cycle, pieces) -> TraceRecord:
+    """The trace of `seq` from the traces of its segments in order, each
+    starting at the sample the one before ends on: a sample on a boundary
+    belongs to the segment that ends there."""
+    skip = [0] + [1] * (len(pieces) - 1)  # drop duplicated boundary samples
+    t, a, b, a_out = (np.concatenate([getattr(p, key)[s:] for p, s in zip(pieces, skip)])
+                      for key in ("t", "a", "b", "a_out"))
+    meta = {**mode_meta((seq.mode_a, seq.mode_b)), "points_per_cycle": points_per_cycle}
+    for i, (kind, w0, w1) in enumerate(seq.windows()):
+        meta[f"seg{i}_kind"] = kind
+        meta[f"seg{i}_t_start"] = w0
+        meta[f"seg{i}_t_end"] = w1
+    return TraceRecord(t, a, b, a_out, meta)
 
 
 def run_sequence(seq: PulseSequence, *, points_per_cycle: int = 400,
@@ -320,86 +359,28 @@ def run_sequence(seq: PulseSequence, *, points_per_cycle: int = 400,
     ``load dur=2us nbar=9``, a resonant ``load dur=2us nbar=4`` ends at
     |a|^2 = 8.68 with the modes of the module docstring). A refusal
     (SequenceSemanticError) comes where that fill rounds to nothing. A
-    sample on a segment boundary
-    belongs to the segment that ends there. A swap
-    given by ``power=`` gets its g_P from the flux curves with the pump
-    calibration `flux_calib`.
+    sample on a segment boundary belongs to the segment that ends there.
+    A swap given by ``power=`` gets its g_P from the flux curves with the
+    pump calibration `flux_calib`.
     """
-    return _run_segments(seq, points_per_cycle, True, flux_calib)
+    modes = (seq.mode_a, seq.mode_b)
+    pieces, state, plan = _plan(seq, points_per_cycle, flux_calib)
+    for pump, drive, config in plan:
+        step = exact_segment if pump.ramp == 0.0 else integrate
+        piece = step(state, modes, pump, drive, config)
+        state = ComplexAmplitudePair(piece.a[-1], piece.b[-1], config.t_end)
+        pieces.append(piece)
+    return _join(seq, points_per_cycle, pieces)
 
 
-def _run_segments(seq, points_per_cycle, exact,
-                  flux_calib=fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
-    """``run_sequence``; `exact` = False integrates every segment with RK4
-    (the oracle of ``run_sequence_checked``) in one ``rk4_run`` whose
-    blocks of steps cross segment boundaries, with the refusals of
-    ``integrate`` applied to each segment before any step is taken."""
-    mode_a = seq.mode_a
-    mode_b = seq.mode_b
-    modes = (mode_a, mode_b)
-    check_mode_order(mode_a, mode_b)
-    t = 0.0
-    state = ComplexAmplitudePair(0.0 + 0.0j, 0.0 + 0.0j, 0.0)
-    pieces = []
-    plan = []  # (pump, drive, config, step count, step) of each segment, for rk4_run
-    for i, seg in enumerate(seq.segments):
-        t0, t1 = t, t + seg.duration
-        if seg.kind == "load" and i == 0 and "nbar" in seg.params:
-            a = np.array([state.a, math.sqrt(seg.params["nbar"].value)], dtype=complex)
-            piece = TraceRecord(np.array([t0, t1]), a, np.array([state.b, state.b]),
-                                np.zeros(2) - math.sqrt(mode_a.gamma_ext) * a)  # a_in = 0
-            state = ComplexAmplitudePair(a[-1], state.b, t1)
-            pieces.append(piece)
-        else:
-            pump = PumpDrive(0.0)
-            drive = None
-            if seg.kind == "swap":
-                pump = _segment_pump(seg, seq, t0, t1, flux_calib)
-            elif seg.kind == "load":
-                drive = _load_drive(seg, mode_a, t0, t1)
-            dt = min(max_step(mode_a, mode_b, pump, drive,
-                              points_per_cycle=points_per_cycle), seg.duration / 8.0)
-            cfg = SimConfig(dt, t1, t0)
-            if not exact:  # stepped below, with every other segment
-                plan.append((pump, drive, cfg, *checked_steps(modes, pump, drive, cfg)))
-            else:
-                step = exact_segment if pump.ramp == 0.0 else integrate
-                piece = step(state, modes, pump, drive, cfg)
-                state = ComplexAmplitudePair(piece.a[-1], piece.b[-1], t1)
-                pieces.append(piece)
-        t = t1
-
+def _rk4_oracle(seq: PulseSequence, points_per_cycle,
+                flux_calib=fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
+    """``run_sequence`` with every segment of its plan integrated by RK4
+    in one ``rk4_trace``: the oracle of ``run_sequence_checked``."""
+    pieces, state, plan = _plan(seq, points_per_cycle, flux_calib)
     if plan:
-        segments = [(pump, drive, cfg.t_start, n, dt) for pump, drive, cfg, n, dt in plan]
-        x = rk4_run([state.a, state.b], modes, segments,
-                    np.arange(1, sum(seg[3] for seg in segments) + 1))
-        grids = [record_times(cfg) for _, _, cfg, _, _ in plan]
-        check_finite(x, np.concatenate([grids[0]] + [grid[1:] for grid in grids[1:]]))
-        k = 0
-        for (_, drive, _, n, _), grid in zip(plan, grids):
-            a_seg = x[0, k:k + n + 1]
-            a_out = input_field(drive, mode_a, grid) - math.sqrt(mode_a.gamma_ext) * a_seg
-            pieces.append(TraceRecord(grid, a_seg, x[1, k:k + n + 1], a_out))
-            k += n
-
-    skip = [0] + [1] * (len(pieces) - 1)  # drop duplicated boundary samples
-    t_arr = np.concatenate([p.t[s:] for p, s in zip(pieces, skip)])
-    a_arr = np.concatenate([p.a[s:] for p, s in zip(pieces, skip)])
-    b_arr = np.concatenate([p.b[s:] for p, s in zip(pieces, skip)])
-    o_arr = np.concatenate([p.a_out[s:] for p, s in zip(pieces, skip)])
-    meta = {
-        "frame": "rotating",
-        "points_per_cycle": points_per_cycle,
-        "omega_a": mode_a.omega, "gamma_int_a": mode_a.gamma_int,
-        "gamma_ext_a": mode_a.gamma_ext,
-        "omega_b": mode_b.omega, "gamma_int_b": mode_b.gamma_int,
-        "gamma_ext_b": mode_b.gamma_ext,
-    }
-    for i, (kind, w0, w1) in enumerate(seq.windows()):
-        meta[f"seg{i}_kind"] = kind
-        meta[f"seg{i}_t_start"] = w0
-        meta[f"seg{i}_t_end"] = w1
-    return TraceRecord(t_arr, a_arr, b_arr, o_arr, meta)
+        pieces.append(rk4_trace(state, (seq.mode_a, seq.mode_b), plan))
+    return _join(seq, points_per_cycle, pieces)
 
 
 def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
@@ -415,8 +396,8 @@ def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
     Returns (closed-form rotating-frame trace, half-step difference); its
     meta holds both as "convergence_rel_diff" and "exact_rk4_max_diff".
     """
-    coarse = _run_segments(seq, points_per_cycle, False, flux_calib)
-    fine = _run_segments(seq, 2 * points_per_cycle, False, flux_calib)
+    coarse = _rk4_oracle(seq, points_per_cycle, flux_calib)
+    fine = _rk4_oracle(seq, 2 * points_per_cycle, flux_calib)
     rel = check_half_step(coarse, fine, tolerance)
     trace = run_sequence(seq, points_per_cycle=2 * points_per_cycle, flux_calib=flux_calib)
     diff = check_exact(trace.a, trace.b, fine, tolerance)

@@ -537,6 +537,20 @@ class TestStepBound:
         with pytest.raises(ValidationError, match="101 RK4 steps"):
             integrate(init, _default_modes(), _pump(), None, SimConfig(dt, 101 * dt))
 
+    def test_record_grid_of_2_64_steps_is_refused(self):
+        # numpy holds no step count of 2**64 or more in an integer type; a
+        # sparse grid just below that bound still builds
+        below = SimConfig(1.0, 1.8e19, 0.0, 2**53)
+        assert dynamics._steps(below)[0] < 2**64
+        t = record_times(below)
+        assert t.dtype == float and t[-1] == pytest.approx(1.8e19, rel=1e-15)
+        above = SimConfig(1.0, 3.7e19, 0.0, 2**53)
+        n = dynamics._steps(above)[0]
+        with pytest.raises(ValidationError, match=f"{n} steps on the record grid exceed "
+                                                  f"the bound of {2**64 - 1} steps"):
+            dynamics.exact_segment(ComplexAmplitudePair(1 + 0j, 0j, 0.0), _default_modes(),
+                                   _pump(), None, above)
+
 
 _MHZ = TWO_PI * 1e6
 

@@ -549,16 +549,16 @@ class TestSequenceOracle:
                                               ("phase_sweep", SMALL_PHASE)])
     def test_only_the_oracle_point_integrates(self, tmp_path, monkeypatch, runner, small):
         calls = []
-        rk4_run = sequences.rk4_run
+        rk4_trace = sequences.rk4_trace
 
-        def counting(x0, modes, segments, record):
-            calls.append(len(segments))
-            return rk4_run(x0, modes, segments, record)
+        def counting(initial, modes, plan):
+            calls.append(len(plan))
+            return rk4_trace(initial, modes, plan)
 
-        monkeypatch.setattr(sequences, "rk4_run", counting)
+        monkeypatch.setattr(sequences, "rk4_trace", counting)
         monkeypatch.setattr(sequences, "integrate", None)  # no ramped swap here
         results = RUNNERS[runner](resolve_config(runner, small), tmp_path)
-        # one RK4 run of the 4 integrated segments (swap, delay, swap,
+        # one rk4_trace of the 4 planned segments (swap, delay, swap,
         # readout; the load is direct), coarse and fine, at the middle point only
         assert calls == [4, 4]
         assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
@@ -771,6 +771,11 @@ class TestCli:
         ("chevron", "gp = 400MHz\ndelta_count = 3\nt_end = 0.5us"),
         ("chevron", "pump_power = 100dBm\ndelta_count = 3\nt_end = 1us"),
         ("power_sweep", "power_stop = 100dBm"),
+        # swap points whose record grids span 2**64 steps or more (7.5e19 and
+        # 1.2e20), which crashed with a TypeError before the oracle's step bound
+        ("chevron", "t_end = 1e10s\ndelta_count = 3"),
+        ("power_sweep", "power_start = -400dBm\npower_stop = -399dBm\npower_count = 3\n"
+                        "n_cycles = 3"),
         # sweeps too short for their fits
         ("store_retrieve", "delay_count = 3"),
         ("phase_sweep", "phase_count = 2"),

@@ -367,7 +367,7 @@ class TestClosedFormSequences:
     def test_matches_the_all_rk4_path(self, text):
         seq = parse_sequence(text)
         exact = run_sequence(seq)
-        rk4 = sequences._run_segments(seq, 400, exact=False)
+        rk4 = sequences._rk4_oracle(seq, 400)
         assert np.array_equal(exact.t, rk4.t)
         peak = float(np.max(np.hypot(np.abs(exact.a), np.abs(exact.b))))
         assert np.max(np.hypot(np.abs(exact.a - rk4.a), np.abs(exact.b - rk4.b))) < 1e-8 * peak
@@ -475,7 +475,7 @@ class TestBatchedOracle:
             if block is not None:
                 mp.setattr(dynamics, "_BLOCK", block)
             mp.setattr(dynamics, "_scan", sizing)
-            rk4 = sequences._run_segments(seq, 400, exact=False)
+            rk4 = sequences._rk4_oracle(seq, 400)
         t, a, b, a_out = _scalar_chain(seq, 400)
         # one block of maps per _BLOCK steps, counted over the whole sequence
         steps = rk4.t.size - 1 - ("nbar" in seq.segments[0].params)
@@ -497,7 +497,7 @@ class TestBatchedOracle:
     ])
     def test_one_segment_is_integrate_bit_for_bit(self, text, steps):
         seq = parse_sequence(text)
-        rk4 = sequences._run_segments(seq, 400, exact=False)
+        rk4 = sequences._rk4_oracle(seq, 400)
         pump, drive, cfg = _segment_problems(seq, 400)[-1]
         k = -1 - dynamics._steps(cfg)[0]  # the sample the segment starts from
         start = ComplexAmplitudePair(rk4.a[k], rk4.b[k], cfg.t_start)
@@ -507,12 +507,28 @@ class TestBatchedOracle:
             assert getattr(rk4, field)[-n:].tobytes() == getattr(ref, field).tobytes()
         assert n == steps + 1
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(text=oracle_sequences())
+    def test_closed_form_and_oracle_share_one_plan(self, text):
+        # run_sequence_checked compares the closed form at twice its
+        # points_per_cycle with the finer RK4 run sample by sample
+        seq = parse_sequence(text)
+        exact = run_sequence(seq, points_per_cycle=800)
+        assert exact.t.tobytes() == sequences._rk4_oracle(seq, 800).t.tobytes()
+
+    def test_a_lone_direct_load_leaves_an_empty_plan(self):
+        seq = parse_sequence("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
+                             "mode B freq=9.33GHz t1=14.9us\nseg load dur=2us nbar=4\n")
+        trace, rel = run_sequence_checked(seq)
+        assert rel == 0.0 and trace.meta["exact_rk4_max_diff"] == 0.0
+        assert trace.t.tolist() == [0.0, 2e-6] and trace.a.tolist() == [0j, 2 + 0j]
+
     def test_step_bound_refuses_before_any_step(self, monkeypatch):
         # the first segment fits the bound, the swap does not
         seq = parse_sequence("mode A freq=8.7GHz q_ext=50e3\nmode B freq=9.33GHz\n"
                              "seg delay dur=0.1us\nseg swap dur=0.3us gp=1.2MHz\n")
         monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
-        monkeypatch.setattr(sequences, "rk4_run", None)  # any call fails
+        monkeypatch.setattr(dynamics, "rk4_run", None)  # any call fails
         monkeypatch.setattr(sequences, "integrate", None)
         with pytest.raises(ValidationError, match=r"\d+ RK4 steps exceed the bound of 100 "):
             run_sequence_checked(seq)
