@@ -430,7 +430,15 @@ def _dip_separation(omegas, mag):
 
 
 def run_chevron(cfg, outdir):
-    """Swap oscillations of the readout energy vs pump detuning and time."""
+    """Swap oscillations of the readout energy vs pump detuning and time.
+
+    The map is even in the detuning: conjugating the coupled-mode equations
+    and setting b -> -b turns +delta into -delta, and with a real a(0) and
+    no drive |a(t)|^2 is the same function at both. So the points of one
+    |delta| share one trace, its energies, its ridge frequency and its
+    formatted cells; points share only where their |delta| are equal bit
+    for bit. The RK4 oracle point is always computed at its own delta,
+    since its check compares that very trace."""
     os.makedirs(outdir, exist_ok=True)
     g = _resolve_gp(cfg)
     t_end = cfg["t_end"]
@@ -438,11 +446,17 @@ def run_chevron(cfg, outdir):
 
     amp0 = math.sqrt(cfg["nbar"])
     mid = len(deltas) // 2  # the RK4 oracle; resonant only for an odd delta_count
+    # |delta| -> (its distinct point, the sweep point computed for it): mid
+    # first, so that the oracle checks the trace of its own point
+    distinct = {}
+    for k in (mid, *range(len(deltas))):
+        distinct.setdefault(abs(deltas[k]), (len(distinct), k))
+    point = [distinct[abs(delta)][0] for delta in deltas]
     eas, dts, omega_es, lows = [], [], [], []
-    for k, delta in enumerate(deltas):
-        trace = _swap_point(cfg, g, delta, t_end, amp0)
+    for _, k in distinct.values():
+        trace = _swap_point(cfg, g, deltas[k], t_end, amp0)
         if k == mid:
-            rel, diff = _swap_oracle(cfg, g, delta, t_end, amp0, trace)
+            rel, diff = _swap_oracle(cfg, g, deltas[k], t_end, amp0, trace)
         ea, total, dt, low = _swap_energies(trace)
         eas.append(ea)
         dts.append(dt)
@@ -450,15 +464,18 @@ def run_chevron(cfg, outdir):
         lows.append(low)
     _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", lows,
                            "energies |a|^2 + |b|^2 down to")
-    omega_es = np.asarray(omega_es)
-    # detuning-major rows
+    omega_es = np.asarray(omega_es)[point]
+    # detuning-major rows; a row of distinct point j takes its t_s and
+    # energy_a cells from offsets[j] on
+    offsets = np.cumsum([0] + [ea.size for ea in eas])
+    index = np.concatenate([np.arange(offsets[j], offsets[j + 1]) for j in point])
     detunings = deltas / TWO_PI
     _write_csv(os.path.join(outdir, "chevron_map.csv"),
                ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
                ["pump_detuning_hz", "t_s", "energy_a"],
-               [(detunings, np.repeat(np.arange(detunings.size), [ea.size for ea in eas])),
-                np.concatenate([np.arange(ea.size) * dt for ea, dt in zip(eas, dts)]),
-                np.concatenate(eas)])
+               [(detunings, np.repeat(np.arange(detunings.size), np.diff(offsets)[point])),
+                (np.concatenate([np.arange(ea.size) * dt for ea, dt in zip(eas, dts)]), index),
+                (np.concatenate(eas), index)])
     _write_csv(os.path.join(outdir, "chevron_ridge.csv"),
                ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
                ["pump_detuning_hz", "oscillation_hz"], [detunings, omega_es / TWO_PI])

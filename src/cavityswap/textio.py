@@ -20,9 +20,10 @@ import numpy as np
 
 from .core import ValidationError
 
-# CSV rows laid out at once by ``_csv_blocks``: bounds its working arrays
-# (32 bytes per float cell, plus the cell kernel's per-cell temporaries)
-# and each write, not the text
+# CSV rows laid out at once by ``_csv_blocks``, and axis values formatted
+# at once by ``_axis_cells``: bounds their working arrays (32 bytes per
+# float cell, plus the cell kernel's per-cell temporaries) and each write,
+# not the text
 _CSV_BLOCK = 4096
 
 # A float CSV cell (``_float_cells``) is 32 bytes, four 64-bit words: the
@@ -204,7 +205,8 @@ def _str_cells(cells, separator):
 
 def _axis_cells(values, index, last):
     """The (values, index) column of ``_csv_blocks``: the float cells of
-    `values`, formatted once, and `index` as an integer array."""
+    `values`, formatted once and ``_CSV_BLOCK`` at a time (which bounds the
+    kernel's temporaries), and `index` as an integer array."""
     values = np.asarray(values).astype(float, copy=False).reshape(-1)
     index = np.asarray(index)
     if index.ndim != 1 or index.dtype.kind not in "iu":
@@ -213,7 +215,10 @@ def _axis_cells(values, index, last):
     if index.size and not (index.min() >= 0 and index.max() < values.size):
         raise ValidationError(f"a (values, index) CSV column indexes outside its "
                               f"{values.size} values")
-    return _float_cells(values, last)[0].view(np.uint8).reshape(-1, _CELL_BYTES), index
+    cells = np.empty((values.size, _CELL_BYTES // 8), np.uint64)
+    for lo in range(0, values.size, _CSV_BLOCK):
+        cells[lo:lo + _CSV_BLOCK] = _float_cells(values[lo:lo + _CSV_BLOCK], last)[0]
+    return cells.view(np.uint8).reshape(-1, _CELL_BYTES), index
 
 
 def _csv_blocks(columns):
@@ -241,9 +246,10 @@ def _csv_blocks(columns):
     last = np.array([k == len(cols) - 1 for k in floats], dtype=np.intp)
     for lo in range(0, n, _CSV_BLOCK):
         rows = min(_CSV_BLOCK, n - lo)
-        x = np.array([cols[k][lo:lo + rows] for k in floats], dtype=float).reshape(-1)
-        cells = iter(_float_cells(x, np.repeat(last, rows))[0]
-                     .view(np.uint8).reshape(len(floats), rows, _CELL_BYTES))
+        if floats:  # no kernel call for a block of pair and str columns alone
+            x = np.array([cols[k][lo:lo + rows] for k in floats], dtype=float).reshape(-1)
+            cells = iter(_float_cells(x, np.repeat(last, rows))[0]
+                         .view(np.uint8).reshape(len(floats), rows, _CELL_BYTES))
         slots = [next(cells) if k in floats else
                  np.take(axes[k], col[lo:lo + rows], axis=0) if k in axes else
                  _str_cells(col[lo:lo + rows].tolist(), _SEPARATORS[k == len(cols) - 1])

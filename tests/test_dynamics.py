@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -840,6 +841,26 @@ class TestAxisColumns:
         text = "".join(textio._csv_blocks([(_AXIS_VALUES, index), (_AXIS_VALUES[::-1], index)]))
         assert text == "".join(f"{'%.17g' % _AXIS_VALUES[k]},{'%.17g' % _AXIS_VALUES[-1 - k]}\n"
                                for k in _AXIS_INDEX)
+
+    def test_values_are_formatted_a_block_at_a_time(self, tmp_path, monkeypatch):
+        # 100,000 axis values, about as many as a default chevron map has
+        # rows: formatting them _CSV_BLOCK at a time writes the same bytes
+        # with a working set of a few MB (all at once it peaked at 28 MB)
+        values = np.concatenate((np.linspace(0.0, 1.0, 99_993) ** 3, _AXIS_VALUES))
+        index = np.arange(values.size)[::-1]
+        path = tmp_path / "axis.csv"
+        tracemalloc.start()
+        try:
+            textio.write_csv(path, [], ["x"], [(values, index)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        text = path.read_bytes()
+        assert text.decode().splitlines()[1:] == _percent_g(values[index])
+        monkeypatch.setattr(textio, "_CSV_BLOCK", 100)
+        textio.write_csv(path, [], ["x"], [(values, index)])
+        assert path.read_bytes() == text
 
     @pytest.mark.parametrize("column,match", [
         ((_AXIS_VALUES, _AXIS_INDEX[:-1]), "equal lengths"),

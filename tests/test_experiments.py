@@ -354,12 +354,22 @@ class TestAxisColumns:
                 rows.append("%.17g,%.17g,%.17g\n" % (delta / TWO_PI, (w - mode_a.omega) / TWO_PI, m))
         assert _data_text(tmp_path / "spectrum.csv") == "".join(rows)
 
-    def test_chevron(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("overrides,distinct", [
+        ({}, 3),
+        ({"delta_count": "4"}, 3),  # even: no zero detuning, and 1/6 is not -(-1/6)
+        ({"delta_count": "2"}, 1),  # even, and the oracle point mirrors the other one
+        ({"delta_count": "7", "delta_span": "3.3MHz"}, 6),  # two mirror pairs 1 ulp apart
+        ({"delta_span": "-8MHz"}, 3),
+    ], ids=["count5", "count4", "count2", "count7-span3.3MHz", "count5-negative-span"])
+    def test_chevron(self, tmp_path, monkeypatch, overrides, distinct):
+        # the runner computes each |delta| once; this oracle computes every
+        # point, and `distinct` counts the |delta| that are equal bit for bit
         monkeypatch.setattr(textio, "_CSV_BLOCK", 1000)
-        cfg = resolve_config("chevron", SMALL_CHEVRON)
+        cfg = resolve_config("chevron", {**SMALL_CHEVRON, **overrides})
         run_chevron(cfg, tmp_path)
         g = experiments._resolve_gp(cfg)
         deltas = np.linspace(-0.5, 0.5, cfg["delta_count"]) * cfg["delta_span"]
+        assert len({abs(delta) for delta in deltas}) == distinct
         map_rows = []
         ridge_rows = []
         for delta in deltas:
@@ -400,9 +410,12 @@ class TestAxisColumns:
     def test_chevron_formats_each_detuning_once(self, tmp_path, formatted):
         cfg = resolve_config("chevron", SMALL_CHEVRON)
         run_chevron(cfg, tmp_path)
-        rows = len(_data_text(tmp_path / "chevron_map.csv").splitlines())
-        assert rows > 100 * cfg["delta_count"]
-        assert formatted == {"chevron_map.csv": 2 * rows + cfg["delta_count"],
+        rows = [row[0] for row in _csv_rows(tmp_path / "chevron_map.csv")]
+        assert len(rows) > 100 * cfg["delta_count"]
+        # the t_s and energy_a cells of the points at one |delta|, formatted once
+        distinct = {detuning.lstrip("-"): rows.count(detuning) for detuning in set(rows)}
+        assert len(distinct) == 3
+        assert formatted == {"chevron_map.csv": 2 * sum(distinct.values()) + cfg["delta_count"],
                              "chevron_ridge.csv": 2 * cfg["delta_count"]}
 
 

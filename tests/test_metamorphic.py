@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavityswap.experiments import _resolve_gp, _swap_energies, _swap_point, resolve_config
 from cavityswap.sequences import parse_sequence, run_sequence, run_sequence_checked
 
 # a direct load leaves mode A at |a|^2 = 4, so every segment kind below
@@ -53,3 +54,25 @@ class TestSegmentSplitting:
         peak = float(np.max(np.hypot(np.abs(one.a), np.abs(one.b))))
         assert math.hypot(abs(one.a[-1] - two.a[-1]), abs(one.b[-1] - two.b[-1])) < 1e-14 * peak
         run_sequence_checked(split)  # raises ConvergenceError if RK4 disagrees
+
+
+class TestDetuningMirror:
+    """Conjugating the coupled-mode equations and setting b -> -b turns a
+    pump detuning +delta into -delta. From a real a(0) with no drive, the
+    swap energies at the two detunings are then equal, and the chevron
+    runner computes each |delta| once on the strength of it."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(q_int=st.floats(1e4, 1e7), q_ext=st.floats(1e3, 1e6), t1=st.floats(1.0, 100.0),
+           nbar=st.floats(0.01, 100.0), power=st.floats(-60.0, -46.0),
+           t_end=st.floats(0.5, 6.0), delta=st.floats(0.0, 5e3))
+    def test_swap_energies_are_even_in_the_detuning(self, q_int, q_ext, t1, nbar, power,
+                                                    t_end, delta):
+        cfg = resolve_config("chevron", {
+            "q_int_a": f"{q_int:.6g}", "q_ext_a": f"{q_ext:.6g}", "t1_b": f"{t1:.6g}us",
+            "nbar": f"{nbar:.6g}", "pump_power": f"{power:.6g}dBm", "t_end": f"{t_end:.6g}us"})
+        g, delta = _resolve_gp(cfg), 2.0 * math.pi * 1e3 * delta  # delta drawn in kHz
+        plus, minus = (_swap_energies(_swap_point(cfg, g, d, cfg["t_end"], math.sqrt(cfg["nbar"])))
+                       for d in (delta, -delta))
+        assert plus[2:] == minus[2:]  # dt and the least total energy
+        assert np.array_equal(plus[0], minus[0]) and np.array_equal(plus[1], minus[1])
