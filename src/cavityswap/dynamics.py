@@ -65,7 +65,9 @@ grid time t_j; the two differ by about an ulp of t, so they agree to about
 that ulp times the fastest rate: 5.8e-14 of the peak |(a, b)| at worst on
 the runners' default grids, and within 1e-12 on the generated grids of
 the tests. ``propagate_swap`` stays per-sample, at any times: it is public
-API and the tests' oracle of the tabulation; no package code calls it.
+API, the tests' oracle of the tabulation, and what the storage/retrieval
+runners chain segment by segment, at each segment's end time alone, to
+reach the state where a readout starts.
 """
 
 from __future__ import annotations

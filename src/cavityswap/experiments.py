@@ -22,10 +22,12 @@ from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError,
                    check_mode_order, mode_params_from_q)
 from .dynamics import (SimConfig, TraceRecord, check_exact, exact_segment,
                        half_step_config, integrate_checked, lab_frame, max_step,
-                       reflection_spectrum)
-from .sequences import (PulseSequence, Segment, calibrate_swap_time,
-                        demodulate, parse_sequence, run_sequence,
-                        run_sequence_checked, validate_sequence)
+                       propagate_swap, reflection_spectrum)
+from .sequences import (PulseSequence, Segment, _plan, calibrate_swap_time,
+                        parse_sequence, run_sequence, run_sequence_checked,
+                        validate_sequence)
+# not called here: perfbench/tracer.py wraps experiments.demodulate by name
+from .sequences import demodulate  # noqa: F401
 from .textio import format_cells, write_key_values, write_csv as _write_csv
 from .units import Quantity, format_quantity, parse_quantity
 
@@ -316,33 +318,52 @@ def _sr_sequence(cfg, g, t_swap, delay, phase2) -> PulseSequence:
     return seq
 
 
-def _retrieval_traces(cfg, seqs):
-    """(half-step difference, exact-vs-RK4 difference, traces) of a
-    storage/retrieval sweep. The middle sequence is the RK4 oracle
-    (``run_sequence_checked``); `traces` yields the rotating-frame trace of
-    each sequence in turn at twice `points_per_cycle`, reusing the oracle's
-    closed-form trace for the middle one."""
-    mid = len(seqs) // 2
-    oracle, rel = run_sequence_checked(seqs[mid], tolerance=cfg["tolerance"],
+def _readout_state(cfg, seq) -> ComplexAmplitudePair:
+    """The state where the readout of `seq` starts, in closed form: every
+    segment of its plan before the readout has a constant pump (a delay's
+    g_P is 0), so one ``propagate_swap`` at the segment's end time carries
+    the state from the leading load on to the next segment."""
+    modes = (seq.mode_a, seq.mode_b)
+    _, state, plan = _plan(seq, cfg["points_per_cycle"], cfg["flux_calib"])
+    for pump, _, config in plan[:-1]:
+        a, b = propagate_swap(state, modes, pump.g, pump.delta, pump.phase, [config.t_end])
+        state = ComplexAmplitudePair(a[0], b[0], config.t_end)
+    return state
+
+
+def _readout_iq(mode_a, a_r, duration):
+    """(I + iQ, energy) that ``demodulate`` gives at w_ref = w_A over a
+    readout of length T = `duration` from a = `a_r`, in closed form: with
+    no pump and no drive the rotating-frame a = a_r e^{-gamma_A tau/2} and
+    a_out = -sqrt(gamma_ext) a, so
+        I + iQ = -sqrt(gamma_ext) a_r 2 (1 - e^{-gamma_A T/2})/gamma_A,
+        energy = gamma_ext |a_r|^2 (1 - e^{-gamma_A T})/gamma_A
+    (gamma_A > 0: the mode's quality factors are finite)."""
+
+    def held(rate):  # integral of e^{-rate tau} over [0, T]
+        return -math.expm1(-rate * duration) / rate
+
+    gamma = mode_a.gamma_total
+    iq = -math.sqrt(mode_a.gamma_ext) * held(0.5 * gamma) * complex(a_r)
+    return iq, mode_a.gamma_ext * (a_r.real ** 2 + a_r.imag ** 2) * held(gamma)
+
+
+def _retrieval(cfg, seqs):
+    """(half-step difference, exact-vs-RK4 difference, I + iQ, energies,
+    reference energy) of a storage/retrieval sweep. The middle sequence
+    runs the RK4 oracle (``run_sequence_checked``, both of its checks).
+    Every point reads its readout from the state where it starts
+    (``_readout_iq``, ``_readout_state``), and the reference is the load read
+    out at once: the same closed form from a = sqrt(nbar), over a window
+    of the readout's length, so that eta compares equal windows."""
+    oracle, rel = run_sequence_checked(seqs[len(seqs) // 2], tolerance=cfg["tolerance"],
                                        points_per_cycle=cfg["points_per_cycle"])
-    traces = (oracle if k == mid
-              else run_sequence(seq, points_per_cycle=2 * cfg["points_per_cycle"])
-              for k, seq in enumerate(seqs))
-    return rel, oracle.meta["exact_rk4_max_diff"], traces
-
-
-def _readout(seq, trace):
-    """Demodulated I, Q and energy over the readout window of `seq`."""
-    windows = seq.windows()
-    return demodulate(trace, trace.meta["omega_a"], (windows[-1][1], windows[-1][2]))
-
-
-def _retrieval_reference(cfg, seq):
-    """Readout energy of the load of `seq` followed directly by its
-    readout: gamma_ext nbar (1 - e^{-gamma_A T_R}) / gamma_A over a window
-    of the readout's length T_R."""
-    ref = PulseSequence(seq.mode_specs, (seq.segments[0], seq.segments[-1]))
-    return _readout(ref, run_sequence(ref, points_per_cycle=2 * cfg["points_per_cycle"]))[2]
+    mode_a, duration = seqs[0].mode_a, seqs[0].segments[-1].duration
+    iqs, energies = zip(*(_readout_iq(mode_a, _readout_state(cfg, seq).a, duration)
+                          for seq in seqs))
+    reference = _readout_iq(mode_a, math.sqrt(cfg["nbar"]), duration)[1]
+    return (rel, oracle.meta["exact_rk4_max_diff"], np.array(iqs), np.array(energies),
+            reference)
 
 
 def _check_normal_energies(source, energies, what="readout energies down to"):
@@ -437,12 +458,16 @@ def run_chevron(cfg, outdir):
     no drive |a(t)|^2 is the same function at both. So the points of one
     |delta| share one trace, its energies, its ridge frequency and its
     formatted cells; points share only where their |delta| are equal bit
-    for bit. The RK4 oracle point is always computed at its own delta,
-    since its check compares that very trace."""
+    for bit, which the grid makes of every mirror pair: its lower half is
+    the negated upper half. The RK4 oracle point is always computed at its
+    own delta, since its check compares that very trace."""
     os.makedirs(outdir, exist_ok=True)
     g = _resolve_gp(cfg)
     t_end = cfg["t_end"]
-    deltas = np.linspace(-0.5, 0.5, cfg["delta_count"]) * cfg["delta_span"]
+    n = cfg["delta_count"]
+    # the upper half of linspace(-0.5, 0.5, n), from 0 or half a spacing
+    upper = np.linspace(0.5 * (1 - n % 2) / (n - 1), 0.5, (n + 1) // 2)
+    deltas = np.concatenate((-upper[::-1][:n // 2], upper)) * cfg["delta_span"]
 
     amp0 = math.sqrt(cfg["nbar"])
     mid = len(deltas) // 2  # the RK4 oracle; resonant only for an odd delta_count
@@ -549,7 +574,13 @@ def run_power_sweep(cfg, outdir):
 
 
 def run_store_retrieve(cfg, outdir):
-    """Retrieved energy vs storage delay, with the storage-decay fit."""
+    """Retrieved energy vs storage delay, with the storage-decay fit.
+
+    Each delay's energy is the closed-form readout of the state where its
+    readout starts (``_retrieval``), so no point is traced for its data:
+    the middle delay runs the RK4 oracle for its checks, and the shortest
+    delay is traced at twice `points_per_cycle` up to where its readout
+    starts, for the dwell times of eta' from the load's end to there."""
     os.makedirs(outdir, exist_ok=True)
     mode_a, mode_b = _modes(cfg)
     g = _resolve_gp(cfg)
@@ -557,16 +588,12 @@ def run_store_retrieve(cfg, outdir):
     delays = np.linspace(cfg["delay_start"], cfg["delay_stop"], cfg["delay_count"])
 
     seqs = [_sr_sequence(cfg, g, t_swap, delay, 0.0) for delay in delays]
-    rel, diff, traces = _retrieval_traces(cfg, seqs)
-    reference = _retrieval_reference(cfg, seqs[0])
-    retrieved = []
-    for seq, trace in zip(seqs, traces):
-        if not retrieved:  # the shortest-delay run also gives the dwell times of eta'
-            windows = seq.windows()  # over load end -> readout start
-            t_a, t_b = dwell_times(trace, (windows[0][2], windows[-1][1]))
-        retrieved.append(_readout(seq, trace)[2])
+    rel, diff, _, retrieved, reference = _retrieval(cfg, seqs)
+    windows = seqs[0].windows()
+    upto_readout = PulseSequence(seqs[0].mode_specs, seqs[0].segments[:-1])
+    trace = run_sequence(upto_readout, points_per_cycle=2 * cfg["points_per_cycle"])
+    t_a, t_b = dwell_times(trace, (windows[0][2], windows[-1][1]))
 
-    retrieved = np.asarray(retrieved)
     _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", np.append(retrieved, reference))
     eta_shortest = float(retrieved[0]) / reference
     eta_prime = loss_corrected_efficiency(eta_shortest, t_a, t_b, mode_a, mode_b)
@@ -600,7 +627,11 @@ def run_store_retrieve(cfg, outdir):
 
 
 def run_phase_sweep(cfg, outdir):
-    """Retrieved IQ vs the relative phase of the retrieval pump pulse."""
+    """Retrieved IQ vs the relative phase of the retrieval pump pulse.
+
+    Each phase's I, Q and energy are the closed-form readout of the state
+    where its readout starts (``_retrieval``); the middle phase runs the
+    RK4 oracle for its checks, and no point is traced for its data."""
     os.makedirs(outdir, exist_ok=True)
     mode_a, mode_b = _modes(cfg)
     g = _resolve_gp(cfg)
@@ -609,18 +640,15 @@ def run_phase_sweep(cfg, outdir):
     delay = cfg["delay"]
 
     seqs = [_sr_sequence(cfg, g, t_swap, delay, phase) for phase in phases]
-    rel, diff, traces = _retrieval_traces(cfg, seqs)
-    reference = _retrieval_reference(cfg, seqs[0])
-    out = [_readout(seq, trace) for seq, trace in zip(seqs, traces)]
+    rel, diff, iqs, energies, reference = _retrieval(cfg, seqs)
 
-    i, q, energies = (np.asarray(col) for col in zip(*out))
+    i, q = iqs.real, iqs.imag
     _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", np.append(energies, reference))
     _write_csv(os.path.join(outdir, "phase_sweep.csv"),
                ["runner = phase_sweep", f"gp_hz = {g / TWO_PI:.12g}",
                 f"t_swap_s = {t_swap:.12g}", f"reference = {reference:.12g}"],
                ["pump_phase_rad", "i", "q", "energy"], [phases, i, q, energies])
 
-    iqs = np.array([complex(*iq) for iq in zip(i, q)])
     eta = float(np.mean(energies)) / reference
     mags = np.abs(iqs)
     fit = fit_phase_slope(phases, np.angle(iqs))

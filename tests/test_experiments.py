@@ -356,9 +356,10 @@ class TestAxisColumns:
 
     @pytest.mark.parametrize("overrides,distinct", [
         ({}, 3),
-        ({"delta_count": "4"}, 3),  # even: no zero detuning, and 1/6 is not -(-1/6)
+        ({"delta_count": "4"}, 2),  # even: no zero detuning
         ({"delta_count": "2"}, 1),  # even, and the oracle point mirrors the other one
-        ({"delta_count": "7", "delta_span": "3.3MHz"}, 6),  # two mirror pairs 1 ulp apart
+        # linspace(-0.5, 0.5, 7) puts two mirror pairs 1 ulp apart; this grid none
+        ({"delta_count": "7", "delta_span": "3.3MHz"}, 4),
         ({"delta_span": "-8MHz"}, 3),
     ], ids=["count5", "count4", "count2", "count7-span3.3MHz", "count5-negative-span"])
     def test_chevron(self, tmp_path, monkeypatch, overrides, distinct):
@@ -368,7 +369,11 @@ class TestAxisColumns:
         cfg = resolve_config("chevron", {**SMALL_CHEVRON, **overrides})
         run_chevron(cfg, tmp_path)
         g = experiments._resolve_gp(cfg)
-        deltas = np.linspace(-0.5, 0.5, cfg["delta_count"]) * cfg["delta_span"]
+        # the grid's lower half is its negated upper half, so each mirror
+        # pair has the same |delta| bit for bit
+        n = cfg["delta_count"]
+        upper = np.linspace(0.5 * (1 - n % 2) / (n - 1), 0.5, (n + 1) // 2)
+        deltas = np.concatenate((-upper[::-1][:n // 2], upper)) * cfg["delta_span"]
         assert len({abs(delta) for delta in deltas}) == distinct
         map_rows = []
         ridge_rows = []
@@ -472,7 +477,7 @@ class TestStoreRetrieveRunner:
         gamma_a = mode_a.gamma_total
         t_r = 5.0 / gamma_a  # readout_dur = 0
         expected = mode_a.gamma_ext * cfg["nbar"] * -math.expm1(-gamma_a * t_r) / gamma_a
-        assert results["reference_energy"] == pytest.approx(expected, rel=1e-5)
+        assert results["reference_energy"] == pytest.approx(expected, rel=1e-12)
 
     def test_explicit_swap_time_is_respected(self, tmp_path):
         cfg = resolve_config("store_retrieve",
@@ -523,6 +528,46 @@ class TestStoreRetrieveRunner:
         monkeypatch.setattr(experiments, "fit_exponential_decay", broken_fit)
         with pytest.raises(ZeroDivisionError):
             run_store_retrieve(resolve_config("store_retrieve", SMALL_SR), tmp_path)
+
+
+class TestClosedFormReadout:
+    """store_retrieve and phase_sweep read each readout in closed form from
+    the state where it starts; `demodulate` on a traced run is the oracle."""
+
+    def test_trapezoid_converges_to_the_closed_form(self):
+        # the demodulated reference trace at 400, 800 and 1600 points per
+        # cycle: a second-order rule, so each doubling cuts both errors about
+        # 4x (energy 2.05e-5, 5.13e-6, 1.28e-6; IQ 5.12e-6, 1.28e-6, 3.21e-7)
+        cfg = resolve_config("store_retrieve")
+        seq = experiments._sr_sequence(cfg, experiments._resolve_gp(cfg), 0.2e-6, 1e-6, 0.0)
+        ref = sequences.PulseSequence(seq.mode_specs, (seq.segments[0], seq.segments[-1]))
+        _, t_lo, t_hi = ref.windows()[-1]
+        iq, energy = experiments._readout_iq(seq.mode_a, math.sqrt(cfg["nbar"]),
+                                             seq.segments[-1].duration)
+        errors = []
+        for ppc in (400, 800, 1600):
+            trace = sequences.run_sequence(ref, points_per_cycle=ppc)
+            i, q, e = sequences.demodulate(trace, seq.mode_a.omega, (t_lo, t_hi))
+            errors.append((abs(e / energy - 1.0), abs(complex(i, q) / iq - 1.0)))
+        errors = np.array(errors)
+        assert np.all((3.8 < errors[:-1] / errors[1:]) & (errors[:-1] / errors[1:] < 4.2))
+        assert errors[-1, 0] < 1.4e-6 and errors[-1, 1] < 3.5e-7
+
+    @pytest.mark.parametrize("delay,phase", [(3.1e-6, 0.0), (2e-6, 2.2)],
+                             ids=["store_retrieve", "phase_sweep"])
+    def test_chained_state_matches_the_oracle_trace(self, delay, phase):
+        cfg = resolve_config("store_retrieve")
+        g = experiments._resolve_gp(cfg)
+        mode_a, mode_b = experiments._modes(cfg)
+        t_swap = sequences.calibrate_swap_time((mode_a, mode_b), g)
+        seq = experiments._sr_sequence(cfg, g, t_swap, delay, phase)
+        state = experiments._readout_state(cfg, seq)
+        trace, _ = sequences.run_sequence_checked(seq, points_per_cycle=cfg["points_per_cycle"])
+        k = int(np.argmin(np.abs(trace.t - seq.windows()[-1][1])))
+        assert trace.t[k] == pytest.approx(state.t, rel=1e-15)
+        peak = float(np.max(np.hypot(np.abs(trace.a), np.abs(trace.b))))
+        assert abs(state.a) > 0.5 * peak  # retrieved: the check is not vacuous
+        assert math.hypot(abs(state.a - trace.a[k]), abs(state.b - trace.b[k])) <= 1e-12 * peak
 
 
 class TestRetrievalSequence:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityswap.experiments import _resolve_gp, _swap_energies, _swap_point, resolve_config
+from cavityswap.experiments import (RUNNERS, _resolve_gp, _swap_energies, _swap_point,
+                                    resolve_config)
 from cavityswap.sequences import parse_sequence, run_sequence, run_sequence_checked
 
 # a direct load leaves mode A at |a|^2 = 4, so every segment kind below
@@ -76,3 +77,22 @@ class TestDetuningMirror:
                        for d in (delta, -delta))
         assert plus[2:] == minus[2:]  # dt and the least total energy
         assert np.array_equal(plus[0], minus[0]) and np.array_equal(plus[1], minus[1])
+
+
+class TestRetrievalStep:
+    """store_retrieve and phase_sweep read every readout in closed form
+    from a chain of closed-form segments, so the RK4 step, which only their
+    oracle point and the trace of the dwell times use, changes no byte of
+    their data."""
+
+    @pytest.mark.parametrize("runner,small", [
+        ("store_retrieve", {"delay_count": "4", "delay_stop": "16us"}),
+        ("phase_sweep", {"phase_count": "8", "delay": "2us"}),
+    ])
+    def test_data_do_not_depend_on_the_step(self, tmp_path, runner, small):
+        text = []
+        for ppc in ("200", "400"):
+            out = tmp_path / ppc
+            RUNNERS[runner](resolve_config(runner, {**small, "points_per_cycle": ppc}), out)
+            text.append((out / f"{runner}.csv").read_bytes())
+        assert text[0] == text[1]
