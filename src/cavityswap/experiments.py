@@ -28,7 +28,8 @@ from .sequences import (PulseSequence, Segment, _plan, calibrate_swap_time,
                         validate_sequence)
 # not called here: perfbench/tracer.py wraps experiments.demodulate by name
 from .sequences import demodulate  # noqa: F401
-from .textio import format_cells, write_key_values, write_csv as _write_csv
+from .textio import (format_cells, write_key_values, write_row_groups,
+                     write_csv as _write_csv)
 from .units import Quantity, format_quantity, parse_quantity
 
 TWO_PI = 2.0 * math.pi
@@ -460,7 +461,12 @@ def run_chevron(cfg, outdir):
     formatted cells; points share only where their |delta| are equal bit
     for bit, which the grid makes of every mirror pair: its lower half is
     the negated upper half. The RK4 oracle point is always computed at its
-    own delta, since its check compares that very trace."""
+    own delta, since its check compares that very trace.
+
+    ``chevron_map.csv`` is written as row groups (``write_row_groups``):
+    the t_s and energy_a text of each distinct point is laid out once, and
+    the group of each detuning leads every line of it with that detuning's
+    cell."""
     os.makedirs(outdir, exist_ok=True)
     g = _resolve_gp(cfg)
     t_end = cfg["t_end"]
@@ -490,17 +496,13 @@ def run_chevron(cfg, outdir):
     _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", lows,
                            "energies |a|^2 + |b|^2 down to")
     omega_es = np.asarray(omega_es)[point]
-    # detuning-major rows; a row of distinct point j takes its t_s and
-    # energy_a cells from offsets[j] on
-    offsets = np.cumsum([0] + [ea.size for ea in eas])
-    index = np.concatenate([np.arange(offsets[j], offsets[j + 1]) for j in point])
+    # detuning-major rows: the group of each detuning holds the t_s and
+    # energy_a rows of its distinct point
     detunings = deltas / TWO_PI
-    _write_csv(os.path.join(outdir, "chevron_map.csv"),
-               ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
-               ["pump_detuning_hz", "t_s", "energy_a"],
-               [(detunings, np.repeat(np.arange(detunings.size), np.diff(offsets)[point])),
-                (np.concatenate([np.arange(ea.size) * dt for ea, dt in zip(eas, dts)]), index),
-                (np.concatenate(eas), index)])
+    write_row_groups(os.path.join(outdir, "chevron_map.csv"),
+                     ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
+                     ["pump_detuning_hz", "t_s", "energy_a"], detunings,
+                     [(np.arange(ea.size) * dt, ea) for ea, dt in zip(eas, dts)], point)
     _write_csv(os.path.join(outdir, "chevron_ridge.csv"),
                ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
                ["pump_detuning_hz", "oscillation_hz"], [detunings, omega_es / TWO_PI])

@@ -30,6 +30,7 @@ readout mode as the first zero of its closed-form amplitude.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -97,11 +98,13 @@ class PulseSequence:
     mode_specs: dict  # {"A": {key: Quantity}, "B": {...}}
     segments: tuple
 
-    @property
+    # built once per sequence: cached_property writes the instance
+    # __dict__, which a frozen dataclass leaves open
+    @functools.cached_property
     def mode_a(self) -> ModeParams:
         return _mode_from_spec(self.mode_specs["A"])
 
-    @property
+    @functools.cached_property
     def mode_b(self) -> ModeParams:
         return _mode_from_spec(self.mode_specs["B"])
 
@@ -218,7 +221,7 @@ def validate_sequence(seq: PulseSequence):
         if sum(k in spec for k in ("q_ext", "gamma_ext")) > 1:
             raise SequenceSemanticError(
                 f"mode {name}: external loss given more than once")
-        _mode_from_spec(spec)  # validates ranges
+        seq.mode_a if name == "A" else seq.mode_b  # builds the mode: validates ranges
     check_mode_order(seq.mode_a, seq.mode_b)
     for i, seg in enumerate(seq.segments):
         if not seg.duration > 0.0:

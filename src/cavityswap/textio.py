@@ -1,15 +1,19 @@
-"""The package's two text formats, and their one writer each.
+"""The package's two text formats, and their writers.
 
 * A CSV file: ``#`` header lines, the column names, then one row per
   sample. A float cell is the text of ``'%.17g' %``, so it reads back to
   the same float; a str cell is written as it is. The runners write their
   data this way, and ``TraceRecord.to_csv`` writes a trace with no header
-  lines.
+  lines. ``write_csv`` writes columns. ``write_row_groups`` writes groups
+  of rows that each repeat one of a few distinct groups, every row led by
+  the group's key cell (the chevron map), and lays out each distinct
+  group's text once.
 * A ``key = value`` file, one pair to a line: a runner's ``report.txt``
   and a trace's ``trace.csv.meta``.
 
 The float cells are laid out by a numpy kernel (``_float_cells``), a block
-of rows at a time (``_csv_blocks``); its tables are built on first use.
+of rows at a time (``_csv_blocks``), as bytes; its tables are built on
+first use.
 """
 
 from __future__ import annotations
@@ -20,10 +24,14 @@ import numpy as np
 
 from .core import ValidationError
 
-# CSV rows laid out at once by ``_csv_blocks``, and axis values formatted
-# at once by ``_axis_cells``: bounds their working arrays (32 bytes per
-# float cell, plus the cell kernel's per-cell temporaries) and each write,
-# not the text
+# CSV rows laid out at once by ``_csv_blocks`` (fewer where a row has more
+# than two float cells: one kernel call takes at most 2 * _CSV_BLOCK cells),
+# and axis values formatted at once by ``_axis_cells``: bounds their working
+# arrays (32 bytes per float cell, plus the cell kernel's per-cell
+# temporaries) and each write, not the text. Blocks of 4,096 rows of a
+# 7-column trace (28,672 cells a call) took about three times the page
+# faults and 13-23% longer per write than blocks of 1,170 rows, at
+# 2,000-10,000 rows on a 2-core x86-64 VM.
 _CSV_BLOCK = 4096
 
 # A float CSV cell (``_float_cells``) is 32 bytes, four 64-bit words: the
@@ -192,7 +200,7 @@ def _float_cells(x, last):
 def _str_cells(cells, separator):
     """(rows, width) bytes of the str `cells` (UTF-8), each padded with
     ``_CELL_PAD`` and ended by `separator`."""
-    text = [str(c).encode("utf-8", "surrogatepass") for c in cells]
+    text = [str(c).encode("utf-8") for c in cells]
     size = np.array([len(t) for t in text])
     width = int(size.max())
     out = np.full((len(text), width + 1), _CELL_PAD, np.uint8)
@@ -222,16 +230,18 @@ def _axis_cells(values, index, last):
 
 
 def _csv_blocks(columns):
-    """The CSV rows of equal-length `columns`, ``_CSV_BLOCK`` rows to a
-    string: a column of str cells (a str or object array, or a list) as it
+    """The CSV rows of equal-length `columns` as bytes, a block of rows at a
+    time: a column of str cells (a str or object array, or a list) as it
     is, a pair ``(values, index)`` of a float and an integer array as the
     float cells of ``values[index]``, and any other as float cells.
 
     The float cells of a block are laid out together by ``_float_cells``,
     which certifies each cell it formats with array arithmetic and sends
-    the rest to ``'%.17g' %``: every cell is the text of ``'%.17g' %``. The
-    `values` of a pair (a sweep axis, whose values repeat from row to row)
-    are formatted once, and each block gathers their cells by `index`.
+    the rest to ``'%.17g' %``: every cell is the text of ``'%.17g' %``. A
+    block holds ``_CSV_BLOCK`` rows, or fewer where that would pass the
+    kernel more than ``2 * _CSV_BLOCK`` cells. The `values` of a pair (a
+    sweep axis, whose values repeat from row to row) are formatted once,
+    and each block gathers their cells by `index`.
     """
     cols, axes = [], {}  # axes[k]: the cells of the values of pair column k
     for k, col in enumerate(columns):
@@ -244,8 +254,9 @@ def _csv_blocks(columns):
         raise ValidationError("CSV columns must have equal lengths")
     floats = [k for k, col in enumerate(cols) if k not in axes and col.dtype.kind not in "OU"]
     last = np.array([k == len(cols) - 1 for k in floats], dtype=np.intp)
-    for lo in range(0, n, _CSV_BLOCK):
-        rows = min(_CSV_BLOCK, n - lo)
+    block = max(1, min(_CSV_BLOCK, 2 * _CSV_BLOCK // max(len(floats), 1)))
+    for lo in range(0, n, block):
+        rows = min(block, n - lo)
         if floats:  # no kernel call for a block of pair and str columns alone
             x = np.array([cols[k][lo:lo + rows] for k in floats], dtype=float).reshape(-1)
             cells = iter(_float_cells(x, np.repeat(last, rows))[0]
@@ -254,24 +265,53 @@ def _csv_blocks(columns):
                  np.take(axes[k], col[lo:lo + rows], axis=0) if k in axes else
                  _str_cells(col[lo:lo + rows].tolist(), _SEPARATORS[k == len(cols) - 1])
                  for k, col in enumerate(cols)]
-        block = np.concatenate(slots, axis=1).reshape(-1)
-        yield block.tobytes().translate(None, bytes((_CELL_PAD,))).decode("utf-8", "surrogatepass")
+        text = np.concatenate(slots, axis=1).reshape(-1)
+        yield text.tobytes().translate(None, bytes((_CELL_PAD,)))
 
 
 def format_cells(values) -> np.ndarray:
     """The ``%.17g`` cells of `values` as an object array of str, for a
     column that mixes numbers with words."""
-    return np.array("".join(_csv_blocks([values])).splitlines(), dtype=object)
+    text = b"".join(_csv_blocks([values])).decode("ascii")
+    return np.array(text.splitlines(), dtype=object)
+
+
+def _csv_head(meta_lines, colnames) -> bytes:
+    """The ``#`` `meta_lines` and the `colnames` line of a CSV file."""
+    head = "".join(f"# {line}\n" for line in meta_lines) + ",".join(colnames) + "\n"
+    return head.encode("utf-8")
 
 
 def write_csv(path, meta_lines, colnames, columns):
     """Write equal-length `columns` under ``#`` `meta_lines` and `colnames`:
     a float column as ``%.17g`` cells, a str column as it is, and a pair
     ``(values, index)`` as the cells of ``values[index]``."""
-    with open(path, "w") as fh:
-        fh.writelines(f"# {line}\n" for line in meta_lines)
-        fh.write(",".join(colnames) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_csv_head(meta_lines, colnames))
         fh.writelines(_csv_blocks(columns))
+
+
+def write_row_groups(path, meta_lines, colnames, keys, groups, order):
+    """Write row groups under ``#`` `meta_lines` and `colnames`: group k of
+    the file holds the rows of ``groups[order[k]]``, a list of equal-length
+    float columns, each row led by the ``%.17g`` cell of ``keys[k]``.
+
+    The file holds the bytes ``write_csv`` writes for the columns these
+    rows make, but the text of each distinct group is laid out once, and
+    each group of the file puts its key cell before every line of it.
+    """
+    if len(order) != len(keys) or not all(0 <= j < len(groups) for j in order):
+        raise ValidationError("row groups need one key per group of the file, "
+                              "each naming one of the distinct groups")
+    texts = [b"".join(_csv_blocks(group)) for group in groups]
+    cells = b"".join(_csv_blocks([keys])).splitlines()
+    with open(path, "wb") as fh:
+        fh.write(_csv_head(meta_lines, colnames))
+        for cell, j in zip(cells, order):
+            if texts[j]:
+                head = cell + b","
+                fh.write(head)
+                fh.write(memoryview(texts[j].replace(b"\n", b"\n" + head))[:-len(head)])
 
 
 def read_csv(path) -> np.ndarray:

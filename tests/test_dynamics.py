@@ -813,6 +813,11 @@ _AXIS_VALUES = np.array([2.5, -0.0, 1e-300, math.nan, 0.1, 3e17, -7.0])
 _AXIS_INDEX = np.array([4, 0, 0, 5, 2, 2, 2, 1, 3, 0, 5, 4, 1, 6, 6, 0, 3])  # repeats, any order
 
 
+def _csv_text(columns):
+    """The CSV rows the writer lays out for `columns`, as str."""
+    return b"".join(textio._csv_blocks(columns)).decode()
+
+
 class TestAxisColumns:
     """A (values, index) column writes the cells of values[index]."""
 
@@ -827,7 +832,7 @@ class TestAxisColumns:
         def rows(axis):
             columns = [words, floats]
             columns.insert(place, axis)
-            return "".join(textio._csv_blocks(columns))
+            return _csv_text(columns)
 
         dense = _AXIS_VALUES[_AXIS_INDEX]
         text = rows((_AXIS_VALUES, _AXIS_INDEX))
@@ -838,7 +843,7 @@ class TestAxisColumns:
 
     def test_pair_columns_only(self):
         index = _AXIS_INDEX.astype(np.uint8)
-        text = "".join(textio._csv_blocks([(_AXIS_VALUES, index), (_AXIS_VALUES[::-1], index)]))
+        text = _csv_text([(_AXIS_VALUES, index), (_AXIS_VALUES[::-1], index)])
         assert text == "".join(f"{'%.17g' % _AXIS_VALUES[k]},{'%.17g' % _AXIS_VALUES[-1 - k]}\n"
                                for k in _AXIS_INDEX)
 
@@ -931,11 +936,11 @@ class TestCsvCells:
     def test_str_cells_keep_their_exact_text(self):
         words = np.array(["", "é", "☃ x", "a\x00", "\x00", "no_oscillation"], dtype=object)
         floats = np.array([1.5, -0.0, 1e-300, 2.0, math.nan, 0.1])
-        rows = "".join(textio._csv_blocks([words, floats, words[::-1]]))
+        rows = _csv_text([words, floats, words[::-1]])
         assert rows == "".join(f"{a},{'%.17g' % x},{b}\n"
                                for a, x, b in zip(words, floats, words[::-1]))
         # a column of empty cells only
-        assert "".join(textio._csv_blocks([["", ""], [1.0, 2.0]])) == ",1\n,2\n"
+        assert _csv_text([["", ""], [1.0, 2.0]]) == ",1\n,2\n"
 
 
 class TestReflectionSpectrum:

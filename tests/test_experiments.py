@@ -328,6 +328,60 @@ class TestCsvWriter:
         assert path.read_text() == header + _per_cell_text(columns)
 
 
+    @settings(derandomize=True, max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_row_groups_match_the_expanded_columns(self, tmp_path, monkeypatch, data):
+        # groups of 1-3 float columns, some used twice or more and some not
+        # at all, each block of rows a few rows or one
+        monkeypatch.setattr(textio, "_CSV_BLOCK", data.draw(st.integers(1, 5)))
+        floats = st.sampled_from(_SPECIAL_FLOATS) | st.floats()
+        width = data.draw(st.integers(1, 3))
+        groups = [[data.draw(st.lists(floats, min_size=n, max_size=n)) for _ in range(width)]
+                  for n in data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))]
+        order = data.draw(st.lists(st.integers(0, len(groups) - 1), max_size=6))
+        keys = data.draw(st.lists(floats, min_size=len(order), max_size=len(order)))
+        colnames = ["key"] + [f"c{k}" for k in range(width)]
+        textio.write_row_groups(tmp_path / "groups.csv", ["a = 1"], colnames, np.array(keys),
+                                [[np.array(col) for col in group] for group in groups], order)
+        expanded = [[key for key, j in zip(keys, order) for _ in groups[j][0]]]
+        expanded += [[v for j in order for v in groups[j][c]] for c in range(width)]
+        textio.write_csv(tmp_path / "columns.csv", ["a = 1"], colnames, expanded)
+        assert (tmp_path / "groups.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
+
+    @pytest.mark.parametrize("keys,order", [([1.0, 2.0], [0]), ([1.0], [0, 0]),
+                                            ([1.0], [2]), ([1.0], [-1])])
+    def test_row_groups_refused(self, tmp_path, keys, order):
+        groups = [([0.5], [1.5]), ([2.5], [3.5])]
+        with pytest.raises(ValidationError, match="one key per group"):
+            textio.write_row_groups(tmp_path / "out.csv", [], ["k", "x", "y"], keys, groups,
+                                    order)
+
+    def test_trace_blocks_bound_each_kernel_call(self, tmp_path, monkeypatch):
+        # a 7-column trace with more than 2 * _CSV_BLOCK cells passes the
+        # cell kernel at most that many a call, and writes the cells of
+        # per-cell '%.17g'
+        sizes = []
+        float_cells = textio._float_cells
+
+        def counting(x, last):
+            sizes.append(np.size(x))
+            return float_cells(x, last)
+
+        seq = tmp_path / "seq.txt"
+        seq.write_text(SEQ.replace("seg readout dur=2us", "seg readout dur=16us"))
+        monkeypatch.setattr(textio, "_float_cells", counting)
+        experiments.run_custom_sequence(resolve_config("custom_sequence", {"sequence": str(seq)}),
+                                        tmp_path)
+        trace = TraceRecord.from_csv(tmp_path / "trace.csv")
+        assert 7 * trace.t.size > 2 * textio._CSV_BLOCK
+        assert sizes and max(sizes) <= 2 * textio._CSV_BLOCK
+        columns = [trace.t, trace.a.real, trace.a.imag, trace.b.real, trace.b.imag,
+                   trace.a_out.real, trace.a_out.imag]
+        header = "t_s,re_a,im_a,re_b,im_b,re_aout,im_aout\n"
+        assert (tmp_path / "trace.csv").read_text() == header + _per_cell_text(columns)
+
+
 def _data_text(path):
     """The rows of a runner CSV, without its header block and column names."""
     lines = [line for line in path.read_text().splitlines(keepends=True)
@@ -392,18 +446,21 @@ class TestAxisColumns:
     def formatted(self, monkeypatch):
         """{file name: float values the cell kernel formatted to write it}"""
         counts, current = {}, []
-        float_cells, write_csv = textio._float_cells, experiments._write_csv
+        float_cells = textio._float_cells
 
         def counting_cells(x, last):
             counts[current[-1]] = counts.get(current[-1], 0) + np.size(x)
             return float_cells(x, last)
 
-        def tracking_write(path, *args):
-            current.append(os.path.basename(path))
-            write_csv(path, *args)
+        def tracking(write):
+            def tracking_write(path, *args):
+                current.append(os.path.basename(path))
+                write(path, *args)
+            return tracking_write
 
         monkeypatch.setattr(textio, "_float_cells", counting_cells)
-        monkeypatch.setattr(experiments, "_write_csv", tracking_write)
+        for name in ("_write_csv", "write_row_groups"):
+            monkeypatch.setattr(experiments, name, tracking(getattr(experiments, name)))
         return counts
 
     def test_splitting_formats_each_axis_value_once(self, tmp_path, formatted):
@@ -584,6 +641,25 @@ class TestRetrievalSequence:
             for key in built:
                 assert read[key].kind == built[key].kind
                 assert read[key].value == pytest.approx(built[key].value, rel=1e-11)
+
+    def test_modes_are_built_once_per_sequence(self, tmp_path, monkeypatch):
+        # validation and every later read of seq.mode_a and seq.mode_b share
+        # the two modes each sequence builds
+        built, calls = [], []
+        init, mode_from_spec = sequences.PulseSequence.__init__, sequences._mode_from_spec
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        def counting(spec):
+            calls.append(1)
+            return mode_from_spec(spec)
+
+        monkeypatch.setattr(sequences.PulseSequence, "__init__", counting_init)
+        monkeypatch.setattr(sequences, "_mode_from_spec", counting)
+        run_store_retrieve(resolve_config("store_retrieve"), tmp_path)
+        assert built and len(calls) <= 2 * len(built)
 
     @pytest.mark.parametrize("runner,small,calls", [("store_retrieve", SMALL_SR, 1),
                                                     ("phase_sweep", SMALL_PHASE, 0)])
