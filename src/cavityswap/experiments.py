@@ -281,14 +281,45 @@ def _swap_point(cfg, g, delta, t_end, amp0) -> TraceRecord:
     return exact_segment(init, modes, pump, None, half_step_config(config))
 
 
-def _swap_oracle(cfg, g, delta, t_end, amp0, exact):
-    """(half-step difference, exact-vs-RK4 difference) of one swap point
-    whose ``_swap_point`` trace is `exact`: ``integrate_checked`` at the
-    point, and the worst exact-minus-RK4 amplitude over its grid relative to
-    the peak, which must stay within the tolerance."""
-    init, modes, pump, config = _swap_problem(cfg, g, delta, t_end, amp0)
-    rk4, rel = integrate_checked(init, modes, pump, None, config)
-    return rel, check_exact(exact.a, exact.b, rk4, cfg["tolerance"])
+def _swap_sweep(cfg, points, amp0, source):
+    """(half-step difference, exact-vs-RK4 difference, frequencies,
+    records, order) of a sweep of constant-pump swaps from a(0) = amp0,
+    b(0) = 0 over `points`, each (g_P, delta, t_end).
+
+    The energies are even in the detuning: conjugating the coupled-mode
+    equations and setting b -> -b turns +delta into -delta, and with a real
+    a(0) and no drive |a(t)|^2 is the same function at both. So the points
+    whose (g_P, |delta|, t_end) are equal bit for bit share one trace
+    (``_swap_point``), its energies and its frequency: ``records[order[k]]``
+    is the (|a|^2, dt) of point k (``_swap_energies``), and frequencies[k]
+    that of its occupancy fraction (``_swap_oscillation_frequency``), nan
+    where it has none. The middle point is entered first, so that the one
+    RK4 oracle (``integrate_checked`` and the exact-minus-RK4 check) compares
+    the trace of its own delta. Energies |a|^2 + |b|^2 below the normal
+    doubles are refused, naming `source` (exit 2)."""
+    mid = len(points) // 2
+    # (g_P, |delta|, t_end) -> (its record, the sweep point computed for it)
+    distinct = {}
+    for k in (mid, *range(len(points))):
+        g, delta, t_end = points[k]
+        distinct.setdefault((g, abs(delta), t_end), (len(distinct), k))
+    order = [distinct[g, abs(delta), t_end][0] for g, delta, t_end in points]
+    records, omegas, lows = [], [], []
+    for _, k in distinct.values():
+        trace = _swap_point(cfg, *points[k], amp0)
+        if k == mid:
+            init, modes, pump, config = _swap_problem(cfg, *points[k], amp0)
+            rk4, rel = integrate_checked(init, modes, pump, None, config)
+            diff = check_exact(trace.a, trace.b, rk4, cfg["tolerance"])
+        ea, total, dt, low = _swap_energies(trace)
+        records.append((ea, dt))
+        try:
+            omegas.append(_swap_oscillation_frequency(ea, total, dt))
+        except NoOscillationError:
+            omegas.append(math.nan)
+        lows.append(low)
+    _check_normal_energies(source, lows, "energies |a|^2 + |b|^2 down to")
+    return rel, diff, np.asarray(omegas)[order], records, order
 
 
 def _sr_sequence(cfg, g, t_swap, delay, phase2) -> PulseSequence:
@@ -349,22 +380,35 @@ def _readout_iq(mode_a, a_r, duration):
     return iq, mode_a.gamma_ext * (a_r.real ** 2 + a_r.imag ** 2) * held(gamma)
 
 
-def _retrieval(cfg, seqs):
-    """(half-step difference, exact-vs-RK4 difference, I + iQ, energies,
-    reference energy) of a storage/retrieval sweep. The middle sequence
-    runs the RK4 oracle (``run_sequence_checked``, both of its checks).
-    Every point reads its readout from the state where it starts
-    (``_readout_iq``, ``_readout_state``), and the reference is the load read
-    out at once: the same closed form from a = sqrt(nbar), over a window
-    of the readout's length, so that eta compares equal windows."""
+def _retrieval(cfg, runner, points):
+    """(sequences, I + iQ, energies, reference energy, CSV header lines,
+    shared results) of a storage/retrieval sweep over `points`, each the
+    (delay, retrieval phase) of one ``_sr_sequence``: load, swap, delay,
+    swap back, readout. The swaps last `t_swap`, or the calibrated full
+    swap when it is 0. The middle sequence runs the RK4 oracle
+    (``run_sequence_checked``, both of its checks). Every point reads its
+    readout from the state where it starts (``_readout_iq``,
+    ``_readout_state``), and the reference is the load read out at once:
+    the same closed form from a = sqrt(nbar), over a window of the
+    readout's length, so that eta compares equal windows. Readout energies
+    below the normal doubles are refused (exit 2)."""
+    mode_a, mode_b = _modes(cfg)
+    g = _resolve_gp(cfg)
+    t_swap = cfg["t_swap"] if cfg["t_swap"] > 0.0 else calibrate_swap_time((mode_a, mode_b), g)
+    seqs = [_sr_sequence(cfg, g, t_swap, delay, phase) for delay, phase in points]
     oracle, rel = run_sequence_checked(seqs[len(seqs) // 2], tolerance=cfg["tolerance"],
                                        points_per_cycle=cfg["points_per_cycle"])
-    mode_a, duration = seqs[0].mode_a, seqs[0].segments[-1].duration
+    duration = seqs[0].segments[-1].duration
     iqs, energies = zip(*(_readout_iq(mode_a, _readout_state(cfg, seq).a, duration)
                           for seq in seqs))
     reference = _readout_iq(mode_a, math.sqrt(cfg["nbar"]), duration)[1]
-    return (rel, oracle.meta["exact_rk4_max_diff"], np.array(iqs), np.array(energies),
-            reference)
+    energies = np.array(energies)
+    _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", np.append(energies, reference))
+    header = [f"runner = {runner}", f"gp_hz = {g / TWO_PI:.12g}",
+              f"t_swap_s = {t_swap:.12g}", f"reference = {reference:.12g}"]
+    results = {"gp_hz": g / TWO_PI, "t_swap_s": t_swap, "convergence_rel_diff": rel,
+               "exact_rk4_max_diff": oracle.meta["exact_rk4_max_diff"]}
+    return seqs, np.array(iqs), energies, reference, header, results
 
 
 def _check_normal_energies(source, energies, what="readout energies down to"):
@@ -377,12 +421,6 @@ def _check_normal_energies(source, energies, what="readout energies down to"):
         raise ValidationError(
             f"{source} gives {what} {low:.3g}, below the smallest normal "
             f"double {tiny:.3g}: they keep only a few bits")
-
-
-def _resolve_t_swap(cfg, g, mode_a, mode_b) -> float:
-    if cfg["t_swap"] > 0.0:
-        return cfg["t_swap"]
-    return calibrate_swap_time((mode_a, mode_b), g)
 
 
 # ---------------------------------------------------------------------------
@@ -454,62 +492,46 @@ def _dip_separation(omegas, mag):
 def run_chevron(cfg, outdir):
     """Swap oscillations of the readout energy vs pump detuning and time.
 
-    The map is even in the detuning: conjugating the coupled-mode equations
-    and setting b -> -b turns +delta into -delta, and with a real a(0) and
-    no drive |a(t)|^2 is the same function at both. So the points of one
-    |delta| share one trace, its energies, its ridge frequency and its
-    formatted cells; points share only where their |delta| are equal bit
-    for bit, which the grid makes of every mirror pair: its lower half is
-    the negated upper half. The RK4 oracle point is always computed at its
-    own delta, since its check compares that very trace.
-
-    ``chevron_map.csv`` is written as row groups (``write_row_groups``):
-    the t_s and energy_a text of each distinct point is laid out once, and
-    the group of each detuning leads every line of it with that detuning's
-    cell."""
+    The detuning grid's lower half is its negated upper half, so each
+    mirror pair has the same |delta| bit for bit, and ``_swap_sweep``
+    computes it once. ``chevron_map.csv`` is written as row groups
+    (``write_row_groups``): the t_s and energy_a text of each distinct
+    point is laid out once, and the group of each detuning leads every
+    line of it with that detuning's cell. A detuning whose occupancy has no
+    oscillation, and a ridge whose least-squares g_P^2 is not positive,
+    are refused (exit 3) before any file is written."""
     os.makedirs(outdir, exist_ok=True)
     g = _resolve_gp(cfg)
-    t_end = cfg["t_end"]
     n = cfg["delta_count"]
     # the upper half of linspace(-0.5, 0.5, n), from 0 or half a spacing
     upper = np.linspace(0.5 * (1 - n % 2) / (n - 1), 0.5, (n + 1) // 2)
     deltas = np.concatenate((-upper[::-1][:n // 2], upper)) * cfg["delta_span"]
-
-    amp0 = math.sqrt(cfg["nbar"])
-    mid = len(deltas) // 2  # the RK4 oracle; resonant only for an odd delta_count
-    # |delta| -> (its distinct point, the sweep point computed for it): mid
-    # first, so that the oracle checks the trace of its own point
-    distinct = {}
-    for k in (mid, *range(len(deltas))):
-        distinct.setdefault(abs(deltas[k]), (len(distinct), k))
-    point = [distinct[abs(delta)][0] for delta in deltas]
-    eas, dts, omega_es, lows = [], [], [], []
-    for _, k in distinct.values():
-        trace = _swap_point(cfg, g, deltas[k], t_end, amp0)
-        if k == mid:
-            rel, diff = _swap_oracle(cfg, g, deltas[k], t_end, amp0, trace)
-        ea, total, dt, low = _swap_energies(trace)
-        eas.append(ea)
-        dts.append(dt)
-        omega_es.append(_swap_oscillation_frequency(ea, total, dt))
-        lows.append(low)
-    _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", lows,
-                           "energies |a|^2 + |b|^2 down to")
-    omega_es = np.asarray(omega_es)[point]
+    # the RK4 oracle sits at the middle point: resonant only for an odd delta_count
+    rel, diff, omega_es, records, point = _swap_sweep(
+        cfg, [(g, delta, cfg["t_end"]) for delta in deltas], math.sqrt(cfg["nbar"]),
+        f"nbar = {cfg['nbar']:.3g}")
+    lost = np.isnan(omega_es)
+    if lost.any():
+        raise NoOscillationError("no swap oscillation at pump detuning "
+                                 f"{format_quantity(deltas[np.argmax(lost)], 'Hz')}")
+    # sqrt(D^2 + 4 g^2) model: linear least squares for g^2
+    g_fit_sq = float(np.mean(omega_es**2 - deltas**2)) / 4.0
+    if not g_fit_sq > 0.0:
+        raise DegenerateFitError(
+            f"the ridge gives a least-squares g_P^2 of {g_fit_sq / TWO_PI**2:.3g}Hz^2, "
+            "not positive: it shows no coupling")
+    g_fit = math.sqrt(g_fit_sq)
     # detuning-major rows: the group of each detuning holds the t_s and
     # energy_a rows of its distinct point
     detunings = deltas / TWO_PI
     write_row_groups(os.path.join(outdir, "chevron_map.csv"),
                      ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
                      ["pump_detuning_hz", "t_s", "energy_a"], detunings,
-                     [(np.arange(ea.size) * dt, ea) for ea, dt in zip(eas, dts)], point)
+                     [(np.arange(ea.size) * dt, ea) for ea, dt in records], point)
     _write_csv(os.path.join(outdir, "chevron_ridge.csv"),
                ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
                ["pump_detuning_hz", "oscillation_hz"], [detunings, omega_es / TWO_PI])
 
-    # sqrt(D^2 + 4 g^2) model: linear least squares for g^2
-    g_fit_sq = float(np.mean(omega_es**2 - deltas**2)) / 4.0
-    g_fit = math.sqrt(max(g_fit_sq, 0.0))
     model = np.sqrt(deltas**2 + 4.0 * g_fit**2)
     rms_rel = float(np.sqrt(np.mean((omega_es / model - 1.0) ** 2)))
     k0 = int(np.argmin(np.abs(deltas)))
@@ -527,29 +549,25 @@ def run_chevron(cfg, outdir):
 
 
 def run_power_sweep(cfg, outdir):
-    """Extracted swap rate vs pump power at zero detuning."""
+    """Extracted swap rate vs pump power at zero detuning.
+
+    Each power's swap lasts `n_cycles` periods of its own g_P, through
+    ``_swap_sweep``. A power whose g_P is 0 has no swap to time and is
+    refused (exit 2); one whose occupancy has no oscillation is written as
+    ``no_oscillation`` and left out of the slope fit."""
     os.makedirs(outdir, exist_ok=True)
     powers = np.linspace(cfg["power_start"], cfg["power_stop"], cfg["power_count"])
-
-    g_true = [fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], p_dbm,
-                                         cfg["flux_calib"]) for p_dbm in powers]
-    mid = len(powers) // 2  # the RK4 oracle, skipped when its g_P is 0
-    rel = diff = 0.0
-    omega_es = np.full(len(powers), math.nan)
-    for k, g in enumerate(g_true):
-        if not g:
-            continue
-        t_end = cfg["n_cycles"] * TWO_PI / (2.0 * g)
-        trace = _swap_point(cfg, g, 0.0, t_end, 1.0)
-        if k == mid:
-            rel, diff = _swap_oracle(cfg, g, 0.0, t_end, 1.0, trace)
-        try:
-            omega_es[k] = _swap_oscillation_frequency(*_swap_energies(trace)[:3])
-        except NoOscillationError:
-            pass
+    g_true = np.array([fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], p_dbm,
+                                                  cfg["flux_calib"]) for p_dbm in powers])
+    if not np.all(g_true > 0.0):
+        k = int(np.argmin(g_true > 0.0))
+        raise ValidationError(f"pump power {format_quantity(powers[k], 'dBm')} gives g_P = "
+                              f"{format_quantity(g_true[k], 'Hz')}: it has no swap to time")
+    rel, diff, omega_es = _swap_sweep(
+        cfg, [(g, 0.0, cfg["n_cycles"] * TWO_PI / (2.0 * g)) for g in g_true], 1.0,
+        f"|a(0)|^2 = 1 over n_cycles = {cfg['n_cycles']:.3g}")[:3]
 
     amps = np.array([fluxmap.pump_amplitude(p) for p in powers])
-    g_true = np.asarray(g_true)
     found = ~np.isnan(omega_es)
     _write_csv(os.path.join(outdir, "power_sweep.csv"),
                ["runner = power_sweep"],
@@ -578,44 +596,32 @@ def run_power_sweep(cfg, outdir):
 def run_store_retrieve(cfg, outdir):
     """Retrieved energy vs storage delay, with the storage-decay fit.
 
-    Each delay's energy is the closed-form readout of the state where its
-    readout starts (``_retrieval``), so no point is traced for its data:
-    the middle delay runs the RK4 oracle for its checks, and the shortest
-    delay is traced at twice `points_per_cycle` up to where its readout
-    starts, for the dwell times of eta' from the load's end to there."""
+    ``_retrieval`` gives each delay's energy in closed form and runs the
+    RK4 oracle at the middle delay. The shortest delay is traced at twice
+    `points_per_cycle` up to where its readout starts, for the dwell times
+    of eta' from the load's end to there."""
     os.makedirs(outdir, exist_ok=True)
-    mode_a, mode_b = _modes(cfg)
-    g = _resolve_gp(cfg)
-    t_swap = _resolve_t_swap(cfg, g, mode_a, mode_b)
     delays = np.linspace(cfg["delay_start"], cfg["delay_stop"], cfg["delay_count"])
-
-    seqs = [_sr_sequence(cfg, g, t_swap, delay, 0.0) for delay in delays]
-    rel, diff, _, retrieved, reference = _retrieval(cfg, seqs)
+    seqs, _, retrieved, reference, header, results = _retrieval(
+        cfg, "store_retrieve", [(delay, 0.0) for delay in delays])
     windows = seqs[0].windows()
     upto_readout = PulseSequence(seqs[0].mode_specs, seqs[0].segments[:-1])
     trace = run_sequence(upto_readout, points_per_cycle=2 * cfg["points_per_cycle"])
     t_a, t_b = dwell_times(trace, (windows[0][2], windows[-1][1]))
 
-    _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", np.append(retrieved, reference))
+    mode_a, mode_b = seqs[0].mode_a, seqs[0].mode_b
     eta_shortest = float(retrieved[0]) / reference
     eta_prime = loss_corrected_efficiency(eta_shortest, t_a, t_b, mode_a, mode_b)
-
-    _write_csv(os.path.join(outdir, "store_retrieve.csv"),
-               ["runner = store_retrieve", f"gp_hz = {g / TWO_PI:.12g}",
-                f"t_swap_s = {t_swap:.12g}", f"reference = {reference:.12g}"],
+    _write_csv(os.path.join(outdir, "store_retrieve.csv"), header,
                ["delay_s", "retrieved_energy", "eta"],
                [delays, retrieved, retrieved / reference])
 
-    results = {
-        "gp_hz": g / TWO_PI,
-        "t_swap_s": t_swap,
+    results.update({
         "reference_energy": reference,
         "eta_shortest": eta_shortest,
         "eta_prime": eta_prime,
-        "convergence_rel_diff": rel,
-        "exact_rk4_max_diff": diff,
         "configured_tau_s": 1.0 / mode_b.gamma_total if mode_b.gamma_total else math.inf,
-    }
+    })
     try:
         fit = fit_exponential_decay(delays, retrieved)
         results["tau_s"] = fit.params["tau"]
@@ -631,25 +637,15 @@ def run_store_retrieve(cfg, outdir):
 def run_phase_sweep(cfg, outdir):
     """Retrieved IQ vs the relative phase of the retrieval pump pulse.
 
-    Each phase's I, Q and energy are the closed-form readout of the state
-    where its readout starts (``_retrieval``); the middle phase runs the
-    RK4 oracle for its checks, and no point is traced for its data."""
+    ``_retrieval`` gives each phase's I, Q and energy in closed form and
+    runs the RK4 oracle at the middle phase; no point is traced for its
+    data."""
     os.makedirs(outdir, exist_ok=True)
-    mode_a, mode_b = _modes(cfg)
-    g = _resolve_gp(cfg)
-    t_swap = _resolve_t_swap(cfg, g, mode_a, mode_b)
     phases = np.arange(cfg["phase_count"]) * TWO_PI / cfg["phase_count"]
-    delay = cfg["delay"]
-
-    seqs = [_sr_sequence(cfg, g, t_swap, delay, phase) for phase in phases]
-    rel, diff, iqs, energies, reference = _retrieval(cfg, seqs)
-
-    i, q = iqs.real, iqs.imag
-    _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", np.append(energies, reference))
-    _write_csv(os.path.join(outdir, "phase_sweep.csv"),
-               ["runner = phase_sweep", f"gp_hz = {g / TWO_PI:.12g}",
-                f"t_swap_s = {t_swap:.12g}", f"reference = {reference:.12g}"],
-               ["pump_phase_rad", "i", "q", "energy"], [phases, i, q, energies])
+    _, iqs, energies, reference, header, results = _retrieval(
+        cfg, "phase_sweep", [(cfg["delay"], phase) for phase in phases])
+    _write_csv(os.path.join(outdir, "phase_sweep.csv"), header,
+               ["pump_phase_rad", "i", "q", "energy"], [phases, iqs.real, iqs.imag, energies])
 
     eta = float(np.mean(energies)) / reference
     mags = np.abs(iqs)
@@ -664,9 +660,7 @@ def run_phase_sweep(cfg, outdir):
     n = phases.size
     area_expected = math.pi * eta * (n / TWO_PI) * math.sin(TWO_PI / n)
 
-    results = {
-        "gp_hz": g / TWO_PI,
-        "t_swap_s": t_swap,
+    results.update({
         "phase_slope": fit.params["slope"],
         "phase_intercept": fit.params["intercept"],
         "slope_residual_rms": fit.residual_rms,
@@ -676,9 +670,7 @@ def run_phase_sweep(cfg, outdir):
                                    / np.mean(energies)),
         "iq_locus_area": area,
         "iq_locus_area_expected": area_expected,
-        "convergence_rel_diff": rel,
-        "exact_rk4_max_diff": diff,
-    }
+    })
     _write_report(outdir, "phase_sweep", cfg, results)
     return results
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavityswap import cli, experiments, fluxmap, sequences, textio
@@ -717,8 +717,9 @@ class TestSwapOracle:
         assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
         assert 0.0 < results["convergence_rel_diff"] < 1e-8
 
-    def test_power_sweep_skips_a_silent_oracle_point(self, tmp_path, monkeypatch):
-        # g_P = 0 at the middle power: nothing to integrate
+    def test_power_sweep_refuses_a_silent_power(self, tmp_path, monkeypatch, capsys):
+        # g_P = 0 at the middle power: it has no swap to time, where the
+        # sweep used to skip it and report zero oracle differences
         g_of = fluxmap.pump_coupling_rate
         mid = -54.0
 
@@ -726,11 +727,77 @@ class TestSwapOracle:
             return 0.0 if p_dbm == mid else g_of(omega_a, omega_b, p_dbm, *args)
 
         monkeypatch.setattr(fluxmap, "pump_coupling_rate", silent_middle)
-        results = run_power_sweep(resolve_config("power_sweep", dict(
-            SMALL_POWER, power_start="-64dBm", power_stop="-44dBm")), tmp_path)
-        assert results["points_no_oscillation"] == 1
-        assert results["convergence_rel_diff"] == 0.0
-        assert results["exact_rk4_max_diff"] == 0.0
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("power_count = 5\nn_cycles = 3\npower_start = -64dBm\n"
+                       "power_stop = -44dBm\n")
+        out = tmp_path / "out"
+        assert main(["power_sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: pump power -54dBm gives g_P = 0")
+        assert not list(out.glob("*.csv"))
+
+
+class TestSwapSweep:
+    """``_swap_sweep`` shares one trace between the points whose (g_P,
+    |delta|, t_end) are equal bit for bit, and only between those."""
+
+    CFG = {"points_per_cycle": "200", "tolerance": "1e-4"}
+    G = (TWO_PI * 1.2e6, TWO_PI * 0.9e6)
+    DELTA = (0.0, TWO_PI * 1.5e6, TWO_PI * 3e6)
+    T_END = (1e-6, 1.5e-6)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(points=st.lists(st.tuples(st.sampled_from(G), st.sampled_from(DELTA),
+                                     st.booleans(), st.sampled_from(T_END)),
+                           min_size=1, max_size=6))
+    # one |delta| at two g_P and two t_end, and a mirror pair
+    @example(points=[(G[0], DELTA[1], False, T_END[0]), (G[1], DELTA[1], True, T_END[0]),
+                     (G[0], DELTA[1], True, T_END[1]), (G[0], DELTA[1], True, T_END[0])])
+    def test_every_point_equals_its_own_run(self, points):
+        cfg = resolve_config("chevron", self.CFG)
+        points = [(g, -delta if mirror else delta, t_end) for g, delta, mirror, t_end in points]
+        _, _, omegas, records, order = experiments._swap_sweep(cfg, points, 1.5, "test")
+        assert len(records) == len({(g, abs(delta), t) for g, delta, t in points})
+        for k, point in enumerate(points):
+            _, _, (omega,), ((ea, dt),), _ = experiments._swap_sweep(cfg, [point], 1.5, "test")
+            assert np.array_equal(omegas[k], omega, equal_nan=True)
+            assert records[order[k]][1] == dt
+            assert np.array_equal(records[order[k]][0], ea)
+
+    def test_chevron_names_a_detuning_without_oscillation(self, tmp_path, monkeypatch,
+                                                           capsys):
+        cfg = resolve_config("chevron", SMALL_CHEVRON)
+        g = experiments._resolve_gp(cfg)
+        silent = -0.25 * cfg["delta_span"]
+        trace = experiments._swap_point(cfg, g, silent, cfg["t_end"], math.sqrt(cfg["nbar"]))
+        dt_silent = experiments._swap_energies(trace)[2]
+        oscillation_frequency = experiments.oscillation_frequency
+
+        def none_at_silent(series, dt):
+            if dt == dt_silent:
+                raise experiments.NoOscillationError("flat spectrum")
+            return oscillation_frequency(series, dt)
+
+        monkeypatch.setattr(experiments, "oscillation_frequency", none_at_silent)
+        path = tmp_path / "cfg.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in SMALL_CHEVRON.items()))
+        out = tmp_path / "out"
+        assert main(["chevron", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("numerical check failed: no swap oscillation at "
+                                           "pump detuning -2000000Hz\n")
+        assert not list(out.glob("*.csv"))
+
+    def test_chevron_refuses_a_ridge_without_coupling(self, tmp_path, capsys):
+        # q_int_a = 300 overdamps mode A: the ridge sits near 47 kHz for a
+        # true g_P of 1.2 MHz, and the least-squares g_P^2 is negative,
+        # where the run used to report gp_fit_hz = 0 and model_rms_rel = inf
+        path = tmp_path / "cfg.txt"
+        path.write_text("q_int_a = 300\ndelta_count = 3\n")
+        out = tmp_path / "out"
+        assert main(["chevron", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.match(r"numerical check failed: the ridge gives a least-squares g_P\^2 "
+                        r"of -\d[.\d]*e\+\d+Hz\^2, not positive", err), err
+        assert not list(out.glob("*.csv"))
 
 
 class TestPhaseSweepRunner:
@@ -945,6 +1012,11 @@ class TestCli:
         # mode energies |a|^2 + |b|^2 that are subnormal, where chevron answered
         # gp_fit_hz 1199979.848 for 1199977.021
         ("chevron", "nbar = 1e-320\ndelta_count = 3\nt_end = 2us"),
+        # and power_sweep on lossy modes, which took the FFT of those energies
+        # and answered a slope of 4.61e8 Hz/sqrt(mW) with r_squared 0.953
+        ("power_sweep", "q_int_a = 1e3\nt1_b = 0.01us\nn_cycles = 40\npower_count = 3"),
+        # pump powers whose g_P underflows to 0, which power_sweep used to skip
+        ("power_sweep", "power_start = -8000dBm\npower_stop = -50dBm\npower_count = 3"),
         # a sequence whose energies are all subnormal, which wrote a trace.csv
         # of few-bit energies and final_energy_a = 0
         ("custom_sequence", "mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
