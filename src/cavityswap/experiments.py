@@ -20,13 +20,13 @@ from .analysis import (DegenerateFitError, NoOscillationError, dwell_times,
                        loss_corrected_efficiency, oscillation_frequency)
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError,
                    check_mode_order, mode_params_from_q)
-from .dynamics import (SimConfig, TraceRecord, check_exact, exact_segment,
-                       half_step_config, integrate_checked, lab_frame, max_step,
-                       propagate_swap, reflection_spectrum)
-from .sequences import (PulseSequence, Segment, _plan, calibrate_swap_time,
-                        parse_sequence, run_sequence, run_sequence_checked,
+from .dynamics import (SimConfig, half_step_config, lab_frame, max_step, propagate_swap,
+                       reflection_spectrum)
+from .sequences import (PulseSequence, Segment, _plan, calibrate_swap_time, check_plan,
+                        parse_sequence, run_plan, run_sequence, run_sequence_checked,
                         validate_sequence)
-# not called here: perfbench/tracer.py wraps experiments.demodulate by name
+# not called here: perfbench/tracer.py wraps both by name where experiments binds them
+from .dynamics import integrate_checked  # noqa: F401
 from .sequences import demodulate  # noqa: F401
 from .textio import (format_cells, write_key_values, write_row_groups,
                      write_csv as _write_csv)
@@ -263,22 +263,16 @@ def _swap_oscillation_frequency(ea, total, dt) -> float:
 # sweep points
 
 def _swap_problem(cfg, g, delta, t_end, amp0):
-    """(initial state, modes, pump, RK4 config) of a constant-pump swap
-    from a(0) = amp0, b(0) = 0 at pump detuning `delta`, in the rotating
-    frame: callers use only frame-independent energies."""
+    """(initial state, modes, plan) of a constant-pump swap from a(0) =
+    amp0, b(0) = 0 at pump detuning `delta`, in the rotating frame (callers
+    use only frame-independent energies): one segment on the half-step grid
+    of a run at `points_per_cycle`, the run ``check_plan``'s coarse twin is."""
     modes = _modes(cfg)
     pump = PumpDrive(g, delta)
     dt = max_step(*modes, pump, points_per_cycle=cfg["points_per_cycle"])
     stride = max(1, int(math.ceil(t_end / dt)) // 4096)
-    config = SimConfig(dt, t_end, 0.0, stride, cfg["tolerance"])
-    return ComplexAmplitudePair(complex(amp0), 0.0j, 0.0), modes, pump, config
-
-
-def _swap_point(cfg, g, delta, t_end, amp0) -> TraceRecord:
-    """The exact swap trace, sampled on the grid ``integrate_checked``
-    records for this point (its dt/2 trace)."""
-    init, modes, pump, config = _swap_problem(cfg, g, delta, t_end, amp0)
-    return exact_segment(init, modes, pump, None, half_step_config(config))
+    config = half_step_config(SimConfig(dt, t_end, 0.0, stride))
+    return ComplexAmplitudePair(complex(amp0), 0.0j, 0.0), modes, [(pump, None, config)]
 
 
 def _swap_sweep(cfg, points, amp0, source):
@@ -290,12 +284,11 @@ def _swap_sweep(cfg, points, amp0, source):
     equations and setting b -> -b turns +delta into -delta, and with a real
     a(0) and no drive |a(t)|^2 is the same function at both. So the points
     whose (g_P, |delta|, t_end) are equal bit for bit share one trace
-    (``_swap_point``), its energies and its frequency: ``records[order[k]]``
-    is the (|a|^2, dt) of point k (``_swap_energies``), and frequencies[k]
-    that of its occupancy fraction (``_swap_oscillation_frequency``), nan
-    where it has none. The middle point is entered first, so that the one
-    RK4 oracle (``integrate_checked`` and the exact-minus-RK4 check) compares
-    the trace of its own delta. Energies |a|^2 + |b|^2 below the normal
+    (``run_plan`` of ``_swap_problem``), its energies and its frequency:
+    ``records[order[k]]`` is the (|a|^2, dt) of point k (``_swap_energies``),
+    frequencies[k] that of its occupancy fraction, nan where it has none
+    (``_swap_oscillation_frequency``). The middle point, entered first, is
+    the one ``check_plan`` checks. Energies |a|^2 + |b|^2 below the normal
     doubles are refused, naming `source` (exit 2)."""
     mid = len(points) // 2
     # (g_P, |delta|, t_end) -> (its record, the sweep point computed for it)
@@ -306,11 +299,11 @@ def _swap_sweep(cfg, points, amp0, source):
     order = [distinct[g, abs(delta), t_end][0] for g, delta, t_end in points]
     records, omegas, lows = [], [], []
     for _, k in distinct.values():
-        trace = _swap_point(cfg, *points[k], amp0)
+        problem = _swap_problem(cfg, *points[k], amp0)
         if k == mid:
-            init, modes, pump, config = _swap_problem(cfg, *points[k], amp0)
-            rk4, rel = integrate_checked(init, modes, pump, None, config)
-            diff = check_exact(trace.a, trace.b, rk4, cfg["tolerance"])
+            trace, rel, diff = check_plan(*problem, cfg["tolerance"])
+        else:
+            trace = run_plan(*problem)
         ea, total, dt, low = _swap_energies(trace)
         records.append((ea, dt))
         try:

@@ -18,12 +18,13 @@ phase between two swap pulses is well defined across a delay.
 
 ``_plan`` alone turns segments into pumps, drives and steps: it gives a
 leading ``load nbar=`` as a two-sample trace and every other segment as
-(pump, drive, SimConfig). ``run_sequence`` walks that plan, evaluating
+(pump, drive, SimConfig). ``run_plan`` walks such a plan, evaluating
 every segment with constant coefficients (rectangular swaps, delays,
 readouts and driven loads) in closed form on the grid RK4 would record
-and integrating raised-cosine swaps with RK4. ``run_sequence_checked``
-hands the same plan to ``dynamics.rk4_trace`` as the oracle: one RK4
-run whose blocks of steps cross segment boundaries.
+and integrating raised-cosine swaps with RK4. ``check_plan``, the one
+oracle of sequences and swap sweeps alike, checks that walk against one
+``dynamics.rk4_trace`` of the plan, and that against one of its coarse
+twin, the plan with every requested dt doubled.
 ``calibrate_swap_time`` gives the resonant swap length that empties the
 readout mode as the first zero of its closed-form amplitude.
 """
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -329,19 +330,52 @@ def _plan(seq: PulseSequence, points_per_cycle, flux_calib):
     return pieces, state, plan
 
 
-def _join(seq: PulseSequence, points_per_cycle, pieces) -> TraceRecord:
-    """The trace of `seq` from the traces of its segments in order, each
-    starting at the sample the one before ends on: a sample on a boundary
-    belongs to the segment that ends there."""
+def _concat(pieces) -> TraceRecord:
+    """One trace, with no metadata, of `pieces` in order: a sample on a
+    boundary belongs to the piece that ends there."""
     skip = [0] + [1] * (len(pieces) - 1)  # drop duplicated boundary samples
-    t, a, b, a_out = (np.concatenate([getattr(p, key)[s:] for p, s in zip(pieces, skip)])
-                      for key in ("t", "a", "b", "a_out"))
-    meta = {**mode_meta((seq.mode_a, seq.mode_b)), "points_per_cycle": points_per_cycle}
-    for i, (kind, w0, w1) in enumerate(seq.windows()):
-        meta[f"seg{i}_kind"] = kind
-        meta[f"seg{i}_t_start"] = w0
-        meta[f"seg{i}_t_end"] = w1
-    return TraceRecord(t, a, b, a_out, meta)
+    return TraceRecord(*(np.concatenate([getattr(p, key)[s:] for p, s in zip(pieces, skip)])
+                         for key in ("t", "a", "b", "a_out")))
+
+
+def _join(seq: PulseSequence, points_per_cycle, pieces) -> TraceRecord:
+    """The trace of `seq` from the traces of its pieces in order
+    (``_concat``), with the metadata of its modes and segments."""
+    trace = _concat(pieces)
+    trace.meta = {**mode_meta((seq.mode_a, seq.mode_b)), "points_per_cycle": points_per_cycle}
+    for i, window in enumerate(seq.windows()):
+        trace.meta.update(zip((f"seg{i}_kind", f"seg{i}_t_start", f"seg{i}_t_end"), window))
+    return trace
+
+
+def run_plan(initial: ComplexAmplitudePair, modes, plan) -> TraceRecord:
+    """The rotating-frame trace, with no metadata, of the segments of
+    `plan`, each (pump, drive, SimConfig), walked from the state `initial`:
+    constant-coefficient segments are exact (``exact_segment``),
+    raised-cosine swaps RK4 (``integrate``). A sample on a segment
+    boundary belongs to the segment that ends there."""
+    pieces = []
+    for pump, drive, config in plan:
+        step = exact_segment if pump.ramp == 0.0 else integrate
+        pieces.append(step(initial, modes, pump, drive, config))
+        initial = ComplexAmplitudePair(pieces[-1].a[-1], pieces[-1].b[-1], config.t_end)
+    return _concat(pieces)
+
+
+def check_plan(initial: ComplexAmplitudePair, modes, plan, tolerance: float):
+    """(``run_plan`` trace, half-step difference, exact-vs-RK4 difference)
+    of `plan`. One ``rk4_trace`` of `plan` is the oracle. Its coarse twin,
+    `plan` with every requested dt doubled (a segment of n steps takes
+    ceil(n/2)), is compared with it at their final states
+    (``check_half_step``), and the walk with it over its whole grid
+    (``check_exact``); each raises ConvergenceError above `tolerance`. The
+    twin's doubled step must resolve the fastest rate too (ResolutionError)."""
+    twin = [(pump, drive, replace(config, dt=2.0 * config.dt)) for pump, drive, config in plan]
+    # the twin runs first: its refusals and divergence come before the oracle's
+    coarse, fine = (rk4_trace(initial, modes, p) for p in (twin, plan))
+    rel = check_half_step(coarse, fine, tolerance)
+    trace = run_plan(initial, modes, plan)
+    return trace, rel, check_exact(trace.a, trace.b, fine, tolerance)
 
 
 def run_sequence(seq: PulseSequence, *, points_per_cycle: int = 400,
@@ -350,60 +384,43 @@ def run_sequence(seq: PulseSequence, *, points_per_cycle: int = 400,
     in the rotating frame (``dynamics.lab_frame`` turns it to the lab).
 
     Each segment is sampled with `points_per_cycle` points per cycle of
-    its fastest rate (``max_step``), at least 8 per segment.
-    Constant-coefficient segments are exact (``exact_segment``);
-    raised-cosine swaps are integrated with RK4 at that step. A leading
-    ``load nbar=`` segment sets a = sqrt(nbar) at its end instead of
-    simulating the fill pulse, with no incident field on its two samples;
-    any other load drives the port. A later ``load nbar=`` drives it with
-    the tone, at ``freq=`` (mode A's frequency by default), whose
-    closed-form fill takes an empty mode A to nbar at the segment's end:
-    it assumes mode A is empty, and ends elsewhere when it is not (after
-    ``load dur=2us nbar=9``, a resonant ``load dur=2us nbar=4`` ends at
-    |a|^2 = 8.68 with the modes of the module docstring). A refusal
-    (SequenceSemanticError) comes where that fill rounds to nothing. A
-    sample on a segment boundary belongs to the segment that ends there.
-    A swap given by ``power=`` gets its g_P from the flux curves with the
-    pump calibration `flux_calib`.
+    its fastest rate (``max_step``), at least 8 per segment, and walked by
+    ``run_plan`` (constant-coefficient segments exact, raised-cosine swaps
+    by RK4 at that step). A leading ``load nbar=`` segment sets
+    a = sqrt(nbar) at its end instead of simulating the fill pulse, with
+    no incident field on its two samples; any other load drives the port.
+    A later ``load nbar=`` drives it with the tone, at ``freq=`` (mode A's
+    frequency by default), whose closed-form fill takes an empty mode A to
+    nbar at the segment's end: it assumes mode A is empty, and ends
+    elsewhere when it is not (after ``load dur=2us nbar=9``, a resonant
+    ``load dur=2us nbar=4`` ends at |a|^2 = 8.68 with the modes of the
+    module docstring). A refusal (SequenceSemanticError) comes where that
+    fill rounds to nothing. A sample on a segment boundary belongs to the
+    segment that ends there. A swap given by ``power=`` gets its g_P from
+    the flux curves with the pump calibration `flux_calib`.
     """
-    modes = (seq.mode_a, seq.mode_b)
-    pieces, state, plan = _plan(seq, points_per_cycle, flux_calib)
-    for pump, drive, config in plan:
-        step = exact_segment if pump.ramp == 0.0 else integrate
-        piece = step(state, modes, pump, drive, config)
-        state = ComplexAmplitudePair(piece.a[-1], piece.b[-1], config.t_end)
-        pieces.append(piece)
-    return _join(seq, points_per_cycle, pieces)
-
-
-def _rk4_oracle(seq: PulseSequence, points_per_cycle,
-                flux_calib=fluxmap.DEFAULT_FLUX_CALIB) -> TraceRecord:
-    """``run_sequence`` with every segment of its plan integrated by RK4
-    in one ``rk4_trace``: the oracle of ``run_sequence_checked``."""
     pieces, state, plan = _plan(seq, points_per_cycle, flux_calib)
     if plan:
-        pieces.append(rk4_trace(state, (seq.mode_a, seq.mode_b), plan))
+        pieces.append(run_plan(state, (seq.mode_a, seq.mode_b), plan))
     return _join(seq, points_per_cycle, pieces)
 
 
 def run_sequence_checked(seq: PulseSequence, tolerance: float = 1e-6, *,
                          points_per_cycle: int = 400,
                          flux_calib: float = fluxmap.DEFAULT_FLUX_CALIB):
-    """run_sequence at 2 * `points_per_cycle`, checked against RK4.
-
-    Two checks, each raising ConvergenceError above `tolerance`:
-    - half-step: the all-RK4 runs at `points_per_cycle` and twice that are
-      compared at their final rotating-frame states (``check_half_step``);
-    - exact-vs-RK4: the closed-form run is compared with the finer RK4 run
-      over the whole grid (``check_exact``).
-    Returns (closed-form rotating-frame trace, half-step difference); its
-    meta holds both as "convergence_rel_diff" and "exact_rk4_max_diff".
-    """
-    coarse = _rk4_oracle(seq, points_per_cycle, flux_calib)
-    fine = _rk4_oracle(seq, 2 * points_per_cycle, flux_calib)
-    rel = check_half_step(coarse, fine, tolerance)
-    trace = run_sequence(seq, points_per_cycle=2 * points_per_cycle, flux_calib=flux_calib)
-    diff = check_exact(trace.a, trace.b, fine, tolerance)
+    """run_sequence at 2 * `points_per_cycle`, checked against RK4 by
+    ``check_plan`` (ConvergenceError above `tolerance`): the plan is made
+    once, at that resolution, and its coarse twin steps at about
+    `points_per_cycle`. A lone leading ``load nbar=`` leaves no plan, and
+    both differences read 0. Returns (closed-form rotating-frame trace,
+    half-step difference); its meta holds both as "convergence_rel_diff"
+    and "exact_rk4_max_diff"."""
+    pieces, state, plan = _plan(seq, 2 * points_per_cycle, flux_calib)
+    rel = diff = 0.0
+    if plan:
+        checked, rel, diff = check_plan(state, (seq.mode_a, seq.mode_b), plan, tolerance)
+        pieces.append(checked)
+    trace = _join(seq, 2 * points_per_cycle, pieces)
     trace.meta.update(convergence_rel_diff=rel, exact_rk4_max_diff=diff)
     return trace, rel
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from cavityswap import cli, experiments, fluxmap, sequences, textio
 from cavityswap.cli import main
 from cavityswap.core import ComplexAmplitudePair, PumpDrive, ValidationError
-from cavityswap.dynamics import (SimConfig, TraceRecord, integrate_checked,
+from cavityswap.dynamics import (SimConfig, TraceRecord, check_exact, exact_segment,
+                                 half_step_config, integrate_checked, max_step,
                                  reflection_spectrum)
 from cavityswap.experiments import (RUNNERS, parse_config_file, resolve_config,
                                     run_chevron, run_phase_sweep,
@@ -257,7 +258,7 @@ class TestExactSweepsMatchRk4:
                 coupler, delta_phi=fluxmap.pump_power_to_flux(p, cfg["flux_calib"])))
             t_end = cfg["n_cycles"] * TWO_PI / (2.0 * g)
             old = _rk4_swap_trace(cfg, g, 0.0, t_end, 1.0)
-            new = experiments._swap_point(cfg, g, 0.0, t_end, 1.0)
+            new = experiments.run_plan(*experiments._swap_problem(cfg, g, 0.0, t_end, 1.0))
             assert np.array_equal(new.t, old.t)
             assert np.max(np.abs(new.energy_a - old.energy_a)) <= 1e-10
             ea, total, dt_rec, _ = experiments._swap_energies(old)
@@ -432,7 +433,8 @@ class TestAxisColumns:
         map_rows = []
         ridge_rows = []
         for delta in deltas:
-            trace = experiments._swap_point(cfg, g, delta, cfg["t_end"], math.sqrt(cfg["nbar"]))
+            trace = experiments.run_plan(*experiments._swap_problem(
+                cfg, g, delta, cfg["t_end"], math.sqrt(cfg["nbar"])))
             ea, total, dt_rec, _ = experiments._swap_energies(trace)
             omega_e = experiments._swap_oscillation_frequency(ea, total, dt_rec)
             ridge_rows.append("%.17g,%.17g\n" % (delta / TWO_PI, omega_e / TWO_PI))
@@ -704,18 +706,45 @@ class TestSwapOracle:
                                               ("power_sweep", SMALL_POWER)])
     def test_one_oracle_call_per_runner(self, tmp_path, monkeypatch, runner, small):
         pump_deltas = []
+        check_plan = experiments.check_plan
 
-        def recording(*args, **kwargs):
-            pump_deltas.append(args[2].delta)
-            return integrate_checked(*args, **kwargs)
+        def recording(initial, modes, plan, tolerance):
+            pump_deltas.append(plan[0][0].delta)
+            return check_plan(initial, modes, plan, tolerance)
 
-        monkeypatch.setattr(experiments, "integrate_checked", recording)
+        monkeypatch.setattr(experiments, "check_plan", recording)
         cfg = resolve_config(runner, small)
         results = RUNNERS[runner](cfg, tmp_path)
         # one call, at zero pump detuning (the middle of the chevron sweep)
         assert pump_deltas == [0.0]
         assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
         assert 0.0 < results["convergence_rel_diff"] < 1e-8
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(g=st.floats(0.5, 2.0), delta=st.floats(-3.0, 3.0), t_end=st.floats(0.3, 2.0),
+           points_per_cycle=st.integers(50, 400))
+    @example(g=2.0, delta=0.0, t_end=4.0, points_per_cycle=1000)  # record stride 3
+    def test_check_plan_is_the_old_composition(self, g, delta, t_end, points_per_cycle):
+        # g and delta drawn in MHz, t_end in us; a tolerance no difference reaches
+        cfg = resolve_config("chevron", {"points_per_cycle": str(points_per_cycle),
+                                         "tolerance": "1"})
+        g, delta, t_end = TWO_PI * 1e6 * g, TWO_PI * 1e6 * delta, 1e-6 * t_end
+        trace, rel, diff = experiments.check_plan(
+            *experiments._swap_problem(cfg, g, delta, t_end, 1.5), cfg["tolerance"])
+        # the reference, composed by hand: the closed form on the half-step
+        # grid, the public integrate_checked and check_exact
+        modes, pump = experiments._modes(cfg), PumpDrive(g, delta)
+        dt = max_step(*modes, pump, points_per_cycle=points_per_cycle)
+        config = SimConfig(dt, t_end, 0.0, max(1, math.ceil(t_end / dt) // 4096),
+                           cfg["tolerance"])
+        init = ComplexAmplitudePair(1.5 + 0j, 0j, 0.0)
+        exact = exact_segment(init, modes, pump, None, half_step_config(config))
+        rk4, old_rel = integrate_checked(init, modes, pump, None, config)
+        old_diff = check_exact(exact.a, exact.b, rk4, cfg["tolerance"])
+        for key in ("t", "a", "b", "a_out"):
+            assert getattr(trace, key).tobytes() == getattr(exact, key).tobytes()
+        assert (rel, diff) == (old_rel, old_diff)
+        assert 0.0 < rel < 1.0 and 0.0 < diff < 1.0
 
     def test_power_sweep_refuses_a_silent_power(self, tmp_path, monkeypatch, capsys):
         # g_P = 0 at the middle power: it has no swap to time, where the
@@ -768,7 +797,8 @@ class TestSwapSweep:
         cfg = resolve_config("chevron", SMALL_CHEVRON)
         g = experiments._resolve_gp(cfg)
         silent = -0.25 * cfg["delta_span"]
-        trace = experiments._swap_point(cfg, g, silent, cfg["t_end"], math.sqrt(cfg["nbar"]))
+        trace = experiments.run_plan(*experiments._swap_problem(
+            cfg, g, silent, cfg["t_end"], math.sqrt(cfg["nbar"])))
         dt_silent = experiments._swap_energies(trace)[2]
         oscillation_frequency = experiments.oscillation_frequency
 
@@ -977,6 +1007,13 @@ class TestCli:
         ("chevron", "t_end = 1e10s\ndelta_count = 3"),
         ("power_sweep", "power_start = -400dBm\npower_stop = -399dBm\npower_count = 3\n"
                         "n_cycles = 3"),
+        # a points_per_cycle whose coarse RK4 step does not resolve the
+        # fastest rate (ResolutionError): the coarse twin of check_plan
+        # requests that step
+        ("chevron", "points_per_cycle = 49"),
+        ("power_sweep", "points_per_cycle = 49"),
+        ("store_retrieve", "points_per_cycle = 30"),
+        ("custom_sequence", "points_per_cycle = 30"),
         # sweeps too short for their fits
         ("store_retrieve", "delay_count = 3"),
         ("phase_sweep", "phase_count = 2"),

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityswap.experiments import (RUNNERS, _resolve_gp, _swap_energies, _swap_point,
+from cavityswap.experiments import (RUNNERS, _resolve_gp, _swap_energies, _swap_problem,
                                     resolve_config)
-from cavityswap.sequences import parse_sequence, run_sequence, run_sequence_checked
+from cavityswap.sequences import parse_sequence, run_plan, run_sequence, run_sequence_checked
 
 # a direct load leaves mode A at |a|^2 = 4, so every segment kind below
 # acts on a nonzero state
@@ -73,7 +73,8 @@ class TestDetuningMirror:
             "q_int_a": f"{q_int:.6g}", "q_ext_a": f"{q_ext:.6g}", "t1_b": f"{t1:.6g}us",
             "nbar": f"{nbar:.6g}", "pump_power": f"{power:.6g}dBm", "t_end": f"{t_end:.6g}us"})
         g, delta = _resolve_gp(cfg), 2.0 * math.pi * 1e3 * delta  # delta drawn in kHz
-        plus, minus = (_swap_energies(_swap_point(cfg, g, d, cfg["t_end"], math.sqrt(cfg["nbar"])))
+        plus, minus = (_swap_energies(run_plan(*_swap_problem(cfg, g, d, cfg["t_end"],
+                                                              math.sqrt(cfg["nbar"]))))
                        for d in (delta, -delta))
         assert plus[2:] == minus[2:]  # dt and the least total energy
         assert np.array_equal(plus[0], minus[0]) and np.array_equal(plus[1], minus[1])

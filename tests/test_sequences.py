@@ -367,11 +367,20 @@ class TestClosedFormSequences:
     def test_matches_the_all_rk4_path(self, text):
         seq = parse_sequence(text)
         exact = run_sequence(seq)
-        rk4 = sequences._rk4_oracle(seq, 400)
+        rk4 = _rk4_oracle(seq, 400)
         assert np.array_equal(exact.t, rk4.t)
         peak = float(np.max(np.hypot(np.abs(exact.a), np.abs(exact.b))))
         assert np.max(np.hypot(np.abs(exact.a - rk4.a), np.abs(exact.b - rk4.b))) < 1e-8 * peak
         assert np.max(np.abs(exact.a_out - rk4.a_out)) < 1e-8 * np.max(np.abs(rk4.a_out))
+
+
+def _rk4_oracle(seq, points_per_cycle):
+    """The all-RK4 trace of `seq`: its plan in one ``rk4_trace``, joined to
+    the trace of a leading direct load."""
+    pieces, state, plan = sequences._plan(seq, points_per_cycle, fluxmap.DEFAULT_FLUX_CALIB)
+    if plan:
+        pieces.append(dynamics.rk4_trace(state, (seq.mode_a, seq.mode_b), plan))
+    return sequences._join(seq, points_per_cycle, pieces)
 
 
 @st.composite
@@ -475,7 +484,7 @@ class TestBatchedOracle:
             if block is not None:
                 mp.setattr(dynamics, "_BLOCK", block)
             mp.setattr(dynamics, "_scan", sizing)
-            rk4 = sequences._rk4_oracle(seq, 400)
+            rk4 = _rk4_oracle(seq, 400)
         t, a, b, a_out = _scalar_chain(seq, 400)
         # one block of maps per _BLOCK steps, counted over the whole sequence
         steps = rk4.t.size - 1 - ("nbar" in seq.segments[0].params)
@@ -497,7 +506,7 @@ class TestBatchedOracle:
     ])
     def test_one_segment_is_integrate_bit_for_bit(self, text, steps):
         seq = parse_sequence(text)
-        rk4 = sequences._rk4_oracle(seq, 400)
+        rk4 = _rk4_oracle(seq, 400)
         pump, drive, cfg = _segment_problems(seq, 400)[-1]
         k = -1 - dynamics._steps(cfg)[0]  # the sample the segment starts from
         start = ComplexAmplitudePair(rk4.a[k], rk4.b[k], cfg.t_start)
@@ -514,7 +523,7 @@ class TestBatchedOracle:
         # points_per_cycle with the finer RK4 run sample by sample
         seq = parse_sequence(text)
         exact = run_sequence(seq, points_per_cycle=800)
-        assert exact.t.tobytes() == sequences._rk4_oracle(seq, 800).t.tobytes()
+        assert exact.t.tobytes() == _rk4_oracle(seq, 800).t.tobytes()
 
     def test_a_lone_direct_load_leaves_an_empty_plan(self):
         seq = parse_sequence("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
@@ -545,6 +554,45 @@ class TestBatchedOracle:
         first = dynamics.record_times(cfg)[1]
         with pytest.raises(IntegrationDivergedError, match=f"non-finite state at t={first:.6e} s"):
             run_sequence_checked(seq)
+
+
+class TestCheckPlan:
+    """``run_sequence_checked`` plans once, at twice its points_per_cycle,
+    and ``check_plan`` runs that plan and its coarse twin, the same plan
+    with every requested step doubled, in one ``rk4_trace`` each."""
+
+    # a delay so short that its step is set by the floor of 8 steps
+    TEXT = ("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\nmode B freq=9.33GHz t1=14.9us\n"
+            "seg load dur=1us nbar=4\nseg swap dur=0.2us gp=1.2MHz\nseg delay dur=20ns\n"
+            "seg swap dur=0.2us gp=1.2MHz phase=90deg\nseg readout dur=1us\n")
+
+    def test_the_sequence_is_planned_once(self, monkeypatch):
+        resolutions = []
+        plan = sequences._plan
+
+        def counting(seq, points_per_cycle, flux_calib):
+            resolutions.append(points_per_cycle)
+            return plan(seq, points_per_cycle, flux_calib)
+
+        monkeypatch.setattr(sequences, "_plan", counting)
+        run_sequence_checked(parse_sequence(self.TEXT), points_per_cycle=400)
+        assert resolutions == [800]
+
+    def test_the_coarse_twin_takes_half_the_steps_of_each_segment(self, monkeypatch):
+        steps = []  # the RK4 steps of each segment, per rk4_trace
+        rk4_trace = sequences.rk4_trace
+
+        def counting(initial, modes, plan):
+            steps.append([dynamics._steps(config)[0] for _, _, config in plan])
+            return rk4_trace(initial, modes, plan)
+
+        monkeypatch.setattr(sequences, "rk4_trace", counting)
+        run_sequence_checked(parse_sequence(self.TEXT))
+        fine, coarse = sorted(steps, key=sum, reverse=True)
+        assert coarse == [(n + 1) // 2 for n in fine]
+        # the delay (the second planned segment: the load is direct) takes
+        # its floor of 8 steps in the oracle, and 4 in the twin
+        assert (fine[1], coarse[1]) == (8, 4)
 
 
 class TestLabFrame:
