@@ -109,6 +109,9 @@ _SCHEMAS = {
 # fewest sweep points: the decay fit needs 4 delays, the phase-slope fit 3 phases
 _SWEEP_MIN = {"probe_count": 2, "pump_count": 2, "delta_count": 2, "power_count": 2,
               "delay_count": 4, "phase_count": 3}
+# most points of any one sweep, checked before any array is built: a count
+# like 1e12 fails to allocate or fills memory
+_SWEEP_MAX = 100_000
 
 _KIND_UNITS = {"freq": "Hz", "time": "s", "power_dbm": "dBm"}  # rendering units
 
@@ -175,6 +178,9 @@ def _validate_config(runner, cfg):
     for key, least in _SWEEP_MIN.items():
         if key in cfg and cfg[key] < least:
             raise ValidationError(f"sweep count {key} must be >= {least}")
+        if key in cfg and cfg[key] > _SWEEP_MAX:
+            raise ValidationError(f"sweep count {key} must be <= {_SWEEP_MAX}, "
+                                  f"got {cfg[key]}")
     if cfg.get("points_per_cycle", 1) < 1:
         raise ValidationError("points_per_cycle must be >= 1")
     for key in ("tolerance", "nbar"):

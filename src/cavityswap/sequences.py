@@ -145,24 +145,33 @@ def _mode_from_spec(spec) -> ModeParams:
     return ModeParams(omega, gamma_int, gamma_ext)
 
 
-def _parse_kv(tokens, allowed, lineno):
-    """Parse (column, token) pairs of key=value tokens into quantities."""
+def _column(line, index):
+    """1-based column of the `index`-th whitespace-separated token of
+    `line`; worked out only for an error, by one scan of that line."""
+    return list(re.finditer(r"\S+", line))[index].start() + 1
+
+
+def _parse_kv(line, tokens, allowed, lineno):
+    """Parse the key=value tokens of `line`, its third token on, into
+    quantities."""
     params = {}
-    for col, tok in tokens:
+    for k, tok in enumerate(tokens[2:], start=2):
         key, eq, val = tok.partition("=")
         if eq != "=" or not val:
-            raise SequenceSyntaxError(f"expected key=value, got {tok!r}", lineno, col)
+            raise SequenceSyntaxError(f"expected key=value, got {tok!r}", lineno,
+                                      _column(line, k))
         if key not in allowed:
-            raise SequenceSyntaxError(f"unknown key {key!r}", lineno, col)
+            raise SequenceSyntaxError(f"unknown key {key!r}", lineno, _column(line, k))
         if key in params:
-            raise SequenceSyntaxError(f"duplicate key {key!r}", lineno, col)
+            raise SequenceSyntaxError(f"duplicate key {key!r}", lineno, _column(line, k))
         try:
             q = parse_quantity(val)
         except ValueError as exc:
-            raise SequenceSyntaxError(str(exc), lineno, col) from exc
+            raise SequenceSyntaxError(str(exc), lineno, _column(line, k)) from exc
         if q.kind != allowed[key]:
             raise SequenceSyntaxError(
-                f"{key!r} requires a {allowed[key]} value, got {val!r}", lineno, col)
+                f"{key!r} requires a {allowed[key]} value, got {val!r}", lineno,
+                _column(line, k))
         params[key] = q
     return params
 
@@ -172,12 +181,10 @@ def parse_sequence(text: str) -> PulseSequence:
     mode_specs = {}
     segments = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0]
+        tokens = line.split()  # the same tokens as \S+
+        if not tokens:
             continue
-        found = list(re.finditer(r"\S+", line))
-        tokens = [m.group() for m in found]
-        kv_tokens = [(m.start() + 1, m.group()) for m in found[2:]]
         head = tokens[0]
         if head == "mode":
             if len(tokens) < 2 or tokens[1] not in ("A", "B"):
@@ -185,7 +192,7 @@ def parse_sequence(text: str) -> PulseSequence:
             name = tokens[1]
             if name in mode_specs:
                 raise SequenceSyntaxError(f"mode {name} defined twice", lineno, 1)
-            spec = _parse_kv(kv_tokens, _MODE_KEYS, lineno)
+            spec = _parse_kv(line, tokens, _MODE_KEYS, lineno)
             if "freq" not in spec:
                 raise SequenceSyntaxError(f"mode {name} needs freq=", lineno, 1)
             mode_specs[name] = spec
@@ -195,7 +202,7 @@ def parse_sequence(text: str) -> PulseSequence:
                     f"unknown segment kind {tokens[1] if len(tokens) > 1 else ''!r}",
                     lineno, 1)
             kind = tokens[1]
-            params = _parse_kv(kv_tokens, _SEG_KEYS[kind], lineno)
+            params = _parse_kv(line, tokens, _SEG_KEYS[kind], lineno)
             if "dur" not in params:
                 raise SequenceSyntaxError(f"{kind} segment needs dur=", lineno, 1)
             segments.append(Segment(kind, params))
@@ -248,8 +255,13 @@ def validate_sequence(seq: PulseSequence):
 def emit_sequence(seq: PulseSequence) -> str:
     """Render a PulseSequence back to file text (canonical key order).
 
-    parse -> emit -> parse is a fixed point; files already written in the
-    canonical format round-trip byte-identically.
+    Each value is written in its original unit to 12 significant digits,
+    so emit is lossy for a value given to more: ``dur=0.4123456789012345us``
+    re-parses as 4.1234567890099996e-07 s where it first parsed as
+    4.123456789012345e-07 s, and ``freq=8.70000000000013GHz`` is written
+    ``8.7GHz``. The text is a fixed point after one emit:
+    emit(parse(emit(parse(text)))) == emit(parse(text)), and files already
+    written in the canonical format round-trip byte-identically.
     """
     lines = []
     for name in ("A", "B"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -19,10 +19,11 @@ class UnitError(ValueError):
     """Raised for malformed numeric tokens or unknown unit suffixes."""
 
 
-# unit -> (kind, scale to internal units)
+# unit -> (kind, scale to internal units); "" is a bare, dimensionless number.
 # frequency-like values become angular rad/s, times seconds, angles radians.
 # dBm is kept as-is; the flux-coupling module owns the power conversion.
 _UNITS = {
+    "": ("dimensionless", 1.0),
     "GHz": ("freq", TWO_PI * 1e9),
     "MHz": ("freq", TWO_PI * 1e6),
     "kHz": ("freq", TWO_PI * 1e3),
@@ -38,9 +39,11 @@ _UNITS = {
 _NUM_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """A parsed value: internal-unit magnitude plus the unit it was written in."""
+class Quantity(NamedTuple):
+    """A parsed value: internal-unit magnitude plus the unit it was written in.
+
+    A named tuple, immutable and cheap to build: every token of a sequence
+    file makes one."""
 
     value: float  # internal units (rad/s, s, rad, dBm, or dimensionless)
     unit: str  # original unit suffix; "" for dimensionless
@@ -50,9 +53,9 @@ class Quantity:
     def of(cls, value: float, unit: str) -> "Quantity":
         """The quantity of internal-unit `value` written in `unit` ("" for
         dimensionless); the kind follows from the unit."""
-        if unit and unit not in _UNITS:
+        if unit not in _UNITS:
             raise UnitError(f"unknown unit {unit!r}")
-        return cls(value, unit, _UNITS[unit][0] if unit else "dimensionless")
+        return cls(value, unit, _UNITS[unit][0])
 
     def render(self) -> str:
         """Format back into the token form, in the original unit."""
@@ -67,16 +70,14 @@ def parse_quantity(token: str) -> Quantity:
     as written (``1e999``) or once scaled to internal units (``1e300GHz``).
     """
     m = _NUM_RE.match(token)
-    if m is None or m.start() != 0:
+    if m is None:
         raise UnitError(f"malformed numeric value {token!r}")
     suffix = token[m.end():]
-    if suffix == "":
-        kind, scale = "dimensionless", 1.0
-    elif suffix in _UNITS:
-        kind, scale = _UNITS[suffix]
-    else:
+    known = _UNITS.get(suffix)
+    if known is None:
         raise UnitError(f"unknown unit {suffix!r} in {token!r}")
-    value = float(m.group(0)) * scale
+    kind, scale = known
+    value = float(m.group()) * scale
     if not math.isfinite(value):
         raise UnitError(f"numeric value {token!r} is out of range")
     return Quantity(value, suffix, kind)
@@ -84,13 +85,15 @@ def parse_quantity(token: str) -> Quantity:
 
 def si_to_unit(value: float, unit: str) -> float:
     """Convert an internal-unit value back to the magnitude in `unit`."""
-    if unit == "":
-        return value
     if unit not in _UNITS:
         raise UnitError(f"unknown unit {unit!r}")
     return value / _UNITS[unit][1]
 
 
 def format_quantity(value: float, unit: str) -> str:
-    """Render an internal-unit value as a ``<number><unit>`` token."""
-    return f"{si_to_unit(value, unit):.12g}{unit}"
+    """Render an internal-unit value as a ``<number><unit>`` token: its
+    magnitude in `unit` to 12 significant digits."""
+    known = _UNITS.get(unit)
+    if known is None:
+        raise UnitError(f"unknown unit {unit!r}")
+    return f"{value / known[1]:.12g}{unit}"

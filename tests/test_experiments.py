@@ -57,6 +57,17 @@ class TestConfigResolution:
         with pytest.raises(ValidationError, match="sweep count"):
             resolve_config("splitting", {"probe_count": "1"})
 
+    @pytest.mark.parametrize("runner,key", [
+        ("splitting", "probe_count"), ("splitting", "pump_count"),
+        ("chevron", "delta_count"), ("power_sweep", "power_count"),
+        ("store_retrieve", "delay_count"), ("phase_sweep", "phase_count")])
+    def test_sweep_counts_are_bounded(self, runner, key):
+        # the bound itself resolves; one more is refused, naming key and bound
+        assert resolve_config(runner, {key: "1e5"})[key] == 100_000
+        with pytest.raises(ValidationError,
+                           match=f"sweep count {key} must be <= 100000, got 100001"):
+            resolve_config(runner, {key: "100001"})
+
     def test_determinism_cannot_be_disabled(self):
         with pytest.raises(ValidationError, match="deterministic"):
             resolve_config("splitting", {"deterministic": "false"})
@@ -1017,6 +1028,13 @@ class TestCli:
         # sweeps too short for their fits
         ("store_retrieve", "delay_count = 3"),
         ("phase_sweep", "phase_count = 2"),
+        # sweeps above the count bound, which would fail to allocate (exit 1)
+        # or fill memory
+        ("splitting", "probe_count = 1e12"),
+        ("power_sweep", "power_count = 1e15"),
+        ("phase_sweep", "phase_count = 1e12"),
+        ("store_retrieve", "delay_count = 1e12"),
+        ("chevron", "delta_count = 1e12"),
         # a delay sweep that does not increase
         ("store_retrieve", "delay_start = 55us\ndelay_stop = 1us"),
         ("store_retrieve", "delay_start = 5us\ndelay_stop = 5us"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ seg delay dur=2us
 seg swap dur=0.2037us gp=1.2MHz delta=0Hz phase=90deg
 seg readout dur=4us
 """
+
+
+MODES = "mode A freq=8.7GHz q_ext=50e3\nmode B freq=9.33GHz\n"
 
 
 class TestParsing:
@@ -73,6 +77,60 @@ class TestParsing:
         with pytest.raises(SequenceSyntaxError, match="duplicate key") as exc:
             parse_sequence(text)
         assert (exc.value.line, exc.value.col) == (8, 40)
+
+    # messages, lines and columns as the \S+ tokenizer gave them; the line
+    # splitter breaks lines at \x0b, \x0c and \x85 too
+    @pytest.mark.parametrize("text,message,line,col", [
+        (MODES + "seg load dur=1us nbar=1 nbar=2", "duplicate key 'nbar'", 3, 25),
+        (MODES + "seg load dur=1us  nbar=x", "malformed numeric value 'x'", 3, 19),
+        (MODES + "seg load dur=1us \tfoo=1", "unknown key 'foo'", 3, 19),
+        (MODES + "seg load dur=1us\t\tfoo=1", "unknown key 'foo'", 3, 19),
+        (MODES + "seg delay dur=1e999us", "numeric value '1e999us' is out of range", 3, 11),
+        (MODES + "seg", "unknown segment kind ''", 3, 1),
+        (MODES + "seg  \t", "unknown segment kind ''", 3, 1),
+        (MODES + "mode A freq=8.7GHz", "mode A defined twice", 3, 1),
+        (MODES + "seg load dur=1us\x0bnbar=1 nbar=2", "unknown directive 'nbar=1'", 4, 1),
+        (MODES + "seg load dur=1us\x0cfoo=1", "unknown directive 'foo=1'", 4, 1),
+        (MODES + "seg load dur=1us\x85nbar=1", "unknown directive 'nbar=1'", 4, 1),
+        (MODES + "seg load\xa0dur=1us\xa0nbar=1\xa0nbar=2", "duplicate key 'nbar'", 3, 25),
+        (MODES + "seg load dur=1us\x1fnbar=1\x1fnbar=2", "duplicate key 'nbar'", 3, 25),
+        (MODES + "seg load\u3000dur=1us\u2003foo=1", "unknown key 'foo'", 3, 18),
+        (MODES + "seg delay dur=1us nbar=1 # x", "unknown key 'nbar'", 3, 19),
+        (MODES + "seg delay dur=1us # nbar=1 foo=2\nseg delay dur=1us nbar=1",
+         "unknown key 'nbar'", 4, 19),
+        (MODES + "  seg delay dur=1us nbar", "expected key=value, got 'nbar'", 3, 21),
+        (MODES + "seg delay dur=1us =1", "unknown key ''", 3, 19),
+        (MODES + "seg delay dur=1us dur=", "expected key=value, got 'dur='", 3, 19),
+        (MODES + "seg swap dur=1us gp=1.2us", "'gp' requires a freq value, got '1.2us'",
+         3, 18),
+        (MODES + "seg swap dur=1us gp=1.2mhz", "unknown unit 'mhz' in '1.2mhz'", 3, 18),
+        (MODES + "seg swap dur=1us gp=1e300GHz", "numeric value '1e300GHz' is out of range",
+         3, 18),
+        (MODES + "seg swap dur=1us gp=.GHz", "malformed numeric value '.GHz'", 3, 18),
+        (MODES + "seg swap dur=1us gp=1MHz delta=0x10Hz", "unknown unit 'x10Hz' in '0x10Hz'",
+         3, 26),
+        (MODES + "seg swap dur=1us gp=1MHz delta=1e5", "'delta' requires a freq value, got '1e5'",
+         3, 26),
+        (MODES + "seg swap dur=1us gp=1MHz phase=90deg phase=1rad", "duplicate key 'phase'",
+         3, 38),
+        (MODES + "seg swap dur=1us gp=+1.MHz power=-5dBm ramp=0.1us ramp=0.2us",
+         "duplicate key 'ramp'", 3, 51),
+        (MODES + "seg swap dur=1us\n  seg warmup dur=1us", "unknown segment kind 'warmup'",
+         4, 1),
+        (MODES + "seg load dur=1us nbar=1\n" * 3 + "seg readout dur=1us amp=1",
+         "unknown key 'amp'", 6, 21),
+        (MODES + "seg load nbar=1", "load segment needs dur=", 3, 1),
+        (MODES + "pulse load dur=1us", "unknown directive 'pulse'", 3, 1),
+        (MODES + "mode C freq=1GHz", "mode line needs a name, A or B", 3, 1),
+        ("mode\n", "mode line needs a name, A or B", 1, 1),
+        ("mode A q_ext=50e3\n", "mode A needs freq=", 1, 1),
+        ("  mode B freq=9.33GHz t1=14.9us t1=1us\n", "duplicate key 't1'", 1, 33),
+    ])
+    def test_syntax_error_message_line_and_col(self, text, message, line, col):
+        with pytest.raises(SequenceSyntaxError) as exc:
+            parse_sequence(text)
+        assert str(exc.value) == f"{message} (line {line}, col {col})"
+        assert (exc.value.line, exc.value.col) == (line, col)
 
     def test_mode_b_must_lie_above_mode_a(self):
         # the equations hold only for w_B > w_A: run anyway, this pi pulse
@@ -126,7 +184,112 @@ class TestParsing:
             parse_sequence(BASIC.replace("t1=14.9us", loss))
 
 
+# unit -> (decade of its scale, scale to internal units), as documented in units
+UNIT_SCALES = {"GHz": (9, TWO_PI * 1e9), "MHz": (6, TWO_PI * 1e6), "kHz": (3, TWO_PI * 1e3),
+               "Hz": (0, TWO_PI), "us": (-6, 1e-6), "ns": (-9, 1e-9), "s": (0, 1.0),
+               "deg": (0, math.pi / 180.0), "rad": (0, 1.0), "dBm": (0, 1.0), "": (0, 1.0)}
+KIND_UNITS = {"freq": ["GHz", "MHz", "kHz", "Hz"], "time": ["us", "ns", "s"],
+              "angle": ["deg", "rad"], "power_dbm": ["dBm"], "dimensionless": [""]}
+# whitespace that separates tokens without breaking the line
+SPACES = " \t\x1f\xa0\u2003\u3000"
+
+
+@st.composite
+def written_values(draw, kind, decade, signed=False):
+    """(number, unit) of a value of `kind` whose internal magnitude lies in
+    [10**decade, 10**(decade + 1)) (Hz for a frequency), in any unit of the
+    kind, written with 1-17 significant digits, with or without a point, a
+    sign, leading zeros and an exponent."""
+    unit = draw(st.sampled_from(KIND_UNITS[kind]))
+    decade -= UNIT_SCALES[unit][0]
+    n = draw(st.integers(1, 17))
+    digits = str(draw(st.integers(10 ** (n - 1), 10 ** n - 1)))
+    point = draw(st.integers(0, n))  # digits before the point
+    exponent = decade - point + 1
+    mantissa = draw(st.sampled_from(["", "0"])) + digits[:point] + "." + digits[point:]
+    if point == n and draw(st.booleans()):
+        mantissa = mantissa[:-1]
+    text = draw(st.sampled_from(["", "+", "-"] if signed else ["", "+"])) + mantissa
+    if exponent != 0 or draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + ("-" if exponent < 0 else
+                                              draw(st.sampled_from(["", "+"])))
+        text += draw(st.sampled_from(["", "0"])) + str(abs(exponent))
+    return text, unit
+
+
+@st.composite
+def written_sequences(draw):
+    """(text, values) of a valid sequence file that may use every key and
+    unit, with random whitespace, blank lines and comments; values holds
+    (mode name or segment index, key, number, unit) of each token."""
+    values = []
+    lines = []
+
+    def line(where, head, params):
+        tokens = list(head)
+        for key, (kind, decade, *signed) in draw(st.permutations(list(params.items()))):
+            number, unit = draw(written_values(kind, decade, *signed))
+            values.append((where, key, number, unit))
+            tokens.append(f"{key}={number}{unit}")
+        spaces = st.text(SPACES, min_size=1, max_size=3)
+        text = draw(st.text(SPACES, max_size=2))
+        text += "".join(tok + draw(spaces) for tok in tokens[:-1]) + tokens[-1]
+        text += draw(st.text(SPACES, max_size=2))
+        if draw(st.booleans()):
+            text += "#" + draw(st.sampled_from(["", " dur=1 x", "#", "nbar=?"]))
+        lines.append(text)
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# note", "\t", " # seg x"])))
+
+    for name, decade in (("A", 9), ("B", 10)):  # w_A < w_B
+        params = {"freq": ("freq", decade)}
+        internal = draw(st.sampled_from([None, "q_int", "t1", "gamma_int"]))
+        params.update({"q_int": {"q_int": ("dimensionless", draw(st.integers(3, 6)))},
+                       "t1": {"t1": ("time", draw(st.integers(-6, -4)))},
+                       "gamma_int": {"gamma_int": ("freq", draw(st.integers(2, 5)))},
+                       None: {}}[internal])
+        external = draw(st.sampled_from([None, "q_ext", "gamma_ext"]))
+        params.update({"q_ext": {"q_ext": ("dimensionless", draw(st.integers(3, 6)))},
+                       "gamma_ext": {"gamma_ext": ("freq", draw(st.integers(2, 5)))},
+                       None: {}}[external])
+        line(name, ["mode", name], params)
+    for index in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["load", "swap", "delay", "readout"]))
+        dur = draw(st.integers(-8, -5))
+        params = {"dur": ("time", dur)}
+        if kind == "load":
+            params.update(draw(st.sampled_from([{"nbar": ("dimensionless", 0)},
+                                                {"amp": ("dimensionless", 2, True)}])))
+            if draw(st.booleans()):
+                params["freq"] = ("freq", 9)
+        elif kind == "swap":
+            params.update(draw(st.sampled_from([{"gp": ("freq", 5)},
+                                                {"power": ("power_dbm", 1, True)}])))
+            optional = {"delta": ("freq", 4, True), "phase": ("angle", 0, True),
+                        "ramp": ("time", dur - 2)}  # ramp < dur / 10
+            for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+                params[key] = optional[key]
+        line(index, ["seg", kind], params)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), values
+
+
 class TestEmit:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(written=written_sequences())
+    def test_written_files_parse_exactly_and_emit_a_fixed_point(self, written):
+        text, values = written
+        for raw in text.splitlines():
+            assert raw.split() == re.findall(r"\S+", raw)
+        seq = parse_sequence(text)
+        for where, key, number, unit in values:
+            params = seq.mode_specs[where] if where in ("A", "B") else \
+                seq.segments[where].params
+            q = params[key]
+            assert q.unit == unit
+            assert q.value == float(number) * UNIT_SCALES[unit][1]  # bit for bit
+        once = emit_sequence(seq)
+        assert emit_sequence(parse_sequence(once)) == once
+
     def test_parse_emit_is_a_fixed_point(self):
         seq = parse_sequence(BASIC)
         text1 = emit_sequence(seq)
