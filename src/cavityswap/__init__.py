@@ -14,7 +14,7 @@ The package is organised bottom-up:
   tone, and the steady-state reflection spectrum,
 * :mod:`cavityswap.sequences` -- pulse-sequence files, execution, and
   swap calibration,
-* :mod:`cavityswap.analysis` -- oscillation/decay/phase fits, dwell
+* :mod:`cavityswap.analysis` -- swap-frequency pencil, decay/phase fits, dwell
   times and the loss-corrected efficiency,
 * :mod:`cavityswap.experiments` -- config-driven measurement runners
   (also exposed through the ``cavityswap`` command-line tool).
@@ -29,7 +29,7 @@ from .dynamics import (ConvergenceError, DriveTone, IntegrationDivergedError,
                        ResolutionError, SimConfig, SingularSteadyStateError,
                        TraceRecord, integrate, integrate_checked,
                        max_step, propagate_load, propagate_swap,
-                       rabi_frequency, reflection_spectrum)
+                       rabi_frequency, reflection_spectrum, swap_frequency)
 from .fluxmap import (DEFAULT_FLUX_CALIB, CouplerPullCurve,
                       DegenerateBiasWarning, calibrated_curves, coupling_rate,
                       flux_for_pump_power, max_slope_bias, pump_power_to_flux)

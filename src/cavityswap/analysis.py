@@ -1,8 +1,8 @@
 """Extraction of derived quantities from simulated traces.
 
-Covers the swap-oscillation frequency (FFT peak with quadratic
-refinement, zero-padded to the smallest 2^i 3^j 5^k length of at least
-8x the series), exponential energy-decay fits (variable projection: a
+Covers the swap-oscillation frequency (a matrix pencil on a decimated
+series that is a sum of damped exponentials, such as |a|^2 under a
+constant pump), exponential energy-decay fits (variable projection: a
 grid of decay rates, then bracketed Newton steps on the rate), the dwell
 times and loss-corrected storage/retrieval efficiency, and the
 pump-phase response slope. The three estimators refuse NaN and infinite
@@ -26,6 +26,16 @@ _DECAY_MIN_SPREAD = 1e-12
 # searches, 10 a decade: at 1e-9 the decay's curvature is below rounding, and
 # at 1e6 it has died (k s > 37) by the second of up to 25,000 even samples
 _DECAY_RATES = np.geomspace(1e-9, 1e6, 151)
+# the pencil of oscillation_frequency: Hankel columns (room for the four
+# exponents of a swap's |a|^2 and margin), samples a cycle of the bounding
+# rate after decimation, and the singular values above this fraction of
+# the largest that count toward the rank: a thousand times the rounding
+# floor of a closed-form |a|^2 (below 1e-15), and low enough to keep the
+# two real exponents of a window under one cycle apart (at 1e-10 they
+# merge, and W is off by up to 1e-4)
+_PENCIL_COLUMNS = 13
+_PENCIL_PER_CYCLE = 8
+_PENCIL_CUTOFF = 1e-12
 
 
 class NoOscillationError(ValueError):
@@ -55,59 +65,55 @@ def _finite(values, what):
     return x
 
 
-def fft_length(n: int) -> int:
-    """Smallest 2^i 3^j 5^k >= `n`: a length the FFT factors into small
-    radices (Frigo & Johnson, Proc. IEEE 93, 216, 2005)."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < n:
-            # p35 times the least power of two that reaches n
-            m = p35 << ((n - 1) // p35).bit_length()
-            if m < best:
-                best = m
-            p35 *= 3
-        if p35 < best:
-            best = p35
-        p5 *= 5
-    return best
+def oscillation_frequency(series, dt: float, rate: float, tolerance: float) -> float:
+    """Oscillation frequency W (rad/s) of a sum of damped exponentials
+    sampled every `dt`, such as |a|^2 of a swap under a constant pump.
 
-
-def oscillation_frequency(series, dt: float) -> float:
-    """Dominant oscillation frequency (rad/s) of a uniformly sampled series.
-
-    Removes the mean and linear ramp, normalizes, applies a Hann window,
-    zero-pads to ``fft_length(8 n)`` samples, and refines the spectral peak
-    by quadratic interpolation of the log magnitudes of the three bins
-    around it (Gasior & Gonzalez, AIP Conf. Proc. 732, 276, 2004).
+    A matrix pencil (Hua & Sarkar, IEEE Trans. ASSP 38, 814, 1990): the
+    series is decimated to about ``_PENCIL_PER_CYCLE`` samples a cycle of
+    `rate`, an upper bound on W, keeping at least 4 ``_PENCIL_COLUMNS``
+    samples. Its Hankel matrix of ``_PENCIL_COLUMNS`` columns has as many
+    singular values above ``_PENCIL_CUTOFF`` of the largest as the series
+    has exponents (4 for a detuned swap, 3 at zero detuning), and the
+    shift invariance of their right singular vectors, solved by least
+    squares, gives the poles z = e^{lambda h} at the decimated step h. W is
+    the largest |Im lambda|. Raises NoOscillationError for a rank below 3,
+    for poles all on the positive real axis, and where refitting the
+    series' amplitudes on the poles leaves a residual above `tolerance` of
+    its peak.
     """
     x = _finite(series, "series")
-    if x.ndim != 1 or x.size < 16:
-        raise ValidationError("need a 1-D series of at least 16 samples")
+    if x.ndim != 1 or x.size < 4 * _PENCIL_COLUMNS:
+        raise ValidationError(f"need a 1-D series of at least {4 * _PENCIL_COLUMNS} samples, "
+                              f"got shape {x.shape}")
     if not _finite(dt, "dt") > 0.0:
         raise ValidationError("dt must be positive")
-    n = x.size
-    scale = float(np.max(np.abs(x)))
-    t = np.arange(n, dtype=float)
-    coef = np.polynomial.polynomial.polyfit(t, x, 1)
-    x = x - np.polynomial.polynomial.polyval(t, coef)
-    peak_amp = np.max(np.abs(x))
-    if peak_amp <= 1e-12 * max(scale, 1e-300):
-        raise NoOscillationError("series is constant after detrending")
-    x = x / peak_amp  # scale invariance: result is independent of amplitude
-
-    nfft = fft_length(8 * n)
-    mag = np.abs(np.fft.rfft(x * np.hanning(n), nfft))
-    k = int(np.argmax(mag[1:-1])) + 1
-    if mag[k] == 0.0:
-        raise NoOscillationError("flat spectrum")
-    with np.errstate(divide="ignore"):
-        la, lb, lc = np.log(mag[k - 1]), np.log(mag[k]), np.log(mag[k + 1])
-    denom = la - 2.0 * lb + lc
-    shift = 0.0 if denom == 0.0 else 0.5 * (la - lc) / denom
-    shift = min(max(shift, -0.5), 0.5)
-    return TWO_PI * (k + shift) / (nfft * dt)
+    if not _finite(rate, "rate") > 0.0:
+        raise ValidationError("rate must be positive")
+    # the stride that keeps 4 _PENCIL_COLUMNS samples, shortened where it
+    # would leave fewer than _PENCIL_PER_CYCLE samples a cycle of `rate`
+    step = _PENCIL_PER_CYCLE * rate * dt
+    stride = (x.size - 1) // (4 * _PENCIL_COLUMNS - 1)
+    if stride * step > TWO_PI:
+        stride = max(1, int(TWO_PI / step))
+    y = x[::stride]
+    hankel = np.lib.stride_tricks.sliding_window_view(y, _PENCIL_COLUMNS)
+    _, sv, vt = np.linalg.svd(hankel, full_matrices=False)
+    rank = int(np.count_nonzero(sv > _PENCIL_CUTOFF * sv[0]))
+    if rank < 3:
+        raise NoOscillationError(f"the series holds {rank} exponents, too few to oscillate")
+    v = vt[:rank].T
+    poles = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
+    phase = float(np.max(np.abs(np.angle(poles))))
+    if phase == 0.0:
+        raise NoOscillationError("the series' exponents are all real")
+    powers = np.vander(poles, y.size, increasing=True).T
+    fit = powers @ np.linalg.lstsq(powers, y, rcond=None)[0]
+    residual = float(np.max(np.abs(fit - y)))
+    if not residual <= tolerance * float(np.max(np.abs(y))):
+        raise NoOscillationError(f"the exponents leave a residual of {residual:.3g}: "
+                                 "the series is not their sum")
+    return phase / (stride * dt)
 
 
 def fit_exponential_decay(t, energy) -> FitResult:

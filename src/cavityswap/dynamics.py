@@ -218,6 +218,36 @@ def rabi_frequency(delta: float, g_p: float) -> float:
     return math.sqrt(delta * delta + 4.0 * g_p * g_p)
 
 
+def _loss_offset(modes) -> float:
+    """c = (gamma_B - gamma_A)/2, the loss imbalance of the lossy swap."""
+    mode_a, mode_b = modes
+    return 0.5 * (mode_b.gamma_total - mode_a.gamma_total)
+
+
+def swap_frequency(modes, g_p, delta):
+    """Energy-oscillation frequency W of the lossy detuned swap, elementwise.
+
+    |a(t)|^2 under a constant pump is a sum of damped exponentials whose one
+    complex pair oscillates at W = 2 |Im s| for the s of the module
+    docstring: W = |Im sqrt((c - iD)^2 - 4 g_P^2)| with
+    c = (gamma_B - gamma_A)/2. It is 0 where the swap is overdamped, and
+    never above the lossless ``rabi_frequency(D, g_P)``.
+    """
+    c = _loss_offset(modes)
+    z = (c - 1j * np.asarray(delta, dtype=float)) ** 2 - 4.0 * np.square(g_p)
+    return np.abs(np.sqrt(z + 0j).imag)
+
+
+def swap_coupling_sq(modes, omega, delta):
+    """g_P^2 whose ``swap_frequency`` at pump detuning `delta` is `omega`,
+    elementwise: 4 g_P^2 = W^2 - D^2 + c^2 (1 - D^2/W^2), the inverse of
+    that forward model. At D = 0 it is (W^2 + c^2)/4."""
+    c = _loss_offset(modes)
+    w2 = np.square(omega)
+    d2 = np.square(delta)
+    return 0.25 * (w2 - d2 + c * c * (1.0 - d2 / w2))
+
+
 def max_step(mode_a, mode_b, pump, drive=None,
              points_per_cycle=MIN_POINTS_PER_CYCLE) -> float:
     """Largest RK4 step that spends `points_per_cycle` steps on one cycle of

@@ -21,7 +21,8 @@ from .analysis import (DegenerateFitError, NoOscillationError, dwell_times,
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError,
                    check_mode_order, mode_params_from_q)
 from .dynamics import (SimConfig, half_step_config, lab_frame, max_step, propagate_swap,
-                       reflection_spectrum)
+                       rabi_frequency, reflection_spectrum, swap_coupling_sq,
+                       swap_frequency)
 from .sequences import (PulseSequence, Segment, _plan, calibrate_swap_time, check_plan,
                         parse_sequence, run_plan, run_sequence, run_sequence_checked,
                         validate_sequence)
@@ -240,29 +241,16 @@ def _write_report(outdir, runner, cfg, results):
 
 
 def _swap_energies(trace):
-    """(|a|^2, |a|^2 + |b|^2, dt, low) of a swap trace, each energy
-    computed once: both on its strictly uniform time grid of step dt (the
-    trailing sample of an off-stride record is dropped), and low, the
-    least |a|^2 + |b|^2 over every sample."""
+    """(|a|^2, dt, low) of a swap trace: |a|^2 on its strictly uniform time
+    grid of step dt (the trailing sample of an off-stride record is
+    dropped), and low, the least |a|^2 + |b|^2 over every sample."""
     t = trace.t
     dt = t[1] - t[0]
     ea = trace.energy_a
-    total = ea + trace.energy_b
-    low = np.min(total)
+    low = np.min(ea + trace.energy_b)
     if t.size > 2 and abs((t[-1] - t[-2]) - dt) > 1e-9 * dt:
-        ea, total = ea[:-1], total[:-1]
-    return ea, total, float(dt), low
-
-
-def _swap_oscillation_frequency(ea, total, dt) -> float:
-    """Oscillation frequency of the readout-mode occupancy fraction, from
-    the energies |a|^2 and |a|^2 + |b|^2 sampled every `dt`.
-
-    Using |a|^2/(|a|^2+|b|^2) instead of |a|^2 divides out the overall
-    energy decay, so the FFT peak stays sharp for lossy modes at any
-    pump detuning."""
-    floor = np.max(total) * 1e-300
-    return oscillation_frequency(ea / np.maximum(total, floor), dt)
+        ea = ea[:-1]
+    return ea, float(dt), low
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +280,11 @@ def _swap_sweep(cfg, points, amp0, source):
     whose (g_P, |delta|, t_end) are equal bit for bit share one trace
     (``run_plan`` of ``_swap_problem``), its energies and its frequency:
     ``records[order[k]]`` is the (|a|^2, dt) of point k (``_swap_energies``),
-    frequencies[k] that of its occupancy fraction, nan where it has none
-    (``_swap_oscillation_frequency``). The middle point, entered first, is
-    the one ``check_plan`` checks. Energies |a|^2 + |b|^2 below the normal
-    doubles are refused, naming `source` (exit 2)."""
+    frequencies[k] the swap frequency of that |a|^2, nan where it has none
+    (``oscillation_frequency``, at the stride the lossless rate bounds and
+    refitting to `tolerance`). The middle point, entered first, is the one
+    ``check_plan`` checks. Energies |a|^2 + |b|^2 below the normal doubles
+    are refused, naming `source` (exit 2)."""
     mid = len(points) // 2
     # (g_P, |delta|, t_end) -> (its record, the sweep point computed for it)
     distinct = {}
@@ -305,15 +294,17 @@ def _swap_sweep(cfg, points, amp0, source):
     order = [distinct[g, abs(delta), t_end][0] for g, delta, t_end in points]
     records, omegas, lows = [], [], []
     for _, k in distinct.values():
-        problem = _swap_problem(cfg, *points[k], amp0)
+        g, delta, t_end = points[k]
+        problem = _swap_problem(cfg, g, delta, t_end, amp0)
         if k == mid:
             trace, rel, diff = check_plan(*problem, cfg["tolerance"])
         else:
             trace = run_plan(*problem)
-        ea, total, dt, low = _swap_energies(trace)
+        ea, dt, low = _swap_energies(trace)
         records.append((ea, dt))
         try:
-            omegas.append(_swap_oscillation_frequency(ea, total, dt))
+            omegas.append(oscillation_frequency(ea, dt, rabi_frequency(delta, g),
+                                                cfg["tolerance"]))
         except NoOscillationError:
             omegas.append(math.nan)
         lows.append(low)
@@ -412,8 +403,8 @@ def _retrieval(cfg, runner, points):
 
 def _check_normal_energies(source, energies, what="readout energies down to"):
     """Refuse `energies` below the normal doubles: a subnormal keeps too
-    few bits for the fits, the FFT and the written trace. The energies
-    scale with the occupancy that `source` names."""
+    few bits for the fits, the swap frequency and the written trace. The
+    energies scale with the occupancy that `source` names."""
     low = float(np.min(energies))
     tiny = float(np.finfo(float).tiny)
     if not low >= tiny:
@@ -496,10 +487,13 @@ def run_chevron(cfg, outdir):
     computes it once. ``chevron_map.csv`` is written as row groups
     (``write_row_groups``): the t_s and energy_a text of each distinct
     point is laid out once, and the group of each detuning leads every
-    line of it with that detuning's cell. A detuning whose occupancy has no
-    oscillation, and a ridge whose least-squares g_P^2 is not positive,
-    are refused (exit 3) before any file is written."""
+    line of it with that detuning's cell. g_P^2 is fitted as the mean of
+    ``swap_coupling_sq`` over the ridge, the inverse of the lossy
+    ``swap_frequency``. A detuning whose |a|^2 has no oscillation, and a
+    ridge whose least-squares g_P^2 is not positive, are refused (exit 3)
+    before any file is written."""
     os.makedirs(outdir, exist_ok=True)
+    modes = _modes(cfg)
     g = _resolve_gp(cfg)
     n = cfg["delta_count"]
     # the upper half of linspace(-0.5, 0.5, n), from 0 or half a spacing
@@ -513,8 +507,8 @@ def run_chevron(cfg, outdir):
     if lost.any():
         raise NoOscillationError("no swap oscillation at pump detuning "
                                  f"{format_quantity(deltas[np.argmax(lost)], 'Hz')}")
-    # sqrt(D^2 + 4 g^2) model: linear least squares for g^2
-    g_fit_sq = float(np.mean(omega_es**2 - deltas**2)) / 4.0
+    # the lossy swap frequency is linear in g^2 once inverted: least squares for g^2
+    g_fit_sq = float(np.mean(swap_coupling_sq(modes, omega_es, deltas)))
     if not g_fit_sq > 0.0:
         raise DegenerateFitError(
             f"the ridge gives a least-squares g_P^2 of {g_fit_sq / TWO_PI**2:.3g}Hz^2, "
@@ -531,7 +525,7 @@ def run_chevron(cfg, outdir):
                ["runner = chevron", f"gp_hz = {g / TWO_PI:.12g}"],
                ["pump_detuning_hz", "oscillation_hz"], [detunings, omega_es / TWO_PI])
 
-    model = np.sqrt(deltas**2 + 4.0 * g_fit**2)
+    model = swap_frequency(modes, g_fit, deltas)
     rms_rel = float(np.sqrt(np.mean((omega_es / model - 1.0) ** 2)))
     k0 = int(np.argmin(np.abs(deltas)))
     results = {
@@ -551,9 +545,11 @@ def run_power_sweep(cfg, outdir):
     """Extracted swap rate vs pump power at zero detuning.
 
     Each power's swap lasts `n_cycles` periods of its own g_P, through
-    ``_swap_sweep``. A power whose g_P is 0 has no swap to time and is
-    refused (exit 2); one whose occupancy has no oscillation is written as
-    ``no_oscillation`` and left out of the slope fit."""
+    ``_swap_sweep``, and its g_P is read back from the swap frequency by
+    ``swap_coupling_sq`` at zero detuning, sqrt(W^2 + c^2)/2. A power whose
+    g_P is 0 has no swap to time and is refused (exit 2); one whose |a|^2
+    has no oscillation is written as ``no_oscillation`` and left out of the
+    slope fit."""
     os.makedirs(outdir, exist_ok=True)
     powers = np.linspace(cfg["power_start"], cfg["power_stop"], cfg["power_count"])
     g_true = np.array([fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], p_dbm,
@@ -568,14 +564,15 @@ def run_power_sweep(cfg, outdir):
 
     amps = np.array([fluxmap.pump_amplitude(p) for p in powers])
     found = ~np.isnan(omega_es)
+    g_ext = np.sqrt(swap_coupling_sq(_modes(cfg), omega_es, 0.0))
     _write_csv(os.path.join(outdir, "power_sweep.csv"),
                ["runner = power_sweep"],
                ["power_dbm", "amp_sqrt_mw", "gp_flux_model_hz", "gp_extracted_hz"],
                [powers, amps, g_true / TWO_PI,
-                np.where(found, format_cells(omega_es / (2.0 * TWO_PI)), "no_oscillation")])
+                np.where(found, format_cells(g_ext / TWO_PI), "no_oscillation")])
 
     amps = amps[found]
-    g_ext = omega_es[found] / 2.0
+    g_ext = g_ext[found]
     results = {"convergence_rel_diff": rel, "exact_rk4_max_diff": diff,
                "points_no_oscillation": int(np.sum(~found))}
     if amps.size >= 2:

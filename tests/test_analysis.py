@@ -2,111 +2,135 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavityswap.analysis import (DegenerateFitError, NoOscillationError,
                                  dwell_times, fit_exponential_decay,
-                                 fit_phase_slope, fft_length,
-                                 loss_corrected_efficiency,
+                                 fit_phase_slope, loss_corrected_efficiency,
                                  oscillation_frequency)
-from cavityswap.core import ModeParams, ValidationError
-from cavityswap.dynamics import TraceRecord
+from cavityswap.core import ComplexAmplitudePair, ModeParams, ValidationError
+from cavityswap.dynamics import (TraceRecord, propagate_swap, rabi_frequency,
+                                 swap_frequency)
 
 TWO_PI = 2.0 * math.pi
 
 
 class TestOscillationFrequency:
+    RATE = TWO_PI * 5e6  # bounds every frequency drawn here
+
     def _series(self, freq_hz, n=4096, fs=40e6, offset=3.0, amp=0.5, phase=1.0):
         t = np.arange(n) / fs
         return offset + amp * np.cos(TWO_PI * freq_hz * t + phase), 1.0 / fs
 
+    def _frequency(self, series, dt):
+        return oscillation_frequency(series, dt, self.RATE, 1e-6)
+
     @pytest.mark.parametrize("freq", [0.7e6, 1.3e6, 2.4e6, 4.9e6])
     def test_recovers_known_frequency(self, freq):
         s, dt = self._series(freq)
-        assert oscillation_frequency(s, dt) == pytest.approx(TWO_PI * freq,
-                                                             rel=1e-5)
+        assert self._frequency(s, dt) == pytest.approx(TWO_PI * freq, rel=1e-5)
 
     def test_ignores_linear_trend(self):
         s, dt = self._series(1.3e6)
         s = s + np.linspace(0.0, 5.0, s.size)
-        assert oscillation_frequency(s, dt) == pytest.approx(TWO_PI * 1.3e6,
-                                                             rel=1e-4)
+        assert self._frequency(s, dt) == pytest.approx(TWO_PI * 1.3e6, rel=1e-4)
 
     def test_power_of_two_scaling_is_bit_identical(self):
         s, dt = self._series(1.3e6)
-        w = oscillation_frequency(s, dt)
+        w = self._frequency(s, dt)
         for scale in (2.0, 0.25, 1024.0):
-            assert oscillation_frequency(s * scale, dt) == w
+            assert self._frequency(s * scale, dt) == w
 
     def test_arbitrary_scaling_matches_tightly(self):
         s, dt = self._series(1.3e6)
-        w = oscillation_frequency(s, dt)
-        assert oscillation_frequency(s * 3.7, dt) == pytest.approx(w, rel=1e-12)
-        assert oscillation_frequency(s * 1e-9, dt) == pytest.approx(w, rel=1e-12)
+        w = self._frequency(s, dt)
+        assert self._frequency(s * 3.7, dt) == pytest.approx(w, rel=1e-12)
+        assert self._frequency(s * 1e-9, dt) == pytest.approx(w, rel=1e-12)
 
     def test_constant_series_raises(self):
         with pytest.raises(NoOscillationError):
-            oscillation_frequency(np.full(64, 2.5), 1e-8)
+            self._frequency(np.full(64, 2.5), 1e-8)
 
     def test_pure_ramp_raises(self):
         with pytest.raises(NoOscillationError):
-            oscillation_frequency(np.linspace(0.0, 1.0, 64), 1e-8)
+            self._frequency(np.linspace(0.0, 1.0, 64), 1e-8)
 
     def test_too_short_series_rejected(self):
         with pytest.raises(ValidationError):
-            oscillation_frequency(np.ones(8), 1e-8)
+            self._frequency(np.ones(51), 1e-8)
         with pytest.raises(ValidationError):
-            oscillation_frequency(np.ones(64), 0.0)
+            self._frequency(np.ones(64), 0.0)
+        with pytest.raises(ValidationError):
+            oscillation_frequency(np.ones(64), 1e-8, 0.0, 1e-6)
 
     @settings(max_examples=25, deadline=None)
     @given(freq=st.floats(min_value=0.5e6, max_value=5e6),
            phase=st.floats(min_value=0.0, max_value=6.28))
     def test_accuracy_property(self, freq, phase):
         s, dt = self._series(freq, phase=phase)
-        assert oscillation_frequency(s, dt) == pytest.approx(TWO_PI * freq,
-                                                             rel=1e-4)
+        assert self._frequency(s, dt) == pytest.approx(TWO_PI * freq, rel=1e-4)
 
 
-def _oscillation_frequency_8n(series, dt):
-    """The estimator as it was with the FFT zero-padded to exactly 8 n
-    samples: the oracle of the smooth-length one."""
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    t = np.arange(n, dtype=float)
-    x = x - np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyfit(t, x, 1))
-    x = x / np.max(np.abs(x))
-    nfft = 8 * n
-    mag = np.abs(np.fft.rfft(x * np.hanning(n), nfft))
-    k = int(np.argmax(mag[1:-1])) + 1
-    la, lb, lc = np.log(mag[k - 1]), np.log(mag[k]), np.log(mag[k + 1])
-    denom = la - 2.0 * lb + lc
-    shift = 0.0 if denom == 0.0 else 0.5 * (la - lc) / denom
-    shift = min(max(shift, -0.5), 0.5)
-    return TWO_PI * (k + shift) / (nfft * dt)
+def _swap_energy(modes, g_p, delta, dt, n):
+    """|a|^2 at t = k dt, k < n, of the closed-form swap from a(0) = 1."""
+    t = np.arange(n) * dt
+    a, _ = propagate_swap(ComplexAmplitudePair(1.0, 0.0, 0.0), modes, g_p, delta, 0.0, t)
+    return a.real ** 2 + a.imag ** 2
 
 
-class TestFftLength:
-    def test_smallest_5_smooth_length_by_brute_force(self):
-        smooth = np.unique([2**i * 3**j * 5**k for i in range(18) for j in range(12)
-                            for k in range(8)])
-        n = np.arange(1, 10**5 + 1)
-        expected = smooth[np.searchsorted(smooth, n)]
-        assert [fft_length(m) for m in range(1, 10**5 + 1)] == expected.tolist()
+class TestSwapFrequencyPencil:
+    """The pencil on |a|^2 of a lossy detuned swap against the closed form
+    ``swap_frequency``. The window runs from under one cycle to many and
+    the grid from 20 to 500 samples a cycle; the pencil resolves both, so
+    a fixed stride, which aliases on the coarse grids, or a rank below the
+    swap's four exponents fails it."""
 
-    # chevron's default series (8n = 2^3 3^2 569), rk4_sweep's (2^4 2447),
-    # power_sweep's (2^3 17 353)
-    @pytest.mark.parametrize("n", [5121, 4894, 6001])
-    def test_matches_the_8n_estimator(self, n):
-        g = TWO_PI * 1.2e6
-        dt = 8e-6 / 5120
-        t = np.arange(n) * dt
-        for delta in TWO_PI * np.linspace(-4e6, 4e6, 17):
-            w = math.sqrt(delta**2 + 4.0 * g**2)
-            # lossless occupancy of the readout mode under a detuned swap
-            frac = 1.0 - (2.0 * g / w) ** 2 * np.sin(0.5 * w * t) ** 2
-            assert oscillation_frequency(frac, dt) == pytest.approx(
-                _oscillation_frequency_8n(frac, dt), rel=1e-5)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(g_mhz=st.floats(0.1, 5.0), detuning=st.floats(-4.0, 4.0),
+           loss_a=st.floats(0.0, 0.3), loss_b=st.floats(0.0, 0.3),
+           cycles=st.floats(0.2, 50.0), per_cycle=st.integers(20, 500))
+    # 40 cycles at 20 samples a cycle and |D| = 3.5 g_P: a stride of 64
+    # samples aliases there
+    @example(g_mhz=1.2, detuning=3.5, loss_a=0.15, loss_b=0.01, cycles=40.0, per_cycle=20)
+    # a third of a cycle of a lossy detuned swap
+    @example(g_mhz=1.2, detuning=1.5, loss_a=0.3, loss_b=0.0, cycles=0.3, per_cycle=400)
+    def test_matches_the_lossy_closed_form(self, g_mhz, detuning, loss_a, loss_b,
+                                           cycles, per_cycle):
+        # the detuning and both loss rates in units of g_P; the window and
+        # the grid in cycles of the lossless rate, which bounds W
+        g_p = TWO_PI * 1e6 * g_mhz
+        delta = detuning * g_p
+        modes = (ModeParams(TWO_PI * 8.7e9, loss_a * g_p, 0.0),
+                 ModeParams(TWO_PI * 9.33e9, loss_b * g_p, 0.0))
+        rate = rabi_frequency(delta, g_p)
+        dt = TWO_PI / (per_cycle * rate)
+        n = max(52, int(cycles * per_cycle))
+        w = oscillation_frequency(_swap_energy(modes, g_p, delta, dt, n), dt, rate, 1e-6)
+        # a window under one cycle leaves the two real exponents barely apart
+        bound = 1e-9 if n >= per_cycle else 1e-4
+        assert w == pytest.approx(float(swap_frequency(modes, g_p, delta)), rel=bound)
+
+    def test_overdamped_swap_is_refused(self):
+        # (gamma_B - gamma_A)^2 > 16 g_P^2 at zero detuning: three real exponents
+        g_p = TWO_PI * 1e6
+        modes = (ModeParams(TWO_PI * 8.7e9, 5.0 * g_p, 0.0),
+                 ModeParams(TWO_PI * 9.33e9, 0.0, 0.0))
+        assert swap_frequency(modes, g_p, 0.0) == 0.0
+        dt = TWO_PI / (50 * rabi_frequency(0.0, g_p))
+        with pytest.raises(NoOscillationError, match="all real"):
+            oscillation_frequency(_swap_energy(modes, g_p, 0.0, dt, 500), dt,
+                                  rabi_frequency(0.0, g_p), 1e-6)
+
+    def test_single_decay_is_refused(self):
+        with pytest.raises(NoOscillationError, match="1 exponents"):
+            oscillation_frequency(np.exp(-np.arange(200) / 40.0), 1.0, 0.1, 1e-6)
+
+    def test_a_series_no_sum_of_exponentials_is_refused(self):
+        # a rectified sine kinks every half cycle: no thirteen exponents fit it
+        t = np.arange(400)
+        with pytest.raises(NoOscillationError, match="residual"):
+            oscillation_frequency(np.abs(np.sin(TWO_PI * t / 97.0)), 1.0, 0.1, 1e-6)
 
 
 class TestExponentialDecayFit:
@@ -216,12 +240,14 @@ class TestExponentialDecayFit:
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call,arg", [
-    ("oscillation", 0), ("oscillation", 1), ("decay", 0), ("decay", 1),
+    ("oscillation", 0), ("oscillation", 1), ("oscillation", 2), ("decay", 0), ("decay", 1),
     ("phase", 0), ("phase", 1)])
 def test_non_finite_input_is_refused(call, arg, bad):
     t = np.linspace(0.0, 1.0, 32)
+    t_long = np.arange(64) / 64
     fn, args = {
-        "oscillation": (oscillation_frequency, [np.cos(TWO_PI * 4.0 * t), 1.0 / 32]),
+        "oscillation": (oscillation_frequency,
+                        [1.0 + np.cos(TWO_PI * 4.0 * t_long), 1.0 / 64, TWO_PI * 8.0, 1e-6]),
         "decay": (fit_exponential_decay, [t, np.exp(-t)]),
         "phase": (fit_phase_slope, [TWO_PI * t, TWO_PI * t]),
     }[call]

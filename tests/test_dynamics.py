@@ -18,7 +18,8 @@ from cavityswap.dynamics import (ConvergenceError, DriveTone,
                                  half_step_config, integrate,
                                  integrate_checked, max_step, propagate_load,
                                  propagate_swap, rabi_frequency,
-                                 record_times, reflection_spectrum)
+                                 record_times, reflection_spectrum,
+                                 swap_coupling_sq, swap_frequency)
 from cavityswap.sequences import parse_sequence, run_sequence_checked
 from rk4_oracle import oracle_rhs, scalar_rk4
 
@@ -1006,3 +1007,42 @@ class TestRabiFrequency:
 
     def test_detuned_value(self):
         assert rabi_frequency(3.0, 2.0) == pytest.approx(5.0)
+
+
+class TestSwapFrequency:
+    """The lossy swap frequency W and its inverse against the eigenvalues
+    of the constant-pump matrix M of the module docstring."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(g_mhz=st.floats(0.01, 10.0), detuning=st.floats(-5.0, 5.0),
+           loss_a=st.floats(0.0, 3.0), loss_b=st.floats(0.0, 3.0))
+    def test_is_the_gap_of_the_eigenvalues(self, g_mhz, detuning, loss_a, loss_b):
+        # the detuning and the loss rates in units of g_P
+        g = TWO_PI * 1e6 * g_mhz
+        ga, gb, delta = loss_a * g, loss_b * g, detuning * g
+        modes = (ModeParams(OMEGA_A, ga, 0.0), ModeParams(OMEGA_B, gb, 0.0))
+        l1, l2 = np.linalg.eigvals(np.array([[-0.5 * ga, -1j * g],
+                                             [-1j * g, 1j * delta - 0.5 * gb]]))
+        assert swap_frequency(modes, g, delta) == pytest.approx(abs((l1 - l2).imag),
+                                                                rel=1e-9, abs=1e-9 * g)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(g_mhz=st.floats(0.01, 10.0), detuning=st.floats(-5.0, 5.0),
+           loss_a=st.floats(0.0, 1.0), loss_b=st.floats(0.0, 1.0))
+    def test_inverse_returns_the_coupling(self, g_mhz, detuning, loss_a, loss_b):
+        # |gamma_B - gamma_A| < 4 g_P: underdamped at every detuning
+        g = TWO_PI * 1e6 * g_mhz
+        modes = (ModeParams(OMEGA_A, loss_a * g, 0.0), ModeParams(OMEGA_B, loss_b * g, 0.0))
+        w = swap_frequency(modes, g, detuning * g)
+        assert swap_coupling_sq(modes, w, detuning * g) == pytest.approx(g * g, rel=1e-12)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(g=st.floats(1.0, 1e8), delta=st.floats(-1e8, 1e8))
+    def test_lossless_limit_is_the_rabi_frequency(self, g, delta):
+        modes = _lossless_modes()
+        assert swap_frequency(modes, g, delta) == rabi_frequency(delta, g)
+
+    def test_elementwise_and_overdamped(self):
+        mode_a, mode_b = ModeParams(OMEGA_A, 5.0 * GP, 0.0), ModeParams(OMEGA_B)
+        w = swap_frequency((mode_a, mode_b), GP, np.array([0.0, GP, -GP]))
+        assert w[0] == 0.0 and w[1] == w[2] > 0.0

@@ -14,7 +14,7 @@ from cavityswap.cli import main
 from cavityswap.core import ComplexAmplitudePair, PumpDrive, ValidationError
 from cavityswap.dynamics import (SimConfig, TraceRecord, check_exact, exact_segment,
                                  half_step_config, integrate_checked, max_step,
-                                 reflection_spectrum)
+                                 rabi_frequency, reflection_spectrum, swap_coupling_sq)
 from cavityswap.experiments import (RUNNERS, parse_config_file, resolve_config,
                                     run_chevron, run_phase_sweep,
                                     run_power_sweep, run_splitting,
@@ -246,7 +246,7 @@ class TestExactSweepsMatchRk4:
         old_rows = []
         for delta in deltas:
             trace = _rk4_swap_trace(cfg, g, delta, cfg["t_end"], math.sqrt(cfg["nbar"]))
-            ea, _, dt_rec, _ = experiments._swap_energies(trace)
+            ea, dt_rec, _ = experiments._swap_energies(trace)
             old_rows += [(delta / TWO_PI, k * dt_rec, e) for k, e in enumerate(ea)]
         new_rows = _csv_rows(tmp_path / "chevron_map.csv")
         assert [r[:2] for r in new_rows] == \
@@ -272,11 +272,12 @@ class TestExactSweepsMatchRk4:
             new = experiments.run_plan(*experiments._swap_problem(cfg, g, 0.0, t_end, 1.0))
             assert np.array_equal(new.t, old.t)
             assert np.max(np.abs(new.energy_a - old.energy_a)) <= 1e-10
-            ea, total, dt_rec, _ = experiments._swap_energies(old)
-            omega_old = experiments._swap_oscillation_frequency(ea, total, dt_rec)
+            ea, dt_rec, _ = experiments._swap_energies(old)
+            omega_old = experiments.oscillation_frequency(ea, dt_rec, 2.0 * g, cfg["tolerance"])
+            g_old = math.sqrt(swap_coupling_sq(experiments._modes(cfg), omega_old, 0.0))
             assert row[:3] == [f"{p:.17g}", f"{math.sqrt(10.0 ** (p / 10.0)):.17g}",
                                f"{g / TWO_PI:.17g}"]
-            assert float(row[3]) == pytest.approx(omega_old / (2.0 * TWO_PI), rel=1e-12)
+            assert float(row[3]) == pytest.approx(g_old / TWO_PI, rel=1e-12)
         assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
         assert 0.0 < results["convergence_rel_diff"] < 1e-8
 
@@ -446,8 +447,9 @@ class TestAxisColumns:
         for delta in deltas:
             trace = experiments.run_plan(*experiments._swap_problem(
                 cfg, g, delta, cfg["t_end"], math.sqrt(cfg["nbar"])))
-            ea, total, dt_rec, _ = experiments._swap_energies(trace)
-            omega_e = experiments._swap_oscillation_frequency(ea, total, dt_rec)
+            ea, dt_rec, _ = experiments._swap_energies(trace)
+            omega_e = experiments.oscillation_frequency(ea, dt_rec, rabi_frequency(delta, g),
+                                                        cfg["tolerance"])
             ridge_rows.append("%.17g,%.17g\n" % (delta / TWO_PI, omega_e / TWO_PI))
             for k, e in enumerate(ea):
                 map_rows.append("%.17g,%.17g,%.17g\n" % (delta / TWO_PI, k * dt_rec, e))
@@ -810,13 +812,13 @@ class TestSwapSweep:
         silent = -0.25 * cfg["delta_span"]
         trace = experiments.run_plan(*experiments._swap_problem(
             cfg, g, silent, cfg["t_end"], math.sqrt(cfg["nbar"])))
-        dt_silent = experiments._swap_energies(trace)[2]
+        dt_silent = experiments._swap_energies(trace)[1]
         oscillation_frequency = experiments.oscillation_frequency
 
-        def none_at_silent(series, dt):
+        def none_at_silent(series, dt, rate, tolerance):
             if dt == dt_silent:
-                raise experiments.NoOscillationError("flat spectrum")
-            return oscillation_frequency(series, dt)
+                raise experiments.NoOscillationError("the series' exponents are all real")
+            return oscillation_frequency(series, dt, rate, tolerance)
 
         monkeypatch.setattr(experiments, "oscillation_frequency", none_at_silent)
         path = tmp_path / "cfg.txt"
@@ -828,17 +830,67 @@ class TestSwapSweep:
         assert not list(out.glob("*.csv"))
 
     def test_chevron_refuses_a_ridge_without_coupling(self, tmp_path, capsys):
-        # q_int_a = 300 overdamps mode A: the ridge sits near 47 kHz for a
-        # true g_P of 1.2 MHz, and the least-squares g_P^2 is negative,
-        # where the run used to report gp_fit_hz = 0 and model_rms_rel = inf
+        # q_int_a = 300 overdamps mode A: at zero detuning the swap has no
+        # complex exponent, (gamma_B - gamma_A)^2 > 16 g_P^2, and the run
+        # names that detuning, where it used to report gp_fit_hz = 0 and
+        # model_rms_rel = inf
         path = tmp_path / "cfg.txt"
         path.write_text("q_int_a = 300\ndelta_count = 3\n")
         out = tmp_path / "out"
         assert main(["chevron", "--config", str(path), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert re.match(r"numerical check failed: the ridge gives a least-squares g_P\^2 "
-                        r"of -\d[.\d]*e\+\d+Hz\^2, not positive", err), err
+        assert capsys.readouterr().err == ("numerical check failed: no swap oscillation at "
+                                           "pump detuning 0Hz\n")
         assert not list(out.glob("*.csv"))
+
+
+def _report_values(out):
+    return dict(line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines())
+
+
+class TestSwapFrequencyWindows:
+    """Windows under a few swap cycles and lossy readout modes, where the
+    swap frequency was once read off an FFT peak of the occupancy fraction
+    and answered wrong: g_P comes back within a stated bound of the flux
+    model, and the run exits 0."""
+
+    def _run(self, tmp_path, runner, text):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main([runner, "--config", str(path), "--out", str(out)]) == 0
+        return out
+
+    # the report keeps 12 digits; t_end = 0.1us is 0.24 to 0.71 swap cycles
+    @pytest.mark.parametrize("text,bound", [
+        ("t_end = 0.1us\n", 1e-9),  # read 2.546 MHz
+        ("t_end = 0.3us\n", 1e-10),
+        ("q_int_a = 1e4\n", 1e-10),  # refused (exit 3)
+        ("q_int_a = 3e4\n", 1e-10),  # refused (exit 3)
+        ("q_int_a = 1e5\n", 1e-10),  # read 0.519 MHz
+    ], ids=["t_end-0.1us", "t_end-0.3us", "q_int_a-1e4", "q_int_a-3e4", "q_int_a-1e5"])
+    def test_chevron(self, tmp_path, text, bound):
+        r = _report_values(self._run(tmp_path, "chevron", text))
+        assert abs(float(r["result.gp_fit_hz"]) / float(r["result.gp_hz"]) - 1.0) <= bound
+
+    def test_a_window_of_too_few_samples_is_refused(self, tmp_path, capsys):
+        # 40 samples at zero detuning, where the FFT read g_P 32% off (exit 0)
+        path = tmp_path / "cfg.txt"
+        path.write_text("t_end = 0.02us\n")
+        out = tmp_path / "out"
+        assert main(["chevron", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: need a 1-D series of at least 52 samples, "
+                                           "got shape (40,)\n")
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("n_cycles,bound", [("0.3", 1e-10), ("0.1", 1e-8)])
+    def test_power_sweep(self, tmp_path, n_cycles, bound):
+        # n_cycles = 0.3 read a slope of 9.58e7 Hz/sqrt(mW) for 4.78e8
+        out = self._run(tmp_path, "power_sweep", f"n_cycles = {n_cycles}\n")
+        rows = np.array(_csv_rows(out / "power_sweep.csv"), dtype=float)
+        assert np.max(np.abs(rows[:, 3] / rows[:, 2] - 1.0)) <= bound
+        r = _report_values(out)
+        assert r["result.points_no_oscillation"] == "0"
+        assert abs(float(r["result.intercept_hz"])) < 1e-3
 
 
 class TestPhaseSweepRunner:
