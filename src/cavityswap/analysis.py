@@ -36,6 +36,9 @@ _DECAY_RATES = np.geomspace(1e-9, 1e6, 151)
 _PENCIL_COLUMNS = 13
 _PENCIL_PER_CYCLE = 8
 _PENCIL_CUTOFF = 1e-12
+# the fewest samples the pencil takes: four rows of its Hankel matrix for
+# each column
+PENCIL_MIN_SAMPLES = 4 * _PENCIL_COLUMNS
 
 
 class NoOscillationError(ValueError):
@@ -71,7 +74,7 @@ def oscillation_frequency(series, dt: float, rate: float, tolerance: float) -> f
 
     A matrix pencil (Hua & Sarkar, IEEE Trans. ASSP 38, 814, 1990): the
     series is decimated to about ``_PENCIL_PER_CYCLE`` samples a cycle of
-    `rate`, an upper bound on W, keeping at least 4 ``_PENCIL_COLUMNS``
+    `rate`, an upper bound on W, keeping at least ``PENCIL_MIN_SAMPLES``
     samples. Its Hankel matrix of ``_PENCIL_COLUMNS`` columns has as many
     singular values above ``_PENCIL_CUTOFF`` of the largest as the series
     has exponents (4 for a detuned swap, 3 at zero detuning), and the
@@ -83,17 +86,17 @@ def oscillation_frequency(series, dt: float, rate: float, tolerance: float) -> f
     its peak.
     """
     x = _finite(series, "series")
-    if x.ndim != 1 or x.size < 4 * _PENCIL_COLUMNS:
-        raise ValidationError(f"need a 1-D series of at least {4 * _PENCIL_COLUMNS} samples, "
+    if x.ndim != 1 or x.size < PENCIL_MIN_SAMPLES:
+        raise ValidationError(f"need a 1-D series of at least {PENCIL_MIN_SAMPLES} samples, "
                               f"got shape {x.shape}")
     if not _finite(dt, "dt") > 0.0:
         raise ValidationError("dt must be positive")
     if not _finite(rate, "rate") > 0.0:
         raise ValidationError("rate must be positive")
-    # the stride that keeps 4 _PENCIL_COLUMNS samples, shortened where it
+    # the stride that keeps PENCIL_MIN_SAMPLES samples, shortened where it
     # would leave fewer than _PENCIL_PER_CYCLE samples a cycle of `rate`
     step = _PENCIL_PER_CYCLE * rate * dt
-    stride = (x.size - 1) // (4 * _PENCIL_COLUMNS - 1)
+    stride = (x.size - 1) // (PENCIL_MIN_SAMPLES - 1)
     if stride * step > TWO_PI:
         stride = max(1, int(TWO_PI / step))
     y = x[::stride]

@@ -15,8 +15,8 @@ import os
 import numpy as np
 
 from . import fluxmap
-from .analysis import (DegenerateFitError, NoOscillationError, dwell_times,
-                       fit_exponential_decay, fit_phase_slope,
+from .analysis import (PENCIL_MIN_SAMPLES, DegenerateFitError, NoOscillationError,
+                       dwell_times, fit_exponential_decay, fit_phase_slope,
                        loss_corrected_efficiency, oscillation_frequency)
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError,
                    check_mode_order, mode_params_from_q)
@@ -269,7 +269,7 @@ def _swap_problem(cfg, g, delta, t_end, amp0):
     return ComplexAmplitudePair(complex(amp0), 0.0j, 0.0), modes, [(pump, None, config)]
 
 
-def _swap_sweep(cfg, points, amp0, source):
+def _swap_sweep(cfg, points, amp0, source, window):
     """(half-step difference, exact-vs-RK4 difference, frequencies,
     records, order) of a sweep of constant-pump swaps from a(0) = amp0,
     b(0) = 0 over `points`, each (g_P, delta, t_end).
@@ -283,8 +283,10 @@ def _swap_sweep(cfg, points, amp0, source):
     frequencies[k] the swap frequency of that |a|^2, nan where it has none
     (``oscillation_frequency``, at the stride the lossless rate bounds and
     refitting to `tolerance`). The middle point, entered first, is the one
-    ``check_plan`` checks. Energies |a|^2 + |b|^2 below the normal doubles
-    are refused, naming `source` (exit 2)."""
+    ``check_plan`` checks. A trace of fewer than ``PENCIL_MIN_SAMPLES``
+    samples of |a|^2 is refused before its frequency is read, naming the
+    config keys `window` that set the count, and energies |a|^2 + |b|^2
+    below the normal doubles are refused, naming `source` (exit 2)."""
     mid = len(points) // 2
     # (g_P, |delta|, t_end) -> (its record, the sweep point computed for it)
     distinct = {}
@@ -301,6 +303,10 @@ def _swap_sweep(cfg, points, amp0, source):
         else:
             trace = run_plan(*problem)
         ea, dt, low = _swap_energies(trace)
+        if ea.size < PENCIL_MIN_SAMPLES:
+            raise ValidationError(f"a swap window of {ea.size} samples is too short for the "
+                                  f"swap frequency, which needs {PENCIL_MIN_SAMPLES}: "
+                                  f"raise {window}")
         records.append((ea, dt))
         try:
             omegas.append(oscillation_frequency(ea, dt, rabi_frequency(delta, g),
@@ -502,7 +508,7 @@ def run_chevron(cfg, outdir):
     # the RK4 oracle sits at the middle point: resonant only for an odd delta_count
     rel, diff, omega_es, records, point = _swap_sweep(
         cfg, [(g, delta, cfg["t_end"]) for delta in deltas], math.sqrt(cfg["nbar"]),
-        f"nbar = {cfg['nbar']:.3g}")
+        f"nbar = {cfg['nbar']:.3g}", "points_per_cycle or t_end")
     lost = np.isnan(omega_es)
     if lost.any():
         raise NoOscillationError("no swap oscillation at pump detuning "
@@ -560,7 +566,8 @@ def run_power_sweep(cfg, outdir):
                               f"{format_quantity(g_true[k], 'Hz')}: it has no swap to time")
     rel, diff, omega_es = _swap_sweep(
         cfg, [(g, 0.0, cfg["n_cycles"] * TWO_PI / (2.0 * g)) for g in g_true], 1.0,
-        f"|a(0)|^2 = 1 over n_cycles = {cfg['n_cycles']:.3g}")[:3]
+        f"|a(0)|^2 = 1 over n_cycles = {cfg['n_cycles']:.3g}",
+        "points_per_cycle or n_cycles")[:3]
 
     amps = np.array([fluxmap.pump_amplitude(p) for p in powers])
     found = ~np.isnan(omega_es)

@@ -797,10 +797,11 @@ class TestSwapSweep:
     def test_every_point_equals_its_own_run(self, points):
         cfg = resolve_config("chevron", self.CFG)
         points = [(g, -delta if mirror else delta, t_end) for g, delta, mirror, t_end in points]
-        _, _, omegas, records, order = experiments._swap_sweep(cfg, points, 1.5, "test")
+        _, _, omegas, records, order = experiments._swap_sweep(cfg, points, 1.5, "test", "t_end")
         assert len(records) == len({(g, abs(delta), t) for g, delta, t in points})
         for k, point in enumerate(points):
-            _, _, (omega,), ((ea, dt),), _ = experiments._swap_sweep(cfg, [point], 1.5, "test")
+            _, _, (omega,), ((ea, dt),), _ = experiments._swap_sweep(
+                cfg, [point], 1.5, "test", "t_end")
             assert np.array_equal(omegas[k], omega, equal_nan=True)
             assert records[order[k]][1] == dt
             assert np.array_equal(records[order[k]][0], ea)
@@ -878,8 +879,9 @@ class TestSwapFrequencyWindows:
         path.write_text("t_end = 0.02us\n")
         out = tmp_path / "out"
         assert main(["chevron", "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("error: need a 1-D series of at least 52 samples, "
-                                           "got shape (40,)\n")
+        assert capsys.readouterr().err == (
+            "error: a swap window of 40 samples is too short for the swap frequency, "
+            "which needs 52: raise points_per_cycle or t_end\n")
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("n_cycles,bound", [("0.3", 1e-10), ("0.1", 1e-8)])
@@ -1119,6 +1121,8 @@ class TestCli:
         # mode energies |a|^2 + |b|^2 that are subnormal, where chevron answered
         # gp_fit_hz 1199979.848 for 1199977.021
         ("chevron", "nbar = 1e-320\ndelta_count = 3\nt_end = 2us"),
+        # a swap window of 51 samples, under the swap frequency's floor of 52
+        ("power_sweep", "n_cycles = 0.05"),
         # and power_sweep on lossy modes, which took the FFT of those energies
         # and answered a slope of 4.61e8 Hz/sqrt(mW) with r_squared 0.953
         ("power_sweep", "q_int_a = 1e3\nt1_b = 0.01us\nn_cycles = 40\npower_count = 3"),
@@ -1267,3 +1271,139 @@ class TestCli:
         out = capsys.readouterr().out
         for name in RUNNERS:
             assert name in out
+
+
+def _permission_checks_bypassed(tmp_path):
+    """Whether this process may write a file its mode forbids it to (root)."""
+    probe = tmp_path / "probe"
+    probe.write_bytes(b"")
+    probe.chmod(0o444)
+    try:
+        open(probe, "wb").close()
+    except PermissionError:
+        return False
+    return True
+
+
+class TestOutputFiles:
+    """A rerun into an output directory replaces each file it writes: the
+    same bytes as a run into a fresh directory, on a new file, so a reader
+    holding an old one keeps its bytes, with the old permission bits; a
+    symlink, a file with other hard links, a file another user owns and a
+    file or directory the user may not write are treated as a truncating
+    open treats them."""
+
+    # per runner, a first config and a smaller second one: every file the
+    # second run writes differs from the first's and is no longer
+    RERUNS = {
+        "splitting": ("probe_count = 201\npump_count = 3", "probe_count = 101\npump_count = 3"),
+        "chevron": ("delta_count = 5\nt_end = 4us", "delta_count = 3\nt_end = 2us"),
+        "power_sweep": ("power_count = 5\nn_cycles = 3", "power_count = 3\nn_cycles = 3"),
+        "store_retrieve": ("delay_count = 5\ndelay_stop = 16us",
+                           "delay_count = 4\ndelay_stop = 8us"),
+        "phase_sweep": ("phase_count = 8\ndelay = 2us", "phase_count = 4\ndelay = 1us"),
+        "custom_sequence": ("sequence = {seq}", "sequence = {seq}\nframe = lab"),
+    }
+
+    @staticmethod
+    def _run(tmp_path, runner, text, out):
+        seq = tmp_path / "seq.txt"
+        seq.write_text(SEQ)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text.format(seq=seq) + "\n")
+        return main([runner, "--config", str(cfg), "--out", str(out)])
+
+    @staticmethod
+    def _files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("runner", sorted(RERUNS))
+    def test_a_rerun_replaces_every_file(self, tmp_path, runner):
+        first, second = self.RERUNS[runner]
+        out = tmp_path / "out"
+        assert self._run(tmp_path, runner, first, out) == 0
+        old = self._files(out)
+        assert self._run(tmp_path, runner, second, tmp_path / "fresh") == 0
+        fresh = self._files(tmp_path / "fresh")
+        assert old.keys() == fresh.keys()
+        assert all(old[name] != fresh[name] for name in old)
+        handles = {name: open(out / name, "rb") for name in old}
+        try:
+            assert self._run(tmp_path, runner, second, out) == 0
+            assert self._files(out) == fresh
+            assert {name: fh.read() for name, fh in handles.items()} == old
+        finally:
+            for fh in handles.values():
+                fh.close()
+
+    def _rerun_splitting(self, tmp_path):
+        """(out, fresh, second): splitting run into out at its first config,
+        and the files of a run at its `second` config into a fresh directory."""
+        first, second = self.RERUNS["splitting"]
+        assert self._run(tmp_path, "splitting", second, tmp_path / "fresh") == 0
+        out = tmp_path / "out"
+        assert self._run(tmp_path, "splitting", first, out) == 0
+        return out, self._files(tmp_path / "fresh"), second
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        out, fresh, second = self._rerun_splitting(tmp_path)
+        target = tmp_path / "kept.csv"
+        (out / "spectrum.csv").rename(target)
+        (out / "spectrum.csv").symlink_to(target)
+        assert self._run(tmp_path, "splitting", second, out) == 0
+        assert (out / "spectrum.csv").is_symlink()
+        assert target.read_bytes() == fresh["spectrum.csv"]
+
+    def test_every_hard_link_gets_the_new_bytes(self, tmp_path):
+        out, fresh, second = self._rerun_splitting(tmp_path)
+        other = tmp_path / "linked.csv"
+        os.link(out / "spectrum.csv", other)
+        inode = other.stat().st_ino
+        assert self._run(tmp_path, "splitting", second, out) == 0
+        assert (out / "spectrum.csv").stat().st_ino == inode
+        assert other.read_bytes() == fresh["spectrum.csv"]
+        assert self._files(out) == fresh
+
+    def test_a_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        out, fresh, second = self._rerun_splitting(tmp_path)
+        (out / "report.txt").chmod(0o600)
+        (out / "spectrum.csv").chmod(0o664)
+        assert self._run(tmp_path, "splitting", second, out) == 0
+        assert self._files(out) == fresh
+        assert (out / "report.txt").stat().st_mode & 0o777 == 0o600
+        assert (out / "spectrum.csv").stat().st_mode & 0o777 == 0o664
+
+    def test_a_file_another_user_owns_keeps_its_owner(self, tmp_path):
+        out, fresh, second = self._rerun_splitting(tmp_path)
+        other = os.geteuid() + 1
+        try:
+            os.chown(out / "spectrum.csv", other, -1)
+        except PermissionError:
+            pytest.skip("this process may not give a file to another user")
+        (out / "spectrum.csv").chmod(0o666)  # writable without privileges
+        assert self._run(tmp_path, "splitting", second, out) == 0
+        assert (out / "spectrum.csv").stat().st_uid == other
+        assert self._files(out) == fresh
+
+    def test_a_write_protected_file_is_refused(self, tmp_path, capsys):
+        if _permission_checks_bypassed(tmp_path):
+            pytest.skip("this process bypasses permission checks")
+        out, _, second = self._rerun_splitting(tmp_path)
+        kept = (out / "spectrum.csv").read_bytes()
+        (out / "spectrum.csv").chmod(0o444)
+        assert self._run(tmp_path, "splitting", second, out) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
+        assert (out / "spectrum.csv").read_bytes() == kept
+
+    def test_a_file_in_a_write_protected_directory_is_rewritten(self, tmp_path):
+        if _permission_checks_bypassed(tmp_path):
+            pytest.skip("this process bypasses permission checks")
+        out, fresh, second = self._rerun_splitting(tmp_path)
+        inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
+        out.chmod(0o555)
+        try:
+            assert self._run(tmp_path, "splitting", second, out) == 0
+        finally:
+            out.chmod(0o755)
+        assert self._files(out) == fresh
+        assert {p.name: p.stat().st_ino for p in out.iterdir()} == inodes
