@@ -744,17 +744,28 @@ def reflection_spectrum(mode_a: ModeParams, mode_b: ModeParams,
     each frequency and returns Gamma(w) = a_out/a_in. For g_P = 0 this is
     the standard single-port Lorentzian 1 - gamma_ext / (i(w_A - w) + gamma_A/2).
     """
+    return _reflection_at(mode_a, mode_b, pump,
+                          mode_a.omega - np.asarray(probe_omegas, dtype=float))
+
+
+def _reflection_at(mode_a, mode_b, pump, offsets) -> np.ndarray:
+    """``reflection_spectrum`` at the probe offsets w_A - w themselves.
+
+    Conjugating the steady state maps (delta, w_A - w) to (-delta, w - w_A):
+    negating both flips the sign of every imaginary part here and keeps
+    every real part, exactly, so the two reflections are complex
+    conjugates bit for bit, with equal magnitudes and the same singular
+    points."""
     check_mode_order(mode_a, mode_b)
     if not pump.is_cw:
         raise ValidationError("reflection_spectrum requires a CW pump envelope")
     g = pump.g
-    w = np.asarray(probe_omegas, dtype=float)
 
-    chi_a_inv = 1j * (mode_a.omega - w) + 0.5 * mode_a.gamma_total
+    chi_a_inv = 1j * offsets + 0.5 * mode_a.gamma_total
     if g == 0.0:
         denom = chi_a_inv
     else:
-        chi_b_inv = 1j * ((mode_a.omega - w) - pump.delta) + 0.5 * mode_b.gamma_total
+        chi_b_inv = 1j * (offsets - pump.delta) + 0.5 * mode_b.gamma_total
         if np.any(chi_b_inv == 0.0):
             raise SingularSteadyStateError(
                 "undamped storage mode exactly on the converted probe frequency")

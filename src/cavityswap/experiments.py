@@ -20,14 +20,13 @@ from .analysis import (PENCIL_MIN_SAMPLES, DegenerateFitError, NoOscillationErro
                        loss_corrected_efficiency, oscillation_frequency)
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError,
                    check_mode_order, mode_params_from_q)
-from .dynamics import (SimConfig, half_step_config, lab_frame, max_step, propagate_swap,
-                       rabi_frequency, reflection_spectrum, swap_coupling_sq,
-                       swap_frequency)
+from .dynamics import (SimConfig, _reflection_at, half_step_config, lab_frame, max_step,
+                       propagate_swap, rabi_frequency, swap_coupling_sq, swap_frequency)
 from .sequences import (PulseSequence, Segment, _plan, calibrate_swap_time, check_plan,
                         parse_sequence, run_plan, run_sequence, run_sequence_checked,
                         validate_sequence)
-# not called here: perfbench/tracer.py wraps both by name where experiments binds them
-from .dynamics import integrate_checked  # noqa: F401
+# not called here: perfbench/tracer.py wraps these by name where experiments binds them
+from .dynamics import integrate_checked, reflection_spectrum  # noqa: F401
 from .sequences import demodulate  # noqa: F401
 from .textio import (format_cells, write_key_values, write_row_groups,
                      write_csv as _write_csv)
@@ -218,6 +217,14 @@ def _modes(cfg):
     mode_b = ModeParams(cfg["freq_b"], 1.0 / cfg["t1_b"], 0.0)
     check_mode_order(mode_a, mode_b)
     return mode_a, mode_b
+
+
+def _mirror_grid(n):
+    """``linspace(-0.5, 0.5, n)`` with its lower half the negated upper
+    half bit for bit: the upper half runs from 0 (odd n) or half a spacing
+    (even n) to 0.5, so each value's mirror is its negation."""
+    upper = np.linspace(0.5 * (1 - n % 2) / (n - 1), 0.5, (n + 1) // 2)
+    return np.concatenate((-upper[::-1][:n // 2], upper))
 
 
 def _resolve_gp(cfg) -> float:
@@ -423,7 +430,17 @@ def _check_normal_energies(source, energies, what="readout energies down to"):
 # runners
 
 def run_splitting(cfg, outdir):
-    """Steady-state reflection of the readout mode vs pump detuning."""
+    """Steady-state reflection of the readout mode vs pump detuning.
+
+    Both axes are ``_mirror_grid``s: the probe offsets x from w_A and the
+    pump detunings delta. Conjugating the steady state gives |r(delta,
+    w_A + x)| = |r(-delta, w_A - x)|, and ``_reflection_at`` keeps that bit
+    for bit at the exact offsets -x, so the pump-major |r| grid of N cells
+    is a palindrome: cell f equals cell N-1-f. Only the first ceil(P/2)
+    pump rows are evaluated, and ``reflection_abs`` is written as the pair
+    of the first ceil(N/2) magnitudes and the index min(f, N-1-f). The
+    dips are read off the delta = 0 spectrum: the middle row of an odd
+    pump count, or one more evaluation, not written, of an even one."""
     os.makedirs(outdir, exist_ok=True)
     mode_a, mode_b = _modes(cfg)
     g = _resolve_gp(cfg)
@@ -436,51 +453,62 @@ def run_splitting(cfg, outdir):
             f"probe_span = {format_quantity(cfg['probe_span'], 'Hz')} cannot "
             f"hold both dips at +-g_P = +-{g / TWO_PI:.12g}Hz: half the span "
             "must exceed g_P plus one probe spacing")
-    probes = mode_a.omega + np.linspace(-0.5, 0.5, cfg["probe_count"]) * cfg["probe_span"]
-    pump_deltas = np.linspace(-0.5, 0.5, cfg["pump_count"]) * cfg["pump_span"]
+    offsets = _mirror_grid(cfg["probe_count"]) * cfg["probe_span"]
+    pump_deltas = _mirror_grid(cfg["pump_count"]) * cfg["pump_span"]
 
-    mags = np.empty((pump_deltas.size, probes.size))
-    for k, delta in enumerate(pump_deltas):
-        mags[k] = np.abs(reflection_spectrum(mode_a, mode_b, PumpDrive(g, delta), probes))
-    # pump-major rows; the two axes as (values, index) columns
-    n_pump, n_probe = mags.shape
+    def magnitudes(delta):
+        return np.abs(_reflection_at(mode_a, mode_b, PumpDrive(g, delta), -offsets))
+
+    n_pump, n_probe = pump_deltas.size, offsets.size
+    mags = np.array([magnitudes(delta) for delta in pump_deltas[:(n_pump + 1) // 2]])
+    # pump-major rows; the two axes and the mirrored magnitudes as (values, index) columns
+    n = n_pump * n_probe
+    cell = np.arange(n)
     _write_csv(os.path.join(outdir, "spectrum.csv"),
                [f"runner = splitting", f"gp_hz = {g / TWO_PI:.12g}"],
                ["pump_detuning_hz", "probe_offset_hz", "reflection_abs"],
-               [(pump_deltas / TWO_PI, np.repeat(np.arange(n_pump), n_probe)),
-                ((probes - mode_a.omega) / TWO_PI, np.tile(np.arange(n_probe), n_pump)),
-                mags.ravel()])
+               [(pump_deltas / TWO_PI, cell // n_probe),
+                (offsets / TWO_PI, cell % n_probe),
+                (mags.ravel()[:(n + 1) // 2], np.minimum(cell, n - 1 - cell))])
 
-    center_mag = mags[int(np.argmin(np.abs(pump_deltas)))]
-    separation = _dip_separation(probes, center_mag)
+    center_mag = mags[-1] if n_pump % 2 else magnitudes(0.0)
     results = {
         "gp_hz": g / TWO_PI,
-        "dip_separation_hz": separation / TWO_PI,
+        # the dips located on the probe frequencies w_A + x
+        "dip_separation_hz": _dip_separation(mode_a.omega + offsets, center_mag) / TWO_PI,
         "expected_splitting_hz": 2.0 * g / TWO_PI,
-        "dip_count": _count_dips(center_mag),
+        "dip_count": len(_local_minima(center_mag)[0]),
     }
     _write_report(outdir, "splitting", cfg, results)
     return results
 
 
-def _count_dips(mag):
-    interior = (mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:])
-    return int(np.sum(interior))
+def _local_minima(mag):
+    """(first, last) sample of each interior local minimum of `mag`: a run
+    of equal samples, one or more, with a larger sample on either side."""
+    edges = np.flatnonzero(mag[1:] != mag[:-1])
+    first = np.concatenate(([0], edges + 1))
+    last = np.concatenate((edges, [mag.size - 1]))
+    level = mag[first]
+    lower = (level[1:-1] < level[:-2]) & (level[1:-1] < level[2:])
+    return first[1:-1][lower], last[1:-1][lower]
 
 
 def _dip_separation(omegas, mag):
-    """Frequency separation of the two deepest local minima (0 if single dip),
-    each refined by a parabola through its neighbours."""
-    idx = np.where((mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))[0] + 1
-    if idx.size < 2:
+    """Frequency separation of the two deepest local minima (0 if single
+    dip): a single-sample minimum refined by a parabola through its
+    neighbours, a flat run of samples at its middle."""
+    first, last = _local_minima(mag)
+    if first.size < 2:
         return 0.0
-    deepest = idx[np.argsort(mag[idx])][:2]
     dw = omegas[1] - omegas[0]
     refined = []
-    for k in sorted(deepest):
-        ya, yb, yc = mag[k - 1], mag[k], mag[k + 1]
-        denom = ya - 2.0 * yb + yc
-        shift = 0.0 if denom == 0.0 else 0.5 * (ya - yc) / denom
+    for i in sorted(np.argsort(mag[first], kind="stable")[:2]):
+        k, shift = first[i], 0.5 * (last[i] - first[i])
+        if shift == 0.0:
+            ya, yb, yc = mag[k - 1], mag[k], mag[k + 1]
+            denom = ya - 2.0 * yb + yc
+            shift = 0.0 if denom == 0.0 else 0.5 * (ya - yc) / denom
         refined.append(omegas[k] + shift * dw)
     return abs(refined[1] - refined[0])
 
@@ -501,10 +529,7 @@ def run_chevron(cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
     modes = _modes(cfg)
     g = _resolve_gp(cfg)
-    n = cfg["delta_count"]
-    # the upper half of linspace(-0.5, 0.5, n), from 0 or half a spacing
-    upper = np.linspace(0.5 * (1 - n % 2) / (n - 1), 0.5, (n + 1) // 2)
-    deltas = np.concatenate((-upper[::-1][:n // 2], upper)) * cfg["delta_span"]
+    deltas = _mirror_grid(cfg["delta_count"]) * cfg["delta_span"]
     # the RK4 oracle sits at the middle point: resonant only for an odd delta_count
     rel, diff, omega_es, records, point = _swap_sweep(
         cfg, [(g, delta, cfg["t_end"]) for delta in deltas], math.sqrt(cfg["nbar"]),

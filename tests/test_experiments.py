@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from cavityswap import cli, experiments, fluxmap, sequences, textio
 from cavityswap.cli import main
 from cavityswap.core import ComplexAmplitudePair, PumpDrive, ValidationError
-from cavityswap.dynamics import (SimConfig, TraceRecord, check_exact, exact_segment,
-                                 half_step_config, integrate_checked, max_step,
-                                 rabi_frequency, reflection_spectrum, swap_coupling_sq)
+from cavityswap.dynamics import (SimConfig, TraceRecord, _reflection_at, check_exact,
+                                 exact_segment, half_step_config, integrate_checked,
+                                 max_step, rabi_frequency, swap_coupling_sq)
 from cavityswap.experiments import (RUNNERS, parse_config_file, resolve_config,
                                     run_chevron, run_phase_sweep,
                                     run_power_sweep, run_splitting,
@@ -177,6 +177,111 @@ class TestSplittingRunner:
         assert "runner = splitting" in report
         assert "config.freq_a = 8700000000Hz" in report
         assert "result.dip_separation_hz" in report
+
+
+def _splitting_grid(cfg):
+    """(pump detunings, probe offsets, |r| of every pump row) of a
+    splitting run, each row evaluated directly at the offsets: the mirrored
+    grid of the runner's docstring, built here from its definition."""
+    mode_a, mode_b = experiments._modes(cfg)
+    g = experiments._resolve_gp(cfg)
+
+    def mirrored(n):
+        upper = np.linspace(0.5 * (1 - n % 2) / (n - 1), 0.5, (n + 1) // 2)
+        return np.concatenate((-upper[::-1][:n // 2], upper))
+
+    pump_deltas = mirrored(cfg["pump_count"]) * cfg["pump_span"]
+    offsets = mirrored(cfg["probe_count"]) * cfg["probe_span"]
+    assert np.array_equal(pump_deltas, -pump_deltas[::-1])
+    assert np.array_equal(offsets, -offsets[::-1])
+    mags = np.array([np.abs(_reflection_at(mode_a, mode_b, PumpDrive(g, delta), -offsets))
+                     for delta in pump_deltas])
+    return pump_deltas, offsets, mags
+
+
+class TestSplittingGrid:
+    """The splitting grid is its own mirror image: the runner evaluates and
+    formats half of it."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(freq_a_ghz=st.floats(8.0, 9.5), gap_ghz=st.floats(0.05, 2.0),
+           q_int=st.floats(1e4, 1e7), q_ext=st.floats(1e3, 1e6), t1_us=st.floats(0.5, 100.0),
+           probe_count=st.integers(4, 60), pump_count=st.integers(2, 60),
+           probe_mhz=st.floats(0.5, 20.0), probe_sign=st.sampled_from([1.0, -1.0]),
+           pump_mhz=st.sampled_from([0.0, -3.0]) | st.floats(-20.0, 20.0),
+           gp_share=st.just(0.0) | st.floats(0.01, 0.95))
+    def test_spectrum_is_the_mirrored_half(self, tmp_path, freq_a_ghz, gap_ghz, q_int, q_ext,
+                                           t1_us, probe_count, pump_count, probe_mhz,
+                                           probe_sign, pump_mhz, gp_share):
+        # g_P up to 95% of the most the probe span holds (see run_splitting);
+        # g_P = 0 through a pump power whose coupling is 0 (the flux curves
+        # calibrate for a readout mode from 8 GHz up)
+        most = probe_mhz * (0.5 - 1.0 / (probe_count - 1))
+        gp = {"gp": TWO_PI * 1e6 * gp_share * most} if gp_share else {"pump_power": "-8000dBm"}
+        cfg = resolve_config("splitting", {
+            "freq_a": TWO_PI * 1e9 * freq_a_ghz, "freq_b": TWO_PI * 1e9 * (freq_a_ghz + gap_ghz),
+            "q_int_a": q_int, "q_ext_a": q_ext, "t1_b": 1e-6 * t1_us,
+            "probe_count": probe_count, "pump_count": pump_count,
+            "probe_span": TWO_PI * 1e6 * probe_sign * probe_mhz,
+            "pump_span": TWO_PI * 1e6 * pump_mhz, **gp})
+        run_splitting(cfg, tmp_path)
+        pump_deltas, offsets, mags = _splitting_grid(cfg)
+        n = mags.size
+        cell = np.arange(n)
+        mirrored = mags.ravel()[np.minimum(cell, n - 1 - cell)]
+        pump_cells, probe_cells = pump_deltas[cell // probe_count], offsets[cell % probe_count]
+        assert _data_text(tmp_path / "spectrum.csv") == _per_cell_text(
+            [pump_cells / TWO_PI, probe_cells / TWO_PI, mirrored])
+        # the direct evaluation of every cell: exact on both axes, and
+        # within 4 ulps on |r| (bit for bit on numpy's complex arithmetic)
+        data = np.array(_csv_rows(tmp_path / "spectrum.csv"), dtype=float)
+        assert np.array_equal(data[:, 0], pump_cells / TWO_PI)
+        assert np.array_equal(data[:, 1], probe_cells / TWO_PI)
+        assert np.all(np.abs(data[:, 2] - mags.ravel()) <= 4 * np.spacing(mags.ravel()))
+
+    def test_even_pump_count_reads_the_zero_detuning_spectrum(self, tmp_path):
+        # no pump row sits at delta = 0: the dips come from one more
+        # evaluation there, the same spectrum an odd count has in its middle
+        even = run_splitting(resolve_config("splitting", {"pump_count": "2"}), tmp_path / "2")
+        odd = run_splitting(resolve_config("splitting", {"pump_count": "3"}), tmp_path / "3")
+        assert even["dip_count"] == 2
+        assert even["dip_separation_hz"] == pytest.approx(even["expected_splitting_hz"],
+                                                          rel=0.01)
+        assert even == odd
+        # that evaluation is not written: two rows of probes
+        assert len(_csv_rows(tmp_path / "2" / "spectrum.csv")) == 2 * 801
+
+    @pytest.mark.parametrize("probe_count", [800, 801])
+    def test_uncoupled_dip_counts_once(self, tmp_path, probe_count):
+        # g_P = 0: one Lorentzian dip at w_A, whose bottom at an even count
+        # is two equal samples either side of it
+        cfg = resolve_config("splitting", {"pump_power": "-8000dBm",
+                                           "probe_count": str(probe_count)})
+        results = run_splitting(cfg, tmp_path)
+        center = _splitting_grid(cfg)[2][cfg["pump_count"] // 2]
+        mid = probe_count // 2
+        assert (center[mid - 1] == center[mid]) == (probe_count % 2 == 0)
+        assert results["dip_count"] == 1
+        assert results["dip_separation_hz"] == 0.0
+
+    @pytest.mark.parametrize("mag,runs", [
+        ([3.0, 1.0, 3.0], [(1, 1)]),
+        ([3.0, 1.0, 1.0, 3.0], [(1, 2)]),
+        ([3.0, 1.0, 1.0, 1.0, 2.0, 0.5, 4.0], [(1, 3), (5, 5)]),
+        ([1.0, 1.0, 2.0], []),  # a run at the edge has no smaller neighbour to its left
+        ([2.0, 1.0, 1.0], []),
+        ([3.0, 2.0, 2.0, 1.0, 3.0], [(3, 3)]),  # a shelf on the way down
+        ([1.0, 1.0, 1.0], []),
+    ])
+    def test_local_minima_are_runs(self, mag, runs):
+        first, last = experiments._local_minima(np.array(mag))
+        assert list(zip(first.tolist(), last.tolist())) == runs
+
+    def test_flat_bottomed_dips_sit_at_their_middle(self):
+        omegas = np.arange(9.0)
+        mag = np.array([5.0, 2.0, 1.0, 1.0, 4.0, 1.0, 1.0, 2.0, 5.0])
+        assert experiments._dip_separation(omegas, mag) == 3.0
 
 
 class TestChevronRunner:
@@ -410,15 +515,15 @@ class TestAxisColumns:
         monkeypatch.setattr(textio, "_CSV_BLOCK", 100)
         cfg = resolve_config("splitting", SMALL_SPLITTING)
         run_splitting(cfg, tmp_path)
-        mode_a, mode_b = experiments._modes(cfg)
-        g = experiments._resolve_gp(cfg)
-        probes = mode_a.omega + np.linspace(-0.5, 0.5, cfg["probe_count"]) * cfg["probe_span"]
-        pump_deltas = np.linspace(-0.5, 0.5, cfg["pump_count"]) * cfg["pump_span"]
+        # the runner evaluates the first ceil(P/2) pump rows; this oracle
+        # reads each later row as the reverse of its mirror row
+        pump_deltas, offsets, mags = _splitting_grid(cfg)
+        half = (pump_deltas.size + 1) // 2
         rows = []
-        for delta in pump_deltas:
-            mag = np.abs(reflection_spectrum(mode_a, mode_b, PumpDrive(g, delta), probes))
-            for w, m in zip(probes, mag):
-                rows.append("%.17g,%.17g,%.17g\n" % (delta / TWO_PI, (w - mode_a.omega) / TWO_PI, m))
+        for k, delta in enumerate(pump_deltas):
+            mag = mags[k] if k < half else mags[-1 - k][::-1]
+            for x, m in zip(offsets, mag):
+                rows.append("%.17g,%.17g,%.17g\n" % (delta / TWO_PI, x / TWO_PI, m))
         assert _data_text(tmp_path / "spectrum.csv") == "".join(rows)
 
     @pytest.mark.parametrize("overrides,distinct", [
@@ -481,8 +586,9 @@ class TestAxisColumns:
     def test_splitting_formats_each_axis_value_once(self, tmp_path, formatted):
         cfg = resolve_config("splitting", SMALL_SPLITTING)
         run_splitting(cfg, tmp_path)
+        # the magnitudes up to the middle of the palindrome, and each axis value
         probe, pump = cfg["probe_count"], cfg["pump_count"]
-        assert formatted == {"spectrum.csv": probe * pump + probe + pump}
+        assert formatted == {"spectrum.csv": (probe * pump + 1) // 2 + probe + pump}
 
     def test_chevron_formats_each_detuning_once(self, tmp_path, formatted):
         cfg = resolve_config("chevron", SMALL_CHEVRON)
