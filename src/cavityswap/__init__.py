@@ -10,10 +10,11 @@ The package is organised bottom-up:
 * :mod:`cavityswap.fluxmap` -- the coupler-pull flux modulation curves
   and the pump-power to coupling-rate conversion,
 * :mod:`cavityswap.dynamics` -- RK4 integration of the coupled-mode
-  equations, their exact solutions under a constant pump or a drive
-  tone, and the steady-state reflection spectrum,
-* :mod:`cavityswap.sequences` -- pulse-sequence files, execution, and
-  swap calibration,
+  equations, the eigenvalues of the constant-pump swap and the closed
+  forms read off them (swap frequency, swap calibration), their exact
+  solutions under a constant pump or a drive tone, and the steady-state
+  reflection spectrum,
+* :mod:`cavityswap.sequences` -- pulse-sequence files and their execution,
 * :mod:`cavityswap.analysis` -- swap-frequency pencil, decay/phase fits, dwell
   times and the loss-corrected efficiency,
 * :mod:`cavityswap.experiments` -- config-driven measurement runners
@@ -25,17 +26,17 @@ from .analysis import (DegenerateFitError, FitResult, NoOscillationError,
                        loss_corrected_efficiency, oscillation_frequency)
 from .core import (ComplexAmplitudePair, CouplerState, ModeParams, PumpDrive,
                    ValidationError, mode_params_from_q)
-from .dynamics import (ConvergenceError, DriveTone, IntegrationDivergedError,
-                       ResolutionError, SimConfig, SingularSteadyStateError,
-                       TraceRecord, integrate, integrate_checked,
-                       max_step, propagate_load, propagate_swap,
-                       rabi_frequency, reflection_spectrum, swap_frequency)
+from .dynamics import (CalibrationError, ConvergenceError, DriveTone,
+                       IntegrationDivergedError, ResolutionError, SimConfig,
+                       SingularSteadyStateError, TraceRecord, calibrate_swap_time,
+                       integrate, integrate_checked, max_step, propagate_load,
+                       propagate_swap, rabi_frequency, reflection_spectrum,
+                       swap_eigen, swap_frequency)
 from .fluxmap import (DEFAULT_FLUX_CALIB, CouplerPullCurve,
                       DegenerateBiasWarning, calibrated_curves, coupling_rate,
                       flux_for_pump_power, max_slope_bias, pump_power_to_flux)
-from .sequences import (CalibrationError, PulseSequence, Segment,
-                        SequenceSemanticError, SequenceSyntaxError,
-                        calibrate_swap_time, demodulate, emit_sequence,
+from .sequences import (PulseSequence, Segment, SequenceSemanticError,
+                        SequenceSyntaxError, demodulate, emit_sequence,
                         parse_sequence, run_sequence, run_sequence_checked)
 from .units import Quantity, UnitError, format_quantity, parse_quantity
 

@@ -19,10 +19,9 @@ import sys
 
 from .analysis import DegenerateFitError, NoOscillationError
 from .core import ValidationError
-from .dynamics import ConvergenceError, IntegrationDivergedError
+from .dynamics import CalibrationError, ConvergenceError, IntegrationDivergedError
 from .experiments import RUNNERS, parse_config_file, resolve_config
-from .sequences import (CalibrationError, SequenceSemanticError,
-                        SequenceSyntaxError)
+from .sequences import SequenceSemanticError, SequenceSyntaxError
 from .units import UnitError
 
 _VALIDATION_ERRORS = (ValidationError, UnitError, SequenceSyntaxError,

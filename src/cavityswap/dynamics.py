@@ -44,8 +44,12 @@ c = b~ e^{i(D t + phi_P)} makes the rotating-frame system time-invariant,
 
 and exp(M t) = e^{m t} (cosh(s t) I + sinh(s t)/s N) with m = tr M / 2,
 N = M - m I and s^2 = N_11^2 - g_P^2 (Moler & Van Loan, SIAM Rev. 45,
-2003). A drive tone with no pump is a scalar affine equation for a~ and
-a free decay for b~ (``propagate_load``). RK4 stays the integrator for
+2003). ``swap_eigen`` alone forms m, N_11 and s (M's eigenvalues are
+m +- s), and every closed form of the swap lives here and reads it: the
+propagators, ``swap_frequency`` W = 2 |Im s| and its inverse, and
+``calibrate_swap_time``, the resonant swap that empties mode A. A drive
+tone with no pump is a scalar affine equation for a~ and a free decay for
+b~ (``propagate_load``). RK4 stays the integrator for
 everything else (raised-cosine pump envelopes) and the oracle for the
 exact solutions (``check_exact``).
 
@@ -111,6 +115,10 @@ class ConvergenceError(RuntimeError):
         super().__init__(f"{check} {rel_diff:.3e} exceeds tolerance {tolerance:.3e}")
         self.rel_diff = rel_diff
         self.tolerance = tolerance
+
+
+class CalibrationError(RuntimeError):
+    """No pulse length nulls mode A: gamma_B - gamma_A >= 4 g_P."""
 
 
 class SingularSteadyStateError(ValidationError):
@@ -224,18 +232,33 @@ def _loss_offset(modes) -> float:
     return 0.5 * (mode_b.gamma_total - mode_a.gamma_total)
 
 
+def swap_eigen(modes, g_p, delta):
+    """(m, n11, s) of the constant-pump matrix M of the module docstring,
+    elementwise: its half-trace m = (iD - gamma_A/2 - gamma_B/2)/2,
+    n11 = (c - iD)/2 of N = M - m I with c = (gamma_B - gamma_A)/2
+    (``_loss_offset``), and s = sqrt(n11^2 - g_P^2). M's eigenvalues are
+    m +- s. Scalars (``_swap_exp``) take ``cmath.sqrt``, and where `g_p`
+    or `delta` is a numpy array (``swap_frequency``) ``np.sqrt`` serves."""
+    mode_a, mode_b = modes
+    m = 0.5 * (1j * delta - 0.5 * mode_a.gamma_total - 0.5 * mode_b.gamma_total)
+    n11 = 0.5 * (_loss_offset(modes) - 1j * delta)
+    s2 = n11 * n11 - g_p * g_p
+    if isinstance(delta, np.ndarray) or isinstance(g_p, np.ndarray):
+        return m, n11, np.sqrt(s2)
+    return m, n11, cmath.sqrt(s2)
+
+
 def swap_frequency(modes, g_p, delta):
     """Energy-oscillation frequency W of the lossy detuned swap, elementwise.
 
     |a(t)|^2 under a constant pump is a sum of damped exponentials whose one
-    complex pair oscillates at W = 2 |Im s| for the s of the module
-    docstring: W = |Im sqrt((c - iD)^2 - 4 g_P^2)| with
-    c = (gamma_B - gamma_A)/2. It is 0 where the swap is overdamped, and
-    never above the lossless ``rabi_frequency(D, g_P)``.
+    complex pair oscillates at W = 2 |Im s| for the s of ``swap_eigen``:
+    W = |Im sqrt((c - iD)^2 - 4 g_P^2)| with c = (gamma_B - gamma_A)/2.
+    It is 0 where the swap is overdamped, and never above the lossless
+    ``rabi_frequency(D, g_P)``.
     """
-    c = _loss_offset(modes)
-    z = (c - 1j * np.asarray(delta, dtype=float)) ** 2 - 4.0 * np.square(g_p)
-    return np.abs(np.sqrt(z + 0j).imag)
+    s = swap_eigen(modes, np.asarray(g_p, dtype=float), np.asarray(delta, dtype=float))[2]
+    return 2.0 * np.abs(s.imag)
 
 
 def swap_coupling_sq(modes, omega, delta):
@@ -246,6 +269,53 @@ def swap_coupling_sq(modes, omega, delta):
     w2 = np.square(omega)
     d2 = np.square(delta)
     return 0.25 * (w2 - d2 + c * c * (1.0 - d2 / w2))
+
+
+def calibrate_swap_time(modes, g_p: float) -> float:
+    """Length of the shortest resonant swap pulse that empties mode A.
+
+    For a(0) = 1, b(0) = 0 and a pump at zero detuning, a(T) is real:
+    a(T) = e^{-(gamma_A + gamma_B) T/4} (cos(W T) - d sin(W T)/W), with
+    d = (gamma_A - gamma_B)/4 = -c/2 (``_loss_offset``) and
+    W = sqrt(g_P^2 - d^2) = |Im s| of ``swap_eigen`` at D = 0
+    (``propagate_swap``). Its first zero is T = atan2(W, d)/W when
+    g_P > |d| (pi/(2 g_P) for lossless modes), T = atanh(s/d)/s with
+    s = sqrt(d^2 - g_P^2) when 0 < g_P < d, and T = 1/d at g_P = d. Raises
+    CalibrationError when gamma_B - gamma_A >= 4 g_P, where a(T) has no
+    zero, and ValidationError where W or s over- or underflows.
+
+    W and s are formed here in real arithmetic, factored as
+    sqrt((g_P - d)(g_P + d)): near critical damping the complex s of
+    ``swap_eigen`` loses about eps (g_P^2 + d^2)/W^2 of W to the
+    cancellation in n11^2 - g_P^2, and T sets every store_retrieve file.
+    """
+    if not g_p > 0.0:
+        raise ValidationError("g_p must be positive for swap calibration")
+    d = 0.0 - 0.5 * _loss_offset(modes)  # -c/2, and +0.0 at equal losses
+    if g_p > abs(d):
+        w = _calibration_rate(g_p, d, "W")
+        return math.atan2(w, d) / w
+    if d > g_p:
+        s = _calibration_rate(g_p, d, "s")
+        # atanh(s/d) = log((d + s)/g_p), written without the cancellation
+        # of 1 - s/d when g_p << d
+        return math.log1p((d - g_p + s) / g_p) / s
+    if d == g_p:
+        return 1.0 / d
+    gamma_a, gamma_b = modes[0].gamma_total, modes[1].gamma_total
+    raise CalibrationError(
+        f"no pulse length nulls mode A: gamma_B - gamma_A = {gamma_b:.6g} - "
+        f"{gamma_a:.6g} 1/s is at least 4 g_P = {4.0 * g_p:.6g} rad/s")
+
+
+def _calibration_rate(g_p, d, name):
+    """sqrt(|(g_P - d)(g_P + d)|), the W or s of ``calibrate_swap_time``;
+    one that is not positive and finite raises ValidationError naming g_P."""
+    rate = math.sqrt(abs((g_p - d) * (g_p + d)))
+    if not 0.0 < rate < math.inf:
+        raise ValidationError(f"g_P = {g_p:.6g} rad/s with d = {d:.6g} 1/s gives "
+                              f"{name} = {rate:.6g} 1/s: no finite swap time")
+    return rate
 
 
 def max_step(mode_a, mode_b, pump, drive=None,
@@ -646,14 +716,8 @@ def propagate_swap(initial: ComplexAmplitudePair, modes, g_p: float,
 def _swap_exp(modes, g_p, delta, tau):
     """(n11, ch, sh) with exp(M tau) = ch I + sh N at the offsets `tau`:
     ch = e^{m tau} cosh(s tau) and sh = e^{m tau} sinh(s tau)/s, for the
-    M, m, s and N = [[n11, -i g_P], [-i g_P, -n11]] of the module
-    docstring."""
-    mode_a, mode_b = modes
-    ga2 = 0.5 * mode_a.gamma_total
-    gb2 = 0.5 * mode_b.gamma_total
-    m = 0.5 * (1j * delta - ga2 - gb2)
-    n11 = -ga2 - m
-    s = cmath.sqrt(n11 * n11 - g_p * g_p)
+    m, n11, s of ``swap_eigen`` and N = [[n11, -i g_P], [-i g_P, -n11]]."""
+    m, n11, s = swap_eigen(modes, g_p, delta)
     if abs(s.real) * float(np.max(np.abs(tau))) < 700.0:
         em = np.exp(m * tau)
         ch = em * np.cosh(s * tau)

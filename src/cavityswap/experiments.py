@@ -20,9 +20,10 @@ from .analysis import (PENCIL_MIN_SAMPLES, DegenerateFitError, NoOscillationErro
                        loss_corrected_efficiency, oscillation_frequency)
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError,
                    check_mode_order, mode_params_from_q)
-from .dynamics import (SimConfig, _reflection_at, half_step_config, lab_frame, max_step,
-                       propagate_swap, rabi_frequency, swap_coupling_sq, swap_frequency)
-from .sequences import (PulseSequence, Segment, _plan, calibrate_swap_time, check_plan,
+from .dynamics import (SimConfig, _reflection_at, calibrate_swap_time, half_step_config,
+                       lab_frame, max_step, propagate_swap, rabi_frequency, swap_coupling_sq,
+                       swap_frequency)
+from .sequences import (PulseSequence, Segment, _plan, check_plan,
                         parse_sequence, run_plan, run_sequence, run_sequence_checked,
                         validate_sequence)
 # not called here: perfbench/tracer.py wraps these by name where experiments binds them
@@ -394,9 +395,14 @@ def _retrieval(cfg, runner, points):
     ``_readout_state``), and the reference is the load read out at once:
     the same closed form from a = sqrt(nbar), over a window of the
     readout's length, so that eta compares equal windows. Readout energies
-    below the normal doubles are refused (exit 2)."""
+    below the normal doubles are refused (exit 2), and so is a pump power
+    whose g_P is 0, which has no swap to store with even at a set
+    `t_swap`."""
     mode_a, mode_b = _modes(cfg)
     g = _resolve_gp(cfg)
+    if not g > 0.0:
+        raise ValidationError(f"pump power {format_quantity(cfg['pump_power'], 'dBm')} gives "
+                              f"g_P = {format_quantity(g, 'Hz')}: it has no swap to store with")
     t_swap = cfg["t_swap"] if cfg["t_swap"] > 0.0 else calibrate_swap_time((mode_a, mode_b), g)
     seqs = [_sr_sequence(cfg, g, t_swap, delay, phase) for delay, phase in points]
     oracle, rel = run_sequence_checked(seqs[len(seqs) // 2], tolerance=cfg["tolerance"],

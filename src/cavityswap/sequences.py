@@ -1,4 +1,4 @@
-"""Timed pulse sequences: parsing, execution, and swap-time calibration.
+"""Timed pulse sequences: parsing and execution.
 
 Sequence files are line-oriented text with ``#`` comments. Every
 dimensioned value carries a mandatory unit suffix::
@@ -25,8 +25,8 @@ and integrating raised-cosine swaps with RK4. ``check_plan``, the one
 oracle of sequences and swap sweeps alike, checks that walk against one
 ``dynamics.rk4_trace`` of the plan, and that against one of its coarse
 twin, the plan with every requested dt doubled.
-``calibrate_swap_time`` gives the resonant swap length that empties the
-readout mode as the first zero of its closed-form amplitude.
+``calibrate_swap_time`` and ``CalibrationError`` live in ``dynamics``
+with every other closed form of the swap, and are bound here as well.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, ValidationError,
                    check_mode_order)
 from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact, check_half_step,
                        exact_segment, integrate, max_step, mode_meta, rk4_trace)
+# bound here as well: callers and tests import the swap calibration from sequences
+from .dynamics import CalibrationError, calibrate_swap_time  # noqa: F401
 from .units import parse_quantity
 
 
@@ -59,10 +61,6 @@ class SequenceSemanticError(ValueError):
         where = "" if index is None else f" (segment {index})"
         super().__init__(f"{message}{where}")
         self.index = index
-
-
-class CalibrationError(RuntimeError):
-    """No pulse length nulls mode A: gamma_B - gamma_A >= 4 g_P."""
 
 
 # key -> required unit kind, in canonical emit order
@@ -463,33 +461,3 @@ def demodulate(trace: TraceRecord, omega_ref: float, window) -> tuple:
     iq = complex(np.trapezoid(rotated, sub.t))
     energy = float(np.trapezoid(np.abs(sub.a_out) ** 2, sub.t))
     return iq.real, iq.imag, energy
-
-
-def calibrate_swap_time(modes, g_p: float) -> float:
-    """Length of the shortest resonant swap pulse that empties mode A.
-
-    For a(0) = 1, b(0) = 0 and a pump at zero detuning, a(T) is real:
-    a(T) = e^{-(gamma_A + gamma_B) T/4} (cos(W T) - d sin(W T)/W), with
-    d = (gamma_A - gamma_B)/4 and W = sqrt(g_P^2 - d^2) (``propagate_swap``).
-    Its first zero is T = atan2(W, d)/W when g_P > |d| (pi/(2 g_P) for
-    lossless modes), T = atanh(s/d)/s with s = sqrt(d^2 - g_P^2) when
-    0 < g_P < d, and T = 1/d at g_P = d. Raises CalibrationError when
-    gamma_B - gamma_A >= 4 g_P, where a(T) has no zero.
-    """
-    if not g_p > 0.0:
-        raise ValidationError("g_p must be positive for swap calibration")
-    gamma_a, gamma_b = modes[0].gamma_total, modes[1].gamma_total
-    d = 0.25 * (gamma_a - gamma_b)
-    if g_p > abs(d):
-        w = math.sqrt((g_p - d) * (g_p + d))
-        return math.atan2(w, d) / w
-    if d > g_p:
-        s = math.sqrt((d - g_p) * (d + g_p))
-        # atanh(s/d) = log((d + s)/g_p), written without the cancellation
-        # of 1 - s/d when g_p << d
-        return math.log1p((d - g_p + s) / g_p) / s
-    if d == g_p:
-        return 1.0 / d
-    raise CalibrationError(
-        f"no pulse length nulls mode A: gamma_B - gamma_A = {gamma_b:.6g} - "
-        f"{gamma_a:.6g} 1/s is at least 4 g_P = {4.0 * g_p:.6g} rad/s")

@@ -1,6 +1,9 @@
+import cmath
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from cavityswap.dynamics import (ConvergenceError, DriveTone,
                                  integrate_checked, max_step, propagate_load,
                                  propagate_swap, rabi_frequency,
                                  record_times, reflection_spectrum,
-                                 swap_coupling_sq, swap_frequency)
+                                 swap_coupling_sq, swap_eigen, swap_frequency)
 from cavityswap.sequences import parse_sequence, run_sequence_checked
 from rk4_oracle import oracle_rhs, scalar_rk4
 
@@ -1046,3 +1049,170 @@ class TestSwapFrequency:
         mode_a, mode_b = ModeParams(OMEGA_A, 5.0 * GP, 0.0), ModeParams(OMEGA_B)
         w = swap_frequency((mode_a, mode_b), GP, np.array([0.0, GP, -GP]))
         assert w[0] == 0.0 and w[1] == w[2] > 0.0
+
+
+def _swap_exp_before(modes, g_p, delta, tau):
+    """The arithmetic of ``dynamics._swap_exp`` before ``swap_eigen``, kept
+    as an oracle: n11 = -gamma_A/2 - m rather than (c - iD)/2."""
+    mode_a, mode_b = modes
+    ga2 = 0.5 * mode_a.gamma_total
+    gb2 = 0.5 * mode_b.gamma_total
+    m = 0.5 * (1j * delta - ga2 - gb2)
+    n11 = -ga2 - m
+    s = cmath.sqrt(n11 * n11 - g_p * g_p)
+    if abs(s.real) * float(np.max(np.abs(tau))) < 700.0:
+        em = np.exp(m * tau)
+        ch = em * np.cosh(s * tau)
+        sh = em * (tau if s == 0.0 else np.sinh(s * tau) / s)
+    else:
+        e_plus, e_minus = np.exp((m + s) * tau), np.exp((m - s) * tau)
+        ch = 0.5 * (e_plus + e_minus)
+        sh = (e_plus - e_minus) / (2.0 * s)
+    return n11, ch, sh
+
+
+def _swap_frequency_before(modes, g_p, delta):
+    """``swap_frequency`` before ``swap_eigen``, kept as an oracle:
+    |Im sqrt((c - iD)^2 - 4 g_P^2)|."""
+    c = dynamics._loss_offset(modes)
+    z = (c - 1j * np.asarray(delta, dtype=float)) ** 2 - 4.0 * np.square(g_p)
+    return np.abs(np.sqrt(z + 0j).imag)
+
+
+def _calibrate_swap_time_before(modes, g_p):
+    """The arithmetic of ``calibrate_swap_time`` before it read d from
+    ``_loss_offset``, kept as an oracle (no refusals)."""
+    d = 0.25 * (modes[0].gamma_total - modes[1].gamma_total)
+    if g_p > abs(d):
+        w = math.sqrt((g_p - d) * (g_p + d))
+        return math.atan2(w, d) / w
+    if d > g_p:
+        s = math.sqrt((d - g_p) * (d + g_p))
+        return math.log1p((d - g_p + s) / g_p) / s
+    return 1.0 / d
+
+
+def _exact_rate(g, d):
+    """sqrt(g^2 - d^2) from the exact rational difference, rounded once."""
+    diff = Fraction(g) ** 2 - Fraction(d) ** 2
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float((Decimal(diff.numerator) / Decimal(diff.denominator)).sqrt())
+
+
+def _near_critical_modes(g, closeness, sign, extra):
+    """Modes whose d = (gamma_A - gamma_B)/4 is sign (1 - 10^-closeness) g_P
+    (critical damping at |d| = g_P), plus `extra` g_P of loss on both."""
+    x = sign * (1.0 - 10.0 ** -closeness)
+    gamma_a = 4.0 * g * max(x, 0.0) + extra * g
+    return (ModeParams(OMEGA_A, gamma_a, 0.0),
+            ModeParams(OMEGA_B, gamma_a - 4.0 * x * g, 0.0))
+
+
+class TestSwapEigen:
+    """The one eigen-solution (m, n11, s) of the constant-pump matrix M, and
+    the closed forms that read it against the arithmetic they had before."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(g_mhz=st.floats(0.01, 10.0), detuning=st.floats(-5.0, 5.0),
+           loss_a=st.floats(0.0, 5.0), loss_b=st.floats(0.0, 5.0))
+    @example(g_mhz=1.2, detuning=0.0, loss_a=4.0, loss_b=0.0)  # critically damped
+    def test_m_plus_minus_s_are_the_eigenvalues(self, g_mhz, detuning, loss_a, loss_b):
+        g = TWO_PI * 1e6 * g_mhz
+        ga, gb, delta = loss_a * g, loss_b * g, detuning * g
+        modes = (ModeParams(OMEGA_A, ga, 0.0), ModeParams(OMEGA_B, gb, 0.0))
+        m, n11, s = swap_eigen(modes, g, delta)
+        matrix = np.array([[-0.5 * ga, -1j * g], [-1j * g, 1j * delta - 0.5 * gb]])
+        e1, e2 = np.linalg.eigvals(matrix)
+        scale = max(g, ga, gb, abs(delta))
+        # eigvals resolves a nearly degenerate pair to about sqrt(eps)
+        gap = min(max(abs(m + s - e1), abs(m - s - e2)), max(abs(m + s - e2), abs(m - s - e1)))
+        assert gap <= 1e-7 * scale
+        assert 2.0 * m == pytest.approx(np.trace(matrix), rel=1e-15)
+        assert abs(n11 - (matrix[0, 0] - m)) <= 4.0 * np.finfo(float).eps * scale
+        # elementwise on arrays, through np.sqrt rather than cmath.sqrt: the
+        # radicands n11^2 - g^2 agree to their rounding (numpy's complex
+        # product can round its real part differently), and both roots are
+        # principal
+        ma, na, sa = swap_eigen(modes, g, np.array([delta, 0.0]))
+        assert ma[0] == m and na[0] == n11
+        radicand = 4.0 * np.finfo(float).eps * (abs(n11) ** 2 + g * g)
+        assert abs(sa[0] ** 2 - s ** 2) <= radicand and sa[0].real >= 0.0 and s.real >= 0.0
+        assert (ma[1], na[1]) == swap_eigen(modes, g, 0.0)[:2]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(g_mhz=st.floats(0.01, 10.0), detuning=st.floats(-5.0, 5.0),
+           loss_a=st.floats(0.0, 5.0), loss_b=st.floats(0.0, 5.0))
+    def test_swap_frequency_keeps_its_old_formula_bit_for_bit(self, g_mhz, detuning,
+                                                              loss_a, loss_b):
+        g = TWO_PI * 1e6 * g_mhz
+        modes = (ModeParams(OMEGA_A, loss_a * g, 0.0), ModeParams(OMEGA_B, loss_b * g, 0.0))
+        deltas = np.array([detuning * g, -detuning * g, 0.0])
+        assert np.array_equal(swap_frequency(modes, g, deltas),
+                              _swap_frequency_before(modes, g, deltas))
+        assert swap_frequency(modes, g, deltas[0]) == _swap_frequency_before(modes, g, deltas[0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(g_mhz=st.floats(0.01, 10.0), detuning=st.floats(-5.0, 5.0),
+           loss_a=st.floats(0.0, 5.0), loss_b=st.floats(0.0, 5.0),
+           phi=st.floats(0.0, TWO_PI), t0=st.floats(0.0, 3.0), periods=st.floats(0.1, 20.0),
+           a0=st.complex_numbers(max_magnitude=2.0),
+           b0=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+    def test_propagate_swap_matches_the_old_arithmetic(self, g_mhz, detuning, loss_a,
+                                                       loss_b, phi, t0, periods, a0, b0):
+        # n11 moves in its last bits, so the amplitudes may too
+        g = TWO_PI * 1e6 * g_mhz
+        delta = detuning * g
+        modes = (ModeParams(OMEGA_A, loss_a * g, 0.0), ModeParams(OMEGA_B, loss_b * g, 0.0))
+        init = ComplexAmplitudePair(a0, b0, t0 / g)
+        t = init.t + np.linspace(0.0, periods * TWO_PI / rabi_frequency(delta, g), 97)
+        a, b = propagate_swap(init, modes, g, delta, phi, t)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_swap_exp", _swap_exp_before)
+            a_old, b_old = propagate_swap(init, modes, g, delta, phi, t)
+        peak = float(np.max(np.hypot(np.abs(a_old), np.abs(b_old))))
+        assert np.max(np.hypot(np.abs(a - a_old), np.abs(b - b_old))) <= 1e-13 * peak
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(g_mhz=st.floats(0.01, 100.0), x_a=st.floats(0.0, 10.0),
+           v=st.floats(0.0, 1.0, exclude_max=True))
+    @example(g_mhz=1.2, x_a=1.0, v=0.0)  # critically damped, T = 1/d
+    @example(g_mhz=1.2, x_a=0.0, v=0.0)  # lossless, d = +0.0
+    def test_calibration_keeps_its_old_arithmetic_bit_for_bit(self, g_mhz, x_a, v):
+        # loss rates in units of 4 g_P, as in the calibration's first-null
+        # property: every case where a pulse length nulls mode A
+        g = TWO_PI * 1e6 * g_mhz
+        modes = (ModeParams(OMEGA_A, 4.0 * g * x_a, 0.0),
+                 ModeParams(OMEGA_B, 4.0 * g * v * (x_a + 0.999), 0.0))
+        d = 0.0 - 0.5 * dynamics._loss_offset(modes)  # as calibrate_swap_time forms it
+        assert _as_bits(d) == _as_bits(0.25 * (modes[0].gamma_total - modes[1].gamma_total))
+        assert dynamics.calibrate_swap_time(modes, g) == _calibrate_swap_time_before(modes, g)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(g_mhz=st.floats(0.01, 10.0), closeness=st.floats(0.0, 13.0),
+           sign=st.sampled_from([-1.0, 1.0]), extra=st.floats(0.0, 5.0))
+    def test_calibration_keeps_its_factored_real_rate(self, g_mhz, closeness, sign, extra):
+        # W = sqrt((g - d)(g + d)) is within an ulp of the exact rate at
+        # any damping; |Im s| of swap_eigen at D = 0 loses up to
+        # eps (g^2 + d^2)/W^2 of it to the cancellation in n11^2 - g^2
+        g = TWO_PI * 1e6 * g_mhz
+        modes = _near_critical_modes(g, closeness, sign, extra)
+        d = 0.0 - 0.5 * dynamics._loss_offset(modes)
+        if not g > abs(d):
+            return  # rounding put the draw at or past critical damping
+        eps = np.finfo(float).eps
+        w = dynamics._calibration_rate(g, d, "W")
+        assert abs(w - _exact_rate(g, d)) <= eps * w
+        s = swap_eigen(modes, g, 0.0)[2]
+        assert abs(abs(s.imag) - w) <= 2.0 * eps * (g * g + d * d) / (w * w) * w
+
+    def test_complex_rate_is_far_off_near_critical_damping(self):
+        # why calibrate_swap_time keeps the real form: 1e-12 from critical
+        # damping the complex form is off by millions of ulps
+        g = GP
+        modes = _near_critical_modes(g, 12.0, 1.0, 0.5)
+        d = 0.0 - 0.5 * dynamics._loss_offset(modes)
+        exact = _exact_rate(g, d)
+        eps = np.finfo(float).eps
+        assert abs(dynamics._calibration_rate(g, d, "W") - exact) <= eps * exact
+        assert abs(abs(swap_eigen(modes, g, 0.0)[2].imag) - exact) > 1e6 * eps * exact

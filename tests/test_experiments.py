@@ -665,6 +665,16 @@ class TestStoreRetrieveRunner:
         # a mistimed swap leaves energy behind: efficiency drops
         assert results["eta_shortest"] < 0.72
 
+    @pytest.mark.parametrize("runner", ["store_retrieve", "phase_sweep"])
+    @pytest.mark.parametrize("t_swap", ["0us", "0.2us"])
+    def test_pump_power_with_no_coupling_is_refused(self, tmp_path, runner, t_swap):
+        # a g_P that underflows to 0 has no swap, calibrated or set
+        small = {"store_retrieve": SMALL_SR, "phase_sweep": SMALL_PHASE}[runner]
+        cfg = resolve_config(runner, dict(small, pump_power="-8000dBm", t_swap=t_swap))
+        with pytest.raises(ValidationError, match="pump power -8000dBm gives g_P = 0Hz"):
+            RUNNERS[runner](cfg, tmp_path)
+        assert not list(tmp_path.glob("*"))
+
     def test_lossless_storage_mode_has_no_decay_time(self, tmp_path):
         cfg = resolve_config("store_retrieve", SMALL_SR)
         cfg["t1_b"] = math.inf
@@ -1234,6 +1244,14 @@ class TestCli:
         ("power_sweep", "q_int_a = 1e3\nt1_b = 0.01us\nn_cycles = 40\npower_count = 3"),
         # pump powers whose g_P underflows to 0, which power_sweep used to skip
         ("power_sweep", "power_start = -8000dBm\npower_stop = -50dBm\npower_count = 3"),
+        # and so g_P = 0 at a set t_swap, where store_retrieve answered mode
+        # A's decay as tau_s (0.867 us for 14.9 us) and phase_sweep a
+        # phase_slope of -1.7e-16
+        ("store_retrieve", "pump_power = -8000dBm\nt_swap = 0.2us"),
+        ("phase_sweep", "pump_power = -8000dBm\nt_swap = 0.2us"),
+        # a g_P whose calibration rate W overflows, which calibrated a swap
+        # time of 0 and was refused as a sequence of a zero-length segment
+        ("store_retrieve", "gp = 1e300Hz"),
         # a sequence whose energies are all subnormal, which wrote a trace.csv
         # of few-bit energies and final_energy_a = 0
         ("custom_sequence", "mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"

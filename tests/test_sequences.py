@@ -876,6 +876,16 @@ class TestSwapCalibration:
         with pytest.raises(CalibrationError, match="no pulse length nulls mode A"):
             calibrate_swap_time(modes, g)
 
+    @pytest.mark.parametrize("g, loss_a", [
+        (1e300, 0.0),  # W overflows: a swap time of 0 came back
+        (1.0, 1e300),  # the overdamped s overflows: nan came back
+        (1e-170, 0.0),  # W underflows to 0: ZeroDivisionError
+    ])
+    def test_rate_out_of_range_is_refused_naming_g_p(self, g, loss_a):
+        modes = (ModeParams(TWO_PI * 8.7e9, loss_a, 0.0), ModeParams(TWO_PI * 9.33e9))
+        with pytest.raises(ValidationError, match=re.escape(f"g_P = {g:.6g} rad/s")):
+            calibrate_swap_time(modes, g)
+
     def test_critical_damping_nulls_at_one_over_d(self):
         g = TWO_PI * 1.2e6
         modes = (ModeParams(TWO_PI * 8.7e9, 4.0 * g, 0.0), ModeParams(TWO_PI * 9.33e9))
