@@ -233,19 +233,16 @@ def _loss_offset(modes) -> float:
 
 
 def swap_eigen(modes, g_p, delta):
-    """(m, n11, s) of the constant-pump matrix M of the module docstring,
-    elementwise: its half-trace m = (iD - gamma_A/2 - gamma_B/2)/2,
+    """(m, n11, s, s2) of the constant-pump matrix M of the module
+    docstring, elementwise: its half-trace m = (iD - gamma_A/2 - gamma_B/2)/2,
     n11 = (c - iD)/2 of N = M - m I with c = (gamma_B - gamma_A)/2
-    (``_loss_offset``), and s = sqrt(n11^2 - g_P^2). M's eigenvalues are
-    m +- s. Scalars (``_swap_exp``) take ``cmath.sqrt``, and where `g_p`
-    or `delta` is a numpy array (``swap_frequency``) ``np.sqrt`` serves."""
+    (``_loss_offset``), the radicand s2 = n11^2 - g_P^2 (N^2 = s2 I) and
+    s = sqrt(s2). M's eigenvalues are m +- s."""
     mode_a, mode_b = modes
     m = 0.5 * (1j * delta - 0.5 * mode_a.gamma_total - 0.5 * mode_b.gamma_total)
     n11 = 0.5 * (_loss_offset(modes) - 1j * delta)
     s2 = n11 * n11 - g_p * g_p
-    if isinstance(delta, np.ndarray) or isinstance(g_p, np.ndarray):
-        return m, n11, np.sqrt(s2)
-    return m, n11, cmath.sqrt(s2)
+    return m, n11, np.sqrt(s2), s2
 
 
 def swap_frequency(modes, g_p, delta):
@@ -291,7 +288,8 @@ def calibrate_swap_time(modes, g_p: float) -> float:
     """
     if not g_p > 0.0:
         raise ValidationError("g_p must be positive for swap calibration")
-    d = 0.0 - 0.5 * _loss_offset(modes)  # -c/2, and +0.0 at equal losses
+    gamma_a, gamma_b = modes[0].gamma_total, modes[1].gamma_total
+    d = 0.25 * (gamma_a - gamma_b)
     if g_p > abs(d):
         w = _calibration_rate(g_p, d, "W")
         return math.atan2(w, d) / w
@@ -302,7 +300,6 @@ def calibrate_swap_time(modes, g_p: float) -> float:
         return math.log1p((d - g_p + s) / g_p) / s
     if d == g_p:
         return 1.0 / d
-    gamma_a, gamma_b = modes[0].gamma_total, modes[1].gamma_total
     raise CalibrationError(
         f"no pulse length nulls mode A: gamma_B - gamma_A = {gamma_b:.6g} - "
         f"{gamma_a:.6g} 1/s is at least 4 g_P = {4.0 * g_p:.6g} rad/s")
@@ -706,7 +703,7 @@ def propagate_swap(initial: ComplexAmplitudePair, modes, g_p: float,
     t = np.asarray(t, dtype=float)
     a0 = complex(initial.a)
     c0 = complex(initial.b) * cmath.exp(1j * (delta * initial.t + phi_p))
-    n11, ch, sh = _swap_exp(modes, g_p, delta, t - initial.t)
+    n11, _, ch, sh = _swap_exp(modes, g_p, delta, t - initial.t)
     a = ch * a0 + sh * (n11 * a0 - 1j * g_p * c0)
     c = ch * c0 - sh * (1j * g_p * a0 + n11 * c0)
     b = c * np.exp(-1j * (delta * t + phi_p))
@@ -714,10 +711,10 @@ def propagate_swap(initial: ComplexAmplitudePair, modes, g_p: float,
 
 
 def _swap_exp(modes, g_p, delta, tau):
-    """(n11, ch, sh) with exp(M tau) = ch I + sh N at the offsets `tau`:
+    """(n11, s2, ch, sh) with exp(M tau) = ch I + sh N at the offsets `tau`:
     ch = e^{m tau} cosh(s tau) and sh = e^{m tau} sinh(s tau)/s, for the
-    m, n11, s of ``swap_eigen`` and N = [[n11, -i g_P], [-i g_P, -n11]]."""
-    m, n11, s = swap_eigen(modes, g_p, delta)
+    m, n11, s, s2 of ``swap_eigen`` and N = [[n11, -i g_P], [-i g_P, -n11]]."""
+    m, n11, s, s2 = swap_eigen(modes, g_p, delta)
     if abs(s.real) * float(np.max(np.abs(tau))) < 700.0:
         em = np.exp(m * tau)
         ch = em * np.cosh(s * tau)
@@ -726,7 +723,7 @@ def _swap_exp(modes, g_p, delta, tau):
         e_plus, e_minus = np.exp((m + s) * tau), np.exp((m - s) * tau)
         ch = 0.5 * (e_plus + e_minus)
         sh = (e_plus - e_minus) / (2.0 * s)
-    return n11, ch, sh
+    return n11, s2, ch, sh
 
 
 def _swap_grid(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
@@ -746,13 +743,13 @@ def _swap_grid(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     angle = delta * tau
     angle[:k] += phi
     tau[:k] -= initial.t
-    n11, ch, sh = _swap_exp(modes, g, delta, tau)
+    n11, s2, ch, sh = _swap_exp(modes, g, delta, tau)
     table = np.array((ch, sh))
     turn = np.exp(-1j * angle)
     # exp(M tau) x0 = ch x0 + sh N x0 and N exp(M tau) x0 = ch N x0 + sh s^2 x0
     a0 = complex(initial.a)
     c0 = complex(initial.b) * cmath.exp(1j * (delta * initial.t + phi))
-    u0, v0, s2 = n11 * a0 - 1j * g * c0, -(1j * g * a0 + n11 * c0), n11 * n11 - g * g
+    u0, v0 = n11 * a0 - 1j * g * c0, -(1j * g * a0 + n11 * c0)
     start = table[:, :k].T @ np.array([[a0, u0, c0, v0], [u0, s2 * a0, v0, s2 * c0]])
     start[:, 2:] *= turn[:k, None]  # (a, (N x)_a, b, (N x)_c e^{-i(D t + phi_P)})
     # row q, column i: the state at the row's start moved on by exp(M i h),

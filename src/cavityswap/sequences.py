@@ -24,9 +24,8 @@ readouts and driven loads) in closed form on the grid RK4 would record
 and integrating raised-cosine swaps with RK4. ``check_plan``, the one
 oracle of sequences and swap sweeps alike, checks that walk against one
 ``dynamics.rk4_trace`` of the plan, and that against one of its coarse
-twin, the plan with every requested dt doubled.
-``calibrate_swap_time`` and ``CalibrationError`` live in ``dynamics``
-with every other closed form of the swap, and are bound here as well.
+twin, the plan with every requested dt doubled. The swap-time
+calibration lives in ``dynamics`` with every other closed form of the swap.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, ValidationError,
                    check_mode_order)
 from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact, check_half_step,
                        exact_segment, integrate, max_step, mode_meta, rk4_trace)
-# bound here as well: callers and tests import the swap calibration from sequences
-from .dynamics import CalibrationError, calibrate_swap_time  # noqa: F401
 from .units import parse_quantity
 
 

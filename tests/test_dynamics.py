@@ -1059,7 +1059,8 @@ def _swap_exp_before(modes, g_p, delta, tau):
     gb2 = 0.5 * mode_b.gamma_total
     m = 0.5 * (1j * delta - ga2 - gb2)
     n11 = -ga2 - m
-    s = cmath.sqrt(n11 * n11 - g_p * g_p)
+    s2 = n11 * n11 - g_p * g_p
+    s = cmath.sqrt(s2)
     if abs(s.real) * float(np.max(np.abs(tau))) < 700.0:
         em = np.exp(m * tau)
         ch = em * np.cosh(s * tau)
@@ -1068,7 +1069,7 @@ def _swap_exp_before(modes, g_p, delta, tau):
         e_plus, e_minus = np.exp((m + s) * tau), np.exp((m - s) * tau)
         ch = 0.5 * (e_plus + e_minus)
         sh = (e_plus - e_minus) / (2.0 * s)
-    return n11, ch, sh
+    return n11, s2, ch, sh
 
 
 def _swap_frequency_before(modes, g_p, delta):
@@ -1077,19 +1078,6 @@ def _swap_frequency_before(modes, g_p, delta):
     c = dynamics._loss_offset(modes)
     z = (c - 1j * np.asarray(delta, dtype=float)) ** 2 - 4.0 * np.square(g_p)
     return np.abs(np.sqrt(z + 0j).imag)
-
-
-def _calibrate_swap_time_before(modes, g_p):
-    """The arithmetic of ``calibrate_swap_time`` before it read d from
-    ``_loss_offset``, kept as an oracle (no refusals)."""
-    d = 0.25 * (modes[0].gamma_total - modes[1].gamma_total)
-    if g_p > abs(d):
-        w = math.sqrt((g_p - d) * (g_p + d))
-        return math.atan2(w, d) / w
-    if d > g_p:
-        s = math.sqrt((d - g_p) * (d + g_p))
-        return math.log1p((d - g_p + s) / g_p) / s
-    return 1.0 / d
 
 
 def _exact_rate(g, d):
@@ -1110,7 +1098,7 @@ def _near_critical_modes(g, closeness, sign, extra):
 
 
 class TestSwapEigen:
-    """The one eigen-solution (m, n11, s) of the constant-pump matrix M, and
+    """The one eigen-solution (m, n11, s, s2) of the constant-pump matrix M, and
     the closed forms that read it against the arithmetic they had before."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1121,7 +1109,7 @@ class TestSwapEigen:
         g = TWO_PI * 1e6 * g_mhz
         ga, gb, delta = loss_a * g, loss_b * g, detuning * g
         modes = (ModeParams(OMEGA_A, ga, 0.0), ModeParams(OMEGA_B, gb, 0.0))
-        m, n11, s = swap_eigen(modes, g, delta)
+        m, n11, s, s2 = swap_eigen(modes, g, delta)
         matrix = np.array([[-0.5 * ga, -1j * g], [-1j * g, 1j * delta - 0.5 * gb]])
         e1, e2 = np.linalg.eigvals(matrix)
         scale = max(g, ga, gb, abs(delta))
@@ -1130,14 +1118,13 @@ class TestSwapEigen:
         assert gap <= 1e-7 * scale
         assert 2.0 * m == pytest.approx(np.trace(matrix), rel=1e-15)
         assert abs(n11 - (matrix[0, 0] - m)) <= 4.0 * np.finfo(float).eps * scale
-        # elementwise on arrays, through np.sqrt rather than cmath.sqrt: the
-        # radicands n11^2 - g^2 agree to their rounding (numpy's complex
-        # product can round its real part differently), and both roots are
-        # principal
-        ma, na, sa = swap_eigen(modes, g, np.array([delta, 0.0]))
+        # elementwise on arrays: the radicands n11^2 - g^2 agree to their
+        # rounding (numpy's complex product can round its real part
+        # differently from Python's), and both roots are principal
+        ma, na, sa, s2a = swap_eigen(modes, g, np.array([delta, 0.0]))
         assert ma[0] == m and na[0] == n11
         radicand = 4.0 * np.finfo(float).eps * (abs(n11) ** 2 + g * g)
-        assert abs(sa[0] ** 2 - s ** 2) <= radicand and sa[0].real >= 0.0 and s.real >= 0.0
+        assert abs(s2a[0] - s2) <= radicand and sa[0].real >= 0.0 and s.real >= 0.0
         assert (ma[1], na[1]) == swap_eigen(modes, g, 0.0)[:2]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1174,21 +1161,6 @@ class TestSwapEigen:
         assert np.max(np.hypot(np.abs(a - a_old), np.abs(b - b_old))) <= 1e-13 * peak
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(g_mhz=st.floats(0.01, 100.0), x_a=st.floats(0.0, 10.0),
-           v=st.floats(0.0, 1.0, exclude_max=True))
-    @example(g_mhz=1.2, x_a=1.0, v=0.0)  # critically damped, T = 1/d
-    @example(g_mhz=1.2, x_a=0.0, v=0.0)  # lossless, d = +0.0
-    def test_calibration_keeps_its_old_arithmetic_bit_for_bit(self, g_mhz, x_a, v):
-        # loss rates in units of 4 g_P, as in the calibration's first-null
-        # property: every case where a pulse length nulls mode A
-        g = TWO_PI * 1e6 * g_mhz
-        modes = (ModeParams(OMEGA_A, 4.0 * g * x_a, 0.0),
-                 ModeParams(OMEGA_B, 4.0 * g * v * (x_a + 0.999), 0.0))
-        d = 0.0 - 0.5 * dynamics._loss_offset(modes)  # as calibrate_swap_time forms it
-        assert _as_bits(d) == _as_bits(0.25 * (modes[0].gamma_total - modes[1].gamma_total))
-        assert dynamics.calibrate_swap_time(modes, g) == _calibrate_swap_time_before(modes, g)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(g_mhz=st.floats(0.01, 10.0), closeness=st.floats(0.0, 13.0),
            sign=st.sampled_from([-1.0, 1.0]), extra=st.floats(0.0, 5.0))
     def test_calibration_keeps_its_factored_real_rate(self, g_mhz, closeness, sign, extra):
@@ -1197,7 +1169,7 @@ class TestSwapEigen:
         # eps (g^2 + d^2)/W^2 of it to the cancellation in n11^2 - g^2
         g = TWO_PI * 1e6 * g_mhz
         modes = _near_critical_modes(g, closeness, sign, extra)
-        d = 0.0 - 0.5 * dynamics._loss_offset(modes)
+        d = 0.25 * (modes[0].gamma_total - modes[1].gamma_total)
         if not g > abs(d):
             return  # rounding put the draw at or past critical damping
         eps = np.finfo(float).eps
@@ -1211,7 +1183,7 @@ class TestSwapEigen:
         # damping the complex form is off by millions of ulps
         g = GP
         modes = _near_critical_modes(g, 12.0, 1.0, 0.5)
-        d = 0.0 - 0.5 * dynamics._loss_offset(modes)
+        d = 0.25 * (modes[0].gamma_total - modes[1].gamma_total)
         exact = _exact_rate(g, d)
         eps = np.finfo(float).eps
         assert abs(dynamics._calibration_rate(g, d, "W") - exact) <= eps * exact

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cavityswap import cli, experiments, fluxmap, sequences, textio
+from cavityswap import cli, dynamics, experiments, fluxmap, sequences, textio
 from cavityswap.cli import main
 from cavityswap.core import ComplexAmplitudePair, PumpDrive, ValidationError
 from cavityswap.dynamics import (SimConfig, TraceRecord, _reflection_at, check_exact,
@@ -747,7 +747,7 @@ class TestClosedFormReadout:
         cfg = resolve_config("store_retrieve")
         g = experiments._resolve_gp(cfg)
         mode_a, mode_b = experiments._modes(cfg)
-        t_swap = sequences.calibrate_swap_time((mode_a, mode_b), g)
+        t_swap = dynamics.calibrate_swap_time((mode_a, mode_b), g)
         seq = experiments._sr_sequence(cfg, g, t_swap, delay, phase)
         state = experiments._readout_state(cfg, seq)
         trace, _ = sequences.run_sequence_checked(seq, points_per_cycle=cfg["points_per_cycle"])

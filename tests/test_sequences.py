@@ -9,10 +9,10 @@ from scipy.integrate import simpson
 
 from cavityswap.core import ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError
 from cavityswap import dynamics, fluxmap, sequences
-from cavityswap.dynamics import (ConvergenceError, DriveTone, IntegrationDivergedError,
-                                 SimConfig, integrate, lab_frame)
-from cavityswap.sequences import (CalibrationError, SequenceSemanticError,
-                                  SequenceSyntaxError, calibrate_swap_time,
+from cavityswap.dynamics import (CalibrationError, ConvergenceError, DriveTone,
+                                 IntegrationDivergedError, SimConfig, calibrate_swap_time,
+                                 integrate, lab_frame)
+from cavityswap.sequences import (SequenceSemanticError, SequenceSyntaxError,
                                   demodulate, emit_sequence, parse_sequence,
                                   run_sequence, run_sequence_checked)
 from rk4_oracle import scalar_rk4
@@ -428,8 +428,8 @@ class TestExecution:
         exact = dynamics._swap_exp  # the closed form behind every exact swap
 
         def off_by_1e_6(*args):
-            n11, ch, sh = exact(*args)
-            return n11, ch * (1.0 + 1e-6), sh
+            n11, s2, ch, sh = exact(*args)
+            return n11, s2, ch * (1.0 + 1e-6), sh
 
         monkeypatch.setattr(dynamics, "_swap_exp", off_by_1e_6)
         with pytest.raises(ConvergenceError, match="exact-vs-RK4"):
