@@ -14,8 +14,11 @@ mode at its own natural frequency and leaves only the slow envelopes:
 
 with D = w_P - (w_B - w_A) the pump detuning (mode B must lie above mode
 A). ``core.PumpDrive`` holds D itself, with the envelope g_P(t) and the
-phase phi_P, and no absolute pump frequency. The output field at the
-readout port is a_out = a_in - sqrt(g_ext) a (fixed by the
+phase phi_P, and no absolute pump frequency. Every tone on mode A is held
+the same way, by its offset from w_A: a ``DriveTone`` at w_d holds
+delta = w_d - w_A and enters as drive = sqrt(g_ext) amp_in e^{-i delta t},
+and ``_reflection_at`` takes each probe w as x = w - w_A. The output
+field at the readout port is a_out = a_in - sqrt(g_ext) a (fixed by the
 critical-coupling null of the reflection coefficient).
 
 Both frames hold the same rotating-wave equations, so a lab-frame trace is
@@ -127,20 +130,23 @@ class SingularSteadyStateError(ValidationError):
 
 @dataclass(frozen=True)
 class DriveTone:
-    """Coherent input tone on the readout port.
+    """Coherent input tone on the readout port in the rotating frame: its
+    offset `delta` = w_d - w_A (rad/s) from mode A, like
+    ``PumpDrive.delta``, and no absolute carrier.
 
     amp_in is in sqrt(photons/s); the tone is zero outside [t_start, t_stop].
     """
 
-    omega_d: float
+    delta: float
     amp_in: float
-    phase: float = 0.0
     t_start: float = -math.inf
     t_stop: float = math.inf
 
     def __post_init__(self):
-        if self.amp_in < 0.0:
-            raise ValidationError("incident amplitude must be >= 0")
+        if not math.isfinite(self.delta):
+            raise ValidationError(f"drive offset must be finite, got {self.delta}")
+        if not self.amp_in >= 0.0:
+            raise ValidationError(f"incident amplitude must be >= 0, got {self.amp_in}")
         if not self.t_stop > self.t_start:
             raise ValidationError("drive support must be well-ordered")
 
@@ -151,7 +157,6 @@ class SimConfig:
     t_end: float = 1e-6
     t_start: float = 0.0
     record_stride: int = 1
-    tolerance: float = 1e-6  # half-step self-convergence target
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -320,10 +325,11 @@ def max_step(mode_a, mode_b, pump, drive=None,
     """Largest RK4 step that spends `points_per_cycle` steps on one cycle of
     the fastest rotating-frame rate of this system (inf if none).
 
-    That rate is max(sqrt(D^2 + 4 g_P^2), gamma_A, gamma_B, |w_d - w_A|):
+    That rate is max(sqrt(D^2 + 4 g_P^2), gamma_A, gamma_B, |delta_d|):
     the swap frequency at the peak pump amplitude, the losses and the
-    drive offset. A swap frequency at or above w_B - w_A, outside the
-    rotating-wave model, raises ValidationError.
+    drive offset delta_d = w_d - w_A (``DriveTone.delta``). A swap
+    frequency at or above w_B - w_A, outside the rotating-wave model,
+    raises ValidationError.
     """
     swap = rabi_frequency(pump.delta, pump.g)
     spacing = mode_b.omega - mode_a.omega
@@ -332,17 +338,17 @@ def max_step(mode_a, mode_b, pump, drive=None,
                               f"spacing {spacing / TWO_PI:.6g}Hz: outside the rotating-wave model")
     rates = [mode_a.gamma_total, mode_b.gamma_total, swap]
     if drive is not None:
-        rates.append(abs(drive.omega_d - mode_a.omega))
+        rates.append(abs(drive.delta))
     fastest = max(rates)
     return math.inf if fastest == 0.0 else TWO_PI / (points_per_cycle * fastest)
 
 
-def input_field(drive, mode_a, t):
-    """Incident field a_in at times t (array), in the rotating frame."""
+def input_field(drive, t):
+    """Incident field a_in = amp_in e^{-i delta t} at times t (array), in
+    the rotating frame."""
     if drive is None or drive.amp_in == 0.0:
         return np.zeros_like(t, dtype=complex)
-    dw = drive.omega_d - mode_a.omega
-    field_vals = drive.amp_in * np.exp(-1j * (dw * t + drive.phase))
+    field_vals = drive.amp_in * np.exp(-1j * (drive.delta * t))
     mask = (t >= drive.t_start) & (t <= drive.t_stop)
     return np.where(mask, field_vals, 0.0 + 0.0j)
 
@@ -398,7 +404,7 @@ def exact_segment(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
         a, b = _swap_grid(initial, modes, pump, config, t)
     else:
         a, b = propagate_load(initial, modes, drive, t)
-    a_out = input_field(drive, mode_a, t) - math.sqrt(mode_a.gamma_ext) * a
+    a_out = input_field(drive, t) - math.sqrt(mode_a.gamma_ext) * a
     return TraceRecord(t, a, b, a_out)
 
 
@@ -459,7 +465,7 @@ def rk4_trace(initial: ComplexAmplitudePair, modes, plan) -> TraceRecord:
         grid = record_times(config)
         first = 1 if times else 0  # the boundary sample belongs to the segment before
         times.append(grid[first:])
-        a_in.append(input_field(drive, modes[0], grid)[first:])
+        a_in.append(input_field(drive, grid)[first:])
         record.append(done + _record_steps(n, config.record_stride))
         done += n
     t = np.concatenate(times)
@@ -532,7 +538,7 @@ def _block_coefficients(segments, j0, j1, mode_a):
         if lo < hi:
             t = t_start + np.arange(lo, hi) * dt
             # the first and last stage times, as _rk4_coefficients forms them
-            if _constant_share(pump, drive, mode_a, t[0] + 0.0, t[-1] + dt):
+            if _constant_share(pump, drive, t[0] + 0.0, t[-1] + dt):
                 t, counts = t[:1], [hi - lo]
             else:
                 counts = np.ones(hi - lo, dtype=int)
@@ -546,7 +552,7 @@ def _block_coefficients(segments, j0, j1, mode_a):
     return (np.concatenate(counts), h, *(np.concatenate(c, axis=-1) for c in zip(*coeffs)))
 
 
-def _constant_share(pump, drive, mode_a, first, last) -> bool:
+def _constant_share(pump, drive, first, last) -> bool:
     """Whether the stage coefficients of ``_rk4_coefficients`` are the
     same at every stage time from `first` to `last`: the pump is off, or
     rectangular and resonant, and the drive is absent, off or resonant,
@@ -556,8 +562,8 @@ def _constant_share(pump, drive, mode_a, first, last) -> bool:
     pump_const = pump.g == 0.0 or (pump.delta == 0.0 and pump.ramp == 0.0
                                    and pump.t_start <= first and last <= pump.t_stop)
     return pump_const and (drive is None or drive.amp_in == 0.0
-                           or (drive.omega_d == mode_a.omega
-                               and drive.t_start <= first and last <= drive.t_stop))
+                           or (drive.delta == 0.0 and drive.t_start <= first
+                               and last <= drive.t_stop))
 
 
 def _rk4_coefficients(t, dt, mode_a, pump, drive):
@@ -573,7 +579,7 @@ def _rk4_coefficients(t, dt, mode_a, pump, drive):
     nonzero stage value, and each map entry ends by adding its stage sum
     to 0 or 1, which turns a zero of either sign into +0."""
     stages = t + np.array([0.0, 0.5 * dt, dt])[:, None]
-    f = math.sqrt(mode_a.gamma_ext) * input_field(drive, mode_a, stages)
+    f = math.sqrt(mode_a.gamma_ext) * input_field(drive, stages)
     if pump.g == 0.0:
         zero = np.zeros(stages.shape, dtype=complex)
         return zero, zero, f
@@ -637,16 +643,18 @@ def _scan(maps: np.ndarray, x0: np.ndarray) -> np.ndarray:
 
 
 def integrate_checked(initial, modes, pump, drive=None,
-                      config: SimConfig = SimConfig()):
+                      config: SimConfig = SimConfig(), tolerance: float = 1e-6):
     """Integrate with a mandatory half-step self-convergence check.
 
     Runs the trajectory at dt and dt/2 and compares the final states;
-    raises ConvergenceError above config.tolerance. Returns the half-step
-    trace and the measured relative difference.
+    raises ConvergenceError above `tolerance`. Returns the half-step
+    trace, with the measured relative difference as
+    meta["convergence_rel_diff"], and that difference.
     """
     coarse = integrate(initial, modes, pump, drive, config)
     fine = integrate(initial, modes, pump, drive, half_step_config(config))
-    return fine, check_half_step(coarse, fine, config.tolerance)
+    rel = fine.meta["convergence_rel_diff"] = check_half_step(coarse, fine, tolerance)
+    return fine, rel
 
 
 def check_half_step(coarse: TraceRecord, fine: TraceRecord, tolerance: float) -> float:
@@ -658,8 +666,7 @@ def check_half_step(coarse: TraceRecord, fine: TraceRecord, tolerance: float) ->
     the same, but its squares in the norms cannot underflow at tiny
     amplitudes.
 
-    Raises ConvergenceError above `tolerance`; otherwise stores the
-    difference as fine.meta["convergence_rel_diff"] and returns it.
+    Raises ConvergenceError above `tolerance`; otherwise returns it.
     """
     vc = np.array([coarse.a[-1], coarse.b[-1]])
     vf = np.array([fine.a[-1], fine.b[-1]])
@@ -670,7 +677,6 @@ def check_half_step(coarse: TraceRecord, fine: TraceRecord, tolerance: float) ->
     rel = float(np.linalg.norm(vc - vf) / scale)
     if rel > tolerance:
         raise ConvergenceError(rel, tolerance)
-    fine.meta["convergence_rel_diff"] = rel
     return rel
 
 
@@ -688,25 +694,27 @@ def check_exact(a, b, rk4: TraceRecord, tolerance: float) -> float:
     return diff
 
 
-def propagate_swap(initial: ComplexAmplitudePair, modes, g_p: float,
-                   delta: float, phi_p: float, t):
-    """Exact rotating-frame amplitudes under a constant pump and no drive.
+def propagate_swap(initial: ComplexAmplitudePair, modes, pump: PumpDrive, t):
+    """Exact rotating-frame amplitudes under the constant pump `pump` (its
+    g, delta and phase; its support is not read) and no drive.
 
-    `g_p` is the pump amplitude, `delta` = w_P - (w_B - w_A) the detuning
-    and `phi_p` the pump phase; the state `initial` is taken
-    at time initial.t. Returns the arrays (a~(t), b~(t)) at the times `t`
-    from the closed-form matrix exponential in the module docstring,
-    evaluated at each time on its own (``exact_segment`` tabulates it on
-    its record grid instead).
+    The state `initial` is taken at time initial.t. Returns the arrays
+    (a~(t), b~(t)) at the times `t` from the closed-form matrix
+    exponential in the module docstring, evaluated at each time on its own
+    (``exact_segment`` tabulates it on its record grid instead). A ramped
+    pump, which is not constant, raises ValidationError.
     """
     check_mode_order(*modes)
+    if pump.ramp > 0.0:
+        raise ValidationError("propagate_swap needs a constant pump, not a ramped one")
+    g, delta, phi = pump.g, pump.delta, pump.phase
     t = np.asarray(t, dtype=float)
     a0 = complex(initial.a)
-    c0 = complex(initial.b) * cmath.exp(1j * (delta * initial.t + phi_p))
-    n11, _, ch, sh = _swap_exp(modes, g_p, delta, t - initial.t)
-    a = ch * a0 + sh * (n11 * a0 - 1j * g_p * c0)
-    c = ch * c0 - sh * (1j * g_p * a0 + n11 * c0)
-    b = c * np.exp(-1j * (delta * t + phi_p))
+    c0 = complex(initial.b) * cmath.exp(1j * (delta * initial.t + phi))
+    n11, _, ch, sh = _swap_exp(modes, g, delta, t - initial.t)
+    a = ch * a0 + sh * (n11 * a0 - 1j * g * c0)
+    c = ch * c0 - sh * (1j * g * a0 + n11 * c0)
+    b = c * np.exp(-1j * (delta * t + phi))
     return _finite(a, b, "swap")
 
 
@@ -764,10 +772,10 @@ def propagate_load(initial: ComplexAmplitudePair, modes, drive: DriveTone, t):
     """Exact rotating-frame amplitudes under the drive tone `drive` and no
     pump; the drive must be on over all of `t`.
 
-    With gamma = gamma_A/2, f = sqrt(gamma_ext) amp_in, D = w_d - w_A,
+    With gamma = gamma_A/2, f = sqrt(gamma_ext) amp_in, D = delta = w_d - w_A,
     z = gamma - iD and tau = t - initial.t,
 
-        a~(t) = a0 e^{-gamma tau} + f e^{-i phi} e^{-iD t} tau h(z tau),
+        a~(t) = a0 e^{-gamma tau} + f e^{-iD t} tau h(z tau),
 
     where h(w) = (1 - e^{-w})/w and h(0) = 1, and b~ decays freely.
     Returns the arrays (a~(t), b~(t)).
@@ -779,14 +787,13 @@ def propagate_load(initial: ComplexAmplitudePair, modes, drive: DriveTone, t):
         raise ValidationError("propagate_load needs the drive on over all sample times")
     tau = t - initial.t
     ga2 = 0.5 * mode_a.gamma_total
-    dw = drive.omega_d - mode_a.omega
-    w = (ga2 - 1j * dw) * tau
+    w = (ga2 - 1j * drive.delta) * tau
     nonzero = w != 0.0
     w_safe = np.where(nonzero, w, 1.0)
     h = np.where(nonzero, -np.expm1(-w_safe) / w_safe, 1.0)
     f = math.sqrt(mode_a.gamma_ext) * drive.amp_in
     a = (complex(initial.a) * np.exp(-ga2 * tau)
-         + f * np.exp(-1j * (dw * t + drive.phase)) * tau * h)
+         + f * np.exp(-1j * (drive.delta * t)) * tau * h)
     b = complex(initial.b) * np.exp(-0.5 * mode_b.gamma_total * tau)
     return _finite(a, b, "load")
 
@@ -803,30 +810,31 @@ def reflection_spectrum(mode_a: ModeParams, mode_b: ModeParams,
 
     Solves the linear rotating-frame steady state under a weak probe at
     each frequency and returns Gamma(w) = a_out/a_in. For g_P = 0 this is
-    the standard single-port Lorentzian 1 - gamma_ext / (i(w_A - w) + gamma_A/2).
+    the standard single-port Lorentzian 1 - gamma_ext / (gamma_A/2 - i(w - w_A)).
+    The absolute probes are turned into their offsets from mode A once.
     """
     return _reflection_at(mode_a, mode_b, pump,
-                          mode_a.omega - np.asarray(probe_omegas, dtype=float))
+                          np.asarray(probe_omegas, dtype=float) - mode_a.omega)
 
 
-def _reflection_at(mode_a, mode_b, pump, offsets) -> np.ndarray:
-    """``reflection_spectrum`` at the probe offsets w_A - w themselves.
+def _reflection_at(mode_a, mode_b, pump, x) -> np.ndarray:
+    """``reflection_spectrum`` at the probe offsets x = w - w_A themselves,
+    the sign of ``DriveTone.delta``.
 
-    Conjugating the steady state maps (delta, w_A - w) to (-delta, w - w_A):
-    negating both flips the sign of every imaginary part here and keeps
-    every real part, exactly, so the two reflections are complex
-    conjugates bit for bit, with equal magnitudes and the same singular
-    points."""
+    Conjugating the steady state maps (delta, x) to (-delta, -x): negating
+    both flips the sign of every imaginary part here and keeps every real
+    part, exactly, so the two reflections are complex conjugates bit for
+    bit, with equal magnitudes and the same singular points."""
     check_mode_order(mode_a, mode_b)
     if not pump.is_cw:
         raise ValidationError("reflection_spectrum requires a CW pump envelope")
     g = pump.g
 
-    chi_a_inv = 1j * offsets + 0.5 * mode_a.gamma_total
+    chi_a_inv = 0.5 * mode_a.gamma_total - 1j * x
     if g == 0.0:
         denom = chi_a_inv
     else:
-        chi_b_inv = 1j * (offsets - pump.delta) + 0.5 * mode_b.gamma_total
+        chi_b_inv = 0.5 * mode_b.gamma_total - 1j * (x + pump.delta)
         if np.any(chi_b_inv == 0.0):
             raise SingularSteadyStateError(
                 "undamped storage mode exactly on the converted probe frequency")

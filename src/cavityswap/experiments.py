@@ -29,8 +29,7 @@ from .sequences import (PulseSequence, Segment, _plan, check_plan,
 # not called here: perfbench/tracer.py wraps these by name where experiments binds them
 from .dynamics import integrate_checked, reflection_spectrum  # noqa: F401
 from .sequences import demodulate  # noqa: F401
-from .textio import (format_cells, write_key_values, write_row_groups,
-                     write_csv as _write_csv)
+from .textio import write_key_values, write_row_groups, write_csv as _write_csv
 from .units import Quantity, format_quantity, parse_quantity
 
 TWO_PI = 2.0 * math.pi
@@ -362,7 +361,7 @@ def _readout_state(cfg, seq) -> ComplexAmplitudePair:
     modes = (seq.mode_a, seq.mode_b)
     _, state, plan = _plan(seq, cfg["points_per_cycle"], cfg["flux_calib"])
     for pump, _, config in plan[:-1]:
-        a, b = propagate_swap(state, modes, pump.g, pump.delta, pump.phase, [config.t_end])
+        a, b = propagate_swap(state, modes, pump, [config.t_end])
         state = ComplexAmplitudePair(a[0], b[0], config.t_end)
     return state
 
@@ -438,10 +437,10 @@ def _check_normal_energies(source, energies, what="readout energies down to"):
 def run_splitting(cfg, outdir):
     """Steady-state reflection of the readout mode vs pump detuning.
 
-    Both axes are ``_mirror_grid``s: the probe offsets x from w_A and the
-    pump detunings delta. Conjugating the steady state gives |r(delta,
-    w_A + x)| = |r(-delta, w_A - x)|, and ``_reflection_at`` keeps that bit
-    for bit at the exact offsets -x, so the pump-major |r| grid of N cells
+    Both axes are ``_mirror_grid``s: the probe offsets x = w - w_A and the
+    pump detunings delta. Conjugating the steady state gives |r(delta, x)|
+    = |r(-delta, -x)|, and ``_reflection_at`` keeps that bit for bit at the
+    exact offsets x, so the pump-major |r| grid of N cells
     is a palindrome: cell f equals cell N-1-f. Only the first ceil(P/2)
     pump rows are evaluated, and ``reflection_abs`` is written as the pair
     of the first ceil(N/2) magnitudes and the index min(f, N-1-f). The
@@ -463,7 +462,7 @@ def run_splitting(cfg, outdir):
     pump_deltas = _mirror_grid(cfg["pump_count"]) * cfg["pump_span"]
 
     def magnitudes(delta):
-        return np.abs(_reflection_at(mode_a, mode_b, PumpDrive(g, delta), -offsets))
+        return np.abs(_reflection_at(mode_a, mode_b, PumpDrive(g, delta), offsets))
 
     n_pump, n_probe = pump_deltas.size, offsets.size
     mags = np.array([magnitudes(delta) for delta in pump_deltas[:(n_pump + 1) // 2]])
@@ -585,8 +584,8 @@ def run_power_sweep(cfg, outdir):
     ``_swap_sweep``, and its g_P is read back from the swap frequency by
     ``swap_coupling_sq`` at zero detuning, sqrt(W^2 + c^2)/2. A power whose
     g_P is 0 has no swap to time and is refused (exit 2); one whose |a|^2
-    has no oscillation is written as ``no_oscillation`` and left out of the
-    slope fit."""
+    has no oscillation has no swap frequency, so its g_P is written as
+    ``nan`` and left out of the slope fit."""
     os.makedirs(outdir, exist_ok=True)
     powers = np.linspace(cfg["power_start"], cfg["power_stop"], cfg["power_count"])
     g_true = np.array([fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], p_dbm,
@@ -606,8 +605,7 @@ def run_power_sweep(cfg, outdir):
     _write_csv(os.path.join(outdir, "power_sweep.csv"),
                ["runner = power_sweep"],
                ["power_dbm", "amp_sqrt_mw", "gp_flux_model_hz", "gp_extracted_hz"],
-               [powers, amps, g_true / TWO_PI,
-                np.where(found, format_cells(g_ext / TWO_PI), "no_oscillation")])
+               [powers, amps, g_true / TWO_PI, g_ext / TWO_PI])
 
     amps = amps[found]
     g_ext = g_ext[found]

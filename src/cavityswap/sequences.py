@@ -287,7 +287,7 @@ def _segment_pump(seg: Segment, seq: PulseSequence, t0: float, t1: float,
 
 
 def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> DriveTone:
-    omega_d = seg.get("freq", mode_a.omega)
+    dw = seg.get("freq", mode_a.omega) - mode_a.omega  # the tone's offset from mode A
     if "amp" in seg.params:
         amp = seg.params["amp"].value
     else:
@@ -297,7 +297,6 @@ def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> Drive
         # + 4 e^{-ga T/2} sin^2(dw T/2); expm1 keeps the fill exact when ga T
         # is tiny
         ga = mode_a.gamma_total
-        dw = omega_d - mode_a.omega
         decay = 0.5 * ga * (t1 - t0)
         turn = 2.0 * math.exp(-0.5 * decay) * math.sin(0.5 * dw * (t1 - t0))
         fill = math.sqrt(mode_a.gamma_ext) * math.hypot(math.expm1(-decay), turn)
@@ -309,7 +308,7 @@ def _load_drive(seg: Segment, mode_a: ModeParams, t0: float, t1: float) -> Drive
         amp = math.sqrt(seg.params["nbar"].value) * rate / fill
     # pad the support like _segment_pump: boundary RK4 stages must see the drive
     pad = 1e-12 * (t1 - t0)
-    return DriveTone(omega_d, amp, 0.0, t0 - pad, t1 + pad)
+    return DriveTone(dw, amp, t0 - pad, t1 + pad)
 
 
 def _plan(seq: PulseSequence, points_per_cycle, flux_calib):

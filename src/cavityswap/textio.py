@@ -1,10 +1,11 @@
 """The package's two text formats, and their writers.
 
 * A CSV file: ``#`` header lines, the column names, then one row per
-  sample. A float cell is the text of ``'%.17g' %``, so it reads back to
-  the same float; a str cell is written as it is. The runners write their
-  data this way, and ``TraceRecord.to_csv`` writes a trace with no header
-  lines. ``write_csv`` writes columns. ``write_row_groups`` writes groups
+  sample. Every cell is a float, the text of ``'%.17g' %`` (``nan``
+  where a value has none), so it reads back to the same float and the
+  file loads with ``np.loadtxt``. The runners write their data this
+  way, and ``TraceRecord.to_csv`` writes a trace with no header lines.
+  ``write_csv`` writes columns. ``write_row_groups`` writes groups
   of rows that each repeat one of a few distinct groups, every row led by
   the group's key cell (the chevron map), and lays out each distinct
   group's text once.
@@ -206,20 +207,6 @@ def _float_cells(x, last):
     return cells, fallback
 
 
-def _str_cells(cells, separator):
-    """(rows, width) bytes of the str `cells` (UTF-8), each padded with
-    ``_CELL_PAD`` and ended by `separator`."""
-    text = [str(c).encode("utf-8") for c in cells]
-    size = np.array([len(t) for t in text])
-    width = int(size.max())
-    out = np.full((len(text), width + 1), _CELL_PAD, np.uint8)
-    if width:
-        raw = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(len(text), width)
-        out[:, :width] = np.where(np.arange(width) < size[:, None], raw, _CELL_PAD)
-    out[:, width] = separator
-    return out
-
-
 def _axis_cells(values, index, last):
     """The (values, index) column of ``_csv_blocks``: the float cells of
     `values`, formatted once and ``_CSV_BLOCK`` at a time (which bounds the
@@ -240,9 +227,9 @@ def _axis_cells(values, index, last):
 
 def _csv_blocks(columns):
     """The CSV rows of equal-length `columns` as bytes, a block of rows at a
-    time: a column of str cells (a str or object array, or a list) as it
-    is, a pair ``(values, index)`` of a float and an integer array as the
-    float cells of ``values[index]``, and any other as float cells.
+    time: a pair ``(values, index)`` of a float and an integer array as
+    the float cells of ``values[index]``, and any other column as float
+    cells.
 
     The float cells of a block are laid out together by ``_float_cells``,
     which certifies each cell it formats with array arithmetic and sends
@@ -257,32 +244,23 @@ def _csv_blocks(columns):
         if isinstance(col, tuple):  # cols[k] is then its index
             axes[k], col = _axis_cells(*col, k == len(columns) - 1)
         arr = np.asarray(col)
-        cols.append(arr if k in axes or arr.dtype.kind in "OU" else arr.astype(float, copy=False))
+        cols.append(arr if k in axes else arr.astype(float, copy=False))
     n = len(cols[0])
     if any(len(col) != n for col in cols):
         raise ValidationError("CSV columns must have equal lengths")
-    floats = [k for k, col in enumerate(cols) if k not in axes and col.dtype.kind not in "OU"]
+    floats = [k for k in range(len(cols)) if k not in axes]
     last = np.array([k == len(cols) - 1 for k in floats], dtype=np.intp)
     block = max(1, min(_CSV_BLOCK, 2 * _CSV_BLOCK // max(len(floats), 1)))
     for lo in range(0, n, block):
         rows = min(block, n - lo)
-        if floats:  # no kernel call for a block of pair and str columns alone
+        if floats:  # no kernel call for a block of pair columns alone
             x = np.array([cols[k][lo:lo + rows] for k in floats], dtype=float).reshape(-1)
             cells = iter(_float_cells(x, np.repeat(last, rows))[0]
                          .view(np.uint8).reshape(len(floats), rows, _CELL_BYTES))
-        slots = [next(cells) if k in floats else
-                 np.take(axes[k], col[lo:lo + rows], axis=0) if k in axes else
-                 _str_cells(col[lo:lo + rows].tolist(), _SEPARATORS[k == len(cols) - 1])
+        slots = [np.take(axes[k], col[lo:lo + rows], axis=0) if k in axes else next(cells)
                  for k, col in enumerate(cols)]
         text = np.concatenate(slots, axis=1).reshape(-1)
         yield text.tobytes().translate(None, bytes((_CELL_PAD,)))
-
-
-def format_cells(values) -> np.ndarray:
-    """The ``%.17g`` cells of `values` as an object array of str, for a
-    column that mixes numbers with words."""
-    text = b"".join(_csv_blocks([values])).decode("ascii")
-    return np.array(text.splitlines(), dtype=object)
 
 
 def _csv_head(meta_lines, colnames) -> bytes:
@@ -330,8 +308,8 @@ def _create(path, mode):
 def write_csv(path, meta_lines, colnames, columns):
     """Write equal-length `columns` under ``#`` `meta_lines` and `colnames`
     to a new file at `path` (``_create``): a float column as ``%.17g``
-    cells, a str column as it is, and a pair ``(values, index)`` as the
-    cells of ``values[index]``."""
+    cells, and a pair ``(values, index)`` as the cells of
+    ``values[index]``."""
     with _create(path, "wb") as fh:
         fh.write(_csv_head(meta_lines, colnames))
         fh.writelines(_csv_blocks(columns))

@@ -17,12 +17,13 @@ from cavityswap import dynamics
 
 def oracle_input(drive, mode_a, frame):
     """The incident field a_in(t) of `drive` in `frame`, one time at a time."""
-    shift = 0.0 if frame == "lab" else mode_a.omega
 
     def a_in(t):
         if drive is None or not drive.t_start <= t <= drive.t_stop:
             return 0j
-        return drive.amp_in * cmath.exp(-1j * ((drive.omega_d - shift) * t + drive.phase))
+        # the lab-frame carrier w_A + delta; the rotating frame sees delta
+        carrier = mode_a.omega + drive.delta if frame == "lab" else drive.delta
+        return drive.amp_in * cmath.exp(-1j * (carrier * t))
 
     return a_in
 

@@ -175,7 +175,7 @@ def test_criterion_8_conservation_and_convergence(
     mode_a = mode_params_from_q(OMEGA_A, 900e3, 50e3)
     mode_b = ModeParams(OMEGA_B, 1.0 / 14.9e-6, 0.0)
     pump = PumpDrive(GP)
-    drive = DriveTone(mode_a.omega, 1e3, 0.0, 0.0, 5e-6)
+    drive = DriveTone(0.0, 1e3, 0.0, 5e-6)
     cfg = SimConfig(TWO_PI / (800 * 2 * GP), 5e-6)
     trace = integrate(ComplexAmplitudePair(0j, 0j, 0.0), (mode_a, mode_b),
                       pump, drive, cfg)

@@ -9,7 +9,7 @@ from cavityswap.analysis import (DegenerateFitError, NoOscillationError,
                                  dwell_times, fit_exponential_decay,
                                  fit_phase_slope, loss_corrected_efficiency,
                                  oscillation_frequency)
-from cavityswap.core import ComplexAmplitudePair, ModeParams, ValidationError
+from cavityswap.core import ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError
 from cavityswap.dynamics import (TraceRecord, propagate_swap, rabi_frequency,
                                  swap_frequency)
 
@@ -75,7 +75,7 @@ class TestOscillationFrequency:
 def _swap_energy(modes, g_p, delta, dt, n):
     """|a|^2 at t = k dt, k < n, of the closed-form swap from a(0) = 1."""
     t = np.arange(n) * dt
-    a, _ = propagate_swap(ComplexAmplitudePair(1.0, 0.0, 0.0), modes, g_p, delta, 0.0, t)
+    a, _ = propagate_swap(ComplexAmplitudePair(1.0, 0.0, 0.0), modes, PumpDrive(g_p, delta), t)
     return a.real ** 2 + a.imag ** 2
 
 

@@ -136,7 +136,7 @@ class TestPumpDrive:
         config = SimConfig(2e-9, 1e-6)
         trace = exact_segment(init, modes, pump, None, config)
         t = record_times(config)
-        a, b = propagate_swap(init, modes, TWO_PI * 1.2e6, TWO_PI * 0.7e6, 0.4, t)
+        a, b = propagate_swap(init, modes, pump, t)
         assert trace.t.tobytes() == t.tobytes()
         peak = np.max(np.hypot(np.abs(a), np.abs(b)))
         assert np.max(np.hypot(np.abs(trace.a - a), np.abs(trace.b - b))) <= 1e-12 * peak

@@ -194,7 +194,7 @@ def _splitting_grid(cfg):
     offsets = mirrored(cfg["probe_count"]) * cfg["probe_span"]
     assert np.array_equal(pump_deltas, -pump_deltas[::-1])
     assert np.array_equal(offsets, -offsets[::-1])
-    mags = np.array([np.abs(_reflection_at(mode_a, mode_b, PumpDrive(g, delta), -offsets))
+    mags = np.array([np.abs(_reflection_at(mode_a, mode_b, PumpDrive(g, delta), offsets))
                      for delta in pump_deltas])
     return pump_deltas, offsets, mags
 
@@ -336,9 +336,9 @@ def _rk4_swap_trace(cfg, g, delta, t_end, amp0):
     omega_fast = math.sqrt(delta * delta + 4.0 * g * g)
     dt = TWO_PI / (cfg["points_per_cycle"] * max(omega_fast, mode_a.gamma_total))
     stride = max(1, int(math.ceil(t_end / dt)) // 4096)
-    config = SimConfig(dt, t_end, 0.0, stride, cfg["tolerance"])
+    config = SimConfig(dt, t_end, 0.0, stride)
     init = ComplexAmplitudePair(complex(amp0), 0.0j, 0.0)
-    trace, _ = integrate_checked(init, (mode_a, mode_b), pump, None, config)
+    trace, _ = integrate_checked(init, (mode_a, mode_b), pump, None, config, cfg["tolerance"])
     return trace
 
 
@@ -399,8 +399,7 @@ class TestExactSweepsMatchRk4:
 
 def _per_cell_text(columns):
     """The CSV rows of `columns` formatted cell by cell: the writer's oracle."""
-    return "".join(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n"
-                   for row in zip(*columns))
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
 
 
 _SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300]
@@ -412,12 +411,10 @@ class TestCsvWriter:
             [1, np.float64(0.1), np.float32(0.1), True],
             [-0.0, np.int64(-7), 2**60, 5e-324],
             [float("inf"), float("nan"), -float("inf"), np.float64(-2.5e-17)],
-            ["no_oscillation", "1.25", "no_oscillation", "1.25"],
             [1e300, np.int32(3), 1e300, np.int32(3)],
         ]
-        experiments._write_csv(tmp_path / "out.csv", ["a = 1"], ["v", "w", "x", "y", "z"],
-                               columns)
-        expected = "# a = 1\nv,w,x,y,z\n" + _per_cell_text(columns)
+        experiments._write_csv(tmp_path / "out.csv", ["a = 1"], ["v", "w", "x", "y"], columns)
+        expected = "# a = 1\nv,w,x,y\n" + _per_cell_text(columns)
         assert (tmp_path / "out.csv").read_text() == expected
 
     def test_unequal_columns_rejected(self, tmp_path):
@@ -431,15 +428,10 @@ class TestCsvWriter:
     def test_blocks_match_per_cell_formatting(self, tmp_path, monkeypatch, n, data):
         monkeypatch.setattr(textio, "_CSV_BLOCK", 4)
         floats = st.sampled_from(_SPECIAL_FLOATS) | st.floats()
-        words = st.text(alphabet="abz019.+-e_ ", max_size=6)
         columns = []
         for _ in range(data.draw(st.integers(1, 4))):
-            if data.draw(st.booleans()):
-                col = data.draw(st.lists(floats, min_size=n, max_size=n))
-                assert list(textio.format_cells(col)) == [f"{v:.17g}" for v in col]
-                columns.append(np.array(col) if data.draw(st.booleans()) else col)
-            else:
-                columns.append(data.draw(st.lists(words, min_size=n, max_size=n)))
+            col = data.draw(st.lists(floats, min_size=n, max_size=n))
+            columns.append(np.array(col) if data.draw(st.booleans()) else col)
         path = tmp_path / "out.csv"
         experiments._write_csv(path, [], [f"c{k}" for k in range(len(columns))], columns)
         header = ",".join(f"c{k}" for k in range(len(columns))) + "\n"
@@ -864,11 +856,10 @@ class TestSwapOracle:
         # grid, the public integrate_checked and check_exact
         modes, pump = experiments._modes(cfg), PumpDrive(g, delta)
         dt = max_step(*modes, pump, points_per_cycle=points_per_cycle)
-        config = SimConfig(dt, t_end, 0.0, max(1, math.ceil(t_end / dt) // 4096),
-                           cfg["tolerance"])
+        config = SimConfig(dt, t_end, 0.0, max(1, math.ceil(t_end / dt) // 4096))
         init = ComplexAmplitudePair(1.5 + 0j, 0j, 0.0)
         exact = exact_segment(init, modes, pump, None, half_step_config(config))
-        rk4, old_rel = integrate_checked(init, modes, pump, None, config)
+        rk4, old_rel = integrate_checked(init, modes, pump, None, config, cfg["tolerance"])
         old_diff = check_exact(exact.a, exact.b, rk4, cfg["tolerance"])
         for key in ("t", "a", "b", "a_out"):
             assert getattr(trace, key).tobytes() == getattr(exact, key).tobytes()
@@ -945,6 +936,32 @@ class TestSwapSweep:
         assert capsys.readouterr().err == ("numerical check failed: no swap oscillation at "
                                            "pump detuning -2000000Hz\n")
         assert not list(out.glob("*.csv"))
+
+    def test_power_sweep_writes_nan_for_a_power_without_oscillation(self, tmp_path,
+                                                                      monkeypatch):
+        # the second power's |a|^2 is read as having no oscillation: its
+        # extracted g_P is a nan cell, so the CSV stays all floats, and the
+        # report counts it and fits the slope without it
+        cfg = resolve_config("power_sweep", SMALL_POWER)
+        powers = np.linspace(cfg["power_start"], cfg["power_stop"], cfg["power_count"])
+        g_silent = fluxmap.pump_coupling_rate(cfg["freq_a"], cfg["freq_b"], powers[1],
+                                              cfg["flux_calib"])
+        oscillation_frequency = experiments.oscillation_frequency
+
+        def none_at_silent(series, dt, rate, tolerance):
+            if rate == rabi_frequency(0.0, g_silent):
+                raise experiments.NoOscillationError("the series' exponents are all real")
+            return oscillation_frequency(series, dt, rate, tolerance)
+
+        monkeypatch.setattr(experiments, "oscillation_frequency", none_at_silent)
+        results = run_power_sweep(cfg, tmp_path)
+        rows = _csv_rows(tmp_path / "power_sweep.csv")
+        assert [row[3] == "nan" for row in rows] == [False, True, False, False, False]
+        data = np.loadtxt(tmp_path / "power_sweep.csv", delimiter=",", skiprows=2, ndmin=2)
+        assert data.shape == (5, 4)
+        assert np.isnan(data[1, 3]) and np.all(np.isfinite(np.delete(data[:, 3], 1)))
+        assert results["points_no_oscillation"] == 1
+        assert results["r_squared"] > 0.999
 
     def test_chevron_refuses_a_ridge_without_coupling(self, tmp_path, capsys):
         # q_int_a = 300 overdamps mode A: at zero detuning the swap has no
@@ -1440,6 +1457,20 @@ class TestOutputFiles:
     @staticmethod
     def _files(out):
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("runner", sorted(RERUNS))
+    def test_every_csv_loads_as_floats(self, tmp_path, runner):
+        # every cell is a float: np.loadtxt reads each file whole, past its
+        # "#" lines and its column names, one value per name and row
+        out = tmp_path / "out"
+        assert self._run(tmp_path, runner, self.RERUNS[runner][0], out) == 0
+        paths = sorted(out.glob("*.csv"))
+        assert paths
+        for path in paths:
+            lines = path.read_text().splitlines()
+            head = sum(line.startswith("#") for line in lines)
+            data = np.loadtxt(path, delimiter=",", skiprows=head + 1, ndmin=2)
+            assert data.shape == (len(lines) - head - 1, len(lines[head].split(",")))
 
     @pytest.mark.parametrize("runner", sorted(RERUNS))
     def test_a_rerun_replaces_every_file(self, tmp_path, runner):

@@ -778,7 +778,7 @@ class TestLabFrame:
         state = ComplexAmplitudePair(0j, 0j, 0.0)
         ends = []
         for seg, (kind, t0, t1) in zip(seq.segments, seq.windows()):
-            drive = DriveTone(mode_a.omega, 2e3) if kind == "load" else None
+            drive = DriveTone(0.0, 2e3) if kind == "load" else None
             pump = PumpDrive(seg.get("gp"), seg.get("delta"), seg.get("phase"))
             cfg = SimConfig(TWO_PI / (400 * mode_b.omega), t1, t0, 10**9)
             lab_a, lab_b, lab_a_out = scalar_rk4(state, (mode_a, mode_b), pump, drive,
@@ -892,7 +892,7 @@ class TestSwapCalibration:
         t_cal = calibrate_swap_time(modes, g)
         assert t_cal == 1.0 / g
         a, _ = dynamics.propagate_swap(ComplexAmplitudePair(1 + 0j, 0j, 0.0), modes,
-                                       g, 0.0, 0.0, t_cal)
+                                       PumpDrive(g), t_cal)
         assert abs(a) ** 2 <= 1e-28
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -908,10 +908,10 @@ class TestSwapCalibration:
                  ModeParams(TWO_PI * 9.33e9, 4.0 * g * x_b, 0.0))
         t_cal = calibrate_swap_time(modes, g)
         init = ComplexAmplitudePair(1 + 0j, 0j, 0.0)
-        a_end, _ = dynamics.propagate_swap(init, modes, g, 0.0, 0.0, t_cal)
+        a_end, _ = dynamics.propagate_swap(init, modes, PumpDrive(g), t_cal)
         assert abs(a_end) ** 2 <= 1e-28
         # a(t) stays positive before t_cal, so t_cal is the first null
-        a, _ = dynamics.propagate_swap(init, modes, g, 0.0, 0.0,
+        a, _ = dynamics.propagate_swap(init, modes, PumpDrive(g),
                                        np.linspace(0.0, t_cal, 201)[1:-1])
         assert np.all(a.real > 0.0)
 
