@@ -123,22 +123,32 @@ def runner_schema(runner: str) -> dict:
     return dict(_SCHEMAS[runner])
 
 
+def _read_text(path) -> str:
+    """The text of the UTF-8 file at `path`; a byte that is not UTF-8 is a
+    ValidationError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                                  f"{exc.object[exc.start:exc.end]!r})") from None
+
+
 def parse_config_file(path) -> dict:
     """Read a flat key=value config file (# comments, unit suffixes); a key
     given twice is an error."""
     overrides = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, val = line.partition("=")
-            if eq != "=":
-                raise ValidationError(f"{path}:{lineno}: expected key = value")
-            key = key.strip()
-            if key in overrides:
-                raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
-            overrides[key] = val.strip()
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = line.partition("=")
+        if eq != "=":
+            raise ValidationError(f"{path}:{lineno}: expected key = value")
+        key = key.strip()
+        if key in overrides:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
+        overrides[key] = val.strip()
     return overrides
 
 
@@ -173,6 +183,8 @@ def resolve_config(runner: str, overrides: dict | None = None) -> dict:
 def _validate_config(runner, cfg):
     if cfg.get("frame", "rotating") not in ("lab", "rotating"):
         raise ValidationError(f"frame must be lab or rotating, got {cfg['frame']!r}")
+    if "\0" in cfg.get("sequence", ""):  # open() refuses it with a ValueError
+        raise ValidationError(f"sequence = {cfg['sequence']!r}: a path holds no NUL byte")
     if cfg["jobs"] != 1:
         raise ValidationError(f"jobs must be 1: sweeps run in one process, got {cfg['jobs']}")
     for key, least in _SWEEP_MIN.items():
@@ -712,8 +724,7 @@ def run_custom_sequence(cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
     if not cfg["sequence"]:
         raise ValidationError("custom_sequence needs sequence=<file>")
-    with open(cfg["sequence"]) as fh:
-        seq = parse_sequence(fh.read())
+    seq = parse_sequence(_read_text(cfg["sequence"]))
     trace, rel = run_sequence_checked(
         seq, tolerance=cfg["tolerance"], points_per_cycle=cfg["points_per_cycle"],
         flux_calib=cfg["flux_calib"])

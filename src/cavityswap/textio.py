@@ -21,7 +21,11 @@ hard links and a file the user may not write are treated as a truncating
 
 The float cells are laid out by a numpy kernel (``_float_cells``), a block
 of rows at a time (``_csv_blocks``), as bytes; its tables are built on
-first use.
+first use. The kernel does the work of a cell shape only on the cells of
+that shape (a point among the digits, a zero last group of four digits,
+a 17-digit integer of exactly 10^16), each subset taken with
+``np.flatnonzero``. A table of float columns alone goes to it as a
+row-major block, whose cells are already in file order.
 """
 
 from __future__ import annotations
@@ -152,6 +156,13 @@ def _float_cells(x, last):
     off by one next to a power of ten, |x| outside the table, inf or nan)
     is formatted by ``'%.17g' %``, so each cell holds the bytes of
     ``'%.17g' %`` by construction.
+
+    Work that only some shapes need runs on those cells alone: the
+    exactness test on the cells whose integer is 10^16, the search for
+    the last kept digit before the last group of four on the cells whose
+    last group is 0, and the shift that makes room for a point among the
+    16 digits of words 1-2 on the cells with 1 <= E <= 15. Elsewhere no
+    digit is pushed out into word 3.
     """
     (pow_hi, pow_lo, hi_h, hi_l, kind, point, suffix, layout, low, dot,
      ascii4, sig4) = _cell_tables()
@@ -160,17 +171,19 @@ def _float_cells(x, last):
         e = np.floor(np.log10(ax))
         ok = (e >= _CELL_EXP[0]) & (e <= _CELL_EXP[-1])
         i = np.where(ok, e - _CELL_EXP[0], -_CELL_EXP[0]).astype(np.intp)  # E, else 0
-        p = ax * pow_hi[i]
+        p = ax * np.take(pow_hi, i)
         t = _CELL_SPLIT * ax
         ah = t - (t - ax)
         al = ax - ah
-        ch, cl, lo = hi_h[i], hi_l[i], pow_lo[i]
+        ch, cl, lo = np.take(hi_h, i), np.take(hi_l, i), np.take(pow_lo, i)
         q = (((ah * ch - p) + ah * cl + al * ch) + al * cl) + ax * lo
         whole = np.floor(q)
         frac = q - whole
         n17 = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    exact = (p == 1e16) & (q == 0.0) & (lo == 0.0)
-    ok &= ((np.abs(frac - 0.5) > _CELL_TIE) & (n17 > 10**16) | exact) & (n17 < 10**17)
+    certified = (np.abs(frac - 0.5) > _CELL_TIE) & (n17 > 10**16) & (n17 < 10**17)
+    edge = np.flatnonzero(n17 == 10**16)  # certified only where the product is exact
+    certified[edge] = (p[edge] == 1e16) & (q[edge] == 0.0) & (lo[edge] == 0.0)
+    ok &= certified
     zero = ax == 0.0
     n17[~ok] = 10**16
     n17[zero] = 0
@@ -182,23 +195,31 @@ def _float_cells(x, last):
     groups = np.stack((top - d0 * 10**8, n17 - top * 10**8))
     head = groups // 10**4
     groups -= head * 10**4
-    words = ascii4[head] | (ascii4[groups] << np.uint64(32))
-    sig = np.where(groups[1] != 0, 13 + sig4[groups[1]],
-                   np.where(head[1] != 0, 9 + sig4[head[1]],
-                            np.where(groups[0] != 0, 5 + sig4[groups[0]],
-                                     np.where(head[0] != 0, 1 + sig4[head[0]], 1))))
-    # a point after k of the 16 digits: the bytes from k on move up by one
-    k = point[i]
-    before = words & np.take(low, k, axis=1)
-    after = words ^ before
-    words = before | (after << np.uint64(8)) | np.take(dot, k, axis=1)
-    words[1] |= after[0] >> np.uint64(56)
+    words = np.take(ascii4, head) | (np.take(ascii4, groups) << np.uint64(32))
+    # the digits kept: up to the last nonzero one of the last group, and
+    # where that group is 0, of the first nonzero group before it
+    sig = 13 + np.take(sig4, groups[1])
+    z = np.flatnonzero(groups[1] == 0)
+    h1, g0, h0 = head[1, z], groups[0, z], head[0, z]
+    sig[z] = np.where(h1 != 0, 9 + np.take(sig4, h1),
+                      np.where(g0 != 0, 5 + np.take(sig4, g0),
+                               np.where(h0 != 0, 1 + np.take(sig4, h0), 1)))
 
-    cells = np.take(layout, (kind[i] * 17 + sig - 1) * 2 + np.signbit(x), axis=0)
+    cells = np.take(layout, (np.take(kind, i) * 17 + sig - 1) * 2 + np.signbit(x), axis=0)
     cells[:, 0] |= (d0 + 48).astype(np.uint64) << np.uint64(48)
+    cells[:, 3] |= np.take(suffix, last * len(_CELL_EXP) + i)
+    # a point after k of the 16 digits (1 <= E <= 15): the bytes from k on
+    # move up by one, and the digit pushed out of word 2 goes to word 3
+    k = np.take(point, i)
+    m = np.flatnonzero(k)
+    km = k[m]
+    before = words[:, m] & np.take(low, km, axis=1)
+    after = words[:, m] ^ before
+    words[:, m] = before | (after << np.uint64(8)) | np.take(dot, km, axis=1)
+    words[1, m] |= after[0] >> np.uint64(56)
+    cells[m, 3] |= after[1] >> np.uint64(56)
     cells[:, 1] |= words[0]
     cells[:, 2] |= words[1]
-    cells[:, 3] |= (after[1] >> np.uint64(56)) | np.take(suffix, last * len(_CELL_EXP) + i)
     text = cells.view(np.uint8)
     for r in np.flatnonzero(fallback).tolist():
         cell = b"%.17g" % x[r]
@@ -235,9 +256,12 @@ def _csv_blocks(columns):
     which certifies each cell it formats with array arithmetic and sends
     the rest to ``'%.17g' %``: every cell is the text of ``'%.17g' %``. A
     block holds ``_CSV_BLOCK`` rows, or fewer where that would pass the
-    kernel more than ``2 * _CSV_BLOCK`` cells. The `values` of a pair (a
-    sweep axis, whose values repeat from row to row) are formatted once,
-    and each block gathers their cells by `index`.
+    kernel more than ``2 * _CSV_BLOCK`` cells. The float columns of a
+    block go to the kernel as one row-major array, so where no column is
+    a pair its cells are the block's text in file order. The `values` of
+    a pair (a sweep axis, whose values repeat from row to row) are
+    formatted once, and each block gathers their cells by `index` and
+    interleaves them with the float cells of each row.
     """
     cols, axes = [], {}  # axes[k]: the cells of the values of pair column k
     for k, col in enumerate(columns):
@@ -249,17 +273,19 @@ def _csv_blocks(columns):
     if any(len(col) != n for col in cols):
         raise ValidationError("CSV columns must have equal lengths")
     floats = [k for k in range(len(cols)) if k not in axes]
-    last = np.array([k == len(cols) - 1 for k in floats], dtype=np.intp)
     block = max(1, min(_CSV_BLOCK, 2 * _CSV_BLOCK // max(len(floats), 1)))
+    x = np.empty((min(block, n), len(floats)))  # a block's float columns, row by row
+    last = np.tile(np.array([k == len(cols) - 1 for k in floats], dtype=np.intp), len(x))
     for lo in range(0, n, block):
         rows = min(block, n - lo)
+        for j, k in enumerate(floats):
+            x[:rows, j] = cols[k][lo:lo + rows]
         if floats:  # no kernel call for a block of pair columns alone
-            x = np.array([cols[k][lo:lo + rows] for k in floats], dtype=float).reshape(-1)
-            cells = iter(_float_cells(x, np.repeat(last, rows))[0]
-                         .view(np.uint8).reshape(len(floats), rows, _CELL_BYTES))
-        slots = [np.take(axes[k], col[lo:lo + rows], axis=0) if k in axes else next(cells)
-                 for k, col in enumerate(cols)]
-        text = np.concatenate(slots, axis=1).reshape(-1)
+            text = _float_cells(x[:rows].reshape(-1), last[:rows * len(floats)])[0]
+            cells = iter(text.view(np.uint8).reshape(rows, -1, _CELL_BYTES).swapaxes(0, 1))
+        if axes:  # each row's float cells between the cells of its pairs
+            text = np.concatenate([np.take(axes[k], col[lo:lo + rows], axis=0) if k in axes
+                                   else next(cells) for k, col in enumerate(cols)], axis=1)
         yield text.tobytes().translate(None, bytes((_CELL_PAD,)))
 
 

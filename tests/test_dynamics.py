@@ -869,6 +869,23 @@ class TestAxisColumns:
         textio.write_csv(path, [], ["x"], [(values, index)])
         assert path.read_bytes() == text
 
+    @pytest.mark.parametrize("block,n", [(1, 23), (7, 61), (4096, 2500)])
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_float_rows_match_the_pair_path(self, monkeypatch, block, n, width):
+        # a table of float columns alone is laid out row-major, one kernel
+        # call a block; the same table with one column as a pair takes the
+        # column-by-column path: both write the same rows
+        monkeypatch.setattr(textio, "_CSV_BLOCK", block)
+        rng = np.random.default_rng(width)
+        columns = [rng.choice(_mixed_shapes(rng, 64), n) for _ in range(width)]
+        text = _csv_text(columns)
+        assert text == "".join(",".join(row) + "\n"
+                               for row in zip(*map(_percent_g, columns)))
+        for k in range(width):
+            paired = list(columns)
+            paired[k] = (columns[k], np.arange(n))
+            assert _csv_text(paired) == text
+
     @pytest.mark.parametrize("column,match", [
         ((_AXIS_VALUES, _AXIS_INDEX[:-1]), "equal lengths"),
         ((_AXIS_VALUES, _AXIS_INDEX.astype(float)), "integer array"),
@@ -887,6 +904,38 @@ def _cells(values):
 
 def _percent_g(values):
     return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+_POWERS = np.array([float(f"1e{e}") for e in range(-300, 301)])
+
+
+def _mixed_shapes(rng, n):
+    """`n` floats of every cell shape, in random order and sign: 17-digit
+    values and short decimals (a zero last digit group) at E from -30 to
+    30, so with and without a point among the digits; powers of ten and
+    their neighbours; zeros, infinities and nan."""
+    size = 10.0 ** rng.integers(-30, 31, n)
+    digits = 10.0 ** rng.integers(0, 13, n)
+    powers = rng.choice(_POWERS, n)
+    pools = [rng.uniform(1.0, 10.0, n) * size,
+             np.round(rng.uniform(1.0, 10.0, n) * digits) / digits * size,
+             powers + rng.integers(-2, 3, n) * np.spacing(powers),
+             rng.choice([0.0, math.inf, math.nan], n)]
+    x = np.choose(rng.integers(0, len(pools), n), pools)
+    return np.where(rng.random(n) < 0.5, x, -x)
+
+
+def _kernel_text(x):
+    """The text of one cell-kernel call on `x`, every third cell ending a row."""
+    last = (np.arange(x.size) % 3 == 2).astype(np.intp)
+    cells = textio._float_cells(x, last)[0]
+    return cells.tobytes().translate(None, bytes((textio._CELL_PAD,))).decode()
+
+
+def _shape(v):
+    """(E, the 17 digits) of the %.17g text of `v`."""
+    digits, _, e = ("%.16e" % abs(v)).partition("e")
+    return int(e), digits.replace(".", "")
 
 
 class TestCsvCells:
@@ -929,6 +978,35 @@ class TestCsvCells:
         # the exact integer part of |x| 10^(16 - E), not the rounded double,
         # must lie in [10^16, 10^17): this one prints with its own exponent
         assert _cells([9.9999999999999995e-07]) == ["9.9999999999999995e-07"]
+
+    @pytest.mark.parametrize("blocks", ["mixed", "every_cell_skips", "no_cell_skips"])
+    def test_big_blocks_of_mixed_shapes(self, blocks):
+        # kernel calls of 2 * _CSV_BLOCK cells. The kernel moves a point
+        # into the digits (1 <= E <= 15), finds the digits kept past a zero
+        # last group of four, and certifies T = 10^16 on subsets of a
+        # block; here cells in and out of each subset share one block, or
+        # a block is all out of them or all in them
+        rng = np.random.default_rng(36)
+        size = 2 * textio._CSV_BLOCK
+        for _ in range(4):
+            if blocks == "mixed":
+                x = _mixed_shapes(rng, size)
+            elif blocks == "every_cell_skips":  # 17 digits, E <= 0 or E >= 16
+                x = rng.uniform(1.0, 10.0, 2 * size) * 10.0 ** rng.choice(
+                    np.r_[-30:1, 16:31], 2 * size)
+                x = np.array([v for v in x.tolist() if not _shape(v)[1].endswith("0")][:size])
+                assert all(not 1 <= _shape(v)[0] <= 15 for v in x.tolist())
+            else:  # a point among the digits and a zero last group
+                digits = 10.0 ** rng.integers(0, 13, 2 * size)
+                x = np.round(rng.uniform(1.0, 10.0, 2 * size) * digits) / digits
+                x *= 10.0 ** rng.integers(1, 16, 2 * size)
+                x[::97] = _POWERS[301:316][rng.integers(0, 15, x[::97].size)]
+                x = np.array([v for v in x.tolist() if 1 <= _shape(v)[0] <= 15
+                              and _shape(v)[1].endswith("0000")][:size])
+            x = np.where(rng.random(size) < 0.5, x, -x)
+            assert x.size == size
+            assert _kernel_text(x) == "".join(
+                cell + ("\n" if k % 3 == 2 else ",") for k, cell in enumerate(_percent_g(x)))
 
     def test_zeros_and_non_finite(self):
         values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]

@@ -1296,6 +1296,28 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("case", ["config", "sequence", "nul"])
+    def test_unreadable_inputs_exit_2(self, tmp_path, capsys, case):
+        # a byte that is not UTF-8 in either file, and a sequence path with a
+        # NUL byte, which open() refuses with a ValueError: each used to exit
+        # 1 with a traceback
+        seq, cfg = tmp_path / "seq.txt", tmp_path / "cfg.txt"
+        seq.write_bytes(SEQ.encode() + (b"# caf\xe9\n" if case == "sequence" else b""))
+        runner, text = "custom_sequence", f"sequence = {seq}\n".encode()
+        if case == "config":
+            runner, text = "splitting", b"probe_count = 201\xff\npump_count = 3\n"
+        elif case == "nul":
+            text = f"sequence = {tmp_path}/a\0b.txt\n".encode()
+        cfg.write_bytes(text)
+        out = tmp_path / "out"
+        assert main([runner, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        named = {"config": f"{cfg}: not UTF-8", "sequence": f"{seq}: not UTF-8",
+                 "nul": "sequence = "}
+        assert named[case] in err
+        assert not list(out.glob("*.csv"))
+
     def test_tiny_normal_sequence_energies_still_run(self, tmp_path):
         # the peak |a|^2 + |b|^2 of 1e-300 is normal, though final_energy_a is not
         seq = tmp_path / "seq.txt"
