@@ -364,8 +364,9 @@ def _steps(config: SimConfig):
 
 
 def half_step_config(config: SimConfig) -> SimConfig:
-    """The dt/2 run ``integrate_checked`` compares against (and returns),
-    recording at twice the stride so it keeps the same record times."""
+    """The dt/2 run of ``integrate_checked`` and of
+    ``experiments._swap_problem``, recording at twice the stride so it
+    keeps the same record times."""
     _, dt = _steps(config)
     return replace(config, dt=0.5 * dt, record_stride=2 * config.record_stride)
 
@@ -843,3 +844,31 @@ def _reflection_at(mode_a, mode_b, pump, x) -> np.ndarray:
         raise SingularSteadyStateError(
             "undamped readout mode exactly on the probe frequency")
     return 1.0 - mode_a.gamma_ext / denom
+
+
+def _reflection_dips(mode_a, mode_b, g) -> np.ndarray:
+    """The probe offsets x of the minima of ``|_reflection_at|`` under a
+    resonant pump of coupling `g`, in increasing order.
+
+    With u = gamma_A/2 - i x and v = gamma_B/2 - i x, r = N/D for D = u v +
+    g^2 and N = D - gamma_ext v (at g = 0 the factor v cancels: D = u, N =
+    u - gamma_ext). |N|^2 and |D|^2 are real polynomials with equal leading
+    coefficients, so the stationary points of |r|^2 are the real roots of
+    F = (|N|^2)' |D|^2 - |N|^2 (|D|^2)', and the minima those where F' > 0.
+    |r| is even in x, and F/x is at most quadratic in x^2, with roots that
+    sum to at most 0, so the minima are one at x = 0 or a pair at +-x0. x is scaled
+    by max(g, gamma_A/2) to keep the coefficients of order 1."""
+    scale = max(g, 0.5 * mode_a.gamma_total)
+    u = np.array([-1j, 0.5 * mode_a.gamma_total / scale])
+    v = np.array([-1j, 0.5 * mode_b.gamma_total / scale])
+    ext = mode_a.gamma_ext / scale
+    if g == 0.0:
+        d, n = u, np.polysub(u, [ext])
+    else:
+        d = np.polyadd(np.polymul(u, v), [(g / scale) ** 2])
+        n = np.polysub(d, ext * v)
+    nn, dd = (np.polymul(p, p.conj()).real for p in (n, d))
+    f = np.polysub(np.polymul(np.polyder(nn), dd), np.polymul(nn, np.polyder(dd)))
+    roots = np.roots(f)
+    y = roots[roots.imag == 0.0].real
+    return scale * np.sort(y[np.polyval(np.polyder(f), y) > 0.0])

@@ -16,17 +16,16 @@ import numpy as np
 
 from . import fluxmap
 from .analysis import (PENCIL_MIN_SAMPLES, DegenerateFitError, NoOscillationError,
-                       dwell_times, fit_exponential_decay, fit_phase_slope,
-                       loss_corrected_efficiency, oscillation_frequency)
+                       fit_exponential_decay, fit_phase_slope, oscillation_frequency)
 from .core import (ComplexAmplitudePair, ModeParams, PumpDrive, ValidationError,
                    check_mode_order, mode_params_from_q)
-from .dynamics import (SimConfig, _reflection_at, calibrate_swap_time, half_step_config,
-                       lab_frame, max_step, propagate_swap, rabi_frequency, swap_coupling_sq,
-                       swap_frequency)
-from .sequences import (PulseSequence, Segment, _plan, check_plan,
-                        parse_sequence, run_plan, run_sequence, run_sequence_checked,
-                        validate_sequence)
+from .dynamics import (SimConfig, _reflection_at, _reflection_dips, calibrate_swap_time,
+                       half_step_config, lab_frame, max_step, propagate_swap, rabi_frequency,
+                       swap_coupling_sq, swap_frequency)
+from .sequences import (PulseSequence, Segment, _plan, check_plan, parse_sequence, run_plan,
+                        run_sequence_checked, validate_sequence)
 # not called here: perfbench/tracer.py wraps these by name where experiments binds them
+from .analysis import dwell_times  # noqa: F401
 from .dynamics import integrate_checked, reflection_spectrum  # noqa: F401
 from .sequences import demodulate  # noqa: F401
 from .textio import write_key_values, write_row_groups, write_csv as _write_csv
@@ -396,19 +395,19 @@ def _readout_iq(mode_a, a_r, duration):
 
 
 def _retrieval(cfg, runner, points):
-    """(sequences, I + iQ, energies, reference energy, CSV header lines,
-    shared results) of a storage/retrieval sweep over `points`, each the
-    (delay, retrieval phase) of one ``_sr_sequence``: load, swap, delay,
-    swap back, readout. The swaps last `t_swap`, or the calibrated full
-    swap when it is 0. The middle sequence runs the RK4 oracle
+    """(readout states, I + iQ, energies, reference energy, CSV header
+    lines, shared results) of a storage/retrieval sweep over `points`, each
+    the (delay, retrieval phase) of one ``_sr_sequence``: load, swap,
+    delay, swap back, readout. The swaps last `t_swap`, or the calibrated
+    full swap when it is 0. The middle sequence runs the RK4 oracle
     (``run_sequence_checked``, both of its checks). Every point reads its
     readout from the state where it starts (``_readout_iq``,
     ``_readout_state``), and the reference is the load read out at once:
     the same closed form from a = sqrt(nbar), over a window of the
     readout's length, so that eta compares equal windows. Readout energies
-    below the normal doubles are refused (exit 2), and so is a pump power
-    whose g_P is 0, which has no swap to store with even at a set
-    `t_swap`."""
+    below the normal doubles or past them are refused (exit 2), and so is
+    a pump power whose g_P is 0, which has no swap to store with even at a
+    set `t_swap`."""
     mode_a, mode_b = _modes(cfg)
     g = _resolve_gp(cfg)
     if not g > 0.0:
@@ -419,8 +418,9 @@ def _retrieval(cfg, runner, points):
     oracle, rel = run_sequence_checked(seqs[len(seqs) // 2], tolerance=cfg["tolerance"],
                                        points_per_cycle=cfg["points_per_cycle"])
     duration = seqs[0].segments[-1].duration
-    iqs, energies = zip(*(_readout_iq(mode_a, _readout_state(cfg, seq).a, duration)
-                          for seq in seqs))
+    states = [_readout_state(cfg, seq) for seq in seqs]
+    with np.errstate(over="ignore"):  # an energy past the doubles is refused as inf
+        iqs, energies = zip(*(_readout_iq(mode_a, state.a, duration) for state in states))
     reference = _readout_iq(mode_a, math.sqrt(cfg["nbar"]), duration)[1]
     energies = np.array(energies)
     _check_normal_energies(f"nbar = {cfg['nbar']:.3g}", np.append(energies, reference))
@@ -428,19 +428,22 @@ def _retrieval(cfg, runner, points):
               f"t_swap_s = {t_swap:.12g}", f"reference = {reference:.12g}"]
     results = {"gp_hz": g / TWO_PI, "t_swap_s": t_swap, "convergence_rel_diff": rel,
                "exact_rk4_max_diff": oracle.meta["exact_rk4_max_diff"]}
-    return seqs, np.array(iqs), energies, reference, header, results
+    return states, np.array(iqs), energies, reference, header, results
 
 
 def _check_normal_energies(source, energies, what="readout energies down to"):
-    """Refuse `energies` below the normal doubles: a subnormal keeps too
-    few bits for the fits, the swap frequency and the written trace. The
-    energies scale with the occupancy that `source` names."""
-    low = float(np.min(energies))
+    """Refuse `energies` below the normal doubles, where a subnormal keeps
+    too few bits for the fits, the swap frequency and the written trace,
+    and an inf. The energies scale with the occupancy `source` names."""
+    low, high = float(np.min(energies)), float(np.max(energies))
     tiny = float(np.finfo(float).tiny)
     if not low >= tiny:
         raise ValidationError(
             f"{source} gives {what} {low:.3g}, below the smallest normal "
             f"double {tiny:.3g}: they keep only a few bits")
+    if high == math.inf:
+        raise ValidationError(f"{source} gives energies past the largest double "
+                              f"{np.finfo(float).max:.3g}: they overflow to inf")
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +459,9 @@ def run_splitting(cfg, outdir):
     is a palindrome: cell f equals cell N-1-f. Only the first ceil(P/2)
     pump rows are evaluated, and ``reflection_abs`` is written as the pair
     of the first ceil(N/2) magnitudes and the index min(f, N-1-f). The
-    dips are read off the delta = 0 spectrum: the middle row of an odd
-    pump count, or one more evaluation, not written, of an even one."""
+    dips are the minima of the closed-form |r| at delta = 0
+    (``_reflection_dips``), not samples of the grid, which serves only
+    ``spectrum.csv``."""
     os.makedirs(outdir, exist_ok=True)
     mode_a, mode_b = _modes(cfg)
     g = _resolve_gp(cfg)
@@ -473,11 +477,9 @@ def run_splitting(cfg, outdir):
     offsets = _mirror_grid(cfg["probe_count"]) * cfg["probe_span"]
     pump_deltas = _mirror_grid(cfg["pump_count"]) * cfg["pump_span"]
 
-    def magnitudes(delta):
-        return np.abs(_reflection_at(mode_a, mode_b, PumpDrive(g, delta), offsets))
-
     n_pump, n_probe = pump_deltas.size, offsets.size
-    mags = np.array([magnitudes(delta) for delta in pump_deltas[:(n_pump + 1) // 2]])
+    mags = np.array([np.abs(_reflection_at(mode_a, mode_b, PumpDrive(g, delta), offsets))
+                     for delta in pump_deltas[:(n_pump + 1) // 2]])
     # pump-major rows; the two axes and the mirrored magnitudes as (values, index) columns
     n = n_pump * n_probe
     cell = np.arange(n)
@@ -488,46 +490,15 @@ def run_splitting(cfg, outdir):
                 (offsets / TWO_PI, cell % n_probe),
                 (mags.ravel()[:(n + 1) // 2], np.minimum(cell, n - 1 - cell))])
 
-    center_mag = mags[-1] if n_pump % 2 else magnitudes(0.0)
+    dips = _reflection_dips(mode_a, mode_b, g)  # one at 0, or a pair at +-x0
     results = {
         "gp_hz": g / TWO_PI,
-        # the dips located on the probe frequencies w_A + x
-        "dip_separation_hz": _dip_separation(mode_a.omega + offsets, center_mag) / TWO_PI,
+        "dip_separation_hz": (dips[-1] - dips[0]) / TWO_PI if dips.size else 0.0,
         "expected_splitting_hz": 2.0 * g / TWO_PI,
-        "dip_count": len(_local_minima(center_mag)[0]),
+        "dip_count": dips.size,
     }
     _write_report(outdir, "splitting", cfg, results)
     return results
-
-
-def _local_minima(mag):
-    """(first, last) sample of each interior local minimum of `mag`: a run
-    of equal samples, one or more, with a larger sample on either side."""
-    edges = np.flatnonzero(mag[1:] != mag[:-1])
-    first = np.concatenate(([0], edges + 1))
-    last = np.concatenate((edges, [mag.size - 1]))
-    level = mag[first]
-    lower = (level[1:-1] < level[:-2]) & (level[1:-1] < level[2:])
-    return first[1:-1][lower], last[1:-1][lower]
-
-
-def _dip_separation(omegas, mag):
-    """Frequency separation of the two deepest local minima (0 if single
-    dip): a single-sample minimum refined by a parabola through its
-    neighbours, a flat run of samples at its middle."""
-    first, last = _local_minima(mag)
-    if first.size < 2:
-        return 0.0
-    dw = omegas[1] - omegas[0]
-    refined = []
-    for i in sorted(np.argsort(mag[first], kind="stable")[:2]):
-        k, shift = first[i], 0.5 * (last[i] - first[i])
-        if shift == 0.0:
-            ya, yb, yc = mag[k - 1], mag[k], mag[k + 1]
-            denom = ya - 2.0 * yb + yc
-            shift = 0.0 if denom == 0.0 else 0.5 * (ya - yc) / denom
-        refined.append(omegas[k] + shift * dw)
-    return abs(refined[1] - refined[0])
 
 
 def run_chevron(cfg, outdir):
@@ -641,29 +612,25 @@ def run_store_retrieve(cfg, outdir):
     """Retrieved energy vs storage delay, with the storage-decay fit.
 
     ``_retrieval`` gives each delay's energy in closed form and runs the
-    RK4 oracle at the middle delay. The shortest delay is traced at twice
-    `points_per_cycle` up to where its readout starts, for the dwell times
-    of eta' from the load's end to there."""
+    RK4 oracle at the middle delay. Nothing drives the modes from the
+    load's end to the shortest delay's readout, so the loss correction
+    exp(gamma_A t_a + gamma_B t_b) of its dwell times is exactly the ratio
+    of the energies |a|^2 + |b|^2 there, and eta' = |a_r|^2/(|a_r|^2 +
+    |b_r|^2) at the state (a_r, b_r) where that readout starts."""
     os.makedirs(outdir, exist_ok=True)
     delays = np.linspace(cfg["delay_start"], cfg["delay_stop"], cfg["delay_count"])
-    seqs, _, retrieved, reference, header, results = _retrieval(
+    states, _, retrieved, reference, header, results = _retrieval(
         cfg, "store_retrieve", [(delay, 0.0) for delay in delays])
-    windows = seqs[0].windows()
-    upto_readout = PulseSequence(seqs[0].mode_specs, seqs[0].segments[:-1])
-    trace = run_sequence(upto_readout, points_per_cycle=2 * cfg["points_per_cycle"])
-    t_a, t_b = dwell_times(trace, (windows[0][2], windows[-1][1]))
-
-    mode_a, mode_b = seqs[0].mode_a, seqs[0].mode_b
-    eta_shortest = float(retrieved[0]) / reference
-    eta_prime = loss_corrected_efficiency(eta_shortest, t_a, t_b, mode_a, mode_b)
+    n_a, n_b = abs(states[0].a) ** 2, abs(states[0].b) ** 2  # |a_r|^2, |b_r|^2
     _write_csv(os.path.join(outdir, "store_retrieve.csv"), header,
                ["delay_s", "retrieved_energy", "eta"],
                [delays, retrieved, retrieved / reference])
 
+    mode_b = _modes(cfg)[1]
     results.update({
         "reference_energy": reference,
-        "eta_shortest": eta_shortest,
-        "eta_prime": eta_prime,
+        "eta_shortest": float(retrieved[0]) / reference,
+        "eta_prime": n_a / (n_a + n_b),
         "configured_tau_s": 1.0 / mode_b.gamma_total if mode_b.gamma_total else math.inf,
     })
     try:
@@ -728,8 +695,9 @@ def run_custom_sequence(cfg, outdir):
     trace, rel = run_sequence_checked(
         seq, tolerance=cfg["tolerance"], points_per_cycle=cfg["points_per_cycle"],
         flux_calib=cfg["flux_calib"])
-    _check_normal_energies("the sequence", np.max(trace.energy_a + trace.energy_b),
-                           "energies |a|^2 + |b|^2 that peak at")
+    with np.errstate(over="ignore"):  # an energy past the doubles is refused as inf
+        peak = np.max(trace.energy_a + trace.energy_b)
+    _check_normal_energies("the sequence", peak, "energies |a|^2 + |b|^2 that peak at")
     if cfg["frame"] == "lab":
         trace = lab_frame(trace, seq.mode_a, seq.mode_b)
     trace.to_csv(os.path.join(outdir, "trace.csv"))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cavityswap import cli, dynamics, experiments, fluxmap, sequences, textio
+from cavityswap import analysis, cli, dynamics, experiments, fluxmap, sequences, textio
 from cavityswap.cli import main
 from cavityswap.core import ComplexAmplitudePair, PumpDrive, ValidationError
 from cavityswap.dynamics import (SimConfig, TraceRecord, _reflection_at, check_exact,
@@ -241,8 +241,8 @@ class TestSplittingGrid:
         assert np.all(np.abs(data[:, 2] - mags.ravel()) <= 4 * np.spacing(mags.ravel()))
 
     def test_even_pump_count_reads_the_zero_detuning_spectrum(self, tmp_path):
-        # no pump row sits at delta = 0: the dips come from one more
-        # evaluation there, the same spectrum an odd count has in its middle
+        # no pump row sits at delta = 0: the dips come from the closed form
+        # there, not from the grid, so an even count reads what an odd one does
         even = run_splitting(resolve_config("splitting", {"pump_count": "2"}), tmp_path / "2")
         odd = run_splitting(resolve_config("splitting", {"pump_count": "3"}), tmp_path / "3")
         assert even["dip_count"] == 2
@@ -265,6 +265,8 @@ class TestSplittingGrid:
         assert results["dip_count"] == 1
         assert results["dip_separation_hz"] == 0.0
 
+    # the dense-grid oracle of TestSplittingDips reads a minimum as a run of
+    # equal samples below both neighbours, at the run's middle
     @pytest.mark.parametrize("mag,runs", [
         ([3.0, 1.0, 3.0], [(1, 1)]),
         ([3.0, 1.0, 1.0, 3.0], [(1, 2)]),
@@ -275,13 +277,99 @@ class TestSplittingGrid:
         ([1.0, 1.0, 1.0], []),
     ])
     def test_local_minima_are_runs(self, mag, runs):
-        first, last = experiments._local_minima(np.array(mag))
-        assert list(zip(first.tolist(), last.tolist())) == runs
+        mag = np.array(mag)
+        deepest_first = sorted(runs, key=lambda run: (mag[run[0]], run[0]))
+        expected = [0.5 * (first + last) for first, last in deepest_first]
+        assert _grid_minima(np.arange(float(mag.size)), mag).tolist() == expected
 
     def test_flat_bottomed_dips_sit_at_their_middle(self):
         omegas = np.arange(9.0)
         mag = np.array([5.0, 2.0, 1.0, 1.0, 4.0, 1.0, 1.0, 2.0, 5.0])
-        assert experiments._dip_separation(omegas, mag) == 3.0
+        assert _separation(_grid_minima(omegas, mag)) == 3.0
+
+
+def _grid_minima(x, mag):
+    """The interior local minima of `mag` on the grid `x`: each a run of
+    equal samples lower than both neighbours, at the middle of its run, the
+    deepest first (of two equally deep, the lower x first)."""
+    edges = np.flatnonzero(mag[1:] != mag[:-1])
+    first = np.concatenate(([0], edges + 1))
+    last = np.concatenate((edges, [mag.size - 1]))
+    level = mag[first]
+    lower = np.flatnonzero((level[1:-1] < level[:-2]) & (level[1:-1] < level[2:])) + 1
+    where = 0.5 * (x[first[lower]] + x[last[lower]])
+    return where[np.lexsort((where, level[lower]))]
+
+
+def _separation(dips):
+    return abs(dips[1] - dips[0]) if dips.size > 1 else 0.0
+
+
+class TestSplittingDips:
+    """dip_count and dip_separation_hz are read from the minima of the
+    closed-form |r| at delta = 0 (``dynamics._reflection_dips``); a dense
+    grid of ``_reflection_at`` is the oracle."""
+
+    def test_defaults_sit_at_the_closed_form_minima(self, tmp_path):
+        results = run_splitting(resolve_config("splitting"), tmp_path)
+        assert results["dip_count"] == 2
+        assert results["dip_separation_hz"] == pytest.approx(2398342.248, abs=1e-3)
+        # within one probe spacing (10 kHz) of the parabola through three
+        # samples of the probe grid that the runner used to read
+        assert abs(results["dip_separation_hz"] - 2398413.146) < 10e3
+
+    # the default modes around the g_P where their two dips merge into one
+    # (319740.766 rad/s, 0.5541378 gamma_A/2): 1e-6 above it the dips sit at
+    # +-9.4e-4 gamma_A/2, 4.7 grid spacings from 0; 1e-9 above it at 0.15
+    # spacings; 1e-9 below it there is one dip
+    @example(q_int=900e3, q_ext=50e3, log_t1=math.log10(14.9e-6),
+             gp_share=0.5541378235089173 * (1 + 1e-6))
+    @example(q_int=900e3, q_ext=50e3, log_t1=math.log10(14.9e-6),
+             gp_share=0.5541378235089173 * (1 + 1e-9))
+    @example(q_int=900e3, q_ext=50e3, log_t1=math.log10(14.9e-6),
+             gp_share=0.5541378235089173 * (1 - 1e-9))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(q_int=st.floats(1e4, 1e7), q_ext=st.floats(1e3, 1e6), log_t1=st.floats(-7.0, 12.0),
+           gp_share=st.just(0.0) | st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e))
+    def test_minima_match_a_dense_grid(self, q_int, q_ext, log_t1, gp_share):
+        cfg = resolve_config("splitting", {"q_int_a": q_int, "q_ext_a": q_ext,
+                                           "t1_b": 10.0 ** log_t1})
+        mode_a, mode_b = experiments._modes(cfg)
+        g = gp_share * 0.5 * mode_a.gamma_total
+        dips = dynamics._reflection_dips(mode_a, mode_b, g)
+
+        def mag(x):
+            return np.abs(_reflection_at(mode_a, mode_b, PumpDrive(g, 0.0), np.asarray(x)))
+
+        # every minimum lies within |x| <= max(g_P, gamma_A/2) + gamma_A/2: a
+        # grid of 2 M + 1 probes over twice that span holds them all
+        span = 2.0 * (max(g, 0.5 * mode_a.gamma_total) + 0.5 * mode_a.gamma_total)
+        m = 20_000
+        h = span / m
+        x = h * np.arange(-m, m + 1)
+        grid = _grid_minima(x, mag(x))
+        # |r| = |1 - gamma_ext/denom| is rounded to about eps (1 + |r|)
+        rounding = 8.0 * np.finfo(float).eps * (1.0 + mag(dips))
+        assert np.all(np.abs(dips) < 0.5 * span)
+        # one dip at x = 0 or a mirrored pair, as |r| is even in x
+        assert (dips.size == 1 and dips[0] == 0.0) or \
+            (dips.size == 2 and abs(dips[0] + dips[1]) <= 1e-12 * span)
+        for eps in (h, 1e-3 * h):
+            assert np.all(mag(dips) <= np.minimum(mag(dips - eps), mag(dips + eps)) + rounding)
+        if grid.size == dips.size:
+            # a grid minimum lies within a spacing of its closed-form one
+            assert abs(_separation(grid) - _separation(dips)) <= 2.0 * h
+        else:
+            # near the g_P where two dips merge, |r|^2 = r0 + alpha x^2 +
+            # beta x^4 with alpha -> 0: the dips at +-x0 = +-sqrt(-alpha/2 beta)
+            # rise beta x0^4 to the centre. The grid splits them only where a
+            # probe lies between them (x0 > h) and that rise exceeds the
+            # rounding of |r|; otherwise it sees one dip. So the counts may
+            # differ only where both separations are within two spacings, or
+            # where |r| at the centre rises above the closed-form dips by no
+            # more than the rounding.
+            assert max(_separation(grid), _separation(dips)) <= 2.0 * h or \
+                mag([0.0])[0] - mag(dips[:1])[0] <= rounding[0]
 
 
 class TestChevronRunner:
@@ -733,6 +821,30 @@ class TestClosedFormReadout:
         assert np.all((3.8 < errors[:-1] / errors[1:]) & (errors[:-1] / errors[1:] < 4.2))
         assert errors[-1, 0] < 1.4e-6 and errors[-1, 1] < 3.5e-7
 
+    def test_dwell_times_converge_to_the_energy_identity(self, tmp_path):
+        # the paper's procedure, eta' = eta exp(gamma_A t_a + gamma_B t_b)
+        # with the dwell times of the shortest delay traced from the load's
+        # end to its readout, at 400, 800 and 1600 points per cycle: a
+        # trapezoid, so each doubling cuts its gap to the runner's eta' about
+        # 4x (1.05e-7, 2.62e-8, 6.56e-9)
+        cfg = resolve_config("store_retrieve")
+        results = run_store_retrieve(cfg, tmp_path)
+        mode_a, mode_b = experiments._modes(cfg)
+        seq = experiments._sr_sequence(cfg, experiments._resolve_gp(cfg), results["t_swap_s"],
+                                       cfg["delay_start"], 0.0)
+        windows = seq.windows()
+        upto_readout = sequences.PulseSequence(seq.mode_specs, seq.segments[:-1])
+        gaps = []
+        for ppc in (400, 800, 1600):
+            trace = sequences.run_sequence(upto_readout, points_per_cycle=ppc)
+            t_a, t_b = analysis.dwell_times(trace, (windows[0][2], windows[-1][1]))
+            eta_prime = analysis.loss_corrected_efficiency(results["eta_shortest"], t_a, t_b,
+                                                           mode_a, mode_b)
+            gaps.append(abs(eta_prime - results["eta_prime"]))
+        gaps = np.array(gaps)
+        assert np.all((3.8 < gaps[:-1] / gaps[1:]) & (gaps[:-1] / gaps[1:] < 4.2))
+        assert gaps[-1] < 7e-9
+
     @pytest.mark.parametrize("delay,phase", [(3.1e-6, 0.0), (2e-6, 2.2)],
                              ids=["store_retrieve", "phase_sweep"])
     def test_chained_state_matches_the_oracle_trace(self, delay, phase):
@@ -784,11 +896,11 @@ class TestRetrievalSequence:
         run_store_retrieve(resolve_config("store_retrieve"), tmp_path)
         assert built and len(calls) <= 2 * len(built)
 
-    @pytest.mark.parametrize("runner,small,calls", [("store_retrieve", SMALL_SR, 1),
+    @pytest.mark.parametrize("runner,small,calls", [("store_retrieve", SMALL_SR, 0),
                                                     ("phase_sweep", SMALL_PHASE, 0)])
     def test_dwell_times_only_where_read(self, tmp_path, monkeypatch, runner, small, calls):
-        # eta' of store_retrieve reads the shortest delay's dwell times;
-        # phase_sweep reads none
+        # eta' of store_retrieve is read from the energy identity at the
+        # shortest delay's readout state, so neither runner reads dwell times
         counted = []
         dwell_times = experiments.dwell_times
 
@@ -1164,6 +1276,8 @@ class TestCli:
                         capsys.readouterr().err)
         assert not list((tmp_path / "out").glob("*.csv"))
 
+    # a refusal is an error line, not an overflow warning and a wrong answer
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("runner,line", [
         ("chevron", "points_per_cycle = 0"),
         ("power_sweep", "points_per_cycle = 0"),
@@ -1274,6 +1388,14 @@ class TestCli:
         ("custom_sequence", "mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
                             "mode B freq=9.33GHz t1=14.9us\nseg load dur=2us nbar=1e-320\n"
                             "seg swap dur=0.2037us gp=1.2MHz\nseg readout dur=2us"),
+        # a load whose amplitude is finite but whose energy overflows, which
+        # exited 0 with final_energy_a = inf and a RuntimeWarning
+        ("custom_sequence", "mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
+                            "mode B freq=9.33GHz t1=14.9us\nseg delay dur=1us\n"
+                            "seg load dur=1us amp=1e160"),
+        # and readout energies that overflow, where phase_sweep answered eta = nan
+        ("store_retrieve", "nbar = 1.7e308\ndelay_count = 4\ndelay_stop = 5us"),
+        ("phase_sweep", "nbar = 1.7e308\nphase_count = 4\ndelay = 1us"),
         # a detuned nbar= load into a mode A with no external coupling
         ("custom_sequence", "mode A freq=8.7GHz q_int=900e3\nmode B freq=9.33GHz\n"
                             "seg delay dur=1us\nseg load dur=1us nbar=1 freq=8.701GHz"),
