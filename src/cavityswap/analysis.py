@@ -99,7 +99,13 @@ def oscillation_frequency(series, dt: float, rate: float, tolerance: float) -> f
     stride = (x.size - 1) // (PENCIL_MIN_SAMPLES - 1)
     if stride * step > TWO_PI:
         stride = max(1, int(TWO_PI / step))
+    # scaled by the power of two that brings its peak into [1/2, 1), so that
+    # the SVD of a series near the top of the doubles does not overflow: W
+    # and the residual test are scale-free, and the scaling is exact on every
+    # entry that stays a normal double
     y = x[::stride]
+    peak, exp = math.frexp(float(np.max(np.abs(y))))
+    y = np.ldexp(y, -exp)
     hankel = np.lib.stride_tricks.sliding_window_view(y, _PENCIL_COLUMNS)
     _, sv, vt = np.linalg.svd(hankel, full_matrices=False)
     rank = int(np.count_nonzero(sv > _PENCIL_CUTOFF * sv[0]))
@@ -113,9 +119,9 @@ def oscillation_frequency(series, dt: float, rate: float, tolerance: float) -> f
     powers = np.vander(poles, y.size, increasing=True).T
     fit = powers @ np.linalg.lstsq(powers, y, rcond=None)[0]
     residual = float(np.max(np.abs(fit - y)))
-    if not residual <= tolerance * float(np.max(np.abs(y))):
-        raise NoOscillationError(f"the exponents leave a residual of {residual:.3g}: "
-                                 "the series is not their sum")
+    if not residual <= tolerance * peak:
+        raise NoOscillationError(f"the exponents leave a residual of {residual / peak:.3g} "
+                                 "of the series' peak: the series is not their sum")
     return phase / (stride * dt)
 
 

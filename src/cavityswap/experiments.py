@@ -28,7 +28,8 @@ from .sequences import (PulseSequence, Segment, _plan, check_plan, parse_sequenc
 from .analysis import dwell_times  # noqa: F401
 from .dynamics import integrate_checked, reflection_spectrum  # noqa: F401
 from .sequences import demodulate  # noqa: F401
-from .textio import write_key_values, write_row_groups, write_csv as _write_csv
+from .textio import (write_key_values, write_mirrored_grid, write_row_groups,
+                     write_csv as _write_csv)
 from .units import Quantity, format_quantity, parse_quantity
 
 TWO_PI = 2.0 * math.pi
@@ -457,9 +458,9 @@ def run_splitting(cfg, outdir):
     = |r(-delta, -x)|, and ``_reflection_at`` keeps that bit for bit at the
     exact offsets x, so the pump-major |r| grid of N cells
     is a palindrome: cell f equals cell N-1-f. Only the first ceil(P/2)
-    pump rows are evaluated, and ``reflection_abs`` is written as the pair
-    of the first ceil(N/2) magnitudes and the index min(f, N-1-f). The
-    dips are the minima of the closed-form |r| at delta = 0
+    pump rows are evaluated, and ``write_mirrored_grid`` writes the file
+    from them, a pump row at a time, each later row the reverse of its
+    mirror row. The dips are the minima of the closed-form |r| at delta = 0
     (``_reflection_dips``), not samples of the grid, which serves only
     ``spectrum.csv``."""
     os.makedirs(outdir, exist_ok=True)
@@ -477,18 +478,12 @@ def run_splitting(cfg, outdir):
     offsets = _mirror_grid(cfg["probe_count"]) * cfg["probe_span"]
     pump_deltas = _mirror_grid(cfg["pump_count"]) * cfg["pump_span"]
 
-    n_pump, n_probe = pump_deltas.size, offsets.size
     mags = np.array([np.abs(_reflection_at(mode_a, mode_b, PumpDrive(g, delta), offsets))
-                     for delta in pump_deltas[:(n_pump + 1) // 2]])
-    # pump-major rows; the two axes and the mirrored magnitudes as (values, index) columns
-    n = n_pump * n_probe
-    cell = np.arange(n)
-    _write_csv(os.path.join(outdir, "spectrum.csv"),
-               [f"runner = splitting", f"gp_hz = {g / TWO_PI:.12g}"],
-               ["pump_detuning_hz", "probe_offset_hz", "reflection_abs"],
-               [(pump_deltas / TWO_PI, cell // n_probe),
-                (offsets / TWO_PI, cell % n_probe),
-                (mags.ravel()[:(n + 1) // 2], np.minimum(cell, n - 1 - cell))])
+                     for delta in pump_deltas[:(pump_deltas.size + 1) // 2]])
+    write_mirrored_grid(os.path.join(outdir, "spectrum.csv"),
+                        [f"runner = splitting", f"gp_hz = {g / TWO_PI:.12g}"],
+                        ["pump_detuning_hz", "probe_offset_hz", "reflection_abs"],
+                        pump_deltas / TWO_PI, offsets / TWO_PI, mags)
 
     dips = _reflection_dips(mode_a, mode_b, g)  # one at 0, or a pair at +-x0
     results = {

@@ -8,7 +8,9 @@
   ``write_csv`` writes columns. ``write_row_groups`` writes groups
   of rows that each repeat one of a few distinct groups, every row led by
   the group's key cell (the chevron map), and lays out each distinct
-  group's text once.
+  group's text once. ``write_mirrored_grid`` writes a grid that is a
+  palindrome in file order over its two axes (the splitting spectrum)
+  from its first half, formatting each axis value once.
 * A ``key = value`` file, one pair to a line: a runner's ``report.txt``
   and a trace's ``trace.csv.meta``.
 
@@ -24,8 +26,8 @@ of rows at a time (``_csv_blocks``), as bytes; its tables are built on
 first use. The kernel does the work of a cell shape only on the cells of
 that shape (a point among the digits, a zero last group of four digits,
 a 17-digit integer of exactly 10^16), each subset taken with
-``np.flatnonzero``. A table of float columns alone goes to it as a
-row-major block, whose cells are already in file order.
+``np.flatnonzero``. A table of float columns goes to it as a row-major
+block, whose cells are already in file order.
 """
 
 from __future__ import annotations
@@ -40,12 +42,12 @@ from .core import ValidationError
 
 # CSV rows laid out at once by ``_csv_blocks`` (fewer where a row has more
 # than two float cells: one kernel call takes at most 2 * _CSV_BLOCK cells),
-# and axis values formatted at once by ``_axis_cells``: bounds their working
-# arrays (32 bytes per float cell, plus the cell kernel's per-cell
-# temporaries) and each write, not the text. Blocks of 4,096 rows of a
-# 7-column trace (28,672 cells a call) took about three times the page
-# faults and 13-23% longer per write than blocks of 1,170 rows, at
-# 2,000-10,000 rows on a 2-core x86-64 VM.
+# and values formatted and lines laid out at once by ``_stripped`` and
+# ``write_mirrored_grid``: bounds their working arrays (32 bytes per float
+# cell, plus the cell kernel's per-cell temporaries) and each write, not
+# the text. Blocks of 4,096 rows of a 7-column trace (28,672 cells a call)
+# took about three times the page faults and 13-23% longer per write than
+# blocks of 1,170 rows, at 2,000-10,000 rows on a 2-core x86-64 VM.
 _CSV_BLOCK = 4096
 
 # A float CSV cell (``_float_cells``) is 32 bytes, four 64-bit words: the
@@ -64,6 +66,7 @@ _CELL_EXP = range(-280, 281)
 _CELL_TIE = 2.0**-40
 _CELL_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
 _SEPARATORS = b",\n"
+_PAD = bytes((_CELL_PAD,))
 
 
 @functools.cache
@@ -228,65 +231,45 @@ def _float_cells(x, last):
     return cells, fallback
 
 
-def _axis_cells(values, index, last):
-    """The (values, index) column of ``_csv_blocks``: the float cells of
-    `values`, formatted once and ``_CSV_BLOCK`` at a time (which bounds the
-    kernel's temporaries), and `index` as an integer array."""
-    values = np.asarray(values).astype(float, copy=False).reshape(-1)
-    index = np.asarray(index)
-    if index.ndim != 1 or index.dtype.kind not in "iu":
-        raise ValidationError("the index of a (values, index) CSV column must be "
-                              "a 1-D integer array")
-    if index.size and not (index.min() >= 0 and index.max() < values.size):
-        raise ValidationError(f"a (values, index) CSV column indexes outside its "
-                              f"{values.size} values")
-    cells = np.empty((values.size, _CELL_BYTES // 8), np.uint64)
+def _stripped(values):
+    """The float cells of `values` ended by ",", each with its text first
+    and then _CELL_PAD up to the widest text, as an (n, width) uint8 array.
+    The cells are formatted and left-aligned ``_CSV_BLOCK`` at a time."""
+    cells = np.empty((values.size, _CELL_BYTES), np.uint8)
+    width = 0
     for lo in range(0, values.size, _CSV_BLOCK):
-        cells[lo:lo + _CSV_BLOCK] = _float_cells(values[lo:lo + _CSV_BLOCK], last)[0]
-    return cells.view(np.uint8).reshape(-1, _CELL_BYTES), index
+        block = _float_cells(values[lo:lo + _CSV_BLOCK], 0)[0].view(np.uint8)
+        pad = block == _CELL_PAD
+        order = np.argsort(pad, axis=1, kind="stable")  # the text, then the pads
+        cells[lo:lo + _CSV_BLOCK] = np.take_along_axis(block, order, axis=1)
+        width = max(width, _CELL_BYTES - int(pad.sum(axis=1).min()))
+    return cells[:, :width].copy()
 
 
 def _csv_blocks(columns):
-    """The CSV rows of equal-length `columns` as bytes, a block of rows at a
-    time: a pair ``(values, index)`` of a float and an integer array as
-    the float cells of ``values[index]``, and any other column as float
-    cells.
+    """The CSV rows of equal-length float `columns` as bytes, a block of
+    rows at a time.
 
-    The float cells of a block are laid out together by ``_float_cells``,
-    which certifies each cell it formats with array arithmetic and sends
-    the rest to ``'%.17g' %``: every cell is the text of ``'%.17g' %``. A
-    block holds ``_CSV_BLOCK`` rows, or fewer where that would pass the
-    kernel more than ``2 * _CSV_BLOCK`` cells. The float columns of a
-    block go to the kernel as one row-major array, so where no column is
-    a pair its cells are the block's text in file order. The `values` of
-    a pair (a sweep axis, whose values repeat from row to row) are
-    formatted once, and each block gathers their cells by `index` and
-    interleaves them with the float cells of each row.
+    The cells of a block are laid out together by ``_float_cells``, which
+    certifies each cell it formats with array arithmetic and sends the rest
+    to ``'%.17g' %``: every cell is the text of ``'%.17g' %``. A block holds
+    ``_CSV_BLOCK`` rows, or fewer where that would pass the kernel more
+    than ``2 * _CSV_BLOCK`` cells. The columns of a block go to the kernel
+    as one row-major array, so its cells are the block's text in file order.
     """
-    cols, axes = [], {}  # axes[k]: the cells of the values of pair column k
-    for k, col in enumerate(columns):
-        if isinstance(col, tuple):  # cols[k] is then its index
-            axes[k], col = _axis_cells(*col, k == len(columns) - 1)
-        arr = np.asarray(col)
-        cols.append(arr if k in axes else arr.astype(float, copy=False))
+    cols = [np.asarray(col).astype(float, copy=False) for col in columns]
     n = len(cols[0])
     if any(len(col) != n for col in cols):
         raise ValidationError("CSV columns must have equal lengths")
-    floats = [k for k in range(len(cols)) if k not in axes]
-    block = max(1, min(_CSV_BLOCK, 2 * _CSV_BLOCK // max(len(floats), 1)))
-    x = np.empty((min(block, n), len(floats)))  # a block's float columns, row by row
-    last = np.tile(np.array([k == len(cols) - 1 for k in floats], dtype=np.intp), len(x))
+    block = max(1, min(_CSV_BLOCK, 2 * _CSV_BLOCK // len(cols)))
+    x = np.empty((min(block, n), len(cols)))  # a block's cells, row by row
+    last = np.tile(np.arange(len(cols)) == len(cols) - 1, len(x)).astype(np.intp)
     for lo in range(0, n, block):
         rows = min(block, n - lo)
-        for j, k in enumerate(floats):
-            x[:rows, j] = cols[k][lo:lo + rows]
-        if floats:  # no kernel call for a block of pair columns alone
-            text = _float_cells(x[:rows].reshape(-1), last[:rows * len(floats)])[0]
-            cells = iter(text.view(np.uint8).reshape(rows, -1, _CELL_BYTES).swapaxes(0, 1))
-        if axes:  # each row's float cells between the cells of its pairs
-            text = np.concatenate([np.take(axes[k], col[lo:lo + rows], axis=0) if k in axes
-                                   else next(cells) for k, col in enumerate(cols)], axis=1)
-        yield text.tobytes().translate(None, bytes((_CELL_PAD,)))
+        for j, col in enumerate(cols):
+            x[:rows, j] = col[lo:lo + rows]
+        text = _float_cells(x[:rows].reshape(-1), last[:rows * len(cols)])[0]
+        yield text.tobytes().translate(None, _PAD)
 
 
 def _csv_head(meta_lines, colnames) -> bytes:
@@ -332,13 +315,61 @@ def _create(path, mode):
 
 
 def write_csv(path, meta_lines, colnames, columns):
-    """Write equal-length `columns` under ``#`` `meta_lines` and `colnames`
-    to a new file at `path` (``_create``): a float column as ``%.17g``
-    cells, and a pair ``(values, index)`` as the cells of
-    ``values[index]``."""
+    """Write equal-length float `columns` as ``%.17g`` cells under ``#``
+    `meta_lines` and `colnames` to a new file at `path` (``_create``)."""
     with _create(path, "wb") as fh:
         fh.write(_csv_head(meta_lines, colnames))
         fh.writelines(_csv_blocks(columns))
+
+
+def write_mirrored_grid(path, meta_lines, colnames, outer, inner, half):
+    """Write a P x Q grid g that is a palindrome in file order, g[i, j] =
+    g[P-1-i, Q-1-j], under ``#`` `meta_lines` and `colnames` to a new file
+    at `path` (``_create``), from `half`, its first ceil(P/2) rows: line
+    (i, j) holds the ``%.17g`` cells of ``outer[i]``, ``inner[j]`` and
+    g[i, j], the bytes ``write_csv`` writes for the expanded columns.
+
+    Each axis value is formatted once, and so is g up to the middle of the
+    palindrome: the rest of a middle row mirrors its first half, and a
+    later row is its mirror row reversed. A row is laid out ``_CSV_BLOCK``
+    lines at a time in one reused buffer, the `inner` cells (``_stripped``)
+    beside the row's cells of g, stripped by one ``translate``; the row's
+    `outer` cell then goes before each line.
+    """
+    outer, inner, half = (np.asarray(v).astype(float, copy=False) for v in (outer, inner, half))
+    n_out, n_in = outer.size, inner.size
+    if outer.ndim != 1 or inner.ndim != 1 or half.shape != ((n_out + 1) // 2, n_in):
+        raise ValidationError(f"a mirrored grid needs 1-D axes and the first "
+                              f"{(n_out + 1) // 2} of its {n_out} rows of {n_in} values, "
+                              f"got rows of shape {half.shape}")
+    heads = [cell + b"," for cell in b"".join(_csv_blocks([outer])).splitlines()]
+    inner_cells = _stripped(inner)
+    width = inner_cells.shape[1]
+    n, held = n_out * n_in, (n_out * n_in + 1) // 2
+    flat = half.reshape(-1)
+    grid = np.empty((half.size, _CELL_BYTES // 8), np.uint64)
+    for lo in range(0, held, _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, held)
+        grid[lo:hi] = _float_cells(flat[lo:hi], 1)[0]
+    grid[held:] = grid[n - half.size:n - held][::-1]  # the rest of a middle row
+    grid = grid.view(np.uint8).reshape(half.shape + (_CELL_BYTES,))
+    lines = max(1, min(n_in, _CSV_BLOCK))
+    raw = bytearray((width + _CELL_BYTES) * lines)
+    buf = np.frombuffer(raw, np.uint8).reshape(lines, -1)
+    held_lo = None  # the first inner value whose cells buf holds
+    with _create(path, "wb") as fh:
+        fh.write(_csv_head(meta_lines, colnames))
+        for i, head in enumerate(heads):
+            row = grid[i] if i < len(grid) else grid[n_out - 1 - i, ::-1]
+            for lo in range(0, n_in, lines):
+                k = min(lines, n_in - lo)
+                if lo != held_lo:
+                    buf[:k, :width] = inner_cells[lo:lo + k]
+                    held_lo = lo
+                buf[:k, width:] = row[lo:lo + k]
+                text = (raw if k == lines else raw[:buf[:k].nbytes]).translate(None, _PAD)
+                fh.write(head)
+                fh.write(memoryview(text.replace(b"\n", b"\n" + head))[:-len(head)])
 
 
 def write_row_groups(path, meta_lines, colnames, keys, groups, order):

@@ -39,8 +39,15 @@ class TestOscillationFrequency:
     def test_power_of_two_scaling_is_bit_identical(self):
         s, dt = self._series(1.3e6)
         w = self._frequency(s, dt)
-        for scale in (2.0, 0.25, 1024.0):
+        # the pencil scales the series' peak into [1/2, 1) first; at 2^1021
+        # the peak is 7.9e307, where the unscaled SVD overflowed
+        for scale in (2.0, 0.25, 1024.0, 2.0**-20, 2.0**20, 2.0**1000, 2.0**1021):
             assert self._frequency(s * scale, dt) == w
+
+    def test_a_peak_at_the_top_of_the_doubles(self):
+        s, dt = self._series(1.3e6)
+        top = s / np.max(s) * 1.7e308
+        assert self._frequency(top, dt) == pytest.approx(self._frequency(s, dt), rel=1e-12)
 
     def test_arbitrary_scaling_matches_tightly(self):
         s, dt = self._series(1.3e6)

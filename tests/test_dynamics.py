@@ -812,7 +812,6 @@ class TestTraceRecord:
 
 
 _AXIS_VALUES = np.array([2.5, -0.0, 1e-300, math.nan, 0.1, 3e17, -7.0])
-_AXIS_INDEX = np.array([4, 0, 0, 5, 2, 2, 2, 1, 3, 0, 5, 4, 1, 6, 6, 0, 3])  # repeats, any order
 
 
 def _csv_text(columns):
@@ -820,81 +819,114 @@ def _csv_text(columns):
     return b"".join(textio._csv_blocks(columns)).decode()
 
 
-class TestAxisColumns:
-    """A (values, index) column writes the cells of values[index]."""
+def _palindrome(rng, p, q):
+    """A p x q grid of ``_mixed_shapes`` values equal to its reverse in
+    row-major order, with its first ceil(p/2) rows; the middle row of an
+    odd p carries other values past its centre, which the writer must not
+    read (it mirrors the first half)."""
+    n = p * q
+    first = _mixed_shapes(rng, (n + 1) // 2)
+    grid = np.concatenate((first, first[:n // 2][::-1])).reshape(p, q)
+    half = grid[:(p + 1) // 2].copy()
+    if p % 2:
+        half[-1, (q + 1) // 2:] = rng.uniform(-1.0, 1.0, q // 2)
+    return grid, half
+
+
+class TestMirroredGrid:
+    """``write_mirrored_grid`` writes the cells of the expanded columns."""
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
-    @pytest.mark.parametrize("place", [0, 1, 2])  # first, middle, last
-    def test_rows_match_the_dense_column(self, monkeypatch, block, place):
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_rows_match_percent_g(self, tmp_path, monkeypatch, block, p):
         monkeypatch.setattr(textio, "_CSV_BLOCK", block)
-        n = _AXIS_INDEX.size
-        steps = np.arange(n) / 7.0
-        floats = np.linspace(-1.0, 1.0, n)
+        rng = np.random.default_rng(10 * p + block)
+        for q in range(1, 8):
+            grid, half = _palindrome(rng, p, q)
+            outer, inner = _mixed_shapes(rng, p), _mixed_shapes(rng, q)
+            columns = [np.repeat(outer, q), np.tile(inner, p), grid.ravel()]
+            textio.write_mirrored_grid(tmp_path / "grid.csv", ["a = 1"], ["x", "y", "g"],
+                                       outer, inner, half)
+            text = (tmp_path / "grid.csv").read_bytes()
+            assert text.decode() == "# a = 1\nx,y,g\n" + "".join(
+                ",".join(row) + "\n" for row in zip(*map(_percent_g, columns)))
+            textio.write_csv(tmp_path / "columns.csv", ["a = 1"], ["x", "y", "g"], columns)
+            assert (tmp_path / "columns.csv").read_bytes() == text
 
-        def rows(axis):
-            columns = [steps, floats]
-            columns.insert(place, axis)
-            return _csv_text(columns)
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_each_value_is_formatted_once_a_block_at_a_time(self, tmp_path, monkeypatch,
+                                                            block):
+        # the axis values, and the grid up to the middle of the palindrome,
+        # in kernel calls of at most _CSV_BLOCK cells
+        monkeypatch.setattr(textio, "_CSV_BLOCK", block)
+        sizes = []
+        float_cells = textio._float_cells
 
-        dense = _AXIS_VALUES[_AXIS_INDEX]
-        text = rows((_AXIS_VALUES, _AXIS_INDEX))
-        assert text == rows(dense)
-        cells = [_percent_g(steps), _percent_g(floats)]
-        cells.insert(place, _percent_g(dense))
-        assert text == "".join(",".join(row) + "\n" for row in zip(*cells))
+        def counting(x, last):
+            sizes.append(np.size(x))
+            return float_cells(x, last)
 
-    def test_pair_columns_only(self):
-        index = _AXIS_INDEX.astype(np.uint8)
-        text = _csv_text([(_AXIS_VALUES, index), (_AXIS_VALUES[::-1], index)])
-        assert text == "".join(f"{'%.17g' % _AXIS_VALUES[k]},{'%.17g' % _AXIS_VALUES[-1 - k]}\n"
-                               for k in _AXIS_INDEX)
+        monkeypatch.setattr(textio, "_float_cells", counting)
+        rng = np.random.default_rng(block)
+        p, q = 5, 23
+        _, half = _palindrome(rng, p, q)
+        textio.write_mirrored_grid(tmp_path / "grid.csv", [], ["x", "y", "g"],
+                                   np.arange(p) / 3.0, np.arange(q) / 7.0, half)
+        assert sum(sizes) == (p * q + 1) // 2 + p + q
+        assert max(sizes) <= block
 
-    def test_values_are_formatted_a_block_at_a_time(self, tmp_path, monkeypatch):
-        # 100,000 axis values, about as many as a default chevron map has
-        # rows: formatting them _CSV_BLOCK at a time writes the same bytes
-        # with a working set of a few MB (all at once it peaked at 28 MB)
-        values = np.concatenate((np.linspace(0.0, 1.0, 99_993) ** 3, _AXIS_VALUES))
-        index = np.arange(values.size)[::-1]
-        path = tmp_path / "axis.csv"
+    def test_working_set_is_bounded(self, tmp_path, monkeypatch):
+        # a 2 x 100,000 grid: the cells of half the grid (16 B a grid cell)
+        # and of the inner axis are held, the rest formatted and laid out
+        # _CSV_BLOCK at a time: a peak of about 7 MB (all at once, 42 MB)
+        inner = np.concatenate((np.linspace(0.0, 1.0, 99_993) ** 3, _AXIS_VALUES))
+        half = (np.sqrt(np.arange(inner.size)) / 7.0)[None, :]
+        outer = np.array([-1.5, 2.5])
+        path = tmp_path / "grid.csv"
         tracemalloc.start()
         try:
-            textio.write_csv(path, [], ["x"], [(values, index)])
+            textio.write_mirrored_grid(path, [], ["x", "y", "g"], outer, inner, half)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 9e6
         text = path.read_bytes()
-        assert text.decode().splitlines()[1:] == _percent_g(values[index])
+        rows = [line.split(",") for line in text.decode().splitlines()[1:]]
+        assert [row[1] for row in rows] == _percent_g(inner) * 2
+        assert [row[2] for row in rows] == _percent_g(np.concatenate((half[0], half[0][::-1])))
         monkeypatch.setattr(textio, "_CSV_BLOCK", 100)
-        textio.write_csv(path, [], ["x"], [(values, index)])
+        textio.write_mirrored_grid(path, [], ["x", "y", "g"], outer, inner, half)
         assert path.read_bytes() == text
+
+    @pytest.mark.parametrize("outer,inner,half", [
+        (np.zeros(4), np.zeros(3), np.zeros((1, 3))),  # too few rows
+        (np.zeros(3), np.zeros(3), np.zeros((3, 3))),  # too many
+        (np.zeros(3), np.zeros(3), np.zeros((2, 2))),  # rows too short
+        (np.zeros(3), np.zeros(3), np.zeros(6)),  # not rows
+        (np.zeros((1, 3)), np.zeros(3), np.zeros((1, 3))),  # a 2-D axis
+    ])
+    def test_bad_shapes_refused(self, tmp_path, outer, inner, half):
+        with pytest.raises(ValidationError, match="mirrored grid"):
+            textio.write_mirrored_grid(tmp_path / "grid.csv", [], ["x", "y", "g"],
+                                       outer, inner, half)
+        assert not (tmp_path / "grid.csv").exists()
+
+
+class TestCsvBlocks:
+    """Float columns are laid out a block of rows at a time, row-major."""
 
     @pytest.mark.parametrize("block,n", [(1, 23), (7, 61), (4096, 2500)])
     @pytest.mark.parametrize("width", range(1, 8))
-    def test_float_rows_match_the_pair_path(self, monkeypatch, block, n, width):
-        # a table of float columns alone is laid out row-major, one kernel
-        # call a block; the same table with one column as a pair takes the
-        # column-by-column path: both write the same rows
+    def test_float_rows_match_percent_g(self, monkeypatch, block, n, width):
         monkeypatch.setattr(textio, "_CSV_BLOCK", block)
         rng = np.random.default_rng(width)
         columns = [rng.choice(_mixed_shapes(rng, 64), n) for _ in range(width)]
-        text = _csv_text(columns)
-        assert text == "".join(",".join(row) + "\n"
-                               for row in zip(*map(_percent_g, columns)))
-        for k in range(width):
-            paired = list(columns)
-            paired[k] = (columns[k], np.arange(n))
-            assert _csv_text(paired) == text
+        assert _csv_text(columns) == "".join(",".join(row) + "\n"
+                                             for row in zip(*map(_percent_g, columns)))
 
-    @pytest.mark.parametrize("column,match", [
-        ((_AXIS_VALUES, _AXIS_INDEX[:-1]), "equal lengths"),
-        ((_AXIS_VALUES, _AXIS_INDEX.astype(float)), "integer array"),
-        ((_AXIS_VALUES, _AXIS_INDEX - 1), "outside its 7 values"),
-        ((_AXIS_VALUES[:-1], _AXIS_INDEX), "outside its 6 values"),
-    ])
-    def test_refused(self, column, match):
-        with pytest.raises(ValidationError, match=match):
-            list(textio._csv_blocks([np.zeros(_AXIS_INDEX.size), column]))
+    def test_unequal_columns_refused(self):
+        with pytest.raises(ValidationError, match="equal lengths"):
+            list(textio._csv_blocks([np.zeros(3), np.zeros(2)]))
 
 
 def _cells(values):

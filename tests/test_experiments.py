@@ -659,7 +659,7 @@ class TestAxisColumns:
             return tracking_write
 
         monkeypatch.setattr(textio, "_float_cells", counting_cells)
-        for name in ("_write_csv", "write_row_groups"):
+        for name in ("_write_csv", "write_row_groups", "write_mirrored_grid"):
             monkeypatch.setattr(experiments, name, tracking(getattr(experiments, name)))
         return counts
 
@@ -1096,8 +1096,8 @@ def _report_values(out):
 class TestSwapFrequencyWindows:
     """Windows under a few swap cycles and lossy readout modes, where the
     swap frequency was once read off an FFT peak of the occupancy fraction
-    and answered wrong: g_P comes back within a stated bound of the flux
-    model, and the run exits 0."""
+    and answered wrong, and a huge occupancy: g_P comes back within a
+    stated bound of the flux model, and the run exits 0."""
 
     def _run(self, tmp_path, runner, text):
         path = tmp_path / "cfg.txt"
@@ -1113,7 +1113,10 @@ class TestSwapFrequencyWindows:
         ("q_int_a = 1e4\n", 1e-10),  # refused (exit 3)
         ("q_int_a = 3e4\n", 1e-10),  # refused (exit 3)
         ("q_int_a = 1e5\n", 1e-10),  # read 0.519 MHz
-    ], ids=["t_end-0.1us", "t_end-0.3us", "q_int_a-1e4", "q_int_a-3e4", "q_int_a-1e5"])
+        # the pencil's SVD overflowed: "no swap oscillation" (exit 3)
+        ("nbar = 1.7e308\ndelta_count = 3\nt_end = 2us\n", 1e-9),
+    ], ids=["t_end-0.1us", "t_end-0.3us", "q_int_a-1e4", "q_int_a-3e4", "q_int_a-1e5",
+            "nbar-1.7e308"])
     def test_chevron(self, tmp_path, text, bound):
         r = _report_values(self._run(tmp_path, "chevron", text))
         assert abs(float(r["result.gp_fit_hz"]) / float(r["result.gp_hz"]) - 1.0) <= bound
