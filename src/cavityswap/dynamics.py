@@ -39,9 +39,12 @@ each to one map per step and composes them with an odd-even prefix scan
 (Blelloch, CMU-CS-90-190, 1990); its blocks run across segment
 boundaries. That is the RK4 solution of a step-by-step
 loop, rounded differently, so the dt/2 rerun of ``integrate_checked``
-still measures a genuine RK4 step-size difference. A constant pump with no
-drive has an exact solution instead (``propagate_swap``): substituting
-c = b~ e^{i(D t + phi_P)} makes the rotating-frame system time-invariant,
+still measures a genuine RK4 step-size difference. ``rk4_final``, the
+coarse twin of the sequence oracle, is the same engine run to its final
+state alone, which ``_last`` composes bit for bit as the scan would. A
+constant pump with no drive has an exact solution instead
+(``propagate_swap``): substituting c = b~ e^{i(D t + phi_P)} makes the
+rotating-frame system time-invariant,
 
     d/dt (a~, c) = M (a~, c),   M = [[-g_A/2, -i g_P], [-i g_P, i D - g_B/2]],
 
@@ -438,18 +441,14 @@ def integrate(initial: ComplexAmplitudePair, modes, pump: PumpDrive,
     return trace
 
 
-def rk4_trace(initial: ComplexAmplitudePair, modes, plan) -> TraceRecord:
-    """RK4 trace, with no metadata, from the state `initial` through the
-    one or more segments of `plan`, each (pump, drive, SimConfig), in one
-    ``rk4_run``: each segment is refused before any array is built, with
-    ResolutionError where its dt does not resolve the fastest timescale
-    (``max_step``) and ValidationError above ``MAX_STEPS`` steps, and
-    recorded on its ``record_times``. A boundary sample belongs to the
-    segment that ends there, whose drive gives its a_out. The first
-    non-finite state raises IntegrationDivergedError naming its time.
-    """
+def _rk4_segments(modes, plan):
+    """The segments of `plan`, each (pump, drive, SimConfig), as ``rk4_run``
+    takes them: (pump, drive, t_start, step count, step). Each is refused
+    before any array is built, with ResolutionError where its dt does not
+    resolve the fastest timescale (``max_step``) and ValidationError above
+    ``MAX_STEPS`` steps."""
     check_mode_order(*modes)
-    segments = []  # (pump, drive, t_start, step count, step), as rk4_run takes them
+    segments = []
     for pump, drive, config in plan:
         dt_max = max_step(*modes, pump, drive)
         if config.dt > dt_max * (1.0 + 1e-12):
@@ -460,6 +459,18 @@ def rk4_trace(initial: ComplexAmplitudePair, modes, plan) -> TraceRecord:
             raise ValidationError(f"{n} RK4 steps exceed the bound of {MAX_STEPS} steps "
                                   "per integration")
         segments.append((pump, drive, config.t_start, n, dt))
+    return segments
+
+
+def rk4_trace(initial: ComplexAmplitudePair, modes, plan) -> TraceRecord:
+    """RK4 trace, with no metadata, from the state `initial` through the
+    one or more segments of `plan`, each (pump, drive, SimConfig), in one
+    ``rk4_run``: each segment is refused as ``_rk4_segments`` refuses it,
+    and recorded on its ``record_times``. A boundary sample belongs to the
+    segment that ends there, whose drive gives its a_out. The first
+    non-finite state raises IntegrationDivergedError naming its time.
+    """
+    segments = _rk4_segments(modes, plan)
     times, a_in, record = [], [], []
     done = 0  # the steps of the segments before
     for (_, drive, config), (*_, n, _) in zip(plan, segments):
@@ -480,26 +491,43 @@ def rk4_trace(initial: ComplexAmplitudePair, modes, plan) -> TraceRecord:
     return TraceRecord(t, x[0], x[1], a_out)
 
 
-def rk4_run(x0, modes, segments, record) -> np.ndarray:
+def rk4_final(initial: ComplexAmplitudePair, modes, plan) -> np.ndarray:
+    """The state (a, b) after the segments of `plan`, each (pump, drive,
+    SimConfig), from the state `initial`: the last sample of ``rk4_trace``
+    of `plan` bit for bit, refused as it refuses, with no record grid,
+    input field, a_out or other state. A non-finite final state reruns
+    ``rk4_trace``, which raises IntegrationDivergedError naming the first
+    non-finite time."""
+    x = rk4_run([initial.a, initial.b], modes, _rk4_segments(modes, plan))
+    if not np.all(np.isfinite(x)):
+        rk4_trace(initial, modes, plan)  # its last sample is x: it raises
+        raise IntegrationDivergedError(f"non-finite final state (a, b) = {tuple(x)!r}")
+    return x
+
+
+def rk4_run(x0, modes, segments, record=None) -> np.ndarray:
     """RK4 from the state `x0` = (a, b) through `segments`, one after the
     other: each is (pump, drive, t_start, n, dt), n steps of dt from
     t_start. Returns the states (2, 1 + len(record)): `x0`, then the
     state after each step count of `record` (increasing, counted over
-    all the segments).
+    all the segments); without a `record`, the final state (2,) alone.
 
     The steps run in blocks of ``_BLOCK``, counted from the first step,
     that cross segment boundaries: one ``_rk4_maps`` call builds the
     distinct affine maps of a block (``_block_coefficients``: one for a
     segment's share with constant coefficients, one per step otherwise),
     they are repeated to one map per step, and one ``_scan`` composes them
-    from the state the block starts in. So a block holds at most
+    from the state the block starts in (``_last`` without a `record`, to
+    the same final state bit for bit). So a block holds at most
     ``_BLOCK`` steps, however long a segment is.
     """
     mode_a, mode_b = modes
     na, nb = complex(-0.5 * mode_a.gamma_total), complex(-0.5 * mode_b.gamma_total)
     total = sum(n for _, _, _, n, _ in segments)
-    x = np.empty((2, len(record) + 1), dtype=complex)
-    x[:, 0] = state = np.array(x0, dtype=complex)
+    state = np.array(x0, dtype=complex)
+    if record is not None:
+        x = np.empty((2, len(record) + 1), dtype=complex)
+        x[:, 0] = state
     with np.errstate(over="ignore", invalid="ignore"):  # see rk4_trace
         for j0 in range(0, total, _BLOCK):
             j1 = min(j0 + _BLOCK, total)
@@ -512,11 +540,14 @@ def rk4_run(x0, modes, segments, record) -> np.ndarray:
                 maps = np.broadcast_to(maps, (2, 3, j1 - j0))
             elif len(counts) < j1 - j0:
                 maps = np.repeat(maps, counts, axis=-1)
+            if record is None:
+                state = _last(maps, state)
+                continue
             states = _scan(maps, state)
             state = states[:, -1]
             lo, hi = np.searchsorted(record, (j0, j1), side="right")
             x[:, 1 + lo:1 + hi] = states[:, record[lo:hi] - j0 - 1]
-    return x
+    return state if record is None else x
 
 
 def _block_coefficients(segments, j0, j1, mode_a):
@@ -643,6 +674,25 @@ def _scan(maps: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return out
 
 
+def _last(maps: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """The state (2,) after the m affine steps `maps` from x0:
+    ``_scan(maps, x0)[:, -1]`` bit for bit. It composes the same pairs as
+    ``_scan`` at every level and solves the half-length problem for its
+    final state alone: at an even m that is the final state, at an odd m
+    the last step is taken from it."""
+    m = maps.shape[-1]
+    pairs = m // 2
+    if pairs:
+        first, odd = maps[..., 0:2 * pairs:2], maps[..., 1::2]
+        composed = odd[:, :1] * first[:1] + odd[:, 1:2] * first[1:2]
+        composed[:, 2] += odd[:, 2]
+        x0 = _last(composed, x0)
+        if m % 2 == 0:
+            return x0
+    step = maps[..., -1:]  # one column, laid out as _scan applies it
+    return (step[:, 0] * x0[0] + step[:, 1] * x0[1] + step[:, 2])[:, 0]
+
+
 def integrate_checked(initial, modes, pump, drive=None,
                       config: SimConfig = SimConfig(), tolerance: float = 1e-6):
     """Integrate with a mandatory half-step self-convergence check.
@@ -654,13 +704,14 @@ def integrate_checked(initial, modes, pump, drive=None,
     """
     coarse = integrate(initial, modes, pump, drive, config)
     fine = integrate(initial, modes, pump, drive, half_step_config(config))
-    rel = fine.meta["convergence_rel_diff"] = check_half_step(coarse, fine, tolerance)
+    rel = fine.meta["convergence_rel_diff"] = check_half_step(
+        (coarse.a[-1], coarse.b[-1]), (fine.a[-1], fine.b[-1]), tolerance)
     return fine, rel
 
 
-def check_half_step(coarse: TraceRecord, fine: TraceRecord, tolerance: float) -> float:
+def check_half_step(coarse, fine, tolerance: float) -> float:
     """Relative difference |(a, b)_coarse - (a, b)_fine| / |(a, b)_fine| of
-    the final states of a run and its half-step rerun.
+    the final states (a, b) of a run and its half-step rerun.
 
     Both states are first scaled by the power of two that brings the peak
     component of the fine one into [1/2, 1): exact, so the difference is
@@ -669,8 +720,7 @@ def check_half_step(coarse: TraceRecord, fine: TraceRecord, tolerance: float) ->
 
     Raises ConvergenceError above `tolerance`; otherwise returns it.
     """
-    vc = np.array([coarse.a[-1], coarse.b[-1]])
-    vf = np.array([fine.a[-1], fine.b[-1]])
+    vc, vf = np.array(coarse, dtype=complex), np.array(fine, dtype=complex)
     shift = -math.frexp(float(np.max(np.abs(vf.view(float)))))[1]
     with np.errstate(over="ignore"):  # a coarse state far above the fine one fails below
         vc, vf = (np.ldexp(v.view(float), shift).view(complex) for v in (vc, vf))

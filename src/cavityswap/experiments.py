@@ -365,17 +365,11 @@ def _sr_sequence(cfg, g, t_swap, delay, phase2) -> PulseSequence:
     return seq
 
 
-def _readout_state(cfg, seq) -> ComplexAmplitudePair:
-    """The state where the readout of `seq` starts, in closed form: every
-    segment of its plan before the readout has a constant pump (a delay's
-    g_P is 0), so one ``propagate_swap`` at the segment's end time carries
-    the state from the leading load on to the next segment."""
-    modes = (seq.mode_a, seq.mode_b)
-    _, state, plan = _plan(seq, cfg["points_per_cycle"], cfg["flux_calib"])
-    for pump, _, config in plan[:-1]:
-        a, b = propagate_swap(state, modes, pump, [config.t_end])
-        state = ComplexAmplitudePair(a[0], b[0], config.t_end)
-    return state
+def _carry(state, modes, pump, t_end) -> ComplexAmplitudePair:
+    """`state` carried on to `t_end` under the constant pump `pump` (a
+    delay's g_P is 0): one ``propagate_swap`` at that time alone."""
+    a, b = propagate_swap(state, modes, pump, [t_end])
+    return ComplexAmplitudePair(a[0], b[0], t_end)
 
 
 def _readout_iq(mode_a, a_r, duration):
@@ -400,26 +394,59 @@ def _retrieval(cfg, runner, points):
     lines, shared results) of a storage/retrieval sweep over `points`, each
     the (delay, retrieval phase) of one ``_sr_sequence``: load, swap,
     delay, swap back, readout. The swaps last `t_swap`, or the calibrated
-    full swap when it is 0. The middle sequence runs the RK4 oracle
-    (``run_sequence_checked``, both of its checks). Every point reads its
-    readout from the state where it starts (``_readout_iq``,
-    ``_readout_state``), and the reference is the load read out at once:
-    the same closed form from a = sqrt(nbar), over a window of the
-    readout's length, so that eta compares equal windows. Readout energies
-    below the normal doubles or past them are refused (exit 2), and so is
-    a pump power whose g_P is 0, which has no swap to store with even at a
-    set `t_swap`."""
+    full swap when it is 0. Only the middle point's sequence is built: it
+    runs the RK4 oracle (``run_sequence_checked``, both of its checks),
+    and its ``_plan`` gives the load's state and the storage swap's pump.
+
+    Every point reads its readout from the state where it starts
+    (``_readout_iq``). Those states grow in closed form from a prefix the
+    points share, one ``propagate_swap`` (``_carry``) per segment end:
+    once through the storage swap, once per distinct delay, and once per
+    point through its retrieval swap. Each call gets the pump and the
+    window times the point's own sequence would give it, summed as
+    ``PulseSequence.windows`` sums them, so each state is that of the
+    point's own plan bit for bit. The reference is the load read out at
+    once: the same closed form from a = sqrt(nbar), over a window of the
+    readout's length, so that eta compares equal windows.
+
+    Refused (exit 2): a pump power whose g_P is 0, which has no swap to
+    store with even at a set `t_swap`; a storage swap that leaves less
+    energy in mode B than in mode A, which stores nothing to retrieve; a
+    delay whose windows do not end after they start; and readout energies
+    below the normal doubles or past them."""
     mode_a, mode_b = _modes(cfg)
     g = _resolve_gp(cfg)
     if not g > 0.0:
         raise ValidationError(f"pump power {format_quantity(cfg['pump_power'], 'dBm')} gives "
                               f"g_P = {format_quantity(g, 'Hz')}: it has no swap to store with")
     t_swap = cfg["t_swap"] if cfg["t_swap"] > 0.0 else calibrate_swap_time((mode_a, mode_b), g)
-    seqs = [_sr_sequence(cfg, g, t_swap, delay, phase) for delay, phase in points]
-    oracle, rel = run_sequence_checked(seqs[len(seqs) // 2], tolerance=cfg["tolerance"],
+    seq = _sr_sequence(cfg, g, t_swap, *points[len(points) // 2])
+    modes, duration = (seq.mode_a, seq.mode_b), seq.segments[-1].duration
+    _, loaded, plan = _plan(seq, cfg["points_per_cycle"], cfg["flux_calib"])
+    swap, _, config = plan[0]
+    stored = _carry(loaded, modes, swap, config.t_end)
+    if abs(stored.b) < abs(stored.a):
+        source = (f"gp = {format_quantity(cfg['gp'], 'Hz')}" if cfg["gp"] > 0.0 else
+                  f"pump_power = {format_quantity(cfg['pump_power'], 'dBm')}")
+        share = (abs(stored.b) / math.hypot(abs(stored.a), abs(stored.b))) ** 2
+        raise ValidationError(f"{source} and t_swap = {format_quantity(t_swap, 's')} leave "
+                              f"{share:.3g} of the energy in mode B after the storage swap, "
+                              "less than in mode A: there is no stored state to retrieve")
+    held, states = {}, []  # held: delay -> the state at its end
+    for delay, phase in points:
+        if delay not in held:
+            t_d = stored.t + delay
+            if not stored.t < t_d < t_d + t_swap < t_d + t_swap + duration:
+                raise ValidationError(f"delay = {format_quantity(delay, 's')} gives a segment "
+                                      "that does not end after it starts")
+            held[delay] = _carry(stored, modes, PumpDrive(0.0), t_d)
+        t0 = held[delay].t
+        t1 = t0 + t_swap
+        pad = 1e-12 * (t1 - t0)  # as _plan pads the retrieval swap
+        states.append(_carry(held[delay], modes, PumpDrive(g, 0.0, phase, t0 - pad, t1 + pad),
+                             t1))
+    oracle, rel = run_sequence_checked(seq, tolerance=cfg["tolerance"],
                                        points_per_cycle=cfg["points_per_cycle"])
-    duration = seqs[0].segments[-1].duration
-    states = [_readout_state(cfg, seq) for seq in seqs]
     with np.errstate(over="ignore"):  # an energy past the doubles is refused as inf
         iqs, energies = zip(*(_readout_iq(mode_a, state.a, duration) for state in states))
     reference = _readout_iq(mode_a, math.sqrt(cfg["nbar"]), duration)[1]

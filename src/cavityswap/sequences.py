@@ -23,9 +23,11 @@ every segment with constant coefficients (rectangular swaps, delays,
 readouts and driven loads) in closed form on the grid RK4 would record
 and integrating raised-cosine swaps with RK4. ``check_plan``, the one
 oracle of sequences and swap sweeps alike, checks that walk against one
-``dynamics.rk4_trace`` of the plan, and that against one of its coarse
-twin, the plan with every requested dt doubled. The swap-time
-calibration lives in ``dynamics`` with every other closed form of the swap.
+``dynamics.rk4_trace`` of the plan, and that trace's final state against
+the final state of its coarse twin, the plan with every requested dt
+doubled, which runs to that state alone (``dynamics.rk4_final``). The
+swap-time calibration lives in ``dynamics`` with every other closed form
+of the swap.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from . import fluxmap
 from .core import (ModeParams, PumpDrive, ComplexAmplitudePair, ValidationError,
                    check_mode_order)
 from .dynamics import (DriveTone, SimConfig, TraceRecord, check_exact, check_half_step,
-                       exact_segment, integrate, max_step, mode_meta, rk4_trace)
+                       exact_segment, integrate, max_step, mode_meta, rk4_final,
+                       rk4_trace)
 from .units import parse_quantity
 
 
@@ -372,14 +375,16 @@ def check_plan(initial: ComplexAmplitudePair, modes, plan, tolerance: float):
     """(``run_plan`` trace, half-step difference, exact-vs-RK4 difference)
     of `plan`. One ``rk4_trace`` of `plan` is the oracle. Its coarse twin,
     `plan` with every requested dt doubled (a segment of n steps takes
-    ceil(n/2)), is compared with it at their final states
-    (``check_half_step``), and the walk with it over its whole grid
-    (``check_exact``); each raises ConvergenceError above `tolerance`. The
-    twin's doubled step must resolve the fastest rate too (ResolutionError)."""
+    ceil(n/2)), runs to its final state alone (``rk4_final``), which is
+    compared with the oracle's (``check_half_step``); the walk is compared
+    with the oracle over its whole grid (``check_exact``). Each raises
+    ConvergenceError above `tolerance`. The twin's doubled step must
+    resolve the fastest rate too (ResolutionError)."""
     twin = [(pump, drive, replace(config, dt=2.0 * config.dt)) for pump, drive, config in plan]
     # the twin runs first: its refusals and divergence come before the oracle's
-    coarse, fine = (rk4_trace(initial, modes, p) for p in (twin, plan))
-    rel = check_half_step(coarse, fine, tolerance)
+    coarse = rk4_final(initial, modes, twin)
+    fine = rk4_trace(initial, modes, plan)
+    rel = check_half_step(coarse, (fine.a[-1], fine.b[-1]), tolerance)
     trace = run_plan(initial, modes, plan)
     return trace, rel, check_exact(trace.a, trace.b, fine, tolerance)
 

@@ -245,11 +245,6 @@ class TestIntegratorMechanics:
         assert db == pytest.approx(expected_b, rel=1e-14)
 
 
-def _final_states(a, b):
-    """A two-point trace whose final state is (a, b)."""
-    return TraceRecord(np.zeros(2), np.array([0j, a]), np.array([0j, b]), np.zeros(2, complex))
-
-
 _HALF_STEP_SEQ = ("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\n"
                   "mode B freq=9.33GHz t1=14.9us\n"
                   "seg load dur=2us nbar={nbar}\n"
@@ -262,17 +257,17 @@ class TestHalfStepCheck:
         # unscaled, the squares of the 2^-1000 states and of their difference underflow
         a, b = 0.6 - 0.3j, -0.2 + 0.7j
         da, db = 3e-11 + 1e-12j, -2e-11j
-        rel = check_half_step(_final_states(a + da, b + db), _final_states(a, b), 1.0)
+        rel = check_half_step((a + da, b + db), (a, b), 1.0)
         assert 1e-11 < rel < 1e-10
         tiny = 2.0**-1000
-        scaled = check_half_step(_final_states((a + da) * tiny, (b + db) * tiny),
-                                 _final_states(a * tiny, b * tiny), 1.0)
+        scaled = check_half_step(((a + da) * tiny, (b + db) * tiny),
+                                 (a * tiny, b * tiny), 1.0)
         assert scaled == rel
 
     def test_zero_states_keep_the_floor(self):
-        assert check_half_step(_final_states(0j, 0j), _final_states(0j, 0j), 1.0) == 0.0
+        assert check_half_step((0j, 0j), (0j, 0j), 1.0) == 0.0
         # a zero fine state divides by the floor 1e-300
-        assert check_half_step(_final_states(1e-150j, 0j), _final_states(0j, 0j),
+        assert check_half_step((1e-150j, 0j), (0j, 0j),
                                1e200) == pytest.approx(1e150)
 
     def test_subnormal_occupancy_sequence(self):
@@ -467,6 +462,69 @@ class TestSharedMaps:
                          0.0, 1e-6)
         assert not share(PumpDrive(0.0), replace(tone, delta=1.0), 1e-6, 2e-6)
         assert share(PumpDrive(0.0), replace(tone, delta=1.0, amp_in=0.0), 0.0, 3e-6)
+
+
+@st.composite
+def _twin_plans(draw):
+    """(modes, initial state, plan) for ``rk4_final`` and ``rk4_trace``: 1-4
+    segments of 1-24 steps, each a resonant rect, ramped or detuned swap, a
+    delay, or a resonant or detuned ``amp=`` load, with supports padded
+    like those of ``run_sequence`` and a record stride of 1-5."""
+    modes = draw(st.sampled_from([_default_modes(), _lossless_modes()]))
+    t = draw(st.floats(0.0, 2e-6))
+    initial = ComplexAmplitudePair(draw(st.complex_numbers(min_magnitude=0.1,
+                                                           max_magnitude=2.0)), 0.3j, t)
+    plan = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["rect", "ramped", "detuned", "delay", "load"]))
+        g, phase = draw(st.floats(0.5, 2.0)) * _MHZ, draw(st.floats(0.0, TWO_PI))
+        delta = draw(st.floats(-0.3, 0.3)) * _MHZ if kind == "detuned" else 0.0
+        dw = draw(st.sampled_from([0.0, 0.2 * _MHZ]))
+        # the step resolves the segment's rates (a delay of lossless modes
+        # has none); its support needs the span first
+        dt = draw(st.floats(0.3, 1.0)) * min(2e-8, max_step(
+            *modes, PumpDrive(g if kind in ("rect", "ramped", "detuned") else 0.0, delta),
+            DriveTone(dw, 1.0) if kind == "load" else None))
+        span = draw(st.integers(1, 24)) * dt
+        lo, hi = t - 1e-12 * span, t + span + 1e-12 * span
+        pump, drive = PumpDrive(0.0), None
+        if kind == "load":
+            drive = DriveTone(dw, draw(st.floats(100.0, 2000.0)), lo, hi)
+        elif kind != "delay":
+            pump = PumpDrive(g, delta, phase, lo, hi, 0.3 * span if kind == "ramped" else 0.0)
+        plan.append((pump, drive, SimConfig(dt, t + span, t, draw(st.integers(1, 5)))))
+        t += span
+    return modes, initial, plan
+
+
+class TestFinalState:
+    """The coarse twin of ``sequences.check_plan`` runs to its final state
+    alone (``rk4_final``, ``_last`` in place of ``_scan``): it must be the
+    last sample of ``rk4_trace`` of the same plan, bit for bit."""
+
+    @pytest.mark.parametrize("block", [15, 16])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(run=_twin_plans())
+    def test_is_the_last_sample_of_the_trace(self, run, block):
+        # blocks of 15 and 16 steps: totals of 1-96 steps fall on both
+        # sides of a block, in blocks of odd and even length
+        modes, initial, plan = run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_BLOCK", block)
+            final = dynamics.rk4_final(initial, modes, plan)
+            trace = dynamics.rk4_trace(initial, modes, plan)
+        assert final.shape == (2,)
+        assert final.tobytes() == np.array([trace.a[-1], trace.b[-1]]).tobytes()
+
+    def test_last_is_the_scan_at_every_length(self):
+        # affine maps near the identity, from one step to past a default block
+        rng = np.random.default_rng(7)
+        for m in (*range(1, 40), 4095, 4096, 4097):
+            maps = np.zeros((2, 3, m), dtype=complex)
+            maps[0, 0] = maps[1, 1] = 1.0
+            maps += 0.05 * (rng.normal(size=maps.shape) + 1j * rng.normal(size=maps.shape))
+            x0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+            assert dynamics._last(maps, x0).tobytes() == dynamics._scan(maps, x0)[:, -1].tobytes()
 
 
 class TestDivergence:

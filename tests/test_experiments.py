@@ -853,13 +853,72 @@ class TestClosedFormReadout:
         mode_a, mode_b = experiments._modes(cfg)
         t_swap = dynamics.calibrate_swap_time((mode_a, mode_b), g)
         seq = experiments._sr_sequence(cfg, g, t_swap, delay, phase)
-        state = experiments._readout_state(cfg, seq)
+        [state], *_ = experiments._retrieval(cfg, "store_retrieve", [(delay, phase)])
         trace, _ = sequences.run_sequence_checked(seq, points_per_cycle=cfg["points_per_cycle"])
         k = int(np.argmin(np.abs(trace.t - seq.windows()[-1][1])))
         assert trace.t[k] == pytest.approx(state.t, rel=1e-15)
         peak = float(np.max(np.hypot(np.abs(trace.a), np.abs(trace.b))))
         assert abs(state.a) > 0.5 * peak  # retrieved: the check is not vacuous
         assert math.hypot(abs(state.a - trace.a[k]), abs(state.b - trace.b[k])) <= 1e-12 * peak
+
+
+def _readout_state(cfg, seq) -> ComplexAmplitudePair:
+    """The state where the readout of `seq` starts, composed point by point:
+    the sequence's own ``_plan``, and one ``propagate_swap`` at the end
+    time of each planned segment before the readout, from the leading load
+    on (every one has a constant pump; a delay's g_P is 0)."""
+    modes = (seq.mode_a, seq.mode_b)
+    _, state, plan = sequences._plan(seq, cfg["points_per_cycle"], cfg["flux_calib"])
+    for pump, _, config in plan[:-1]:
+        a, b = dynamics.propagate_swap(state, modes, pump, [config.t_end])
+        state = ComplexAmplitudePair(a[0], b[0], config.t_end)
+    return state
+
+
+class TestSharedPrefix:
+    """_retrieval builds one sequence and grows every readout state from a
+    prefix the points share; each is the state of the point's own sequence
+    and plan, chained segment by segment, bit for bit."""
+
+    @pytest.mark.parametrize("runner,points", [
+        ("store_retrieve", None),
+        ("phase_sweep", None),
+        # repeated delays, in no order, one point repeated outright
+        ("store_retrieve", [(2e-6, 0.0), (1e-6, 0.3), (2e-6, 2.5), (3.3e-6, 1.0),
+                            (1e-6, 0.3), (1e-6, 4.0)]),
+    ], ids=["store_retrieve", "phase_sweep", "repeated_delays"])
+    def test_states_are_the_per_point_composition(self, tmp_path, monkeypatch, runner, points):
+        cfg = resolve_config(runner)
+        if points is None:  # the runner's own sweep at its default config
+            swept = []
+            retrieval = experiments._retrieval
+
+            def recording(cfg, runner, points):
+                swept.extend(points)
+                return retrieval(cfg, runner, points)
+
+            monkeypatch.setattr(experiments, "_retrieval", recording)
+            RUNNERS[runner](cfg, tmp_path)
+            points = swept
+            assert len(points) == (12 if runner == "store_retrieve" else 16)
+        states, _, _, _, _, results = experiments._retrieval(cfg, runner, points)
+        g = experiments._resolve_gp(cfg)
+        for state, (delay, phase) in zip(states, points, strict=True):
+            seq = experiments._sr_sequence(cfg, g, results["t_swap_s"], delay, phase)
+            old = _readout_state(cfg, seq)
+            assert state.t == old.t
+            assert np.array([state.a, state.b]).tobytes() == np.array([old.a, old.b]).tobytes()
+
+    def test_storage_swap_guard(self, tmp_path):
+        # t_swap = 0.18 us leaves 0.968 of the energy in mode B (stored);
+        # 0.1 us leaves 0.486 (refused, exit 2, as in TestCli)
+        cfg = resolve_config("store_retrieve", {**SMALL_SR, "t_swap": "0.18us"})
+        results = run_store_retrieve(cfg, tmp_path)
+        assert results["t_swap_s"] == 0.18e-6
+        with pytest.raises(ValidationError, match=r"pump_power = -52dBm and t_swap = "
+                                                  r"1e-07s leave 0\.486 of the energy"):
+            run_store_retrieve(resolve_config("store_retrieve", {**SMALL_SR, "t_swap": "0.1us"}),
+                               tmp_path)
 
 
 class TestRetrievalSequence:
@@ -918,18 +977,23 @@ class TestSequenceOracle:
                                               ("phase_sweep", SMALL_PHASE)])
     def test_only_the_oracle_point_integrates(self, tmp_path, monkeypatch, runner, small):
         calls = []
-        rk4_trace = sequences.rk4_trace
 
-        def counting(initial, modes, plan):
-            calls.append(len(plan))
-            return rk4_trace(initial, modes, plan)
+        def counting(name):
+            run = getattr(sequences, name)
 
-        monkeypatch.setattr(sequences, "rk4_trace", counting)
+            def counted(initial, modes, plan):
+                calls.append((name, len(plan)))
+                return run(initial, modes, plan)
+            return counted
+
+        for name in ("rk4_final", "rk4_trace"):
+            monkeypatch.setattr(sequences, name, counting(name))
         monkeypatch.setattr(sequences, "integrate", None)  # no ramped swap here
         results = RUNNERS[runner](resolve_config(runner, small), tmp_path)
-        # one rk4_trace of the 4 planned segments (swap, delay, swap,
-        # readout; the load is direct), coarse and fine, at the middle point only
-        assert calls == [4, 4]
+        # one RK4 run of the 4 planned segments (swap, delay, swap, readout;
+        # the load is direct) at the middle point only: the coarse twin to
+        # its final state first, then the fine oracle trace
+        assert calls == [("rk4_final", 4), ("rk4_trace", 4)]
         assert 0.0 < results["exact_rk4_max_diff"] < 1e-9
         assert 0.0 < results["convergence_rel_diff"] < 1e-8
 
@@ -1383,6 +1447,14 @@ class TestCli:
         # phase_slope of -1.7e-16
         ("store_retrieve", "pump_power = -8000dBm\nt_swap = 0.2us"),
         ("phase_sweep", "pump_power = -8000dBm\nt_swap = 0.2us"),
+        # a storage swap that leaves less energy in mode B than in mode A:
+        # 4.0e-15 of it at -200 dBm, where store_retrieve answered mode A's
+        # decay as tau_s, and 0.486 at t_swap = 0.1us (0.18us, 0.968, runs)
+        ("store_retrieve", "pump_power = -200dBm\nt_swap = 0.2us"),
+        ("phase_sweep", "pump_power = -200dBm\nt_swap = 0.2us"),
+        ("store_retrieve", "t_swap = 0.1us"),
+        # a delay sweep from 0, whose first delay is no segment
+        ("store_retrieve", "delay_start = 0us"),
         # a g_P whose calibration rate W overflows, which calibrated a swap
         # time of 0 and was refused as a sequence of a zero-length segment
         ("store_retrieve", "gp = 1e300Hz"),

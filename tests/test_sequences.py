@@ -721,8 +721,9 @@ class TestBatchedOracle:
 
 class TestCheckPlan:
     """``run_sequence_checked`` plans once, at twice its points_per_cycle,
-    and ``check_plan`` runs that plan and its coarse twin, the same plan
-    with every requested step doubled, in one ``rk4_trace`` each."""
+    and ``check_plan`` runs that plan in one ``rk4_trace`` and its coarse
+    twin, the same plan with every requested step doubled, in one
+    ``rk4_final``."""
 
     # a delay so short that its step is set by the floor of 8 steps
     TEXT = ("mode A freq=8.7GHz q_int=900e3 q_ext=50e3\nmode B freq=9.33GHz t1=14.9us\n"
@@ -742,16 +743,20 @@ class TestCheckPlan:
         assert resolutions == [800]
 
     def test_the_coarse_twin_takes_half_the_steps_of_each_segment(self, monkeypatch):
-        steps = []  # the RK4 steps of each segment, per rk4_trace
-        rk4_trace = sequences.rk4_trace
+        steps = {}  # the RK4 steps of each segment, per run
 
-        def counting(initial, modes, plan):
-            steps.append([dynamics._steps(config)[0] for _, _, config in plan])
-            return rk4_trace(initial, modes, plan)
+        def counting(name):
+            run = getattr(sequences, name)
 
-        monkeypatch.setattr(sequences, "rk4_trace", counting)
+            def counted(initial, modes, plan):
+                steps[name] = [dynamics._steps(config)[0] for _, _, config in plan]
+                return run(initial, modes, plan)
+            return counted
+
+        for name in ("rk4_final", "rk4_trace"):
+            monkeypatch.setattr(sequences, name, counting(name))
         run_sequence_checked(parse_sequence(self.TEXT))
-        fine, coarse = sorted(steps, key=sum, reverse=True)
+        fine, coarse = steps["rk4_trace"], steps["rk4_final"]
         assert coarse == [(n + 1) // 2 for n in fine]
         # the delay (the second planned segment: the load is direct) takes
         # its floor of 8 steps in the oracle, and 4 in the twin
